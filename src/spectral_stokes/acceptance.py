@@ -297,14 +297,14 @@ def criterion_properties(seed: int = 2):
             n = rng.randrange(2, 5)
             S = mx.to_matrix([[1 if i == j else (rng.randrange(-2, 3) if j > i else 0)
                                for j in range(n)] for i in range(n)])
-            cp = mx.char_poly_exact(mx.solve_unit_upper(S, S.T.copy()))
+            cp = mx.char_poly_exact(mx.monodromy_matrix(S))
             i = rng.randrange(1, n)
             S2 = orbit.braid_act(i, S)
             eps = [rng.choice((1, -1)) for _ in range(n)]
             S3 = orbit.sign_act(eps, S)
-            if mx.char_poly_exact(mx.solve_unit_upper(S2, S2.T.copy())) != cp:
+            if mx.char_poly_exact(mx.monodromy_matrix(S2)) != cp:
                 problems.append(("braid-invariance", n))
-            if mx.char_poly_exact(mx.solve_unit_upper(S3, S3.T.copy())) != cp:
+            if mx.char_poly_exact(mx.monodromy_matrix(S3)) != cp:
                 problems.append(("sign-invariance", n))
             if not mx.mat_eq(orbit.braid_act(i, S2, -1), S):
                 problems.append(("braid-involution", n))

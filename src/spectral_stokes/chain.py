@@ -85,12 +85,6 @@ class ChainSing:
         return self.mu_seq[-1]
 
 
-def chain_invariants(a):
-    """(r, mu sequence, weights, Milnor number) for an exponent tuple."""
-    c = ChainSing(tuple(a))
-    return c.r, c.mu_seq, c.w, c.mu
-
-
 def rho_literal(exponents) -> int:
     """The literal alternating sum a_0...a_{k-1} - a_1...a_{k-1} + ...
     +- a_{k-1} -+ 1.  Documentation only: it drops leading factors where
@@ -239,9 +233,9 @@ def thom_sebastiani(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
     assert mx.is_unit_upper_triangular(S2, tol=1e-9)
     S = mx.kron(S1, S2)
     assert mx.is_unit_upper_triangular(S, tol=1e-9)
-    M1 = mx.solve_unit_upper(S1, S1.T.copy())
-    M2 = mx.solve_unit_upper(S2, S2.T.copy())
-    M = mx.solve_unit_upper(S, S.T.copy())
+    M1 = mx.monodromy_matrix(S1)
+    M2 = mx.monodromy_matrix(S2)
+    M = mx.monodromy_matrix(S)
     assert mx.mat_eq(M, mx.kron(M1, M2), 0.0 if mx.is_exact_matrix(S) else 1e-9), \
         "monodromy of the tensor product must be the tensor of monodromies"
     return S

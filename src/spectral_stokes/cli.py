@@ -271,6 +271,8 @@ def _cmd_orbit_conj16(args, cfg):
 def _cmd_track(args, cfg):
     with open(args.path_file) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or "path" not in data:
+        raise ValueError('path file needs a "path" list of matrices')
     mats = [mx.matrix_from_json(m) for m in data["path"]]
     res = orbit.generic_path_track(mats, steps=args.steps)
     return {"steps": args.steps,

@@ -23,25 +23,19 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import matrices as mx
 from .errors import (CollisionInsideSimplex, NotArithmeticGroup, NotInFamily,
                      PhaseViolation)
-from .polycore import (CIRCLE_TOL, RealPoly, angle_to_point, circle_dist,
+from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
                        companion_matrix, galois_closed_mults, is_exact,
-                       jordan_chain_vectors, mod1, palindrome_class,
+                       jordan_chain_vectors, mod1, num_eq, palindrome_class,
                        point_to_angle, poly_from_cyclotomic_mults,
-                       poly_from_float_angles, totient, unit_circle_angles)
+                       poly_from_float_angles, totient, unit_circle_angles,
+                       _lift_angles)
 from .spectra import Spp, SppLadder
 
 BETA_TOL = 1e-9
-
-
-def _num_eq(a, b, tol=BETA_TOL):
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= tol
 
 
 @dataclass(frozen=True)
@@ -66,13 +60,13 @@ class HorScal:
                 raise NotInFamily("angles must be nondecreasing")
         if self.k == 1:
             for j in range(n):
-                if not _num_eq(b[j] + b[n - 1 - j], 1):
+                if not num_eq(b[j] + b[n - 1 - j], 1):
                     raise NotInFamily(f"beta_{j+1} + beta_{n-j} != 1")
         else:
-            if not _num_eq(b[0], 0):
+            if not num_eq(b[0], 0):
                 raise NotInFamily("k=2 requires beta_1 = 0")
             for j in range(1, n):
-                if not _num_eq(b[j] + b[n - j], 1):
+                if not num_eq(b[j] + b[n - j], 1):
                     raise NotInFamily(f"beta_{j+1} + beta_{n+1-j} != 1")
 
     @property
@@ -110,12 +104,6 @@ def scal_from_free(n: int, k: int, free) -> HorScal:
     else:
         beta = [zero] + free + middle + [1 - x for x in reversed(free)]
     return HorScal(k, tuple(beta))
-
-
-def scal_free_coordinates(b: HorScal):
-    n, k = b.n, b.k
-    d = free_dimension(n, k)
-    return tuple(b.beta[1:1 + d]) if b.k == 2 else tuple(b.beta[:d])
 
 
 def sample_scal(n: int, k: int, rng, denominator: int | None = None,
@@ -173,7 +161,7 @@ def scal_from_angles(angles, k: int, tol: float = CIRCLE_TOL) -> HorScal:
     ones = 0
     rest = []
     for beta, m in angles:
-        if _num_eq(beta, 0, tol):
+        if num_eq(beta, 0, tol):
             ones = m
         else:
             rest.extend([beta] * m)
@@ -256,8 +244,7 @@ def recipe_ladder_groups(b: HorScal, tol: float = BETA_TOL):
         key = mod1(beta)
         placed = False
         for gk, vals in groups:
-            if (is_exact(gk) and is_exact(key) and gk == key) or \
-                    (not (is_exact(gk) and is_exact(key)) and circle_dist(gk, key) <= tol):
+            if angle_eq(gk, key, tol):
                 vals.append(a)
                 placed = True
                 break
@@ -268,7 +255,7 @@ def recipe_ladder_groups(b: HorScal, tol: float = BETA_TOL):
         vals.sort(key=float)
         l = len(vals) - 1
         for i in range(l):
-            if not _num_eq(vals[i + 1] - vals[i], 1, 1e-7):
+            if not num_eq(vals[i + 1] - vals[i], 1, 1e-7):
                 raise NotArithmeticGroup(
                     f"alphas for circle point at angle {key} are not consecutive: {vals}")
         out.append((key, SppLadder(vals[0], 1, l)))
@@ -309,11 +296,11 @@ def is_realizable_spectrum(candidate, n: int, k: int, tol: float = BETA_TOL):
             return False
         if k == 1 and j == 1 and float(val) < -0.5 - tol:
             return False
-        if k == 2 and j == 1 and not _num_eq(val, 0, tol):
+        if k == 2 and j == 1 and not num_eq(val, 0, tol):
             return False
         pos = sym_partner_pos(j)
         if pos is not None and pos < j:
-            if not _num_eq(order[pos - 1] + val, 0, tol):
+            if not num_eq(order[pos - 1] + val, 0, tol):
                 return False
         return True
 
@@ -369,7 +356,7 @@ def verify_power_identity(M: HorMatrix, tol: float = 1e-9):
     """
     S, n, k = M.S, M.n, M.k
     R = companion_matrix(M.p)
-    mono = mx.solve_unit_upper(S, S.T.copy())
+    mono = mx.monodromy_matrix(S)
     sign = -1 if k == 1 else 1
     lhs = sign * mono
     rhs = mx.mat_pow(R, n)
@@ -410,7 +397,7 @@ def pl_factor_product(S: np.ndarray, k: int, tol: float = 1e-9):
     prod = factors[0]
     for F in factors[1:]:
         prod = prod.dot(F)
-    mono = mx.solve_unit_upper(S, S.T.copy())
+    mono = mx.monodromy_matrix(S)
     ok = mx.mat_eq(prod, sign * mono, 0.0 if exact else tol)
     return factors, ok
 
@@ -428,10 +415,6 @@ def dual_basis_matrix(M: HorMatrix):
     else:
         X = np.linalg.solve(np.asarray(R, dtype=float).T, np.eye(n))
     p = M.p.coeffs
-    exact = mx.is_exact_matrix(R)
-
-    def eq(a, b):
-        return a == b if exact else abs(float(a) - float(b)) <= 1e-9
     for i in range(n):
         for j in range(n):
             if j == n - 1:
@@ -440,7 +423,7 @@ def dual_basis_matrix(M: HorMatrix):
                 want = 1
             else:
                 want = 0
-            if not eq(X[i, j], want):
+            if not num_eq(X[i, j], want):
                 raise AssertionError("dual-basis matrix does not have the shifted-cycle shape")
     return X
 
@@ -528,6 +511,7 @@ def restricted_form_eigenvalues(M: HorMatrix, neq_tol: float = 1e-7) -> np.ndarr
     """Eigenvalues of S + S^t restricted to the generalized eigenspaces of
     S^{-1} S^t away from -1 (ordered real Schur basis)."""
     Sf = np.asarray(M.S, dtype=float)
+    # float LAPACK solve kept on purpose: this runs on every float member
     Mono = np.linalg.solve(Sf, Sf.T)
     _, Z, sdim = scipy.linalg.schur(
         Mono, output="real",
@@ -590,14 +574,7 @@ def simplex_path_track(target: HorMatrix, steps: int | None = None,
             wrap = 1.0 - srt[-1] + srt[0]
             if n > 1 and min(gaps.min(initial=np.inf), wrap) < collision_tol:
                 raise CollisionInsideSimplex(f"eigenvalue collision at r={t}")
-        cost = np.abs(current[:, None] % 1.0 - ang[None, :])
-        cost = np.minimum(cost, 1.0 - cost)
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        nxt = current.copy()
-        for i, j in zip(rows, cols):
-            d = (ang[j] - current[i] + 0.5) % 1.0 - 0.5
-            nxt[i] = current[i] + d
-        current = nxt
+        current = _lift_angles(current, ang)
         lifts[s] = current
     gammas = gf
     alphas = n * (lifts - gammas[None, :])
@@ -703,13 +680,3 @@ def enumerate_cyclotomic_mults(n: int, k: int, limit: int | None = None):
 
     rec(0, n, {})
     return results
-
-
-def in_unit_circle_set(S: np.ndarray, tol: float = 1e-6) -> bool:
-    """Membership test for general unit upper-triangular matrices: all
-    eigenvalues of S^{-1} S^t within ``tol`` of the unit circle."""
-    Sf = np.asarray(S, dtype=float)
-    if not mx.is_unit_upper_triangular(S, tol=1e-9):
-        return False
-    eig = np.linalg.eigvals(np.linalg.solve(Sf, Sf.T))
-    return bool(np.all(np.abs(np.abs(eig) - 1.0) <= tol))

@@ -47,10 +47,6 @@ def identity(n: int, exact: bool = True) -> np.ndarray:
     return np.eye(n)
 
 
-def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A.dot(B)
-
-
 def mat_pow(A: np.ndarray, e: int) -> np.ndarray:
     n = A.shape[0]
     result = identity(n, exact=is_exact_matrix(A))
@@ -85,10 +81,6 @@ def solve_unit_upper(S: np.ndarray, B: np.ndarray) -> np.ndarray:
                 acc = acc - S[i, j] * X[j, c]
             X[i, c] = acc
     return X
-
-
-def unit_upper_inverse(S: np.ndarray) -> np.ndarray:
-    return solve_unit_upper(S, identity(S.shape[0], exact=is_exact_matrix(S)))
 
 
 def monodromy_matrix(S: np.ndarray) -> np.ndarray:
@@ -244,11 +236,6 @@ def is_unit_upper_triangular(S: np.ndarray, tol: float = 0.0) -> bool:
     return True
 
 
-def require_invertible_exact(A: np.ndarray):
-    if rank_exact(A) != A.shape[0]:
-        raise Singular("matrix is singular")
-
-
 # ---------------------------------------------------------------------------
 # matrix file schema: {"n": int, "entries": [[...]]}, entries "p/q" or numbers
 # ---------------------------------------------------------------------------
@@ -261,7 +248,10 @@ def matrix_to_json(A: np.ndarray, precision: int = 12) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    entries = data["entries"]
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not entries or not isinstance(entries, list) or \
+            not all(isinstance(r, list) for r in entries):
+        raise ValueError('matrix file needs "entries": a nonempty list of rows')
     n = data.get("n", len(entries))
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError("matrix file entries must be n rows of n values")

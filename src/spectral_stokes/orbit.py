@@ -15,11 +15,10 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import matrices as mx
 from .errors import LeftT
-from .polycore import point_to_angle
+from .polycore import num_eq, point_to_angle, _lift_angles
 
 
 def sign_act(eps, S: np.ndarray) -> np.ndarray:
@@ -98,7 +97,7 @@ def orbit_explore(S: np.ndarray, depth: int = 6, budget: int = 10000) -> OrbitRe
     """
     n = S.shape[0]
     start = sign_canonical(S)
-    base_cp = mx.char_poly_exact(mx.solve_unit_upper(S, S.T.copy())) \
+    base_cp = mx.char_poly_exact(mx.monodromy_matrix(S)) \
         if mx.is_exact_matrix(S) else None
     seen = {start}
     frontier = deque([(start, 0)])
@@ -115,7 +114,7 @@ def orbit_explore(S: np.ndarray, depth: int = 6, budget: int = 10000) -> OrbitRe
             for direction in (1, -1):
                 nxt = braid_act(i, cur, direction)
                 if base_cp is not None:
-                    cp = mx.char_poly_exact(mx.solve_unit_upper(nxt, nxt.T.copy()))
+                    cp = mx.char_poly_exact(mx.monodromy_matrix(nxt))
                     assert cp == base_cp, "mutation changed the monodromy class"
                 ck = sign_canonical(nxt)
                 if ck not in seen:
@@ -164,7 +163,7 @@ def conjecture16_check(pool) -> Conjecture16Report:
 
     groups: dict = {}
     for label, M in pool:
-        mono = mx.solve_unit_upper(M.S, M.S.T.copy())
+        mono = mx.monodromy_matrix(M.S)
         cp = mx.char_poly_exact(mono) if mx.is_exact_matrix(M.S) else None
         key = cp.coeffs if cp is not None else tuple(
             round(float(c), 9) for c in np.poly(np.asarray(mono, dtype=float))[::-1])
@@ -174,10 +173,7 @@ def conjecture16_check(pool) -> Conjecture16Report:
     for key, vals in groups.items():
         ref_label, ref = vals[0]
         for lab, sp in vals[1:]:
-            same = len(sp) == len(ref) and all(
-                (x == y if not isinstance(x, float) and not isinstance(y, float)
-                 else abs(float(x) - float(y)) <= 1e-9)
-                for x, y in zip(sp, ref))
+            same = len(sp) == len(ref) and all(num_eq(x, y) for x, y in zip(sp, ref))
             if not same:
                 violations.append((key, ref_label, ref, lab, sp))
     return Conjecture16Report(groups, violations)
@@ -229,18 +225,13 @@ def generic_path_track(path, steps: int = 256, circle_tol: float = 1e-6,
         S = (1 - loc) * mats[seg] + loc * mats[seg + 1]
         if not mx.is_unit_upper_triangular(S, tol=1e-7):
             raise LeftT(t, "sample is not unit upper triangular")
+        # float LAPACK solve kept on purpose: this runs on every tracking step
         eig = np.linalg.eigvals(np.linalg.solve(S, S.T))
         if np.any(np.abs(np.abs(eig) - 1.0) > circle_tol):
             worst = float(np.max(np.abs(np.abs(eig) - 1.0)))
             raise LeftT(t, f"eigenvalue off the circle by {worst:.2e}")
         ang = np.array([point_to_angle(z) for z in eig])
-        cost = np.abs(current[:, None] % 1.0 - ang[None, :])
-        cost = np.minimum(cost, 1.0 - cost)
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        nxt = current.copy()
-        for i, j in zip(rows, cols):
-            d = (ang[j] - current[i] + 0.5) % 1.0 - 0.5
-            nxt[i] = current[i] + d
+        nxt = _lift_angles(current, ang)
         for i in range(n):
             for j in range(i + 1, n):
                 close = abs((nxt[i] - nxt[j] + 0.5) % 1.0 - 0.5) < collision_tol

@@ -10,6 +10,10 @@ Conventions used everywhere in the package:
 * Polynomials are dense coefficient sequences, constant term first,
   with ``int``/``Fraction`` entries in exact mode and ``float`` in
   numeric mode.
+* Exact-or-tolerance decisions go through :func:`num_eq` for scalars and
+  :func:`angle_eq` for circle angles: exact equality when both sides are
+  exact, a tolerance otherwise.  The monodromy ``S^{-1} S^t`` of a unit
+  upper-triangular ``S`` goes through ``matrices.monodromy_matrix``.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.optimize
 
 from .errors import MultiplicityTooLow, NotPolynomial, RootOffCircle
 
 TWO_PI = 2.0 * math.pi
 
-#: default tolerance for "is this root on the unit circle"
+#: default tolerance for "is this root on the unit circle", num_eq and angle_eq
 CIRCLE_TOL = 1e-9
 #: roots whose angles differ by less than this are merged into one multiple root
 CLUSTER_TOL = 1e-7
@@ -51,7 +56,16 @@ def circle_dist(a, b) -> float:
     return min(d, 1.0 - d)
 
 
+def num_eq(a, b, tol: float = CIRCLE_TOL) -> bool:
+    """Scalar equality: exact when both sides are exact, else within ``tol``."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(float(a) - float(b)) <= tol
+
+
 def angle_eq(a, b, tol: float = CIRCLE_TOL) -> bool:
+    """Equality of circle angles (so 0 and 1 agree): exact when both sides
+    are exact, else within ``tol`` in circle distance."""
     if is_exact(a) and is_exact(b):
         return mod1(a) == mod1(b)
     return circle_dist(a, b) <= tol
@@ -67,24 +81,27 @@ def point_to_angle(z: complex):
     return (-cmath.phase(z) / TWO_PI) % 1.0
 
 
-def conj_angle(b):
-    """Angle of the complex conjugate point."""
-    return mod1(-b)
-
-
 def parse_rational(s):
-    """Parse "p/q" or a plain integer/decimal string into Fraction or float."""
+    """Parse "p/q" or a plain integer/decimal string into Fraction or float.
+
+    Raises ValueError for a zero denominator and for non-finite values.
+    """
     if isinstance(s, (int, Fraction)):
         return s
-    if isinstance(s, float):
-        return s
-    text = str(s).strip()
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    if not isinstance(s, float):
+        text = str(s).strip()
+        if "/" in text:
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
+        try:
+            return int(text)
+        except ValueError:
+            s = float(text)
+    if not math.isfinite(s):
+        raise ValueError(f"non-finite value {s!r}")
+    return s
 
 
 def format_number(x, precision: int = 12) -> str:
@@ -114,6 +131,22 @@ def snap_angle(b: float, max_den: int = 4096, tol: float = 1e-12):
     if circle_dist(cand, b) <= tol:
         return mod1(cand)
     return mod1(b)
+
+
+def _lift_angles(current: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Continue lifted float angles ``current`` to the angle set ``ang``.
+
+    Strands are matched to angles by an assignment of least total circle
+    distance; each strand then moves by its step taken in [-1/2, 1/2).
+    """
+    cost = np.abs(current[:, None] % 1.0 - ang[None, :])
+    cost = np.minimum(cost, 1.0 - cost)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    nxt = current.copy()
+    for i, j in zip(rows, cols):
+        d = (ang[j] - current[i] + 0.5) % 1.0 - 0.5
+        nxt[i] = current[i] + d
+    return nxt
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +496,6 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
     return out
 
 
-def angles_total(angles) -> int:
-    return sum(m for _, m in angles)
-
-
 def flatten_angles(angles):
     out = []
     for b, m in angles:
@@ -545,14 +574,8 @@ def palindrome_class(p: RealPoly, tol: float = CIRCLE_TOL):
     n = p.degree
     c = p.coeffs
     p0 = c[0]
-
-    def close(a, b):
-        if is_exact(a) and is_exact(b):
-            return a == b
-        return abs(float(a) - float(b)) <= tol
-
-    sym = all(close(c[j], c[n - j]) for j in range(n + 1))
-    asym = all(close(c[j], -c[n - j]) for j in range(n + 1))
+    sym = all(num_eq(c[j], c[n - j], tol) for j in range(n + 1))
+    asym = all(num_eq(c[j], -c[n - j], tol) for j in range(n + 1))
     if not (sym or asym):
         return None, p0
     try:
@@ -561,7 +584,7 @@ def palindrome_class(p: RealPoly, tol: float = CIRCLE_TOL):
         return None, p0
     k = 1 if sym else 2
     expected = 1 if k == 1 else -1
-    assert close(p0, expected), f"p0={p0} contradicts k={k}"
+    assert num_eq(p0, expected, tol), f"p0={p0} contradicts k={k}"
     return k, p0
 
 

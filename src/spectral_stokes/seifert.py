@@ -28,8 +28,8 @@ import scipy.linalg
 
 from . import matrices as mx
 from .errors import DegenerateFlag, NotLadderComposed, Singular, Unclassified
-from .polycore import (RealPoly, angle_to_point, beta_from_cos, circle_dist,
-                       cyclotomic_angles, cyclotomic_polynomial,
+from .polycore import (RealPoly, angle_eq, angle_to_point, beta_from_cos,
+                       circle_dist, cyclotomic_angles, cyclotomic_polynomial,
                        factor_cyclotomic, format_number, is_exact, mod1,
                        parse_rational, snap_angle)
 from .spectra import Spp, SppLadder, decompose_into_ladders
@@ -58,8 +58,8 @@ class IrrType:
 
     def __post_init__(self):
         if self.family == "F1":
-            on_one = _angle_is(self.lam, 0)
-            on_minus = _angle_is(self.lam, Fraction(1, 2))
+            on_one = angle_eq(self.lam, 0)
+            on_minus = angle_eq(self.lam, Fraction(1, 2))
             assert on_one or on_minus, "F1 eigenvalue must be +-1"
             assert self.eps in (1, -1)
             if on_one:
@@ -67,8 +67,8 @@ class IrrType:
             else:
                 assert self.n % 2 == 0, "F1 at -1 needs even size"
         elif self.family == "F2real":
-            on_one = _angle_is(self.lam, 0)
-            on_minus = _angle_is(self.lam, Fraction(1, 2))
+            on_one = angle_eq(self.lam, 0)
+            on_minus = angle_eq(self.lam, Fraction(1, 2))
             assert on_one or on_minus
             if on_one:
                 assert self.n % 2 == 0, "two-block type at +1 needs even size"
@@ -121,9 +121,9 @@ class IrrType:
 
     def label(self) -> str:
         def ang(a):
-            if _angle_is(a, 0):
+            if angle_eq(a, 0):
                 return "1"
-            if _angle_is(a, Fraction(1, 2)):
+            if angle_eq(a, Fraction(1, 2)):
                 return "-1"
             return f"e(-2pi i {format_number(a, 6)})"
         if self.family == "F1":
@@ -156,12 +156,6 @@ class IrrType:
         zeta = parse_rational(data["zeta"]) if "zeta" in data else None
         return cls(data["family"], lam, int(data["n"]),
                    eps=data.get("eps"), zeta=zeta)
-
-
-def _angle_is(a, target, tol: float = ANGLE_TOL) -> bool:
-    if is_exact(a) and is_exact(target):
-        return mod1(a) == mod1(target)
-    return circle_dist(a, target) <= tol
 
 
 def types_multiset_equal(ts1, ts2, tol: float = ANGLE_TOL) -> bool:
@@ -722,7 +716,7 @@ def type_signature(t: IrrType):
     summand (table lookup)."""
     n = t.n
     if t.family == "F1":
-        if _angle_is(t.lam, 0):
+        if angle_eq(t.lam, 0):
             if n % 4 == t.eps % 4:
                 return ((n + 1) // 2, 0, (n - 1) // 2)
             return ((n - 1) // 2, 0, (n + 1) // 2)
@@ -730,18 +724,18 @@ def type_signature(t: IrrType):
             return (n // 2, 1, (n - 2) // 2)
         return ((n - 2) // 2, 1, n // 2)
     if t.family == "F2real":
-        if _angle_is(t.lam, 0):
+        if angle_eq(t.lam, 0):
             return (n, 0, n)
         return (n - 1, 2, n - 1)
     if t.family == "F2complex":
         if n % 2 == 0:
             return (n, 0, n)
         t = t.normalized()
-        zc = _canonical_zeta_table(t.lam, n)
-        if _angle_is(t.zeta, zc, tol=1e-7):
+        zc = _canonical_zeta_sqrt(t.lam, n)
+        if angle_eq(t.zeta, zc, tol=1e-7):
             return (n - 1, 0, n + 1)
         half = Fraction(1, 2) if is_exact(zc) else 0.5
-        if _angle_is(t.zeta, mod1(zc + half), tol=1e-7):
+        if angle_eq(t.zeta, mod1(zc + half), tol=1e-7):
             return (n + 1, 0, n - 1)
         raise ValueError(f"zeta {t.zeta} is not an admissible invariant for {t.label()}")
     if t.family == "F2hyper":
@@ -749,14 +743,6 @@ def type_signature(t: IrrType):
     if t.family == "F4hyper":
         return (2 * n, 0, 2 * n)
     raise ValueError(f"unknown family {t.family}")
-
-
-def _canonical_zeta_table(theta, n: int):
-    """Angle of (conj(lam)+1)/|lam+1| * i^(n+1) for lam = exp(-2 pi i theta)
-    with theta in (0, 1/2): equals exp(i pi (theta + (n+1)/2))."""
-    if is_exact(theta):
-        return mod1(-Fraction(theta) / 2 - Fraction(n + 1, 4))
-    return mod1(-float(theta) / 2.0 - (n + 1) / 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLadderComposed
-from .polycore import format_number, is_exact, parse_rational
+from .polycore import format_number, is_exact, num_eq, parse_rational
 
 ALPHA_TOL = 1e-9
-
-
-def _alpha_eq(a, b, tol=ALPHA_TOL):
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= tol
 
 
 def _sort_key(pair):
@@ -60,7 +54,7 @@ class Spp:
             return False
         if self.is_exact and other.is_exact:
             return self.pairs == other.pairs
-        return all(k1 == k2 and _alpha_eq(a1, a2, tol)
+        return all(k1 == k2 and num_eq(a1, a2, tol)
                    for (a1, k1), (a2, k2) in zip(self.pairs, other.pairs))
 
     def __eq__(self, other):
@@ -96,10 +90,6 @@ class Spp:
         for rec in data:
             pairs.extend([(parse_rational(rec["alpha"]), int(rec["level"]))] * int(rec.get("mult", 1)))
         return cls(pairs)
-
-
-def spp_shift(s: Spp, dalpha, dk: int) -> Spp:
-    return s.shift(dalpha, dk)
 
 
 def spp_mod2_equal(s1: Spp, s2: Spp, tol: float = ALPHA_TOL) -> bool:
@@ -148,23 +138,13 @@ class SppLadder:
 
     @property
     def is_single(self) -> bool:
-        d = self.distance
-        return d == 0 if is_exact(d) else abs(float(d)) <= ALPHA_TOL
+        return num_eq(self.distance, 0, ALPHA_TOL)
 
     def partner(self) -> "SppLadder":
         return SppLadder(self.m - self.l - 1 - self.alpha, self.m, self.l)
 
     def __repr__(self):
         return f"SppLadder(alpha={format_number(self.alpha)}, m={self.m}, l={self.l})"
-
-
-def ladder_members(ladder: SppLadder) -> Spp:
-    return ladder.members()
-
-
-def partner_ladder(ladder: SppLadder):
-    """The partner ladder together with the distance 2*alpha + l + 1 - m."""
-    return ladder.partner(), ladder.distance
 
 
 def kleinian_image(pair, m: int, which: str):
@@ -212,7 +192,7 @@ def decompose_into_ladders(s: Spp, m: int, tol: float = ALPHA_TOL) -> list[Ladde
 
     def take(alpha, level):
         for i, (a, k) in enumerate(remaining):
-            if k == level and _alpha_eq(a, alpha, tol):
+            if k == level and num_eq(a, alpha, tol):
                 return remaining.pop(i)
         return None
 
@@ -256,7 +236,7 @@ def decompose_into_ladders(s: Spp, m: int, tol: float = ALPHA_TOL) -> list[Ladde
                 continue
             other = ladders[j]
             if other.m == partner.m and other.l == partner.l and \
-                    _alpha_eq(other.alpha, partner.alpha, tol):
+                    num_eq(other.alpha, partner.alpha, tol):
                 match = j
                 break
         if match is not None:

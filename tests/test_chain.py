@@ -13,22 +13,22 @@ t = sympy.Symbol("t")
 
 class TestInvariants:
     def test_single_cubic(self):
-        r, mu, w, m = chain.chain_invariants((3,))
-        assert (r, mu, w, m) == ((3,), (2,), (F(1, 3),), 2)
+        c = chain.ChainSing((3,))
+        assert (c.r, c.mu_seq, c.w, c.mu) == ((3,), (2,), (F(1, 3),), 2)
 
     def test_curve_case(self):
-        r, mu, w, m = chain.chain_invariants((3, 2))
-        assert (r, mu, w, m) == ((3, 6), (2, 4), (F(1, 3), F(1, 3)), 4)
+        c = chain.ChainSing((3, 2))
+        assert (c.r, c.mu_seq, c.w, c.mu) == ((3, 6), (2, 4), (F(1, 3), F(1, 3)), 4)
 
     def test_quadratic(self):
-        r, mu, w, m = chain.chain_invariants((2,))
-        assert (mu[-1], w) == (1, (F(1, 2),))
+        c = chain.ChainSing((2,))
+        assert (c.mu_seq[-1], c.w) == (1, (F(1, 2),))
 
     def test_bad_exponents(self):
         with pytest.raises(BadExponents):
-            chain.chain_invariants((1,))
+            chain.ChainSing((1,))
         with pytest.raises(BadExponents):
-            chain.chain_invariants((3, 0))
+            chain.ChainSing((3, 0))
 
     def test_literal_sum_vs_recursion(self):
         # the two countings agree exactly for all-equal exponent tuples
@@ -205,6 +205,12 @@ class TestVerifySpectrumShift:
     def test_three_variables(self):
         assert chain.verify_spectrum_shift((3, 2, 2))
         assert chain.verify_spectrum_shift((4, 3, 2))
+
+    @pytest.mark.parametrize("a", [(3,), (3, 2), (2, 2, 2), (4, 3, 2)])
+    def test_spectral_pairs_carry_the_spectrum(self, a):
+        spp = chain.stokes_spectral_pairs(a)
+        assert spp.is_exact
+        assert spp.alphas() == sorted(chain.stokes_spectrum(a), key=float)
 
 
 class TestThomSebastiani:

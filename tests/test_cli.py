@@ -168,6 +168,27 @@ class TestSelftest:
         assert calls.get("ran")
 
 
+@pytest.mark.parametrize("argv, file_data", [
+    (["seifert", "classify", "--matrix"], {"n": 2}),
+    (["seifert", "classify", "--matrix"], {"entries": 5}),
+    (["track", "--path-file"], {"paths": []}),
+    (["hor", "spectrum", "--k", "1", "--beta", "1/0"], None),
+    (["solve2", "--a", "nan"], None),
+], ids=["matrix-without-entries", "entries-not-rows", "path-file-without-path", "zero-denominator", "nan"])
+def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data):
+    if file_data is not None:
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(file_data))
+        argv = argv + [str(f)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectral_stokes.cli"] + argv,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "ValueError"
+
+
 def test_console_entry_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_stokes.cli", "chain", "verify", "--a", "2"],

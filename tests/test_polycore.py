@@ -97,6 +97,31 @@ class TestUnitCircleAngles:
                 assert pc.circle_dist(x, y) <= 1e-7
 
 
+class TestExactOrToleranceComparisons:
+    def test_exact_never_uses_the_tolerance(self):
+        assert not pc.num_eq(Fraction(1, 10**12), 0)
+        assert not pc.angle_eq(Fraction(1, 10**12), 0)
+        assert pc.num_eq(Fraction(2, 4), Fraction(1, 2), tol=0.0)
+
+    def test_angles_wrap(self):
+        assert pc.angle_eq(Fraction(1), 0)
+        assert pc.angle_eq(Fraction(-1, 3), Fraction(2, 3))
+        assert not pc.num_eq(Fraction(1), 0)
+
+    def test_floats_within_and_outside_tol(self):
+        assert pc.num_eq(0.5, 0.5 + 1e-10)
+        assert not pc.num_eq(0.5, 0.5 + 1e-8)
+        assert pc.num_eq(0.5, 0.5 + 1e-8, tol=1e-7)
+        assert pc.angle_eq(1.0 - 1e-10, 0.0)
+        assert not pc.angle_eq(0.25, 0.25 + 1e-8)
+
+    def test_mixed_float_and_fraction_use_the_tolerance(self):
+        assert pc.num_eq(Fraction(1, 3), 1 / 3)
+        assert not pc.num_eq(Fraction(1, 3), 1 / 3 + 1e-6)
+        assert pc.angle_eq(Fraction(1), 1e-10)
+        assert not pc.angle_eq(Fraction(1, 2), 0.5 + 1e-6)
+
+
 class TestPalindromeClass:
     def test_symmetric(self):
         k, p0 = pc.palindrome_class(pc.RealPoly([1, 1, 1]))

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from spectral_stokes.errors import NotLadderComposed
 from spectral_stokes.spectra import (Spp, SppLadder, decompose_into_ladders,
-                                     kleinian_image, ladder_members,
-                                     partner_ladder, spp_mod2_equal, spp_shift)
+                                     kleinian_image, spp_mod2_equal)
 
 F = Fraction
 
@@ -18,7 +17,7 @@ levels = st.integers(-3, 4)
 class TestLadderMembers:
     def test_length_two(self):
         lad = SppLadder(F(-1, 2), 1, 1)
-        assert ladder_members(lad) == Spp([(F(-1, 2), 2), (F(1, 2), 0)])
+        assert lad.members() == Spp([(F(-1, 2), 2), (F(1, 2), 0)])
 
     def test_length_three(self):
         lad = SppLadder(F(-1), 1, 2)
@@ -32,18 +31,18 @@ class TestPartner:
     def test_self_partner(self):
         m, l = 1, 1
         lad = SppLadder(F(m - l - 1, 2), m, l)
-        partner, dist = partner_ladder(lad)
+        partner, dist = lad.partner(), lad.distance
         assert partner == lad and dist == 0 and lad.is_single
 
     def test_distance_value(self):
         lad = SppLadder(F(-1, 3), 1, 0)
-        partner, dist = partner_ladder(lad)
+        partner, dist = lad.partner(), lad.distance
         assert partner.alpha == F(1, 3)
         assert dist == F(-2, 3)
 
     def test_zero_center_single(self):
         lad = SppLadder(F(0), 1, 0)
-        partner, dist = partner_ladder(lad)
+        partner, dist = lad.partner(), lad.distance
         assert partner == lad and dist == 0
 
     @given(alphas, st.integers(-2, 3), st.integers(0, 3))
@@ -141,7 +140,7 @@ class TestDecompose:
 class TestShiftAndMod2:
     def test_shift_example(self):
         s = Spp([(F(-2, 3), 1), (F(-1, 3), 1)])
-        got = spp_shift(s, F(-1, 2), 0)
+        got = s.shift(F(-1, 2), 0)
         assert got == Spp([(F(-1, 6), 1), (F(1, 6), 1)])
 
     def test_mod2_true(self):
@@ -154,10 +153,10 @@ class TestShiftAndMod2:
     @settings(max_examples=40, deadline=None)
     def test_mod2_equivalence_relation(self, pairs):
         s = Spp(pairs)
-        shifted = spp_shift(s, F(-2), 0)
+        shifted = s.shift(F(-2), 0)
         assert spp_mod2_equal(s, s)
         assert spp_mod2_equal(s, shifted) and spp_mod2_equal(shifted, s)
-        shifted2 = spp_shift(shifted, F(4), 0)
+        shifted2 = shifted.shift(F(4), 0)
         if spp_mod2_equal(s, shifted) and spp_mod2_equal(shifted, shifted2):
             assert spp_mod2_equal(s, shifted2)
 
