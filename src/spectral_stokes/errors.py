@@ -48,6 +48,10 @@ class Singular(SpectralStokesError):
     """A matrix required to be invertible is singular."""
 
 
+class VerificationFailed(SpectralStokesError):
+    """A computed result fails an identity that theory guarantees."""
+
+
 class Unclassified(SpectralStokesError):
     """The Jordan/eigenvalue pattern is outside the implemented classification."""
 

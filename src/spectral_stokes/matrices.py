@@ -2,12 +2,16 @@
 
 Exact matrices are numpy object arrays holding ``int``/``Fraction``
 entries; numeric matrices are float arrays.  Numpy's ``dot`` works for
-both, everything else that needs exact pivoting (rank, nullspace,
-signature, characteristic polynomial) is implemented here on Fractions.
+both.  The exact kernels (characteristic polynomial, rank, nullspace,
+solve, signature) clear denominators once on entry and run on Python
+``int`` rows: division-free Berkowitz for the characteristic polynomial,
+fraction-free elimination for the rest.  Fractions appear only in the
+results.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -88,113 +92,132 @@ def monodromy_matrix(S: np.ndarray) -> np.ndarray:
     return solve_unit_upper(S, S.T.copy())
 
 
-def _frac_rows(A: np.ndarray):
-    return [[Fraction(A[i, j]) for j in range(A.shape[1])] for i in range(A.shape[0])]
+def _int_rows(rows, common: bool = False):
+    """(integer rows, scales): row i times scales[i], the lcm of its
+    denominators, or with ``common`` of every denominator of the matrix."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    if common:
+        scales = [math.lcm(*scales)] * len(rows)
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(rows, scales)], scales
+
+
+def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
+    """Fraction-free Gauss (``reduced``: Gauss-Jordan) elimination in place
+    on the first ``ncols`` columns of integer rows; returns the pivot columns.
+
+    Each step is ``row_i <- p row_i - f row_p``, divided by the row's gcd,
+    so every row stays an integer multiple of the rational echelon row.
+    """
+    n = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r >= n:
+            break
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        for i in range(0 if reduced else r + 1, n):
+            f = rows[i][col]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+        r += 1
+    return pivots
 
 
 def char_poly_exact(A: np.ndarray) -> RealPoly:
-    """Characteristic polynomial det(x E - A), exact (Faddeev-LeVerrier)."""
+    """Characteristic polynomial det(x E - A), exact.
+
+    Division-free Berkowitz on the integer matrix B = d A, with d the
+    common denominator of A: the coefficient of x^k is C_k / d^(n-k), where
+    C_k are those of det(x E - B).
+    """
     n = A.shape[0]
-    M = [[Fraction(A[i, j]) for j in range(n)] for i in range(n)]
-    Mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    cs = [Fraction(1)]
-    for k in range(1, n + 1):
-        AM = [[sum(M[i][t] * Mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        ck = -sum(AM[i][i] for i in range(n)) / k
-        cs.append(ck)
-        for i in range(n):
-            AM[i][i] += ck
-        Mk = AM
-    return RealPoly([_tidy(c) for c in reversed(cs)])
+    B, scales = _int_rows(A.tolist(), common=True)
+    d = scales[0] if n else 1
+    # coefficients from x^r down to x^0 of the leading r x r block
+    cs = [1]
+    for r in range(n):
+        lead = [B[i][:r] for i in range(r)]
+        # first column of the Toeplitz step: 1, -a_rr, -R C, -R A_r C, ...
+        t = [1, -B[r][r]]
+        v = [B[i][r] for i in range(r)]
+        for k in range(r):
+            t.append(-sum(a * b for a, b in zip(B[r], v)))
+            if k < r - 1:
+                v = [sum(a * b for a, b in zip(row, v)) for row in lead]
+        cs = [sum(t[i - j] * cs[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+              for i in range(r + 2)]
+    if d == 1:
+        return RealPoly(cs[::-1])
+    return RealPoly([_tidy(Fraction(c, d ** k)) for k, c in enumerate(cs)][::-1])
 
 
 def rank_exact(A: np.ndarray) -> int:
-    rows = _frac_rows(A)
-    n, m = len(rows), len(rows[0]) if len(rows) else 0
-    rank = 0
-    col = 0
-    r = 0
-    while r < n and col < m:
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pv
-                for j in range(col, m):
-                    rows[i][j] -= f * rows[r][j]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+    """Rank by fraction-free Gaussian elimination on integer rows."""
+    return len(_eliminate(_int_rows(A.tolist())[0], A.shape[1], reduced=False))
 
 
 def nullspace_exact(A: np.ndarray) -> list:
-    """Basis of ker(A) as Fraction column vectors (lists)."""
-    rows = _frac_rows(A)
-    n, m = len(rows), len(rows[0]) if len(rows) else 0
-    pivots = []
-    r = 0
-    for col in range(m):
-        if r >= n:
-            break
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
+    """Basis of ker(A) as Fraction column vectors (lists), read off the
+    reduced row echelon form of a fraction-free Gauss-Jordan elimination."""
+    rows = _int_rows(A.tolist())[0]
+    m = A.shape[1] if rows else 0
+    pivots = _eliminate(rows, m, reduced=True)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -rows[pr][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
 def signature_exact(A: np.ndarray):
     """Signature (s_plus, s_zero, s_minus) of a rational symmetric matrix,
-    by congruence reduction (no eigenvalues needed)."""
-    M = _frac_rows(A)
-    n = len(M)
-    for i in range(n):
-        for j in range(i):
-            assert M[i][j] == M[j][i], "matrix must be symmetric"
+    by fraction-free congruence reduction on integers (no eigenvalues).
+
+    A Schur complement step is scaled by |pivot| > 0, which keeps the
+    inertia, and then divided by the gcd of the entries.
+    """
+    if any(A[i, j] != A[j, i] for i in range(A.shape[0]) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    M = _int_rows(A.tolist(), common=True)[0]
     plus = minus = zero = 0
     while M:
         k = len(M)
-        p = next((i for i in range(k) if M[i][i] != 0), None)
+        p = next((i for i in range(k) if M[i][i]), None)
         if p is None:
-            od = next(((i, j) for i in range(k) for j in range(i + 1, k) if M[i][j] != 0), None)
+            od = next(((i, j) for i in range(k) for j in range(i + 1, k) if M[i][j]), None)
             if od is None:
                 zero += k
                 break
             i, j = od
             # make a diagonal entry nonzero: e_i <- e_i + e_j
-            for t in range(k):
-                M[i][t] += M[j][t]
-            for t in range(k):
-                M[t][i] += M[t][j]
+            M[i] = [a + b for a, b in zip(M[i], M[j])]
+            for row in M:
+                row[i] += row[j]
             continue
         d = M[p][p]
         if d > 0:
             plus += 1
         else:
             minus += 1
+        s, ad = (1 if d > 0 else -1), abs(d)
         keep = [i for i in range(k) if i != p]
-        M = [[M[i][j] - M[i][p] * M[p][j] / d for j in keep] for i in keep]
+        M = [[ad * M[i][j] - s * M[i][p] * M[p][j] for j in keep] for i in keep]
+        g = math.gcd(*(x for row in M for x in row))
+        if g > 1:
+            M = [[x // g for x in row] for row in M]
     return plus, zero, minus
 
 
@@ -231,7 +254,7 @@ def is_unit_upper_triangular(S: np.ndarray, tol: float = 0.0) -> bool:
             if is_exact(v):
                 if v != target:
                     return False
-            elif abs(float(v) - target) > tol:
+            elif not abs(float(v) - target) <= tol:     # NaN fails too
                 return False
     return True
 
@@ -259,24 +282,14 @@ def matrix_from_json(data: dict) -> np.ndarray:
 
 
 def solve_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B exactly for a square rational A (Gauss-Jordan)."""
+    """Solve A X = B exactly for a square rational A, by fraction-free
+    Gauss-Jordan elimination on the integer rows of [A | B]."""
     n = A.shape[0]
-    M = [[Fraction(A[i, j]) for j in range(n)] + [Fraction(B[i, j]) for j in range(B.shape[1])]
-         for i in range(n)]
-    w = n + B.shape[1]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
+    rows = _int_rows(np.hstack([A, B]).tolist())[0]
+    if len(_eliminate(rows, n, reduced=True)) < n:
+        raise Singular("matrix is singular")
     X = np.empty((n, B.shape[1]), dtype=object)
-    for i in range(n):
-        for j in range(B.shape[1]):
-            X[i, j] = _tidy(M[i][n + j])
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row[n:]):
+            X[i, j] = _tidy(Fraction(x, row[i]))
     return X

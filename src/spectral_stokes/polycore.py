@@ -304,6 +304,7 @@ def poly_from_float_angles(angles) -> RealPoly:
 # cyclotomic machinery
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def totient(d: int) -> int:
     result, n, p = d, d, 2
     while p * p <= n:

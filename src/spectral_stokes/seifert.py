@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from . import matrices as mx
-from .errors import DegenerateFlag, NotLadderComposed, Singular, Unclassified
+from .errors import (DegenerateFlag, NotLadderComposed, Singular, Unclassified,
+                     VerificationFailed)
 from .polycore import (RealPoly, angle_eq, angle_to_point, beta_from_cos,
                        circle_dist, cyclotomic_angles, cyclotomic_polynomial,
                        factor_cyclotomic, format_number, is_exact, mod1,
@@ -294,11 +295,12 @@ def monodromy_and_forms(P: SeifertPair):
         M = mx.solve_exact(G.T.copy(), G)
         Is = G + G.T
         Ia = G.T - G
-        assert mx.mat_eq(M.T.copy().dot(G).dot(M), G), "monodromy must preserve the form"
-        assert n - mx.rank_exact(Is) == n - mx.rank_exact(M + mx.identity(n)), \
-            "radical of the symmetric form must be ker(M + 1)"
-        assert n - mx.rank_exact(Ia) == n - mx.rank_exact(M - mx.identity(n)), \
-            "radical of the antisymmetric form must be ker(M - 1)"
+        if not mx.mat_eq(M.T.copy().dot(G).dot(M), G):
+            raise VerificationFailed("monodromy must preserve the form")
+        if mx.rank_exact(Is) != mx.rank_exact(M + mx.identity(n)):
+            raise VerificationFailed("radical of the symmetric form must be ker(M + 1)")
+        if mx.rank_exact(Ia) != mx.rank_exact(M - mx.identity(n)):
+            raise VerificationFailed("radical of the antisymmetric form must be ker(M - 1)")
     else:
         Gf = np.asarray(G, dtype=float)
         M = np.linalg.solve(Gf.T, Gf)
@@ -372,7 +374,8 @@ def _exact_eigdata(M_e: np.ndarray, tol: float):
             j += 1
             power = power.dot(qm)
             total = n - mx.rank_exact(power)
-            assert total % per == 0, "kernel must split evenly over the orbit"
+            if total % per:
+                raise VerificationFailed("kernel must split evenly over the orbit")
             dims.append(total // per)
             if dims[-1] >= mult or j >= mult:
                 break

@@ -1,0 +1,174 @@
+"""Differential tests of the exact matrix kernels against sympy, plus the
+checks that must survive ``python -O`` and the NaN guard of
+``is_unit_upper_triangular``."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectral_stokes import matrices as mx
+from spectral_stokes import orbit
+from spectral_stokes.errors import LeftT, Singular
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: entries with denominators up to 4; ints stay ints, as callers pass them
+RATIONALS = st.one_of(st.integers(-5, 5),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def rational_rows(draw, n=None, m=None, symmetric=False):
+    """Lists of rows, 1-8 each way, full rank or a product of lower rank."""
+    n = n if n is not None else draw(st.integers(1, 8))
+    m = n if symmetric else (m if m is not None else draw(st.integers(1, 8)))
+    r = draw(st.integers(0, min(n, m)))
+    low = draw(st.booleans())
+    if symmetric:
+        if low:
+            L = [[draw(RATIONALS) for _ in range(r)] for _ in range(n)]
+            D = [draw(RATIONALS) for _ in range(r)]
+            return [[sum((L[i][t] * D[t] * L[j][t] for t in range(r)), Fraction(0))
+                     for j in range(n)] for i in range(n)]
+        U = [[draw(RATIONALS) for _ in range(n)] for _ in range(n)]
+        return [[U[i][j] if i <= j else U[j][i] for j in range(n)] for i in range(n)]
+    if low:
+        L = [[draw(RATIONALS) for _ in range(r)] for _ in range(n)]
+        R = [[draw(RATIONALS) for _ in range(m)] for _ in range(r)]
+        return [[sum((L[i][t] * R[t][j] for t in range(r)), Fraction(0)) for j in range(m)]
+                for i in range(n)]
+    return [[draw(RATIONALS) for _ in range(m)] for _ in range(n)]
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                          for x in row] for row in rows])
+
+
+def tidy_typed(x):
+    """int when integral, Fraction with denominator > 1 otherwise."""
+    return type(x) is int if Fraction(x).denominator == 1 else type(x) is Fraction
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+class TestSympyOracles:
+    @given(st.integers(1, 8).flatmap(lambda n: rational_rows(n=n, m=n)))
+    @settings(max_examples=60, deadline=None)
+    def test_char_poly(self, rows):
+        cp = mx.char_poly_exact(mx.to_matrix(rows))
+        x = sympy.Symbol("x")
+        want = to_sympy(rows).charpoly(x).all_coeffs()[::-1]
+        assert [sympy.Rational(str(c)) for c in cp.coeffs] == want
+        assert all(tidy_typed(c) for c in cp.coeffs)
+
+    @given(rational_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_rank(self, rows):
+        assert mx.rank_exact(mx.to_matrix(rows)) == to_sympy(rows).rank()
+
+    @given(rational_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace(self, rows):
+        A = to_sympy(rows)
+        basis = mx.nullspace_exact(mx.to_matrix(rows))
+        assert len(basis) == len(A.nullspace())
+        for v in basis:
+            assert len(v) == A.cols and all(type(c) is Fraction for c in v)
+            assert A * to_sympy([v]).T == sympy.zeros(A.rows, 1)
+        if basis:
+            assert to_sympy(basis).rank() == len(basis)
+
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(rational_rows(n=n, m=n), rational_rows(n=n))))
+    @settings(max_examples=60, deadline=None)
+    def test_solve(self, pair):
+        rows, rhs = pair
+        A, B = to_sympy(rows), to_sympy(rhs)
+        if A.rank() < A.rows:
+            with pytest.raises(Singular):
+                mx.solve_exact(mx.to_matrix(rows), mx.to_matrix(rhs))
+            return
+        X = mx.solve_exact(mx.to_matrix(rows), mx.to_matrix(rhs))
+        assert X.dtype == object and X.shape == (A.rows, B.cols)
+        assert all(tidy_typed(c) for c in X.flat)
+        assert A * to_sympy(X.tolist()) == B
+
+    @given(rational_rows(symmetric=True))
+    @settings(max_examples=60, deadline=None)
+    def test_signature(self, rows):
+        # a symmetric matrix has real roots only, so Descartes' rule is exact
+        x = sympy.Symbol("x")
+        p = to_sympy(rows).charpoly(x)
+        coeffs = p.all_coeffs()
+        zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+        plus = sign_changes(coeffs)
+        minus = sign_changes(p.subs(x, -x).as_poly(x).all_coeffs())
+        assert mx.signature_exact(mx.to_matrix(rows)) == (plus, zero, minus)
+        assert plus + zero + minus == len(rows)
+
+    def test_signature_rejects_asymmetric(self):
+        with pytest.raises(ValueError):
+            mx.signature_exact(mx.to_matrix([[1, 2], [3, 4]]))
+
+
+# Each check must raise its error with assertions stripped.
+_OPTIMISED_SCRIPT = """
+import sys
+from spectral_stokes import matrices as mx, seifert
+from spectral_stokes.errors import VerificationFailed
+
+assert sys.flags.optimize
+try:
+    mx.signature_exact(mx.to_matrix([[1, 2], [3, 4]]))
+    raise SystemExit("signature_exact accepted an asymmetric matrix")
+except ValueError:
+    pass
+
+S = mx.to_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])   # char poly (x - 1)(x^2 + 1)
+M = mx.monodromy_matrix(S)
+mx.mat_eq = lambda A, B, tol=0.0: False
+try:
+    seifert.monodromy_and_forms(seifert.SeifertPair.from_triangular(S))
+    raise SystemExit("monodromy_and_forms passed a broken form check")
+except VerificationFailed:
+    pass
+
+mx.rank_exact = lambda A: 0         # kernel of dimension 3 over the pair +-i
+try:
+    seifert._exact_eigdata(M, 1e-9)
+    raise SystemExit("kernel_dims passed an uneven orbit split")
+except VerificationFailed:
+    pass
+print("ok")
+"""
+
+
+def test_checks_survive_optimised_mode():
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMISED_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+class TestUnitUpperNaN:
+    @pytest.mark.parametrize("rows", [[[float("nan"), 0.0], [0.0, 1.0]],
+                                      [[1.0, 0.0], [float("nan"), 1.0]]])
+    def test_nan_rejected(self, rows):
+        assert not mx.is_unit_upper_triangular(np.array(rows), tol=1e-9)
+
+    def test_track_through_nan_leaves_t(self):
+        path = [np.eye(2), np.array([[float("nan"), 0.0], [0.0, 1.0]])]
+        with pytest.raises(LeftT):
+            orbit.generic_path_track(path, steps=4)
