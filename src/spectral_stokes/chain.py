@@ -31,7 +31,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import (BadExponents, ChainBroken, NotReducible,
-                     ReductionRequired)
+                     ReductionRequired, VerificationFailed)
 from .polycore import expand_signed_product
 from .spectra import Spp
 
@@ -201,7 +201,7 @@ def qh_spectrum(weights) -> list:
     while num:
         top = max(num)
         if top < den_top:
-            raise AssertionError("generating function is not a polynomial")
+            raise VerificationFailed("generating function is not a polynomial")
         c, r = divmod(num[top], den_lead)
         assert r == 0
         e = top - den_top
@@ -228,16 +228,19 @@ def qh_ts_spectrum(w1, w2) -> list:
 
 def thom_sebastiani(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
     """Tensor product of two unit upper-triangular matrices in the
-    lexicographic basis order; the monodromy tensors accordingly."""
-    assert mx.is_unit_upper_triangular(S1, tol=1e-9)
-    assert mx.is_unit_upper_triangular(S2, tol=1e-9)
+    lexicographic basis order; the monodromy tensors accordingly.
+
+    Raises ValueError unless both factors are unit upper-triangular."""
+    for name, F in (("S1", S1), ("S2", S2)):
+        if not mx.is_unit_upper_triangular(F, tol=1e-9):
+            raise ValueError(f"{name} is not unit upper-triangular")
     S = mx.kron(S1, S2)
-    assert mx.is_unit_upper_triangular(S, tol=1e-9)
-    M1 = mx.monodromy_matrix(S1)
-    M2 = mx.monodromy_matrix(S2)
     M = mx.monodromy_matrix(S)
-    assert mx.mat_eq(M, mx.kron(M1, M2), 0.0 if mx.is_exact_matrix(S) else 1e-9), \
-        "monodromy of the tensor product must be the tensor of monodromies"
+    if not (mx.is_unit_upper_triangular(S, tol=1e-9) and mx.mat_eq(
+            M, mx.kron(mx.monodromy_matrix(S1), mx.monodromy_matrix(S2)), 1e-9)):
+        raise VerificationFailed(
+            "the tensor product must be unit upper-triangular with the tensor of "
+            "the monodromies as its monodromy")
     return S
 
 

@@ -26,7 +26,7 @@ import scipy.linalg
 
 from . import matrices as mx
 from .errors import (CollisionInsideSimplex, NotArithmeticGroup, NotInFamily,
-                     PhaseViolation)
+                     PhaseViolation, VerificationFailed)
 from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
                        companion_matrix, galois_closed_mults, is_exact,
                        jordan_chain_vectors, mod1, num_eq, palindrome_class,
@@ -96,14 +96,12 @@ def scal_from_free(n: int, k: int, free) -> HorScal:
     if len(free) != free_dimension(n, k):
         raise NotInFamily("wrong number of free coordinates")
     exact = all(is_exact(x) for x in free)
-    half = Fraction(1, 2) if exact else 0.5
-    zero = 0 if exact else 0.0
-    middle = [half] if (n - k) % 2 == 0 else []
-    if k == 1:
-        beta = free + middle + [1 - x for x in reversed(free)]
-    else:
-        beta = [zero] + free + middle + [1 - x for x in reversed(free)]
-    return HorScal(k, tuple(beta))
+    if not exact:
+        free = [float(x) for x in free]
+    head = [0] if k == 2 else []
+    middle = [Fraction(1, 2)] if (n - k) % 2 == 0 else []
+    beta = head + free + middle + [1 - x for x in reversed(free)]
+    return HorScal(k, tuple(beta if exact else map(float, beta)))
 
 
 def sample_scal(n: int, k: int, rng, denominator: int | None = None,
@@ -195,16 +193,9 @@ def poly_to_matrix(p: RealPoly, k: int, tol: float = CIRCLE_TOL,
         if kk != k:
             raise NotInFamily(f"polynomial has symmetry class {kk}, not {k}")
     n = p.degree
-    exact = p.is_exact
-    S = np.empty((n, n), dtype=object if exact else float)
-    for i in range(n):
-        for j in range(n):
-            if i > j:
-                S[i, j] = 0 if exact else 0.0
-            elif i == j:
-                S[i, j] = 1 if exact else 1.0
-            else:
-                S[i, j] = p.coeffs[n - (j - i)]
+    S = mx.identity(n, p.is_exact)
+    for i in range(n - 1):
+        S[i, i + 1:] = p.coeffs[n - 1:i:-1]      # S_{ij} = p_{n-(j-i)}
     return HorMatrix(k, n, S, p)
 
 
@@ -229,9 +220,8 @@ def r_matrix(M: HorMatrix) -> np.ndarray:
 def recipe_spectrum(b: HorScal) -> list:
     """alpha_j = n beta_j - j + k/2 in family order (not sorted by size)."""
     n, k = b.n, b.k
-    if b.is_exact:
-        return [n * Fraction(x) - j + Fraction(k, 2) for j, x in enumerate(b.beta, start=1)]
-    return [n * float(x) - j + k / 2.0 for j, x in enumerate(b.beta, start=1)]
+    beta = b.beta if b.is_exact else [float(x) for x in b.beta]
+    return [n * x - j + Fraction(k, 2) for j, x in enumerate(beta, start=1)]
 
 
 def recipe_ladder_groups(b: HorScal, tol: float = BETA_TOL):
@@ -362,9 +352,8 @@ def verify_power_identity(M: HorMatrix, tol: float = 1e-9):
     rhs = mx.mat_pow(R, n)
     St = S.T.copy()
     back = R.T.copy().dot(St).dot(R)
-    exact = mx.is_exact_matrix(S)
-    ok1 = mx.mat_eq(lhs, rhs, 0.0 if exact else tol)
-    ok2 = mx.mat_eq(back, St, 0.0 if exact else tol)
+    ok1 = mx.mat_eq(lhs, rhs, tol)
+    ok2 = mx.mat_eq(back, St, tol)
     details = {}
     if not ok1:
         details["power_residual"] = np.asarray(lhs, dtype=float) - np.asarray(rhs, dtype=float)
@@ -380,25 +369,18 @@ def pl_factor_product(S: np.ndarray, k: int, tol: float = 1e-9):
     algebraic).  Returns (factors, ok).
     """
     n = S.shape[0]
-    exact = mx.is_exact_matrix(S)
     sign = -1 if k == 1 else 1
     factors = []
     for j in range(1, n + 1):
-        F = np.zeros((n, n), dtype=object if exact else float)
-        if exact:
-            F[:] = 0
-        row = [-S[j - 1, t] for t in range(j, n)] + \
-              [sign * S[t, j - 1] for t in range(j - 1)] + [sign * 1]
-        for c, v in enumerate(row):
-            F[0, c] = v
-        for i in range(1, n):
-            F[i, i - 1] = 1
+        F = np.eye(n, k=-1, dtype=object if mx.is_exact_matrix(S) else float)
+        F[0] = [-S[j - 1, t] for t in range(j, n)] + \
+            [sign * S[t, j - 1] for t in range(j - 1)] + [sign]
         factors.append(F)
     prod = factors[0]
     for F in factors[1:]:
         prod = prod.dot(F)
     mono = mx.monodromy_matrix(S)
-    ok = mx.mat_eq(prod, sign * mono, 0.0 if exact else tol)
+    ok = mx.mat_eq(prod, sign * mono, tol)
     return factors, ok
 
 
@@ -424,7 +406,7 @@ def dual_basis_matrix(M: HorMatrix):
             else:
                 want = 0
             if not num_eq(X[i, j], want):
-                raise AssertionError("dual-basis matrix does not have the shifted-cycle shape")
+                raise VerificationFailed("dual-basis matrix does not have the shifted-cycle shape")
     return X
 
 
@@ -483,20 +465,10 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, neq_tol: float = 1e-7,
     s_plus = 0
     minus_one = 0
     for a in alphas:
-        if is_exact(a):
-            if mod1(a) == Fraction(1, 2):
-                minus_one += 1
-                continue
-            r = a % 2
-            if r < Fraction(1, 2) or r > Fraction(3, 2):
-                s_plus += 1
-        else:
-            if abs(mod1(a) - 0.5) <= 1e-9:
-                minus_one += 1
-                continue
-            r = float(a) % 2.0
-            if r < 0.5 or r > 1.5:
-                s_plus += 1
+        if num_eq(mod1(a), Fraction(1, 2)):
+            minus_one += 1
+        elif not Fraction(1, 2) <= a % 2 <= Fraction(3, 2):
+            s_plus += 1
     dim = M.n - minus_one
     predicted = (s_plus, 0, dim - s_plus)
 
@@ -582,7 +554,7 @@ def simplex_path_track(target: HorMatrix, steps: int | None = None,
     expected = [float(a) for a in recipe_spectrum(b1)]
     for got, want in zip(endpoint, expected):
         if abs(got - want) > endpoint_tol:
-            raise AssertionError(
+            raise VerificationFailed(
                 f"tracked endpoint {got} != recipe value {want}")
     return PathTrack(times, lifts, alphas, endpoint)
 

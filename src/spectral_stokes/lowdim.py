@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import matrices as mx
-from .errors import OutOfFamily, OutOfT
-from .polycore import (alpha_from_sin, beta_from_cos, is_exact, mod1)
+from .errors import OutOfFamily, OutOfT, VerificationFailed
+from .polycore import alpha_from_sin, beta_from_cos, mod1
 from .seifert import IrrType
 from .spectra import Spp, SppLadder
 
@@ -72,10 +72,8 @@ def _interior_pair_type(f, sign_flip: bool) -> IrrType:
     """F2complex summand with eigenvalue angle theta from
     2 cos(2 pi theta) = f - 2, invariant exp(pi i theta), negated on the
     indefinite components."""
-    c = f - 2
-    theta = beta_from_cos(Fraction(c, 2) if is_exact(c) else float(c) / 2.0)
-    half = Fraction(1, 2) if is_exact(theta) else 0.5
-    zeta = mod1(-theta / 2) if not sign_flip else mod1(-theta / 2 + half)
+    theta = beta_from_cos((f - 2) * Fraction(1, 2))
+    zeta = mod1(-theta / 2 + Fraction(1, 2)) if sign_flip else mod1(-theta / 2)
     return IrrType("F2complex", theta, 1, zeta=zeta)
 
 
@@ -93,35 +91,32 @@ def classify3(a) -> Classification3:
     one = IrrType("F1", Fraction(0), 1, eps=1)
     if f < 0 or f > 4:
         return Classification3(Stratum3.OUTSIDE, [], cp, f)
-    S = s3_matrix(a)
-    sym = S + S.T
     if f == 4:
         if all(x == 0 for x in a):
             return Classification3(Stratum3.IDENTITY, [one] * 3, cp, f)
         return Classification3(Stratum3.JORDAN3_BOUNDARY,
                                [IrrType("F1", Fraction(0), 3, eps=1)], cp, f)
+    if f == 0 and a in EXCEPTIONAL_POINTS:
+        return Classification3(Stratum3.EXCEPTIONAL,
+                               [one, IrrType("F2real", Fraction(1, 2), 1)], cp, f)
+    S = s3_matrix(a)
+    sym = S + S.T
+    sig = mx.signature_exact(sym) if mx.is_exact_matrix(sym) else mx.signature_numeric(sym)
     if f == 0:
-        if a in EXCEPTIONAL_POINTS:
-            return Classification3(Stratum3.EXCEPTIONAL,
-                                   [one, IrrType("F2real", Fraction(1, 2), 1)], cp, f)
-        sig = mx.signature_exact(sym) if mx.is_exact_matrix(sym) \
-            else mx.signature_numeric(np.asarray(sym, dtype=float))
         if sig == (2, 1, 0):
             return Classification3(Stratum3.BOUNDARY_POS_SPHERE,
                                    [one, IrrType("F1", Fraction(1, 2), 2, eps=1)], cp, f)
         if sig == (1, 1, 1):
             return Classification3(Stratum3.BOUNDARY_IND_CONE,
                                    [one, IrrType("F1", Fraction(1, 2), 2, eps=-1)], cp, f)
-        raise AssertionError(f"unexpected boundary signature {sig} at {a}")
-    sig = mx.signature_exact(sym) if mx.is_exact_matrix(sym) \
-        else mx.signature_numeric(np.asarray(sym, dtype=float))
+        raise VerificationFailed(f"unexpected boundary signature {sig} at {a}")
     if sig == (3, 0, 0):
         return Classification3(Stratum3.INTERIOR_POS,
                                [one, _interior_pair_type(f, False)], cp, f)
     if sig == (1, 0, 2):
         return Classification3(Stratum3.INTERIOR_IND,
                                [one, _interior_pair_type(f, True)], cp, f)
-    raise AssertionError(f"unexpected interior signature {sig} at {a}")
+    raise VerificationFailed(f"unexpected interior signature {sig} at {a}")
 
 
 def solve2(a):
@@ -134,18 +129,18 @@ def solve2(a):
     """
     if abs(float(a)) > 2:
         raise OutOfT(f"|{a}| > 2")
-    half = Fraction(1, 2) if is_exact(a) else 0.5
-    beta1 = beta_from_cos(Fraction(-a, 2) if is_exact(a) else -float(a) / 2.0)
-    alpha1 = alpha_from_sin(Fraction(a, 2) if is_exact(a) else float(a) / 2.0)
+    beta1 = beta_from_cos(-a * Fraction(1, 2))
+    alpha1 = alpha_from_sin(a * Fraction(1, 2))
     if abs(float(a)) == 2:
-        spp = SppLadder(-half, 1, 1).members()
+        # alpha1 = +-1/2: the ladder (-1/2, 2), (1/2, 0)
+        spp = SppLadder(-abs(alpha1), 1, 1).members()
         types = [IrrType("F1", Fraction(1, 2), 2, eps=1)]
     elif float(a) == 0:
-        spp = Spp([(0 * half, 1), (0 * half, 1)])
+        spp = Spp([(abs(alpha1), 1)] * 2)      # abs: a = -0.0 gives alpha1 = -0.0
         types = [IrrType("F1", Fraction(0), 1, eps=1)] * 2
     else:
         spp = Spp([(alpha1, 1), (-alpha1, 1)])
-        theta = mod1(alpha1) if float(alpha1) > 0 else mod1(-alpha1)
+        theta = mod1(abs(alpha1))
         zeta = mod1(-theta / 2)
         types = [IrrType("F2complex", theta, 1, zeta=zeta)]
     return beta1, alpha1, spp, types
@@ -158,17 +153,11 @@ def hor1_line3(p1):
     [-1, 3].  beta1 satisfies cos(2 pi beta1) = (1 - p1)/2 and increases
     with p1, as does alpha1 = 3 beta1 - 1/2.
     """
-    from .hor import HorScal, recipe_spectral_pairs
+    from .hor import recipe_spectral_pairs, recipe_spectrum, scal_from_free
     if not -1 <= float(p1) <= 3:
         raise OutOfFamily(f"band value {p1} outside [-1, 3]")
-    c = Fraction(1 - p1, 2) if is_exact(p1) else (1 - float(p1)) / 2.0
-    beta1 = beta_from_cos(c)
-    half = Fraction(1, 2) if is_exact(beta1) else 0.5
-    beta = (beta1, half, 1 - beta1)
-    alpha = tuple(3 * b - j + half for j, b in enumerate(beta, start=1))
-    b = HorScal(1, beta)
-    spp = recipe_spectral_pairs(b)
-    return beta, alpha, spp
+    b = scal_from_free(3, 1, [beta_from_cos((1 - p1) * Fraction(1, 2))])
+    return b.beta, tuple(recipe_spectrum(b)), recipe_spectral_pairs(b)
 
 
 def scan3(step=Fraction(1, 4), lo=-4, hi=4):

@@ -1,7 +1,10 @@
 """Small exact/numeric matrix layer.
 
 Exact matrices are numpy object arrays holding ``int``/``Fraction``
-entries; numeric matrices are float arrays.  Numpy's ``dot`` works for
+entries; numeric matrices are float arrays.  The dtype carries the mode:
+numpy builds both (``np.array``, ``np.eye``, ``np.zeros``, ``np.kron``
+with ``dtype=object`` hold Python ``int`` zeros and ones and products of
+the entries), and numpy's ``dot`` and elementwise arithmetic work for
 both.  The exact kernels (characteristic polynomial, rank, nullspace,
 solve, signature) clear denominators once on entry and run on Python
 ``int`` rows: division-free Berkowitz for the characteristic polynomial,
@@ -24,17 +27,8 @@ def to_matrix(rows) -> np.ndarray:
     """Build a matrix, object dtype when every entry is exact."""
     if isinstance(rows, np.ndarray):
         return rows
-    flat = [x for row in rows for x in row]
-    exact = all(is_exact(x) for x in flat)
-    if exact:
-        n = len(rows)
-        m = len(rows[0])
-        A = np.empty((n, m), dtype=object)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                A[i, j] = x
-        return A
-    return np.array([[float(x) for x in row] for row in rows], dtype=float)
+    exact = all(is_exact(x) for row in rows for x in row)
+    return np.array(rows, dtype=object if exact else float)
 
 
 def is_exact_matrix(A: np.ndarray) -> bool:
@@ -42,13 +36,7 @@ def is_exact_matrix(A: np.ndarray) -> bool:
 
 
 def identity(n: int, exact: bool = True) -> np.ndarray:
-    if exact:
-        A = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                A[i, j] = 1 if i == j else 0
-        return A
-    return np.eye(n)
+    return np.eye(n, dtype=object if exact else float)
 
 
 def mat_pow(A: np.ndarray, e: int) -> np.ndarray:
@@ -170,7 +158,7 @@ def nullspace_exact(A: np.ndarray) -> list:
     """Basis of ker(A) as Fraction column vectors (lists), read off the
     reduced row echelon form of a fraction-free Gauss-Jordan elimination."""
     rows = _int_rows(A.tolist())[0]
-    m = A.shape[1] if rows else 0
+    m = A.shape[1]
     pivots = _eliminate(rows, m, reduced=True)
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
@@ -231,16 +219,8 @@ def signature_numeric(A: np.ndarray, tol: float = 1e-6):
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product in lexicographic block order, exactness preserved."""
     if not (is_exact_matrix(A) and is_exact_matrix(B)):
-        return np.kron(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-    n1, m1 = A.shape
-    n2, m2 = B.shape
-    out = np.empty((n1 * n2, m1 * m2), dtype=object)
-    for i in range(n1):
-        for j in range(m1):
-            for s in range(n2):
-                for t in range(m2):
-                    out[i * n2 + s, j * m2 + t] = A[i, j] * B[s, t]
-    return out
+        A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return np.kron(A, B)
 
 
 def is_unit_upper_triangular(S: np.ndarray, tol: float = 0.0) -> bool:
@@ -288,8 +268,5 @@ def solve_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     rows = _int_rows(np.hstack([A, B]).tolist())[0]
     if len(_eliminate(rows, n, reduced=True)) < n:
         raise Singular("matrix is singular")
-    X = np.empty((n, B.shape[1]), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row[n:]):
-            X[i, j] = _tidy(Fraction(x, row[i]))
-    return X
+    return np.array([[_tidy(Fraction(x, row[i])) for x in row[n:]]
+                     for i, row in enumerate(rows)], dtype=object).reshape(n, B.shape[1])

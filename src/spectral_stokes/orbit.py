@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices as mx
-from .errors import LeftT
+from .errors import LeftT, VerificationFailed
 from .polycore import num_eq, point_to_angle, _lift_angles
 
 
@@ -39,11 +39,11 @@ def braid_act(i: int, S: np.ndarray, direction: int = 1) -> np.ndarray:
     entry flips sign and the monodromy stays similar.
     """
     n = S.shape[0]
-    assert 1 <= i <= n - 1
-    exact = mx.is_exact_matrix(S)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"mutation position {i} outside 1..{n - 1}")
     G = S.T.copy()
     c = S[i - 1, i]
-    B = mx.identity(n, exact) if exact else np.eye(n)
+    B = mx.identity(n, mx.is_exact_matrix(S))
     if direction == 1:
         # v_i' = v_{i+1} - c v_i, v_{i+1}' = v_i
         B[i - 1, i - 1] = -c
@@ -58,7 +58,8 @@ def braid_act(i: int, S: np.ndarray, direction: int = 1) -> np.ndarray:
         B[i, i] = -c
     G2 = B.T.copy().dot(G).dot(B)
     S2 = G2.T.copy()
-    assert mx.is_unit_upper_triangular(S2, tol=1e-9), "mutation must preserve the shape"
+    if not mx.is_unit_upper_triangular(S2, tol=1e-9):
+        raise VerificationFailed("mutation must preserve the unit upper-triangular shape")
     return S2
 
 
@@ -91,7 +92,7 @@ def orbit_explore(S: np.ndarray, depth: int = 6, budget: int = 10000) -> OrbitRe
     """Bounded breadth-first exploration of the mutation/sign orbit.
 
     Nodes are canonicalised by the smallest sign-orbit representative;
-    the characteristic polynomial of the monodromy is asserted invariant
+    the characteristic polynomial of the monodromy is verified invariant
     on every node.  ``exhausted`` reports whether the walk was cut off
     by depth or budget (orbits may be infinite).
     """
@@ -115,7 +116,8 @@ def orbit_explore(S: np.ndarray, depth: int = 6, budget: int = 10000) -> OrbitRe
                 nxt = braid_act(i, cur, direction)
                 if base_cp is not None:
                     cp = mx.char_poly_exact(mx.monodromy_matrix(nxt))
-                    assert cp == base_cp, "mutation changed the monodromy class"
+                    if cp != base_cp:
+                        raise VerificationFailed("mutation changed the monodromy class")
                 ck = sign_canonical(nxt)
                 if ck not in seen:
                     if len(seen) >= budget:

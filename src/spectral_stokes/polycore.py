@@ -14,6 +14,12 @@ Conventions used everywhere in the package:
   :func:`angle_eq` for circle angles: exact equality when both sides are
   exact, a tolerance otherwise.  The monodromy ``S^{-1} S^t`` of a unit
   upper-triangular ``S`` goes through ``matrices.monodromy_matrix``.
+* The mode is carried by the values: it is decided once where a value
+  enters (CLI parsing, ``matrices.to_matrix``, :class:`RealPoly`, the
+  matrix dtype), and formulas below that point are written once with
+  ``Fraction`` constants.  ``x + Fraction(1, 2)`` and ``x * Fraction(1, 4)``
+  are exact for exact ``x`` and bit-identical to ``x + 0.5`` and
+  ``x / 4.0`` for a float ``x``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize
 
-from .errors import MultiplicityTooLow, NotPolynomial, RootOffCircle
+from .errors import (MultiplicityTooLow, NotPolynomial, RootOffCircle,
+                     VerificationFailed)
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,7 +54,7 @@ def is_exact(x) -> bool:
 
 def mod1(x):
     """Reduce an angle into ``[0, 1)``, preserving exactness."""
-    return x % 1 if is_exact(x) else x % 1.0
+    return x % 1
 
 
 def circle_dist(a, b) -> float:
@@ -245,11 +252,7 @@ class RealPoly:
             return RealPoly([0]), RealPoly(rem)
         quot = [0] * (qd + 1)
         for i in range(qd, -1, -1):
-            c = rem[i + len(d) - 1]
-            if is_exact(c) and is_exact(dn):
-                f = Fraction(c, 1) / Fraction(dn, 1) if not isinstance(c, Fraction) else c / dn
-            else:
-                f = c / dn
+            f = rem[i + len(d) - 1] / dn
             quot[i] = f
             if f != 0:
                 for j, dc in enumerate(d):
@@ -598,15 +601,8 @@ def companion_matrix(p: RealPoly) -> np.ndarray:
     block below-left; its characteristic polynomial is p."""
     if not p.is_monic or p.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    n = p.degree
-    exact = p.is_exact
-    A = np.zeros((n, n), dtype=object if exact else float)
-    if exact:
-        A[:] = 0
-    for j in range(n):
-        A[0, j] = -p.coeffs[n - 1 - j]
-    for i in range(1, n):
-        A[i, i - 1] = 1
+    A = np.eye(p.degree, k=-1, dtype=object if p.is_exact else float)
+    A[0] = [-c for c in reversed(p.coeffs[:-1])]
     return A
 
 
@@ -726,32 +722,25 @@ def jordan_chain_vectors(p: RealPoly, kappa, l: int, tol: float = 1e-8):
                    if t >= j else CycVec(D)
                    for t in range(n - 1, -1, -1)]
             ev.append(col)
-        Rq = [[Fraction(R[i, j2]) for j2 in range(n)] for i in range(n)]
-        for j in range(1, l + 1):
+        for j in range(l + 1):
             for i in range(n):
                 acc = CycVec(D)
                 for t in range(n):
-                    if Rq[i][t] != 0:
-                        acc = acc + ev[j][t].scaled(Rq[i][t])
+                    if R[i, t] != 0:
+                        acc = acc + ev[j][t].scaled(R[i, t])
                 lhs = acc.shifted(-a) - ev[j][i]  # (kappa^{-1} R - E) v_j, row i
-                if not (lhs - ev[j - 1][i].scaled(j)).is_zero():
-                    raise AssertionError("exact Jordan chain relation failed")
-        # j = 0: (kappa^{-1} R - E) v_0 = 0
-        for i in range(n):
-            acc = CycVec(D)
-            for t in range(n):
-                if Rq[i][t] != 0:
-                    acc = acc + ev[0][t].scaled(Rq[i][t])
-            if not (acc.shifted(-a) - ev[0][i]).is_zero():
-                raise AssertionError("exact eigenvector relation failed")
+                if j:
+                    lhs = lhs - ev[j - 1][i].scaled(j)
+                if not lhs.is_zero():
+                    raise VerificationFailed(f"exact Jordan chain relation failed at j={j}")
     else:
-        Rf = np.array([[float(R[i, j2]) for j2 in range(n)] for i in range(n)])
+        Rf = np.asarray(R, dtype=float)
         scale = max(np.abs(vectors[0]).max(), 1.0)
         for j in range(l + 1):
             prev = vectors[j - 1] if j > 0 else np.zeros(n, dtype=complex)
             resid = (Rf @ vectors[j]) / z - vectors[j] - j * prev
             if np.abs(resid).max() > tol * scale * n:
-                raise AssertionError("numeric Jordan chain relation failed")
+                raise VerificationFailed("numeric Jordan chain relation failed")
     return vectors
 
 

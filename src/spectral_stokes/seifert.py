@@ -32,7 +32,7 @@ from .errors import (DegenerateFlag, NotLadderComposed, Singular, Unclassified,
 from .polycore import (RealPoly, angle_eq, angle_to_point, beta_from_cos,
                        circle_dist, cyclotomic_angles, cyclotomic_polynomial,
                        factor_cyclotomic, format_number, is_exact, mod1,
-                       parse_rational, snap_angle)
+                       num_eq, parse_rational, snap_angle)
 from .spectra import Spp, SppLadder, decompose_into_ladders
 
 ANGLE_TOL = 1e-9
@@ -58,31 +58,25 @@ class IrrType:
     zeta: object | None = None
 
     def __post_init__(self):
-        if self.family == "F1":
+        if self.family in ("F1", "F2real"):
             on_one = angle_eq(self.lam, 0)
-            on_minus = angle_eq(self.lam, Fraction(1, 2))
-            assert on_one or on_minus, "F1 eigenvalue must be +-1"
-            assert self.eps in (1, -1)
-            if on_one:
-                assert self.n % 2 == 1, "F1 at +1 needs odd size"
-            else:
-                assert self.n % 2 == 0, "F1 at -1 needs even size"
-        elif self.family == "F2real":
-            on_one = angle_eq(self.lam, 0)
-            on_minus = angle_eq(self.lam, Fraction(1, 2))
-            assert on_one or on_minus
-            if on_one:
-                assert self.n % 2 == 0, "two-block type at +1 needs even size"
-            else:
-                assert self.n % 2 == 1, "two-block type at -1 needs odd size"
+            if not (on_one or angle_eq(self.lam, Fraction(1, 2))):
+                raise ValueError(f"{self.family} eigenvalue must be +-1")
+            if self.family == "F1" and self.eps not in (1, -1):
+                raise ValueError("F1 needs a sign eps in {1, -1}")
+            # one block (F1) has odd size at +1 and even size at -1,
+            # two blocks (F2real) the other way round
+            if ((self.n % 2 == 1) == on_one) != (self.family == "F1"):
+                raise ValueError(f"{self.family} at {'+1' if on_one else '-1'} "
+                                 f"cannot have size {self.n}")
         elif self.family == "F2complex":
-            assert self.zeta is not None
+            if self.zeta is None:
+                raise ValueError("F2complex needs a unit invariant zeta")
             # zeta^2 = conj(lam) * (-1)^(n+1), in angle form
-            want = mod1(-self.lam + Fraction(self.n + 1, 2)
-                        if is_exact(self.lam) and is_exact(self.zeta)
-                        else -float(self.lam) + (self.n + 1) / 2.0)
+            want = mod1(-self.lam + Fraction(self.n + 1, 2))
             got = mod1(2 * self.zeta)
-            assert circle_dist(got, want) <= 1e-7, "zeta^2 != conj(lam) * (-1)^(n+1)"
+            if circle_dist(got, want) > 1e-7:
+                raise ValueError("zeta^2 != conj(lam) * (-1)^(n+1)")
 
     @property
     def dim(self) -> int:
@@ -188,31 +182,22 @@ def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False,
     d = 2*alpha + l + 1 - m decides the family; the sign data is
     exp(pi*i*d/2), times (-1)^l in the signed convention.
     """
-    exact = is_exact(alpha)
     d = 2 * alpha + l + 1 - m
-    lam_angle = mod1(alpha + (Fraction(m + 1, 2) if exact else (m + 1) / 2.0))
+    lam_angle = mod1(alpha + Fraction(m + 1, 2))
     n_b = l + 1
-    d_int = None
-    if exact:
-        if Fraction(d).denominator == 1:
-            d_int = int(d)
-    elif abs(float(d) - round(float(d))) <= tol:
-        d_int = round(float(d))
-    if d_int is not None:
-        if exact:
-            lam_angle = mod1(Fraction(lam_angle))
-        else:
-            lam_angle = Fraction(0) if circle_dist(lam_angle, 0) <= tol else Fraction(1, 2)
+    if num_eq(d, round(d), tol):
+        d_int = round(d)
+        # the eigenvalue is +-1: its angle is exactly 0 or 1/2
+        lam_angle = Fraction(0) if angle_eq(lam_angle, 0, tol) else Fraction(1, 2)
         if d_int % 2 == 0:
             eps = (-1) ** ((d_int // 2) % 2)
             if signed and l % 2 == 1:
                 eps = -eps
             return IrrType("F1", lam_angle, n_b, eps=eps)
         return IrrType("F2real", lam_angle, n_b)
-    quarter = Fraction(d, 4) if exact else float(d) / 4.0
-    zeta_angle = mod1(-quarter)
+    zeta_angle = mod1(-d * Fraction(1, 4))
     if signed and l % 2 == 1:
-        zeta_angle = mod1(zeta_angle + (Fraction(1, 2) if exact else 0.5))
+        zeta_angle = mod1(zeta_angle + Fraction(1, 2))
     return IrrType("F2complex", lam_angle, n_b, zeta=zeta_angle).normalized()
 
 
@@ -336,12 +321,10 @@ def _block_sizes(kernel_dims: list[int]) -> list[int]:
 
 
 def _poly_of_matrix(p: RealPoly, A: np.ndarray) -> np.ndarray:
-    exact = mx.is_exact_matrix(A)
+    """p(A) for an exact square matrix A."""
     n = A.shape[0]
-    out = np.zeros((n, n), dtype=object if exact else float)
-    if exact:
-        out[:] = 0
-    power = mx.identity(n, exact)
+    out = np.zeros((n, n), dtype=object)
+    power = mx.identity(n)
     for i, c in enumerate(p.coeffs):
         if c != 0:
             out = out + power * c
@@ -411,7 +394,7 @@ def _exact_eigdata(M_e: np.ndarray, tol: float):
             c = -c1
             q = RealPoly([1, -c, 1])
             if abs(float(c)) < 2:
-                theta = beta_from_cos(Fraction(c, 2) if is_exact(c) else float(c) / 2.0)
+                theta = beta_from_cos(c * Fraction(1, 2))
                 dims = kernel_dims(q, 2, 1)
                 groups.append(_EigGroup("pair", theta, 1, _block_sizes(dims)))
                 return groups
@@ -531,9 +514,7 @@ def _top_vector(A: np.ndarray, s: int, tol: float = 1e-10) -> np.ndarray:
 def _canonical_zeta_sqrt(theta, n_b: int):
     """Angle z with exp(-2 pi i z)^2 = conj(lam) * (-1)^(n_b+1) where
     lam = exp(-2 pi i theta): z = -theta/2 - (n_b + 1)/4 mod 1."""
-    if is_exact(theta):
-        return mod1(-Fraction(theta) / 2 - Fraction(n_b + 1, 4))
-    return mod1(-float(theta) / 2.0 - (n_b + 1) / 4.0)
+    return mod1(-theta * Fraction(1, 2) - Fraction(n_b + 1, 4))
 
 
 def _snap_zeta(value: complex, theta, n_b: int, tol: float = 0.2):
@@ -541,13 +522,13 @@ def _snap_zeta(value: complex, theta, n_b: int, tol: float = 0.2):
     admissible unit invariants (candidates +-zeta0)."""
     z0 = _canonical_zeta_sqrt(theta, n_b)
     phase_angle = mod1(-cmath.phase(value) / (2 * math.pi))
+    z1 = mod1(z0 + Fraction(1, 2))
     d0 = circle_dist(phase_angle, z0)
-    half = Fraction(1, 2) if is_exact(z0) else 0.5
-    d1 = circle_dist(phase_angle, mod1(z0 + half))
+    d1 = circle_dist(phase_angle, z1)
     if min(d0, d1) > tol:
         raise Unclassified(f"pairing phase {phase_angle} is not near either "
                            f"admissible invariant", pattern=(theta, n_b))
-    return z0 if d0 <= d1 else mod1(z0 + half)
+    return z0 if d0 <= d1 else z1
 
 
 def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
@@ -628,10 +609,9 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
                 if p + m != g.mult:
                     raise Unclassified("degenerate sesquilinear form on an eigenspace",
                                        pattern=(theta, g.sizes))
-                half = Fraction(1, 2) if is_exact(z0) else 0.5
                 out.extend([IrrType("F2complex", theta, 1, zeta=z0).normalized()] * p)
                 out.extend([IrrType("F2complex", theta, 1,
-                                    zeta=mod1(z0 + half)).normalized()] * m)
+                                    zeta=mod1(z0 + Fraction(1, 2))).normalized()] * m)
             elif len(g.sizes) == 1:
                 s = g.sizes[0]
                 A = M_f.astype(complex) - lam_c * np.eye(n)
@@ -659,36 +639,17 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
 
 def nullspace_matrix_exact(M_e: np.ndarray, lam) -> np.ndarray:
     n = M_e.shape[0]
-    A = M_e.copy()
-    for i in range(n):
-        A[i, i] = A[i, i] - lam
-    basis = mx.nullspace_exact(A)
-    B = np.empty((n, len(basis)), dtype=object)
-    for j, v in enumerate(basis):
-        for i in range(n):
-            B[i, j] = v[i]
-    return B
+    return _as_columns(mx.nullspace_exact(M_e - lam * mx.identity(n)), n, True)
 
 
 def _single_block_sign_exact(M_e: np.ndarray, G: np.ndarray, lam: int, s: int) -> int:
-    n = M_e.shape[0]
-    K = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            K[i, j] = lam * M_e[i, j] - (1 if i == j else 0)
-    Ks = mx.mat_pow(K, s)
+    K = lam * M_e - mx.identity(M_e.shape[0])
     Ksm = mx.mat_pow(K, s - 1)
-    null = mx.nullspace_exact(Ks)
-    v = None
-    for cand in null:
-        w = [sum(Ksm[i, j] * cand[j] for j in range(n)) for i in range(n)]
-        if any(x != 0 for x in w):
-            v = cand
-            break
+    v = next((cand for cand in mx.nullspace_exact(mx.mat_pow(K, s))
+              if any(x != 0 for x in Ksm.dot(cand))), None)
     if v is None:
         raise Unclassified("no top-height vector found exactly", pattern=(lam, s))
-    w = [sum(Ksm[i, j] * v[j] for j in range(n)) for i in range(n)]
-    val = sum(v[i] * sum(G[i, j] * w[j] for j in range(n)) for i in range(n))
+    val = np.dot(v, G.dot(Ksm.dot(v)))
     if val == 0:
         raise Unclassified("vanishing top pairing", pattern=(lam, s))
     return 1 if val > 0 else -1
@@ -737,8 +698,7 @@ def type_signature(t: IrrType):
         zc = _canonical_zeta_sqrt(t.lam, n)
         if angle_eq(t.zeta, zc, tol=1e-7):
             return (n - 1, 0, n + 1)
-        half = Fraction(1, 2) if is_exact(zc) else 0.5
-        if angle_eq(t.zeta, mod1(zc + half), tol=1e-7):
+        if angle_eq(t.zeta, mod1(zc + Fraction(1, 2)), tol=1e-7):
             return (n + 1, 0, n - 1)
         raise ValueError(f"zeta {t.zeta} is not an admissible invariant for {t.label()}")
     if t.family == "F2hyper":
@@ -782,7 +742,8 @@ def check_enhancement(P: SeifertPair, E: Enhancement, signed: bool = False,
         if not want.matches(typ, max(tol, 1e-7)):
             return False
         dims += typ.dim if not (typ.family == "F1" and not lad.is_single) else 2 * typ.dim
-    assert dims == P.n, "enhancement blocks must fill the space"
+    if dims != P.n:
+        raise ValueError(f"enhancement blocks have dimension {dims}, not {P.n}")
     return True
 
 
@@ -816,11 +777,7 @@ class SemiorthogonalData:
 
 
 def _as_columns(vectors, n, exact):
-    B = np.empty((n, len(vectors)), dtype=object if exact else float)
-    for j, v in enumerate(vectors):
-        for i in range(n):
-            B[i, j] = v[i]
-    return B
+    return np.array(vectors, dtype=object if exact else float).reshape(len(vectors), n).T
 
 
 def semiorthogonal(P: SeifertPair, basis_or_flag) -> SemiorthogonalData:
@@ -838,7 +795,7 @@ def semiorthogonal(P: SeifertPair, basis_or_flag) -> SemiorthogonalData:
     G = P.G
     n = P.n
     exact = P.is_exact
-    items = [list(u) if not isinstance(u, np.ndarray) else list(u) for u in basis_or_flag]
+    items = [list(u) for u in basis_or_flag]
     if items and np.ndim(items[0]) == 1:
         # a basis: n vectors; the flag is spanned by the leading vectors
         flag = [[items[i] for i in range(j + 1)] for j in range(n)]
@@ -858,38 +815,20 @@ def semiorthogonal(P: SeifertPair, basis_or_flag) -> SemiorthogonalData:
         rows_prev = [vec(v) for v in flag[j - 2]] if j >= 2 else []
         if exact:
             Umat = _as_columns(Uj, n, True)
-            # right orthogonal of U_{j-1}: kernel of the L(u, .) rows
-            if rows_prev:
-                R = np.empty((len(rows_prev), n), dtype=object)
-                for r, u in enumerate(rows_prev):
-                    for c in range(n):
-                        R[r, c] = sum(u[t] * G[t, c] for t in range(n))
-            else:
-                R = np.empty((0, n), dtype=object)
             # Eq-style direct sum check: U_j + U_j^{perp R} spans everything
-            rows_j = np.empty((j, n), dtype=object)
-            for r, u in enumerate(Uj):
-                for c in range(n):
-                    rows_j[r, c] = sum(u[t] * G[t, c] for t in range(n))
-            perp_j = mx.nullspace_exact(rows_j)
-            span = np.empty((n, j + len(perp_j)), dtype=object)
-            for c, u in enumerate(Uj):
-                for i in range(n):
-                    span[i, c] = u[i]
-            for c, u in enumerate(perp_j):
-                for i in range(n):
-                    span[i, j + c] = u[i]
-            if mx.rank_exact(span) != n:
+            perp_j = mx.nullspace_exact(Umat.T.dot(G))
+            if mx.rank_exact(_as_columns(Uj + perp_j, n, True)) != n:
                 raise DegenerateFlag(j)
             if rows_prev:
-                A = R.dot(Umat)
-                coeffs = mx.nullspace_exact(A)
+                # right orthogonal of U_{j-1}: kernel of the L(u, .) rows
+                R = np.array(rows_prev, dtype=object).dot(G)
+                coeffs = mx.nullspace_exact(R.dot(Umat))
             else:
                 coeffs = [[Fraction(1)]]
             if len(coeffs) != 1:
                 raise DegenerateFlag(j)
-            h = [sum(coeffs[0][t] * Umat[i, t] for t in range(j)) for i in range(n)]
-            val = sum(h[i] * sum(G[i, c] * h[c] for c in range(n)) for i in range(n))
+            h = list(Umat.dot(coeffs[0]))
+            val = np.dot(h, G.dot(h))
             if val == 0:
                 raise DegenerateFlag(j)
             eps.append(1 if val > 0 else -1)

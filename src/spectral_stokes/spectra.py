@@ -68,7 +68,7 @@ class Spp:
         return Spp([(a - dalpha, k - dk) for a, k in self.pairs])
 
     def mod2(self) -> "Spp":
-        return Spp([(a % 2 if is_exact(a) else float(a) % 2.0, k) for a, k in self.pairs])
+        return Spp([(a % 2, k) for a, k in self.pairs])
 
     def to_json(self):
         out = []

@@ -168,14 +168,21 @@ class TestSelftest:
         assert calls.get("ran")
 
 
-@pytest.mark.parametrize("argv, file_data", [
-    (["seifert", "classify", "--matrix"], {"n": 2}),
-    (["seifert", "classify", "--matrix"], {"entries": 5}),
-    (["track", "--path-file"], {"paths": []}),
-    (["hor", "spectrum", "--k", "1", "--beta", "1/0"], None),
-    (["solve2", "--a", "nan"], None),
-], ids=["matrix-without-entries", "entries-not-rows", "path-file-without-path", "zero-denominator", "nan"])
-def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data):
+# angles 0.45853, 0.45861 and their mirrors: the tracker loses the near-double root
+_NEAR_DOUBLE_POLY = "1.0,3.865238387673439,5.735016931648329,3.865238387673439,1.0"
+
+
+@pytest.mark.parametrize("argv, file_data, error", [
+    (["seifert", "classify", "--matrix"], {"n": 2}, "ValueError"),
+    (["seifert", "classify", "--matrix"], {"entries": 5}, "ValueError"),
+    (["track", "--path-file"], {"paths": []}, "ValueError"),
+    (["hor", "spectrum", "--k", "1", "--beta", "1/0"], None, "ValueError"),
+    (["solve2", "--a", "nan"], None, "ValueError"),
+    (["--mode", "numeric", "hor", "track", "--k", "1", f"--target-poly={_NEAR_DOUBLE_POLY}"],
+     None, "VerificationFailed"),
+], ids=["matrix-without-entries", "entries-not-rows", "path-file-without-path", "zero-denominator",
+        "nan", "track-endpoint-off"])
+def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data, error):
     if file_data is not None:
         f = tmp_path / "input.json"
         f.write_text(json.dumps(file_data))
@@ -186,7 +193,7 @@ def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stderr)["error"] == "ValueError"
+    assert json.loads(proc.stderr)["error"] == error
 
 
 def test_console_entry_smoke():

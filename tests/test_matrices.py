@@ -1,6 +1,6 @@
 """Differential tests of the exact matrix kernels against sympy, plus the
-checks that must survive ``python -O`` and the NaN guard of
-``is_unit_upper_triangular``."""
+entry types of exact arrays, the checks that must survive ``python -O``
+and the NaN guard of ``is_unit_upper_triangular``."""
 
 import subprocess
 import sys
@@ -13,9 +13,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_stokes import hor, orbit, seifert
 from spectral_stokes import matrices as mx
-from spectral_stokes import orbit
 from spectral_stokes.errors import LeftT, Singular
+from spectral_stokes.polycore import RealPoly, companion_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -121,35 +122,73 @@ class TestSympyOracles:
         with pytest.raises(ValueError):
             mx.signature_exact(mx.to_matrix([[1, 2], [3, 4]]))
 
+    def test_nullspace_without_rows_is_the_whole_space(self):
+        basis = mx.nullspace_exact(np.empty((0, 3), dtype=object))
+        assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert all(type(c) is Fraction for v in basis for c in v)
+
+
+def test_exact_arrays_hold_python_scalars():
+    # numpy builds the exact arrays; their entries must stay int/Fraction, never np.int64
+    S = hor.poly_to_matrix(RealPoly([1, 2, 3, 2, 1]), 1).S     # (x^2 + x + 1)^2
+    M = mx.monodromy_matrix(S)
+    arrays = [S, M, mx.identity(3), mx.to_matrix([[1, Fraction(1, 2)], [0, 1]]),
+              mx.kron(S, mx.identity(2)), companion_matrix(RealPoly([1, Fraction(1, 3), 1])),
+              seifert.nullspace_matrix_exact(M, 1), seifert._poly_of_matrix(RealPoly([1, 1, 1]), M),
+              mx.solve_exact(S, mx.identity(4)), *hor.pl_factor_product(S, 1)[0]]
+    for A in arrays:
+        assert A.dtype == object
+        assert all(type(x) in (int, Fraction) for x in A.flat), A
+    assert seifert.nullspace_matrix_exact(mx.identity(2), -1).shape == (2, 0)
+
 
 # Each check must raise its error with assertions stripped.
 _OPTIMISED_SCRIPT = """
 import sys
-from spectral_stokes import matrices as mx, seifert
+from fractions import Fraction
+from spectral_stokes import chain, matrices as mx, orbit, seifert
 from spectral_stokes.errors import VerificationFailed
 
 assert sys.flags.optimize
-try:
-    mx.signature_exact(mx.to_matrix([[1, 2], [3, 4]]))
-    raise SystemExit("signature_exact accepted an asymmetric matrix")
-except ValueError:
-    pass
+
+
+def expect(error, what, fn, *args):
+    try:
+        fn(*args)
+    except error:
+        return
+    raise SystemExit(what)
+
+
+expect(ValueError, "signature_exact accepted an asymmetric matrix",
+       mx.signature_exact, mx.to_matrix([[1, 2], [3, 4]]))
+expect(ValueError, "IrrType accepted F1 off +-1", seifert.IrrType, "F1", Fraction(1, 3), 1, 1)
 
 S = mx.to_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])   # char poly (x - 1)(x^2 + 1)
 M = mx.monodromy_matrix(S)
+P = seifert.SeifertPair.from_triangular(S)
+expect(ValueError, "check_enhancement accepted blocks that miss the space",
+       seifert.check_enhancement, P, seifert.Enhancement(1, ()))
+expect(ValueError, "thom_sebastiani accepted a factor off the unit triangle",
+       chain.thom_sebastiani, mx.to_matrix([[1, 0], [1, 1]]), S)
+
 mx.mat_eq = lambda A, B, tol=0.0: False
-try:
-    seifert.monodromy_and_forms(seifert.SeifertPair.from_triangular(S))
-    raise SystemExit("monodromy_and_forms passed a broken form check")
-except VerificationFailed:
-    pass
+expect(VerificationFailed, "monodromy_and_forms passed a broken form check",
+       seifert.monodromy_and_forms, P)
+expect(VerificationFailed, "thom_sebastiani passed a broken monodromy check",
+       chain.thom_sebastiani, S, S)
 
 mx.rank_exact = lambda A: 0         # kernel of dimension 3 over the pair +-i
-try:
-    seifert._exact_eigdata(M, 1e-9)
-    raise SystemExit("kernel_dims passed an uneven orbit split")
-except VerificationFailed:
-    pass
+expect(VerificationFailed, "kernel_dims passed an uneven orbit split",
+       seifert._exact_eigdata, M, 1e-9)
+
+calls = iter(range(1000))
+mx.char_poly_exact = lambda A: next(calls)
+expect(VerificationFailed, "orbit_explore passed a changed char poly",
+       orbit.orbit_explore, S, 1, 10)
+
+mx.is_unit_upper_triangular = lambda A, tol=0.0: False
+expect(VerificationFailed, "braid_act passed a broken shape check", orbit.braid_act, 1, S)
 print("ok")
 """
 
