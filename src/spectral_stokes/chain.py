@@ -30,7 +30,7 @@ from math import lcm
 import numpy as np
 
 from . import matrices as mx
-from .errors import (BadExponents, ChainBroken, NotReducible,
+from .errors import (BadExponents, ChainBroken, NotPolynomial, NotReducible,
                      ReductionRequired, VerificationFailed)
 from .polycore import expand_signed_product
 from .spectra import Spp
@@ -71,10 +71,12 @@ class ChainSing:
         prod = Fraction(1)
         for wk in w:
             prod *= 1 / wk - 1
-        assert prod == mu[-1], "Milnor number disagrees with the weight product"
+        if prod != mu[-1]:
+            raise VerificationFailed("Milnor number disagrees with the weight product")
         for k, wk in enumerate(w):
             prev = w[k - 1] if k else Fraction(0)
-            assert wk == (1 - prev) / a[k], "weight recursion violated"
+            if wk != (1 - prev) / a[k]:
+                raise VerificationFailed("weight recursion violated")
 
     @property
     def m(self) -> int:
@@ -117,7 +119,8 @@ def stokes_poly(a):
     for kk in range(m + 1):
         factors.append((c.r[kk], (-1) ** (m - kk)))
     p = expand_signed_product(factors)
-    assert p.degree == c.mu, "degree of the matrix polynomial must be mu"
+    if p.degree != c.mu:
+        raise VerificationFailed("degree of the matrix polynomial must be mu")
     k = 1 if p.coeffs[0] == 1 else 2
     # inclusion-exclusion over the residues modulo r_m
     rm = c.r[-1]
@@ -127,10 +130,12 @@ def stokes_poly(a):
         for kk in range(m + 1):
             if delta % (rm // c.r[kk]) == 0:
                 mult += (-1) ** (m - kk)
-        assert mult in (0, 1), f"root multiplicity {mult} at {delta}/{rm}"
+        if mult not in (0, 1):
+            raise VerificationFailed(f"root multiplicity {mult} at {delta}/{rm}")
         if mult:
             angles.append((Fraction(delta, rm), 1))
-    assert len(angles) == c.mu
+    if len(angles) != c.mu:
+        raise VerificationFailed("number of roots must be mu")
     return p, k, angles
 
 
@@ -168,52 +173,23 @@ def qh_spectrum(weights) -> list:
     """Exponent multiset {alpha_j} with sum over j of t^(alpha_j + 1)
     = prod_k (t - t^{w_k}) / (t^{w_k} - 1), exact.
 
-    Expansion happens over the common denominator D of the weights using
-    sparse integer polynomials in s = t^(1/D).
+    Over the common denominator D of the weights, with s = t^(1/D) and
+    N_k = w_k D, each factor is s^{N_k} (s^{D - N_k} - 1) / (s^{N_k} - 1),
+    so the generating function is s^{sum N_k} times a signed product.
     """
     ws = [Fraction(w) for w in weights]
     if any(not (0 < w < 1) for w in ws):
         raise ValueError("weights must lie strictly between 0 and 1")
-    D = lcm(*[w.denominator for w in ws]) if ws else 1
-    num: dict[int, int] = {0: 1}
-    den: dict[int, int] = {0: 1}
-
-    def sparse_mul(p, q):
-        out: dict[int, int] = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-                if out[e] == 0:
-                    del out[e]
-        return out
-
-    for w in ws:
-        N = int(w * D)
-        num = sparse_mul(num, {D: 1, N: -1})
-        den = sparse_mul(den, {N: 1, 0: -1})
-
-    # exact sparse division num / den
-    quot: dict[int, int] = {}
-    den_top = max(den)
-    den_lead = den[den_top]
-    num = dict(num)
-    while num:
-        top = max(num)
-        if top < den_top:
-            raise VerificationFailed("generating function is not a polynomial")
-        c, r = divmod(num[top], den_lead)
-        assert r == 0
-        e = top - den_top
-        quot[e] = quot.get(e, 0) + c
-        for de, dc in den.items():
-            key = e + de
-            num[key] = num.get(key, 0) - c * dc
-            if num[key] == 0:
-                del num[key]
+    D = lcm(*[w.denominator for w in ws])
+    Ns = [int(w * D) for w in ws]
+    try:
+        quot = expand_signed_product([(D - N, 1) for N in Ns] + [(N, -1) for N in Ns])
+    except NotPolynomial:
+        raise VerificationFailed("generating function is not a polynomial") from None
     out = []
-    for e, c in sorted(quot.items()):
-        assert c >= 0, "negative multiplicity in the spectrum expansion"
+    for e, c in enumerate(quot.coeffs, start=sum(Ns)):
+        if c < 0:
+            raise VerificationFailed("negative multiplicity in the spectrum expansion")
         out.extend([Fraction(e, D) - 1] * c)
     return out
 
@@ -313,7 +289,8 @@ def jacobi_basis(a) -> list[Monomial]:
         for j in range(1, m + 1, 2):
             exps[j] = c.a[j] - 1
         out.append(Monomial(tuple(exps)))
-    assert len(out) == c.mu, f"basis count {len(out)} != mu = {c.mu}"
+    if len(out) != c.mu:
+        raise VerificationFailed(f"basis count {len(out)} != mu = {c.mu}")
     return out
 
 
@@ -418,7 +395,8 @@ def chain_graph(a):
     wm = c.w[-1]
     for j, inc in edges:
         want = -wm if (j - m) % 2 == 0 else 1 - 2 * wm
-        assert inc == want, f"edge g({j}) increment {inc} != {want}"
+        if inc != want:
+            raise VerificationFailed(f"edge g({j}) increment {inc} != {want}")
     return order, edges
 
 

@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--step", default="1/4")
     ss.add_argument("--lo", type=int, default=-4)
     ss.add_argument("--hi", type=int, default=4)
-    ss.add_argument("--out", choices=("csv",), default="csv")
     ss.set_defaults(handler=_cmd_strata3_scan)
 
     s2 = sub.add_parser("solve2", help="the 2x2 family")
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     oe.set_defaults(handler=_cmd_orbit_explore)
     oc = orb_sub.add_parser("conj16")
     oc.add_argument("--n", type=int, default=6)
-    oc.add_argument("--pool-from", choices=("cyclotomic",), default="cyclotomic")
     oc.set_defaults(handler=_cmd_orbit_conj16)
 
     tr = sub.add_parser("track", help="eigenvalue tracking along a matrix path")

@@ -35,8 +35,6 @@ from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
                        _lift_angles)
 from .spectra import Spp, SppLadder
 
-BETA_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class HorScal:
@@ -53,10 +51,10 @@ class HorScal:
         if n < 1:
             raise NotInFamily("need at least one angle")
         for x in b:
-            if float(x) < -BETA_TOL or float(x) > 1 + BETA_TOL:
+            if float(x) < -CIRCLE_TOL or float(x) > 1 + CIRCLE_TOL:
                 raise NotInFamily(f"angle {x} outside [0, 1]")
         for i in range(n - 1):
-            if float(b[i]) > float(b[i + 1]) + BETA_TOL:
+            if float(b[i]) > float(b[i + 1]) + CIRCLE_TOL:
                 raise NotInFamily("angles must be nondecreasing")
         if self.k == 1:
             for j in range(n):
@@ -151,7 +149,7 @@ def scal_to_poly(b: HorScal) -> RealPoly:
     return poly_from_float_angles(b.beta)
 
 
-def scal_from_angles(angles, k: int, tol: float = CIRCLE_TOL) -> HorScal:
+def scal_from_angles(angles, k: int) -> HorScal:
     """Family coordinates from an (angle, multiplicity) root multiset.
 
     The multiplicity of the root 1 splits between the representatives 0
@@ -159,7 +157,7 @@ def scal_from_angles(angles, k: int, tol: float = CIRCLE_TOL) -> HorScal:
     ones = 0
     rest = []
     for beta, m in angles:
-        if num_eq(beta, 0, tol):
+        if num_eq(beta, 0):
             ones = m
         else:
             rest.extend([beta] * m)
@@ -177,13 +175,13 @@ def scal_from_angles(angles, k: int, tol: float = CIRCLE_TOL) -> HorScal:
     return HorScal(k, tuple(beta))
 
 
-def poly_to_scal(p: RealPoly, k: int, tol: float = CIRCLE_TOL) -> HorScal:
+def poly_to_scal(p: RealPoly, k: int) -> HorScal:
     """Sorted family coordinates of a symmetric polynomial; verifies the
     k-symmetry.  Raises NotInFamily if p is not in the family."""
-    kk, _ = palindrome_class(p, tol)
+    kk, _ = palindrome_class(p)
     if kk != k:
         raise NotInFamily(f"polynomial has symmetry class {kk}, not {k}")
-    return scal_from_angles(unit_circle_angles(p, tol), k, tol)
+    return scal_from_angles(unit_circle_angles(p), k)
 
 
 def poly_to_matrix(p: RealPoly, k: int, tol: float = CIRCLE_TOL,
@@ -224,7 +222,7 @@ def recipe_spectrum(b: HorScal) -> list:
     return [n * x - j + Fraction(k, 2) for j, x in enumerate(beta, start=1)]
 
 
-def recipe_ladder_groups(b: HorScal, tol: float = BETA_TOL):
+def recipe_ladder_groups(b: HorScal):
     """(circle point angle, ladder) pairs: the alphas attached to a common
     circle point form a run alpha, alpha+1, ..., alpha+l and become the
     ladder with first number alpha, center 1, length l + 1."""
@@ -234,7 +232,7 @@ def recipe_ladder_groups(b: HorScal, tol: float = BETA_TOL):
         key = mod1(beta)
         placed = False
         for gk, vals in groups:
-            if angle_eq(gk, key, tol):
+            if angle_eq(gk, key):
                 vals.append(a)
                 placed = True
                 break
@@ -252,8 +250,8 @@ def recipe_ladder_groups(b: HorScal, tol: float = BETA_TOL):
     return out
 
 
-def recipe_ladders(b: HorScal, tol: float = BETA_TOL) -> list[SppLadder]:
-    return [lad for _, lad in recipe_ladder_groups(b, tol)]
+def recipe_ladders(b: HorScal) -> list[SppLadder]:
+    return [lad for _, lad in recipe_ladder_groups(b)]
 
 
 def recipe_spectral_pairs(b: HorScal) -> Spp:
@@ -263,7 +261,7 @@ def recipe_spectral_pairs(b: HorScal) -> Spp:
     return out
 
 
-def is_realizable_spectrum(candidate, n: int, k: int, tol: float = BETA_TOL):
+def is_realizable_spectrum(candidate, n: int, k: int):
     """Whether n numbers can be ordered into a valid family spectrum.
 
     Conditions on the ordering: the k-symmetry (alpha_j + alpha_{n+1-j} = 0
@@ -282,15 +280,15 @@ def is_realizable_spectrum(candidate, n: int, k: int, tol: float = BETA_TOL):
         return (n + 1 - j) if k == 1 else (n + 2 - j if j >= 2 else None)
 
     def feasible(j, val):
-        if j > 1 and float(val) < float(order[-1]) - 1 - tol:
+        if j > 1 and float(val) < float(order[-1]) - 1 - CIRCLE_TOL:
             return False
-        if k == 1 and j == 1 and float(val) < -0.5 - tol:
+        if k == 1 and j == 1 and float(val) < -0.5 - CIRCLE_TOL:
             return False
-        if k == 2 and j == 1 and not num_eq(val, 0, tol):
+        if k == 2 and j == 1 and not num_eq(val, 0):
             return False
         pos = sym_partner_pos(j)
         if pos is not None and pos < j:
-            if not num_eq(order[pos - 1] + val, 0, tol):
+            if not num_eq(order[pos - 1] + val, 0):
                 return False
         return True
 
@@ -338,7 +336,7 @@ def negate_poly_transform(p: RealPoly, k: int):
 # matrix identities
 # ---------------------------------------------------------------------------
 
-def verify_power_identity(M: HorMatrix, tol: float = 1e-9):
+def verify_power_identity(M: HorMatrix):
     """Check (-1)^k S^{-1} S^t = R^n and R^t S^t R = S^t.
 
     Exact equality for exact members, tolerance comparison otherwise.
@@ -352,8 +350,8 @@ def verify_power_identity(M: HorMatrix, tol: float = 1e-9):
     rhs = mx.mat_pow(R, n)
     St = S.T.copy()
     back = R.T.copy().dot(St).dot(R)
-    ok1 = mx.mat_eq(lhs, rhs, tol)
-    ok2 = mx.mat_eq(back, St, tol)
+    ok1 = mx.mat_eq(lhs, rhs, CIRCLE_TOL)
+    ok2 = mx.mat_eq(back, St, CIRCLE_TOL)
     details = {}
     if not ok1:
         details["power_residual"] = np.asarray(lhs, dtype=float) - np.asarray(rhs, dtype=float)
@@ -362,7 +360,7 @@ def verify_power_identity(M: HorMatrix, tol: float = 1e-9):
     return ok1 and ok2, details
 
 
-def pl_factor_product(S: np.ndarray, k: int, tol: float = 1e-9):
+def pl_factor_product(S: np.ndarray, k: int):
     """The n twisted reflection factors whose product is (-1)^k S^{-1} S^t.
 
     Works for any unit upper-triangular S (the identity is purely
@@ -380,7 +378,7 @@ def pl_factor_product(S: np.ndarray, k: int, tol: float = 1e-9):
     for F in factors[1:]:
         prod = prod.dot(F)
     mono = mx.monodromy_matrix(S)
-    ok = mx.mat_eq(prod, sign * mono, tol)
+    ok = mx.mat_eq(prod, sign * mono, CIRCLE_TOL)
     return factors, ok
 
 
@@ -414,7 +412,7 @@ def dual_basis_matrix(M: HorMatrix):
 # enhancement data and the signature law
 # ---------------------------------------------------------------------------
 
-def hor_enhancement(M: HorMatrix, tol: float = 1e-6):
+def hor_enhancement(M: HorMatrix):
     """Eigenvalue-wise enhancement of a family member.
 
     For each circle point kappa among the eigenvalues of the companion
@@ -440,15 +438,14 @@ def hor_enhancement(M: HorMatrix, tol: float = 1e-6):
         want = math.pi * (2 * float(alpha) + l) / 2.0
         got = cmath.phase(complex(w))
         diff = (got - want + math.pi) % (2 * math.pi) - math.pi
-        if abs(diff) > tol:
+        if abs(diff) > 1e-6:
             raise PhaseViolation(
                 f"pairing phase {got:.9f} != predicted {want:.9f} at angle {kappa_angle}")
         out.append((kappa_angle, lad, typ, True))
     return out
 
 
-def is_signature(M: HorMatrix, tol: float = 1e-6, neq_tol: float = 1e-7,
-                 scal: HorScal | None = None):
+def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
     """Predicted and computed signature of S + S^t away from eigenvalue -1.
 
     Predicted: s_+ counts spectral numbers congruent mod 2 to the open
@@ -472,14 +469,14 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, neq_tol: float = 1e-7,
     dim = M.n - minus_one
     predicted = (s_plus, 0, dim - s_plus)
 
-    w = restricted_form_eigenvalues(M, neq_tol)
+    w = restricted_form_eigenvalues(M)
     plus = int(np.sum(w > tol))
     minus = int(np.sum(w < -tol))
     computed = (plus, len(w) - plus - minus, minus)
     return predicted, computed
 
 
-def restricted_form_eigenvalues(M: HorMatrix, neq_tol: float = 1e-7) -> np.ndarray:
+def restricted_form_eigenvalues(M: HorMatrix) -> np.ndarray:
     """Eigenvalues of S + S^t restricted to the generalized eigenspaces of
     S^{-1} S^t away from -1 (ordered real Schur basis)."""
     Sf = np.asarray(M.S, dtype=float)
@@ -487,7 +484,7 @@ def restricted_form_eigenvalues(M: HorMatrix, neq_tol: float = 1e-7) -> np.ndarr
     Mono = np.linalg.solve(Sf, Sf.T)
     _, Z, sdim = scipy.linalg.schur(
         Mono, output="real",
-        sort=lambda re, im: (re + 1.0) ** 2 + im ** 2 > neq_tol ** 2)
+        sort=lambda re, im: (re + 1.0) ** 2 + im ** 2 > 1e-7 ** 2)
     if sdim == 0:
         return np.zeros(0)
     Q1 = Z[:, :sdim]
@@ -506,9 +503,7 @@ class PathTrack:
     endpoint: list
 
 
-def simplex_path_track(target: HorMatrix, steps: int | None = None,
-                       collision_tol: float = 1e-12,
-                       endpoint_tol: float = 1e-8) -> PathTrack:
+def simplex_path_track(target: HorMatrix, steps: int | None = None) -> PathTrack:
     """Track eigenvalue angles of the companion matrix along the straight
     scal-coordinate segment from the distinguished interior point to the
     target, and read off the spectrum at the end.
@@ -544,7 +539,7 @@ def simplex_path_track(target: HorMatrix, steps: int | None = None,
             srt = np.sort(ang)
             gaps = np.diff(srt)
             wrap = 1.0 - srt[-1] + srt[0]
-            if n > 1 and min(gaps.min(initial=np.inf), wrap) < collision_tol:
+            if n > 1 and min(gaps.min(initial=np.inf), wrap) < 1e-12:
                 raise CollisionInsideSimplex(f"eigenvalue collision at r={t}")
         current = _lift_angles(current, ang)
         lifts[s] = current
@@ -553,7 +548,7 @@ def simplex_path_track(target: HorMatrix, steps: int | None = None,
     endpoint = list(alphas[-1])
     expected = [float(a) for a in recipe_spectrum(b1)]
     for got, want in zip(endpoint, expected):
-        if abs(got - want) > endpoint_tol:
+        if abs(got - want) > 1e-8:
             raise VerificationFailed(
                 f"tracked endpoint {got} != recipe value {want}")
     return PathTrack(times, lifts, alphas, endpoint)
@@ -624,15 +619,13 @@ def sample_cyclotomic_member(n: int, k: int, rng) -> HorMatrix:
     return poly_to_matrix(p, k)
 
 
-def enumerate_cyclotomic_mults(n: int, k: int, limit: int | None = None):
+def enumerate_cyclotomic_mults(n: int, k: int):
     """All multisets of orbit indices with total degree n and the right
-    parity (optionally capped at ``limit`` results)."""
+    parity."""
     cands = _cyclotomic_degree_candidates(n)
     results = []
 
     def rec(idx: int, remaining: int, acc: dict):
-        if limit is not None and len(results) >= limit:
-            return
         if remaining == 0:
             want_odd = (k == 2)
             if (acc.get(1, 0) % 2 == 1) == want_odd:

@@ -25,7 +25,8 @@ def sign_act(eps, S: np.ndarray) -> np.ndarray:
     """diag(eps) S diag(eps) for eps in {+-1}^n."""
     n = S.shape[0]
     eps = tuple(eps)
-    assert len(eps) == n and all(e in (1, -1) for e in eps)
+    if len(eps) != n or any(e not in (1, -1) for e in eps):
+        raise ValueError(f"need {n} signs in {{1, -1}}, got {eps}")
     out = S.copy()
     for i in range(n):
         for j in range(n):
@@ -197,8 +198,7 @@ class GenericTrack:
         return list(self.alphas[-1])
 
 
-def generic_path_track(path, steps: int = 256, circle_tol: float = 1e-6,
-                       collision_tol: float = 1e-6) -> GenericTrack:
+def generic_path_track(path, steps: int = 256) -> GenericTrack:
     """Continue the n eigenvalue angles of S^{-1} S^t along a piecewise
     linear path of unit upper-triangular matrices, starting from the
     identity matrix with all angles 0.
@@ -229,14 +229,14 @@ def generic_path_track(path, steps: int = 256, circle_tol: float = 1e-6,
             raise LeftT(t, "sample is not unit upper triangular")
         # float LAPACK solve kept on purpose: this runs on every tracking step
         eig = np.linalg.eigvals(np.linalg.solve(S, S.T))
-        if np.any(np.abs(np.abs(eig) - 1.0) > circle_tol):
+        if np.any(np.abs(np.abs(eig) - 1.0) > 1e-6):
             worst = float(np.max(np.abs(np.abs(eig) - 1.0)))
             raise LeftT(t, f"eigenvalue off the circle by {worst:.2e}")
         ang = np.array([point_to_angle(z) for z in eig])
         nxt = _lift_angles(current, ang)
         for i in range(n):
             for j in range(i + 1, n):
-                close = abs((nxt[i] - nxt[j] + 0.5) % 1.0 - 0.5) < collision_tol
+                close = abs((nxt[i] - nxt[j] + 0.5) % 1.0 - 0.5) < 1e-6
                 if close and separated[i, j]:
                     collisions.append((float(t), i, j))
                 elif not close:

@@ -20,6 +20,9 @@ Conventions used everywhere in the package:
   ``Fraction`` constants.  ``x + Fraction(1, 2)`` and ``x * Fraction(1, 4)``
   are exact for exact ``x`` and bit-identical to ``x + 0.5`` and
   ``x / 4.0`` for a float ``x``.
+* Tolerances are literals at their use site (``1e-9`` is
+  :data:`CIRCLE_TOL`).  A function takes a tolerance parameter only where
+  its callers pass different values.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .errors import (MultiplicityTooLow, NotPolynomial, RootOffCircle,
 
 TWO_PI = 2.0 * math.pi
 
-#: default tolerance for "is this root on the unit circle", num_eq and angle_eq
+#: the one name for 1e-9: the default tolerance of num_eq, angle_eq and the
+#: unit-circle root check, and the literal wherever a use site needs 1e-9
 CIRCLE_TOL = 1e-9
 #: roots whose angles differ by less than this are merged into one multiple root
 CLUSTER_TOL = 1e-7
@@ -128,14 +132,14 @@ def _tidy(x):
     return x
 
 
-def snap_angle(b: float, max_den: int = 4096, tol: float = 1e-12):
+def snap_angle(b: float):
     """Return the rational angle closest to ``b`` if it is extremely close.
 
     Used to recover exact angles from float computations whose inputs were
     rational.  Returns a Fraction on success, the float otherwise.
     """
-    cand = Fraction(mod1(b)).limit_denominator(max_den)
-    if circle_dist(cand, b) <= tol:
+    cand = Fraction(mod1(b)).limit_denominator(4096)
+    if circle_dist(cand, b) <= 1e-12:
         return mod1(cand)
     return mod1(b)
 
@@ -273,9 +277,6 @@ class RealPoly:
     def of_minus_x(self) -> "RealPoly":
         """p(-x)."""
         return RealPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
-    def to_float(self) -> "RealPoly":
-        return RealPoly([float(c) for c in self.coeffs])
 
     # -- serialization -------------------------------------------------------
     def to_json(self):
@@ -496,7 +497,8 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
         key = mod1(b)
         merged[key] = merged.get(key, 0) + m
     out = sorted(merged.items(), key=lambda t: float(t[0]))
-    assert sum(m for _, m in out) == p.degree
+    if sum(m for _, m in out) != p.degree:
+        raise VerificationFailed("root multiplicities must add up to the degree")
     return out
 
 
@@ -588,7 +590,8 @@ def palindrome_class(p: RealPoly, tol: float = CIRCLE_TOL):
         return None, p0
     k = 1 if sym else 2
     expected = 1 if k == 1 else -1
-    assert num_eq(p0, expected, tol), f"p0={p0} contradicts k={k}"
+    if not num_eq(p0, expected, tol):
+        raise VerificationFailed(f"p0={p0} contradicts k={k}")
     return k, p0
 
 
@@ -634,20 +637,14 @@ class CycVec:
         return v
 
     def __add__(self, other):
-        out = CycVec(self.D)
-        out.c = [a + b for a, b in zip(self.c, other.c)]
-        return out
+        return CycVec(self.D, [a + b for a, b in zip(self.c, other.c)])
 
     def __sub__(self, other):
-        out = CycVec(self.D)
-        out.c = [a - b for a, b in zip(self.c, other.c)]
-        return out
+        return CycVec(self.D, [a - b for a, b in zip(self.c, other.c)])
 
     def scaled(self, s) -> "CycVec":
         s = Fraction(s)
-        out = CycVec(self.D)
-        out.c = [a * s for a in self.c]
-        return out
+        return CycVec(self.D, [a * s for a in self.c])
 
     def shifted(self, t: int) -> "CycVec":
         """Multiplication by zeta^t."""
@@ -662,12 +659,8 @@ class CycVec:
         rem = RealPoly(self.c).divmod(cyclotomic_polynomial(self.D))[1]
         return all(a == 0 for a in rem.coeffs)
 
-    def to_complex(self) -> complex:
-        return sum(float(a) * cmath.exp(-2j * math.pi * i / self.D)
-                   for i, a in enumerate(self.c) if a != 0) + 0j
 
-
-def _root_multiplicity(p: RealPoly, kappa, tol: float) -> int:
+def _root_multiplicity(p: RealPoly, kappa) -> int:
     """Multiplicity of kappa (complex or exact angle) as a root of p."""
     if is_exact(kappa) and p.is_exact:
         angles = unit_circle_angles(p) if p.is_integer else None
@@ -681,7 +674,7 @@ def _root_multiplicity(p: RealPoly, kappa, tol: float) -> int:
     q = p
     m = 0
     scale = max(abs(float(c)) for c in p.coeffs)
-    while q.degree >= 0 and abs(complex(q(z))) <= tol * max(scale, 1.0):
+    while q.degree >= 0 and abs(complex(q(z))) <= 1e-8 * max(scale, 1.0):
         m += 1
         if q.degree == 0:
             break
@@ -689,7 +682,7 @@ def _root_multiplicity(p: RealPoly, kappa, tol: float) -> int:
     return m
 
 
-def jordan_chain_vectors(p: RealPoly, kappa, l: int, tol: float = 1e-8):
+def jordan_chain_vectors(p: RealPoly, kappa, l: int):
     """Jordan chain v_0..v_l of the companion matrix of p at the root kappa.
 
     ``kappa`` is either a complex number or an exact angle (Fraction), in
@@ -699,7 +692,7 @@ def jordan_chain_vectors(p: RealPoly, kappa, l: int, tol: float = 1e-8):
     ``falling_factorial(t, j) * kappa^t``.
     """
     n = p.degree
-    if _root_multiplicity(p, kappa, tol) < l + 1:
+    if _root_multiplicity(p, kappa) < l + 1:
         raise MultiplicityTooLow(f"root has multiplicity < {l + 1}")
     exact_angle = is_exact(kappa) and p.is_exact
     z = angle_to_point(kappa) if is_exact(kappa) else complex(kappa)
@@ -739,7 +732,7 @@ def jordan_chain_vectors(p: RealPoly, kappa, l: int, tol: float = 1e-8):
         for j in range(l + 1):
             prev = vectors[j - 1] if j > 0 else np.zeros(n, dtype=complex)
             resid = (Rf @ vectors[j]) / z - vectors[j] - j * prev
-            if np.abs(resid).max() > tol * scale * n:
+            if np.abs(resid).max() > 1e-8 * scale * n:
                 raise VerificationFailed("numeric Jordan chain relation failed")
     return vectors
 

@@ -29,13 +29,11 @@ import scipy.linalg
 from . import matrices as mx
 from .errors import (DegenerateFlag, NotLadderComposed, Singular, Unclassified,
                      VerificationFailed)
-from .polycore import (RealPoly, angle_eq, angle_to_point, beta_from_cos,
-                       circle_dist, cyclotomic_angles, cyclotomic_polynomial,
-                       factor_cyclotomic, format_number, is_exact, mod1,
-                       num_eq, parse_rational, snap_angle)
+from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
+                       beta_from_cos, circle_dist, cyclotomic_angles,
+                       cyclotomic_polynomial, factor_cyclotomic, format_number,
+                       is_exact, mod1, num_eq, parse_rational, snap_angle)
 from .spectra import Spp, SppLadder, decompose_into_ladders
-
-ANGLE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +99,7 @@ class IrrType:
         zk = float(mod1(self.zeta)) if self.zeta is not None else -1.0
         return (self.family, self.n, lamk, self.eps or 0, zk)
 
-    def matches(self, other: "IrrType", tol: float = ANGLE_TOL) -> bool:
+    def matches(self, other: "IrrType", tol: float = CIRCLE_TOL) -> bool:
         if (self.family, self.n, self.eps) != (other.family, other.n, other.eps):
             return False
         if self.family in ("F2hyper", "F4hyper"):
@@ -153,7 +151,7 @@ class IrrType:
                    eps=data.get("eps"), zeta=zeta)
 
 
-def types_multiset_equal(ts1, ts2, tol: float = ANGLE_TOL) -> bool:
+def types_multiset_equal(ts1, ts2, tol: float = CIRCLE_TOL) -> bool:
     if len(ts1) != len(ts2):
         return False
     rem = sorted(ts2, key=IrrType.sort_key)
@@ -173,8 +171,7 @@ def type_label_multiset(types) -> str:
 # ladder -> type (the content of a polarized / signed-polarized enhancement)
 # ---------------------------------------------------------------------------
 
-def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False,
-                         tol: float = ANGLE_TOL) -> IrrType:
+def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False) -> IrrType:
     """The irreducible type forced by a ladder (first number alpha, center
     m, length l+1) inside a polarized (or signed polarized) enhancement.
 
@@ -185,10 +182,10 @@ def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False,
     d = 2 * alpha + l + 1 - m
     lam_angle = mod1(alpha + Fraction(m + 1, 2))
     n_b = l + 1
-    if num_eq(d, round(d), tol):
+    if num_eq(d, round(d)):
         d_int = round(d)
         # the eigenvalue is +-1: its angle is exactly 0 or 1/2
-        lam_angle = Fraction(0) if angle_eq(lam_angle, 0, tol) else Fraction(1, 2)
+        lam_angle = Fraction(0) if angle_eq(lam_angle, 0) else Fraction(1, 2)
         if d_int % 2 == 0:
             eps = (-1) ** ((d_int // 2) % 2)
             if signed and l % 2 == 1:
@@ -201,8 +198,7 @@ def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False,
     return IrrType("F2complex", lam_angle, n_b, zeta=zeta_angle).normalized()
 
 
-def class_from_spp(spp: Spp, m: int, signed: bool = False,
-                   tol: float = ANGLE_TOL) -> list[IrrType]:
+def class_from_spp(spp: Spp, m: int, signed: bool = False) -> list[IrrType]:
     """Irreducible type multiset determined by a ladder-composed pair
     multiset with center m under the (signed) polarized convention.
 
@@ -211,7 +207,7 @@ def class_from_spp(spp: Spp, m: int, signed: bool = False,
     with non-integer distance produce one conjugate-pair type; single
     ladders produce one F1 each.
     """
-    assignments = decompose_into_ladders(spp, m, tol)
+    assignments = decompose_into_ladders(spp, m)
     out: list[IrrType] = []
     seen = set()
     for i, asg in enumerate(assignments):
@@ -219,13 +215,13 @@ def class_from_spp(spp: Spp, m: int, signed: bool = False,
             continue
         lad = asg.ladder
         if asg.is_single:
-            out.append(irr_type_from_ladder(lad.alpha, m, lad.l, signed, tol))
+            out.append(irr_type_from_ladder(lad.alpha, m, lad.l, signed))
             continue
         if asg.partner_index is None:
             raise NotLadderComposed(
                 f"ladder {lad} has no partner in the multiset", witness=lad)
         seen.add(asg.partner_index)
-        t = irr_type_from_ladder(lad.alpha, m, lad.l, signed, tol)
+        t = irr_type_from_ladder(lad.alpha, m, lad.l, signed)
         if t.family == "F1":
             out.extend([t, t])
         else:
@@ -341,7 +337,7 @@ class _EigGroup:
     sizes: list        # Jordan block sizes per eigenvalue
 
 
-def _exact_eigdata(M_e: np.ndarray, tol: float):
+def _exact_eigdata(M_e: np.ndarray):
     """Eigenvalue groups of an exact monodromy matrix, or None when the
     characteristic polynomial cannot be resolved exactly."""
     n = M_e.shape[0]
@@ -490,14 +486,14 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
     return groups
 
 
-def _top_vector(A: np.ndarray, s: int, tol: float = 1e-10) -> np.ndarray:
+def _top_vector(A: np.ndarray, s: int) -> np.ndarray:
     """Vector in ker(A^s) outside ker(A^{s-1}) (numeric)."""
     As = np.linalg.matrix_power(A, s)
     null = scipy.linalg.null_space(As, rcond=1e-10)
     Asm = np.linalg.matrix_power(A, s - 1)
     for i in range(null.shape[1]):
         v = null[:, i]
-        if np.linalg.norm(Asm @ v) > tol * max(1.0, np.linalg.norm(v)):
+        if np.linalg.norm(Asm @ v) > 1e-10 * max(1.0, np.linalg.norm(v)):
             return v
     # fall back: combine columns
     best, best_norm = None, -1.0
@@ -506,7 +502,7 @@ def _top_vector(A: np.ndarray, s: int, tol: float = 1e-10) -> np.ndarray:
         r = np.linalg.norm(Asm @ v)
         if r > best_norm:
             best, best_norm = v, r
-    if best is None or best_norm <= tol:
+    if best is None or best_norm <= 1e-10:
         raise Unclassified("could not find a top-height vector", pattern=s)
     return best
 
@@ -517,7 +513,7 @@ def _canonical_zeta_sqrt(theta, n_b: int):
     return mod1(-theta * Fraction(1, 2) - Fraction(n_b + 1, 4))
 
 
-def _snap_zeta(value: complex, theta, n_b: int, tol: float = 0.2):
+def _snap_zeta(value: complex, theta, n_b: int):
     """Snap the phase of a nonzero complex pairing value to one of the two
     admissible unit invariants (candidates +-zeta0)."""
     z0 = _canonical_zeta_sqrt(theta, n_b)
@@ -525,7 +521,7 @@ def _snap_zeta(value: complex, theta, n_b: int, tol: float = 0.2):
     z1 = mod1(z0 + Fraction(1, 2))
     d0 = circle_dist(phase_angle, z0)
     d1 = circle_dist(phase_angle, z1)
-    if min(d0, d1) > tol:
+    if min(d0, d1) > 0.2:
         raise Unclassified(f"pairing phase {phase_angle} is not near either "
                            f"admissible invariant", pattern=(theta, n_b))
     return z0 if d0 <= d1 else z1
@@ -547,7 +543,7 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     M_e = None
     if P.is_exact:
         M_e = mx.solve_exact(G.T.copy(), G)
-        groups = _exact_eigdata(M_e, tol)
+        groups = _exact_eigdata(M_e)
     if groups is None:
         groups = _numeric_eigdata(M_f, tol)
 
@@ -721,25 +717,16 @@ class Enhancement:
     m: int
     blocks: tuple  # of (IrrType, SppLadder)
 
-    def spectral_pairs(self) -> Spp:
-        out = Spp()
-        for _, lad in self.blocks:
-            out = out + lad.members()
-            if not lad.is_single:
-                out = out + lad.partner().members()
-        return out
 
-
-def check_enhancement(P: SeifertPair, E: Enhancement, signed: bool = False,
-                      tol: float = ANGLE_TOL) -> bool:
+def check_enhancement(P: SeifertPair, E: Enhancement, signed: bool = False) -> bool:
     """True iff every block's sign data matches the (signed) polarized
     phase formula for its ladder."""
     dims = 0
     for typ, lad in E.blocks:
-        want = irr_type_from_ladder(lad.alpha, E.m, lad.l, signed, tol)
+        want = irr_type_from_ladder(lad.alpha, E.m, lad.l, signed)
         if want.family != typ.family or want.n != typ.n:
             return False
-        if not want.matches(typ, max(tol, 1e-7)):
+        if not want.matches(typ, 1e-7):
             return False
         dims += typ.dim if not (typ.family == "F1" and not lad.is_single) else 2 * typ.dim
     if dims != P.n:

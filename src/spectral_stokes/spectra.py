@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLadderComposed
-from .polycore import format_number, is_exact, num_eq, parse_rational
-
-ALPHA_TOL = 1e-9
+from .polycore import CIRCLE_TOL, format_number, is_exact, num_eq, parse_rational
 
 
 def _sort_key(pair):
@@ -49,12 +47,12 @@ class Spp:
         """The underlying spectrum (first components, sorted)."""
         return sorted((a for a, _ in self.pairs), key=float)
 
-    def equals(self, other: "Spp", tol: float = ALPHA_TOL) -> bool:
+    def equals(self, other: "Spp") -> bool:
         if len(self) != len(other):
             return False
         if self.is_exact and other.is_exact:
             return self.pairs == other.pairs
-        return all(k1 == k2 and num_eq(a1, a2, tol)
+        return all(k1 == k2 and num_eq(a1, a2)
                    for (a1, k1), (a2, k2) in zip(self.pairs, other.pairs))
 
     def __eq__(self, other):
@@ -92,7 +90,7 @@ class Spp:
         return cls(pairs)
 
 
-def spp_mod2_equal(s1: Spp, s2: Spp, tol: float = ALPHA_TOL) -> bool:
+def spp_mod2_equal(s1: Spp, s2: Spp) -> bool:
     """Equality of pair multisets after reducing the first components mod 2."""
     m1, m2 = s1.mod2(), s2.mod2()
     if len(m1) != len(m2):
@@ -107,7 +105,7 @@ def spp_mod2_equal(s1: Spp, s2: Spp, tol: float = ALPHA_TOL) -> bool:
             if used[i] or k != k2:
                 continue
             d = abs(float(a) - float(b))
-            if min(d, 2.0 - d) <= tol:
+            if min(d, 2.0 - d) <= CIRCLE_TOL:
                 hit = i
                 break
         if hit is None:
@@ -138,7 +136,7 @@ class SppLadder:
 
     @property
     def is_single(self) -> bool:
-        return num_eq(self.distance, 0, ALPHA_TOL)
+        return num_eq(self.distance, 0)
 
     def partner(self) -> "SppLadder":
         return SppLadder(self.m - self.l - 1 - self.alpha, self.m, self.l)
@@ -176,7 +174,7 @@ class LadderAssignment:
         return self.partner_index is None and self.ladder.is_single
 
 
-def decompose_into_ladders(s: Spp, m: int, tol: float = ALPHA_TOL) -> list[LadderAssignment]:
+def decompose_into_ladders(s: Spp, m: int) -> list[LadderAssignment]:
     """The unique decomposition of ``s`` into ladders with center ``m``.
 
     Greedy extraction: among the remaining pairs, the highest level must
@@ -192,7 +190,7 @@ def decompose_into_ladders(s: Spp, m: int, tol: float = ALPHA_TOL) -> list[Ladde
 
     def take(alpha, level):
         for i, (a, k) in enumerate(remaining):
-            if k == level and num_eq(a, alpha, tol):
+            if k == level and num_eq(a, alpha):
                 return remaining.pop(i)
         return None
 
@@ -236,7 +234,7 @@ def decompose_into_ladders(s: Spp, m: int, tol: float = ALPHA_TOL) -> list[Ladde
                 continue
             other = ladders[j]
             if other.m == partner.m and other.l == partner.l and \
-                    num_eq(other.alpha, partner.alpha, tol):
+                    num_eq(other.alpha, partner.alpha):
                 match = j
                 break
         if match is not None:

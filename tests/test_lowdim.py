@@ -130,7 +130,7 @@ class TestLine3:
             _, alpha, spp = ld.hor1_line3(p1)
             M = hor.poly_to_matrix(RealPoly([1.0, p1, p1, 1.0]), 1)
             generic = hor.recipe_spectral_pairs(hor.matrix_to_scal(M))
-            assert spp.equals(generic, tol=1e-9)
+            assert spp.equals(generic)
 
     def test_monotone_alpha1(self):
         vals = [ld.hor1_line3(F(i, 25))[1][0] for i in range(-25, 76)]

@@ -146,8 +146,10 @@ def test_exact_arrays_hold_python_scalars():
 _OPTIMISED_SCRIPT = """
 import sys
 from fractions import Fraction
-from spectral_stokes import chain, matrices as mx, orbit, seifert
+from types import SimpleNamespace
+from spectral_stokes import chain, matrices as mx, orbit, polycore, seifert
 from spectral_stokes.errors import VerificationFailed
+from spectral_stokes.polycore import RealPoly
 
 assert sys.flags.optimize
 
@@ -171,6 +173,45 @@ expect(ValueError, "check_enhancement accepted blocks that miss the space",
        seifert.check_enhancement, P, seifert.Enhancement(1, ()))
 expect(ValueError, "thom_sebastiani accepted a factor off the unit triangle",
        chain.thom_sebastiani, mx.to_matrix([[1, 0], [1, 1]]), S)
+expect(ValueError, "sign_act accepted a sign outside {1, -1}", orbit.sign_act, (1, 2, 1), S)
+
+chain.Fraction = lambda a, b=1: Fraction(2) if (a, b) == (1, 1) else Fraction(a, b)
+expect(VerificationFailed, "ChainSing passed a wrong weight product", chain.ChainSing, (3, 2))
+chain.Fraction = lambda a, b=1: Fraction(1, 7) if (a, b) == (0, 1) else Fraction(a, b)
+expect(VerificationFailed, "ChainSing passed a broken weight recursion", chain.ChainSing, (3, 2))
+chain.Fraction = Fraction
+
+real_chain_sing, real_expand = chain.ChainSing, chain.expand_signed_product
+chain.expand_signed_product = lambda factors: RealPoly([1, 1])
+expect(VerificationFailed, "stokes_poly passed a degree other than mu", chain.stokes_poly, (3, 2))
+chain.ChainSing = lambda a: SimpleNamespace(m=2, r=(2, 1, 2), mu=1)   # root 1/2 counted twice
+expect(VerificationFailed, "stokes_poly passed a double root", chain.stokes_poly, (3,))
+chain.ChainSing = lambda a: SimpleNamespace(m=0, r=(3,), mu=1)        # two roots, not one
+expect(VerificationFailed, "stokes_poly passed a root count other than mu", chain.stokes_poly, (3,))
+chain.ChainSing = lambda a: SimpleNamespace(a=(3,), m=0, mu=5)
+expect(VerificationFailed, "jacobi_basis passed a basis count other than mu",
+       chain.jacobi_basis, (3,))
+chain.ChainSing = real_chain_sing
+chain.expand_signed_product = lambda factors: RealPoly([-1, 1])
+expect(VerificationFailed, "qh_spectrum passed a negative multiplicity",
+       chain.qh_spectrum, (Fraction(1, 3),))
+chain.expand_signed_product = real_expand
+
+real_degree = chain.Monomial.degree
+chain.Monomial.degree = lambda self, weights: Fraction(0)
+expect(VerificationFailed, "chain_graph passed a wrong degree increment", chain.chain_graph, (3, 2))
+chain.Monomial.degree = real_degree
+
+real_factor, real_num_eq = polycore.factor_cyclotomic, polycore.num_eq
+polycore.factor_cyclotomic = lambda p: ({}, RealPoly([1]))   # loses every root
+expect(VerificationFailed, "unit_circle_angles passed a lost root",
+       polycore.unit_circle_angles, RealPoly([1, 1]))
+polycore.factor_cyclotomic = real_factor
+answers = iter([True, True, False, False])   # symmetric, not antisymmetric, p0 off
+polycore.num_eq = lambda a, b, tol: next(answers)
+expect(VerificationFailed, "palindrome_class passed a constant term against k",
+       polycore.palindrome_class, RealPoly([1, 1]))
+polycore.num_eq = real_num_eq
 
 mx.mat_eq = lambda A, B, tol=0.0: False
 expect(VerificationFailed, "monodromy_and_forms passed a broken form check",
@@ -180,7 +221,7 @@ expect(VerificationFailed, "thom_sebastiani passed a broken monodromy check",
 
 mx.rank_exact = lambda A: 0         # kernel of dimension 3 over the pair +-i
 expect(VerificationFailed, "kernel_dims passed an uneven orbit split",
-       seifert._exact_eigdata, M, 1e-9)
+       seifert._exact_eigdata, M)
 
 calls = iter(range(1000))
 mx.char_poly_exact = lambda A: next(calls)

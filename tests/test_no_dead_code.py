@@ -1,7 +1,9 @@
-"""Every top-level public function and class of the package is used:
-called, imported or otherwise referenced by name in the package, the
-tests, the demos or the benchmark, beyond its own definition, or named
-as a console-script entry point."""
+"""Every top-level public function and class of the package, and every
+public method and property of a public class, is used: called, imported
+or otherwise referenced by name in the package, the tests, the demos or
+the benchmark, beyond its own definition, or named as a console-script
+entry point.  Every defaulted parameter of the package is set by some
+call there."""
 
 import ast
 import re
@@ -12,10 +14,23 @@ PACKAGE = ROOT / "src" / "spectral_stokes"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
+def _public(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+        and not node.name.startswith("_")
+
+
 def public_names(tree: ast.Module):
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """(label, name) of the public top-level definitions and of the public
+    methods and properties of public classes."""
+    out = []
+    for node in tree.body:
+        if not _public(node):
+            continue
+        out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{item.name}", item.name)
+                    for item in node.body if _public(item)]
+    return out
 
 
 def referenced_names(tree: ast.AST):
@@ -35,13 +50,79 @@ def entry_point_names():
     return set(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
 
 
-def test_every_public_name_is_referenced():
-    used = entry_point_names()
+def searched_trees():
     for d in SEARCHED:
         for path in (ROOT / d).rglob("*.py"):
-            used |= referenced_names(ast.parse(path.read_text()))
-    unused = [f"{module.stem}.{name}"
+            yield ast.parse(path.read_text())
+
+
+def test_every_public_name_is_referenced():
+    used = entry_point_names()
+    for tree in searched_trees():
+        used |= referenced_names(tree)
+    unused = [f"{module.stem}.{label}"
               for module in sorted(PACKAGE.glob("*.py"))
-              for name in public_names(ast.parse(module.read_text()))
+              for label, name in public_names(ast.parse(module.read_text()))
               if name not in used]
     assert unused == []
+
+
+def functions(tree: ast.AST, owner=None):
+    """(enclosing class name or None, def) for every def in the tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield owner, node
+            yield from functions(node)
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node, node.name)
+        else:
+            yield from functions(node, owner)
+
+
+def defaulted_parameters(fn):
+    """(position or None for keyword-only, name) of the defaulted parameters."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+    out += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _callee(call: ast.Call):
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    return f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _sets(call: ast.Call, position, name, method: bool) -> bool:
+    """Whether a call may set the parameter.  Calls are matched by name
+    only, so a collision can hide a dead parameter but never flag a live
+    one; for methods a positional argument is counted both with and
+    without the bound ``self``."""
+    if any(isinstance(x, ast.Starred) for x in call.args) \
+            or any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args) + method
+
+
+def test_every_defaulted_parameter_is_set():
+    calls: dict = {}
+    for tree in searched_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node):
+                calls.setdefault(_callee(node), []).append(node)
+    never_set = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for owner, fn in functions(ast.parse(module.read_text())):
+            method = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            # ClassName(...) calls reach ClassName.__init__
+            names = [fn.name] + ([owner] if fn.name == "__init__" else [])
+            for position, name in defaulted_parameters(fn):
+                if not any(_sets(c, position, name, method)
+                           for callee in names for c in calls.get(callee, ())):
+                    qual = f"{owner}.{fn.name}" if owner else fn.name
+                    never_set.append(f"{module.stem}.{qual}({name})")
+    assert never_set == []
