@@ -26,6 +26,18 @@ from .polycore import (RealPoly, format_number, palindrome_class,
 from .spectra import Spp
 
 
+#: largest --steps of the tracking commands: both trackers evaluate the
+#: whole path as one batch, so memory grows as O(steps * n^2)
+MAX_TRACK_STEPS = 1 << 16
+
+
+def _track_steps(text: str) -> int:
+    steps = int(text)
+    if not 1 <= steps <= MAX_TRACK_STEPS:
+        raise argparse.ArgumentTypeError(f"steps must be in 1..{MAX_TRACK_STEPS}, got {steps}")
+    return steps
+
+
 @dataclass
 class Config:
     mode: str = "exact"
@@ -319,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp = hor_sub.add_parser("track")
     tp.add_argument("--k", type=int, choices=(1, 2), required=True)
     tp.add_argument("--target-poly", required=True)
-    tp.add_argument("--steps", type=int, default=256)
+    tp.add_argument("--steps", type=_track_steps, default=256,
+                    help=f"samples along the path, 1..{MAX_TRACK_STEPS}")
     tp.set_defaults(handler=_cmd_hor_track)
 
     sei = sub.add_parser("seifert", help="bilinear form pair classification")
@@ -381,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("track", help="eigenvalue tracking along a matrix path")
     tr.add_argument("--path-file", required=True,
                     help='JSON {"path": [matrix, ...]} starting at the identity')
-    tr.add_argument("--steps", type=int, default=512)
+    tr.add_argument("--steps", type=_track_steps, default=512,
+                    help=f"samples along the path, 1..{MAX_TRACK_STEPS}")
     tr.set_defaults(handler=_cmd_track)
 
     se = sub.add_parser("selftest", help="run the acceptance battery")

@@ -32,7 +32,7 @@ from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
                        jordan_chain_vectors, mod1, num_eq, palindrome_class,
                        point_to_angle, poly_from_cyclotomic_mults,
                        poly_from_float_angles, totient, unit_circle_angles,
-                       _lift_angles)
+                       _companions, _expand_float_angles, _lift_angles)
 from .spectra import Spp, SppLadder
 
 
@@ -509,42 +509,46 @@ def simplex_path_track(target: HorMatrix, steps: int | None = None) -> PathTrack
     target, and read off the spectrum at the end.
 
     Eigenvalues stay pairwise distinct strictly inside the simplex; a
-    collision before the endpoint raises CollisionInsideSimplex.  The
-    endpoint is checked against the closed-form spectrum.
+    collision before the endpoint raises CollisionInsideSimplex at the
+    first colliding sample.  The endpoint is checked against the
+    closed-form spectrum.
+
+    The inner samples are evaluated as one batch: one stack of companion
+    matrices and one ``eigvals`` call.  Only the matching of strands to
+    angles walks them in order.  Bit for bit the same output as a
+    sample-by-sample loop is kept on purpose: the polynomials are still
+    expanded by ``np.convolve`` and the angles read with ``cmath.phase``
+    (``point_to_angle``), whose last bits a vectorised rewrite does not
+    always reproduce.
     """
     n, k = target.n, target.k
     if steps is None:
         steps = 64 * n
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     b1 = matrix_to_scal(target)
     g = gamma_base(n, k)
     gf = np.array([float(x) for x in g.beta])
     bf = np.array([float(x) for x in b1.beta])
     times = np.linspace(0.0, 1.0, steps + 1)
+    inner = times[1:-1, None]
+    eig = np.linalg.eigvals(_companions(_expand_float_angles((1 - inner) * gf + inner * bf)))
+    ang = np.array([point_to_angle(z) for z in eig.ravel().tolist()]).reshape(eig.shape)
+    if n > 1:
+        srt = np.sort(ang, axis=1)
+        gap = np.minimum(np.diff(srt, axis=1).min(axis=1), 1.0 - srt[:, -1] + srt[:, 0])
+        hit = np.flatnonzero(gap < 1e-12)
+        if hit.size:
+            raise CollisionInsideSimplex(f"eigenvalue collision at r={times[hit[0] + 1]}")
+    # the eigenvalue multiset at the target is part of its data; only the
+    # matching of strands to angles is resolved numerically there (a float
+    # eigensolver would lose accuracy at multiple roots)
+    ang = np.vstack([ang, [float(mod1(x)) for x in b1.beta]])
     lifts = np.empty((steps + 1, n))
     lifts[0] = gf
-    current = gf.copy()
-    for s, t in enumerate(times[1:], start=1):
-        if t >= 1.0:
-            # the eigenvalue multiset at the target is part of its data;
-            # only the matching of strands to angles is resolved numerically
-            # (a float eigensolver would lose accuracy at multiple roots)
-            ang = np.array([float(mod1(x)) for x in b1.beta])
-        else:
-            beta_t = (1 - t) * gf + t * bf
-            p = poly_from_float_angles(beta_t)
-            R = companion_matrix(p)
-            eig = np.linalg.eigvals(np.asarray(R, dtype=float))
-            ang = np.array([point_to_angle(z) for z in eig])
-        if t < 1.0:
-            srt = np.sort(ang)
-            gaps = np.diff(srt)
-            wrap = 1.0 - srt[-1] + srt[0]
-            if n > 1 and min(gaps.min(initial=np.inf), wrap) < 1e-12:
-                raise CollisionInsideSimplex(f"eigenvalue collision at r={t}")
-        current = _lift_angles(current, ang)
-        lifts[s] = current
-    gammas = gf
-    alphas = n * (lifts - gammas[None, :])
+    for s in range(steps):
+        lifts[s + 1] = _lift_angles(lifts[s], ang[s])
+    alphas = n * (lifts - gf[None, :])
     endpoint = list(alphas[-1])
     expected = [float(a) for a in recipe_spectrum(b1)]
     for got, want in zip(endpoint, expected):

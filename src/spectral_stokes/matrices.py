@@ -223,9 +223,15 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(A, B)
 
 
-def is_unit_upper_triangular(S: np.ndarray, tol: float = 0.0) -> bool:
-    if S.shape[0] != S.shape[1]:
+def is_unit_upper_triangular(S: np.ndarray, tol: float = 0.0):
+    """Ones on the diagonal and zeros below it: exactly for exact entries,
+    within ``tol`` for floats, where NaN fails.  A float stack
+    ``(..., n, n)`` gets a boolean array, one answer per matrix."""
+    if S.shape[-2] != S.shape[-1]:
         return False
+    if not is_exact_matrix(S):
+        lower = np.tril(np.ones(S.shape[-2:], dtype=bool))
+        return np.all((np.abs(S - np.eye(S.shape[-1])) <= tol) | ~lower, axis=(-2, -1))
     n = S.shape[0]
     for i in range(n):
         for j in range(i + 1):
@@ -234,7 +240,7 @@ def is_unit_upper_triangular(S: np.ndarray, tol: float = 0.0) -> bool:
             if is_exact(v):
                 if v != target:
                     return False
-            elif not abs(float(v) - target) <= tol:     # NaN fails too
+            elif not abs(float(v) - target) <= tol:
                 return False
     return True
 

@@ -206,42 +206,61 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     Every sample must stay in the unit-circle-eigenvalue set (LeftT is
     raised otherwise).  Parameters where two tracked angles collide are
     reported; results are flagged path/choice dependent in that case.
+
+    The ``steps`` samples are evaluated as one batch: one shape and
+    finiteness check, one ``det``, one ``solve`` and one ``eigvals`` over
+    the stack.  Only the matching of strands to angles walks them in
+    order.  LeftT names the first failing sample: one that is not unit
+    upper-triangular, has a non-finite entry, is singular, or has an
+    eigenvalue off the circle, checked in that order within a sample.
+    Angles are read with ``cmath.phase`` (``point_to_angle``), whose last
+    bits ``np.angle`` does not always reproduce, so tracked output stays
+    bit for bit the same as a sample-by-sample loop.
     """
-    mats = [np.asarray(S, dtype=float) for S in path]
-    n = mats[0].shape[0]
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    mats = np.asarray(path, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("path must be a non-empty list of square matrices of one size")
+    n = mats.shape[1]
     if not np.allclose(mats[0], np.eye(n)):
         raise ValueError("path must start at the identity matrix")
     times = np.linspace(0.0, 1.0, steps + 1)
     segs = len(mats) - 1
-    current = np.zeros(n)
-    lifts = np.empty((steps + 1, n))
-    lifts[0] = current
-    collisions = []
+    x = times[1:] * segs
+    seg = np.minimum(x.astype(int), segs - 1)
+    loc = (x - seg)[:, None, None]
+    samples = (1 - loc) * mats[seg] + loc * mats[seg + 1]
+    shaped = mx.is_unit_upper_triangular(samples, tol=1e-7)
+    finite = np.isfinite(samples).all(axis=(1, 2))
+    ok = shaped & finite
+    inside = steps if ok.all() else int(np.argmin(ok))
+    # one singular sample would make the batched solve fail for all of them;
+    # det and solve factor a sample alike, so det is 0 exactly where solve fails
+    singular = np.flatnonzero(np.linalg.det(samples[:inside]) == 0)
+    inside = int(singular[0]) if singular.size else inside
+    # float LAPACK solve kept on purpose: it runs on every tracking sample
+    good = samples[:inside]
+    eig = np.linalg.eigvals(np.linalg.solve(good, good.transpose(0, 2, 1)))
+    off = np.abs(np.abs(eig) - 1.0)
+    left = np.flatnonzero((off > 1e-6).any(axis=1))
+    if left.size:
+        s = left[0]
+        raise LeftT(times[s + 1], f"eigenvalue off the circle by {float(np.max(off[s])):.2e}")
+    if inside < steps:
+        raise LeftT(times[inside + 1], "sample is not unit upper triangular" if not shaped[inside]
+                    else "sample has a non-finite entry" if not finite[inside]
+                    else "sample is singular")
+    ang = np.array([point_to_angle(z) for z in eig.ravel().tolist()]).reshape(eig.shape)
+    lifts = np.zeros((steps + 1, n))
+    for s in range(steps):
+        lifts[s + 1] = _lift_angles(lifts[s], ang[s])
     # a collision is a genuine meeting: strands that start together (all
     # angles vanish at the identity) are not ambiguous until they separate
-    separated = np.zeros((n, n), dtype=bool)
-    for s, t in enumerate(times[1:], start=1):
-        x = t * segs
-        seg = min(int(x), segs - 1)
-        loc = x - seg
-        S = (1 - loc) * mats[seg] + loc * mats[seg + 1]
-        if not mx.is_unit_upper_triangular(S, tol=1e-7):
-            raise LeftT(t, "sample is not unit upper triangular")
-        # float LAPACK solve kept on purpose: this runs on every tracking step
-        eig = np.linalg.eigvals(np.linalg.solve(S, S.T))
-        if np.any(np.abs(np.abs(eig) - 1.0) > 1e-6):
-            worst = float(np.max(np.abs(np.abs(eig) - 1.0)))
-            raise LeftT(t, f"eigenvalue off the circle by {worst:.2e}")
-        ang = np.array([point_to_angle(z) for z in eig])
-        nxt = _lift_angles(current, ang)
-        for i in range(n):
-            for j in range(i + 1, n):
-                close = abs((nxt[i] - nxt[j] + 0.5) % 1.0 - 0.5) < 1e-6
-                if close and separated[i, j]:
-                    collisions.append((float(t), i, j))
-                elif not close:
-                    separated[i, j] = True
-        current = nxt
-        lifts[s] = current
+    i, j = np.triu_indices(n, 1)
+    close = np.abs((lifts[1:, i] - lifts[1:, j] + 0.5) % 1.0 - 0.5) < 1e-6
+    apart = np.logical_or.accumulate(~close, axis=0)
+    met = close[1:] & apart[:-1]
+    collisions = [(float(times[s + 2]), int(i[p]), int(j[p])) for s, p in zip(*np.nonzero(met))]
     # the lifted angle of an eigenvalue exp(-2 pi i alpha) is alpha itself
     return GenericTrack(times, lifts, collisions, bool(collisions))

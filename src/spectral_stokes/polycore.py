@@ -152,12 +152,9 @@ def _lift_angles(current: np.ndarray, ang: np.ndarray) -> np.ndarray:
     """
     cost = np.abs(current[:, None] % 1.0 - ang[None, :])
     cost = np.minimum(cost, 1.0 - cost)
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    nxt = current.copy()
-    for i, j in zip(rows, cols):
-        d = (ang[j] - current[i] + 0.5) % 1.0 - 0.5
-        nxt[i] = current[i] + d
-    return nxt
+    # for a square cost matrix the rows come back as 0 .. n-1 in order
+    _, cols = scipy.optimize.linear_sum_assignment(cost)
+    return current + ((ang[cols] - current + 0.5) % 1.0 - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +294,26 @@ def poly_from_float_angles(angles) -> RealPoly:
     The angle multiset must be closed under conjugation so the product is
     real; the tiny imaginary residue is dropped.
     """
-    coeffs = np.array([1.0 + 0.0j])
-    for b in angles:
-        root = angle_to_point(b)
-        coeffs = np.convolve(coeffs, np.array([-root, 1.0 + 0.0j]))
-    return RealPoly([float(c.real) for c in coeffs])
+    return RealPoly(_expand_float_angles([angles])[0].tolist())
+
+
+def _expand_float_angles(rows) -> np.ndarray:
+    """Real coefficient rows, constant term first, of
+    ``prod (x - exp(-2*pi*i*b))`` over each row of an (m, n) angle array.
+
+    ``np.exp`` gives the same points as :func:`angle_to_point`.  The
+    factors are multiplied in by ``np.convolve`` one row at a time on
+    purpose: its complex products go through BLAS, which may fuse
+    multiply-adds, and golden CLI output pins those bits.
+    """
+    roots = np.exp(-2j * math.pi * np.asarray(rows, dtype=float))
+    out = np.empty((roots.shape[0], roots.shape[1] + 1))
+    for row, zs in zip(out, roots):
+        coeffs = np.array([1.0 + 0.0j])
+        for z in zs:
+            coeffs = np.convolve(coeffs, np.array([-z, 1.0 + 0.0j]))
+        row[:] = coeffs.real
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +600,7 @@ def palindrome_class(p: RealPoly, tol: float = CIRCLE_TOL):
         unit_circle_angles(p, tol=max(tol, CIRCLE_TOL))
     except RootOffCircle:
         return None, p0
-    k = 1 if sym else 2
-    expected = 1 if k == 1 else -1
-    if not num_eq(p0, expected, tol):
-        raise VerificationFailed(f"p0={p0} contradicts k={k}")
-    return k, p0
+    return (1 if sym else 2), p0
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +612,16 @@ def companion_matrix(p: RealPoly) -> np.ndarray:
     block below-left; its characteristic polynomial is p."""
     if not p.is_monic or p.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    A = np.eye(p.degree, k=-1, dtype=object if p.is_exact else float)
-    A[0] = [-c for c in reversed(p.coeffs[:-1])]
+    return _companions(np.array(p.coeffs, dtype=object if p.is_exact else float))
+
+
+def _companions(C: np.ndarray) -> np.ndarray:
+    """Companion matrices (..., n, n), laid out as :func:`companion_matrix`,
+    of the monic coefficient rows (..., n + 1) of ``C``."""
+    n = C.shape[-1] - 1
+    A = np.zeros(C.shape[:-1] + (n, n), dtype=C.dtype)
+    A[..., 1:, :-1] = np.eye(n - 1, dtype=C.dtype)
+    A[..., 0, :] = -C[..., -2::-1]
     return A
 
 

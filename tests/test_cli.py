@@ -176,12 +176,13 @@ _NEAR_DOUBLE_POLY = "1.0,3.865238387673439,5.735016931648329,3.865238387673439,1
     (["seifert", "classify", "--matrix"], {"n": 2}, "ValueError"),
     (["seifert", "classify", "--matrix"], {"entries": 5}, "ValueError"),
     (["track", "--path-file"], {"paths": []}, "ValueError"),
+    (["track", "--path-file"], {"path": []}, "ValueError"),
     (["hor", "spectrum", "--k", "1", "--beta", "1/0"], None, "ValueError"),
     (["solve2", "--a", "nan"], None, "ValueError"),
     (["--mode", "numeric", "hor", "track", "--k", "1", f"--target-poly={_NEAR_DOUBLE_POLY}"],
      None, "VerificationFailed"),
-], ids=["matrix-without-entries", "entries-not-rows", "path-file-without-path", "zero-denominator",
-        "nan", "track-endpoint-off"])
+], ids=["matrix-without-entries", "entries-not-rows", "path-file-without-path", "empty-path",
+        "zero-denominator", "nan", "track-endpoint-off"])
 def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data, error):
     if file_data is not None:
         f = tmp_path / "input.json"
@@ -194,6 +195,17 @@ def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data, error)
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("command", [["hor", "track", "--k", "1", "--target-poly", "1,2,1"],
+                                     ["track", "--path-file", "path.json"]])
+@pytest.mark.parametrize("steps", ["0", "-1", str(cli.MAX_TRACK_STEPS + 1), "many"])
+def test_track_steps_out_of_range_is_usage_error(capsys, command, steps):
+    # argument parsing fails before any tracker runs or any file is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + [f"--steps={steps}"])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
 
 
 def test_console_entry_smoke():

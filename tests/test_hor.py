@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_stokes import hor, matrices as mx
-from spectral_stokes.errors import NotInFamily
-from spectral_stokes.polycore import RealPoly, mod1, unit_circle_angles
+from spectral_stokes.errors import CollisionInsideSimplex, NotInFamily, VerificationFailed
+from spectral_stokes.polycore import (RealPoly, angle_to_point, mod1, point_to_angle,
+                                      unit_circle_angles, _lift_angles)
 from spectral_stokes.spectra import Spp
 
 F = Fraction
@@ -288,6 +293,85 @@ class TestPathTrack:
         M = hor.poly_to_matrix(RealPoly([1, 3, 3, 1]), 1)
         res = hor.simplex_path_track(M, steps=256)
         assert sorted(res.endpoint) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-8)
+
+    def test_steps_must_be_positive(self):
+        with pytest.raises(ValueError, match="steps"):
+            hor.simplex_path_track(hor.scal_to_matrix(hor.gamma_base(2, 1)), steps=0)
+
+
+def _simplex_reference(target, steps):
+    """simplex_path_track evaluated one sample at a time."""
+    n, k = target.n, target.k
+    b1 = hor.matrix_to_scal(target)
+    gf = np.array([float(x) for x in hor.gamma_base(n, k).beta])
+    bf = np.array([float(x) for x in b1.beta])
+    times = np.linspace(0.0, 1.0, steps + 1)
+    lifts = np.empty((steps + 1, n))
+    lifts[0] = gf
+    current = gf.copy()
+    for s, t in enumerate(times[1:], start=1):
+        if t >= 1.0:
+            ang = np.array([float(mod1(x)) for x in b1.beta])
+        else:
+            coeffs = np.array([1.0 + 0.0j])
+            for b in (1 - t) * gf + t * bf:
+                coeffs = np.convolve(coeffs, np.array([-angle_to_point(b), 1.0 + 0.0j]))
+            R = np.eye(n, k=-1)
+            R[0] = [-float(c.real) for c in reversed(coeffs[:-1])]
+            ang = np.array([point_to_angle(z) for z in np.linalg.eigvals(R)])
+            srt = np.sort(ang)
+            if n > 1 and min(np.diff(srt).min(initial=np.inf), 1.0 - srt[-1] + srt[0]) < 1e-12:
+                raise CollisionInsideSimplex(f"eigenvalue collision at r={t}")
+        current = _lift_angles(current, ang)
+        lifts[s] = current
+    alphas = n * (lifts - gf[None, :])
+    for got, want in zip(alphas[-1], hor.recipe_spectrum(b1)):
+        if abs(got - float(want)) > 1e-8:
+            raise VerificationFailed(f"tracked endpoint {got} != recipe value {float(want)}")
+    return hor.PathTrack(times, lifts, alphas, list(alphas[-1]))
+
+
+def _simplex_outcome(fn, target, steps):
+    try:
+        res = fn(target, steps)
+    except (CollisionInsideSimplex, VerificationFailed) as exc:
+        return type(exc).__name__, str(exc)
+    return (res.times.tobytes(), res.betas.tobytes(), res.alphas.tobytes(),
+            [x.hex() for x in res.endpoint])
+
+
+def _assert_simplex_same_as_reference(target, steps, start=None):
+    """Compare the two trackers, optionally from ``start`` angles in place
+    of the distinguished point (crossing strands can then collide)."""
+    with mock.patch.object(hor, "gamma_base", hor.gamma_base if start is None
+                           else lambda n, k: SimpleNamespace(beta=start)):
+        got = _simplex_outcome(hor.simplex_path_track, target, steps)
+        assert got == _simplex_outcome(_simplex_reference, target, steps)
+    return got
+
+
+class TestBatchedPathTrack:
+    @given(st.integers(1, 7), st.sampled_from([1, 2]), st.integers(0, 10 ** 6),
+           st.booleans(), st.integers(1, 48), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sample_loop(self, n, k, seed, cyclotomic, steps, reverse):
+        # exact members from root-of-unity data sit on the simplex boundary
+        rng = random.Random(seed)
+        M = (hor.sample_cyclotomic_member(n, k, rng) if cyclotomic
+             else hor.scal_to_matrix(hor.sample_scal(n, k, rng)))
+        start = tuple(reversed(hor.matrix_to_scal(M).beta)) if reverse else None
+        _assert_simplex_same_as_reference(M, steps, start)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_few_steps(self, steps):
+        M = hor.scal_to_matrix(hor.sample_scal(5, 2, random.Random(3)))
+        assert _assert_simplex_same_as_reference(M, steps)[0] != "VerificationFailed"
+
+    def test_collision_names_first_sample(self):
+        # strands started at 3/4 and 1/4 meet at the angle 1/2 halfway
+        M = hor.scal_to_matrix(scal(1, F(1, 4), F(3, 4)))
+        got = _assert_simplex_same_as_reference(M, 8, (F(3, 4), F(1, 4)))
+        assert got == ("CollisionInsideSimplex", "eigenvalue collision at r=0.5")
 
 
 class TestFamilyStructure:

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_stokes import hor, matrices as mx, orbit, seifert as sf
 from spectral_stokes.errors import LeftT, Unclassified
-from spectral_stokes.polycore import RealPoly
+from spectral_stokes.polycore import RealPoly, point_to_angle, _lift_angles
 
 F = Fraction
 
@@ -169,3 +171,136 @@ class TestGenericTrack:
         fam = hor.simplex_path_track(hor.poly_to_matrix(p, 1), steps=600)
         assert sorted(res.endpoint) == pytest.approx(
             sorted(float(x) for x in fam.endpoint), abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_leaves_t(self, bad):
+        # the first sample already carries the bad entry, above the diagonal
+        with pytest.raises(LeftT, match="non-finite") as exc:
+            orbit.generic_path_track([np.eye(2), np.array([[1.0, bad], [0.0, 1.0]])], steps=8)
+        assert exc.value.parameter == 0.125
+
+    def test_steps_must_be_positive(self):
+        with pytest.raises(ValueError, match="steps"):
+            orbit.generic_path_track([np.eye(2), np.eye(2)], steps=0)
+
+    def test_singular_sample_leaves_t(self):
+        # inside the shape tolerance, yet exactly singular
+        S = np.array([[1.0, 2e7], [5e-8, 1.0]])
+        with pytest.raises(LeftT, match="singular") as exc:
+            orbit.generic_path_track([np.eye(2), S], steps=1)
+        assert exc.value.parameter == 1.0
+        # with more samples, an earlier one is already off the circle
+        with pytest.raises(LeftT, match="off the circle") as exc:
+            orbit.generic_path_track([np.eye(2), S], steps=4)
+        assert exc.value.parameter == 0.25
+
+
+# ---------------------------------------------------------------------------
+# the batched tracker against the sample-by-sample loop it replaced
+# ---------------------------------------------------------------------------
+
+def _generic_reference(path, steps):
+    """generic_path_track evaluated one sample at a time."""
+    mats = [np.asarray(S, dtype=float) for S in path]
+    n = mats[0].shape[0]
+    times = np.linspace(0.0, 1.0, steps + 1)
+    segs = len(mats) - 1
+    current = np.zeros(n)
+    lifts = np.empty((steps + 1, n))
+    lifts[0] = current
+    collisions = []
+    separated = np.zeros((n, n), dtype=bool)
+    for s, t in enumerate(times[1:], start=1):
+        x = t * segs
+        seg = min(int(x), segs - 1)
+        loc = x - seg
+        S = (1 - loc) * mats[seg] + loc * mats[seg + 1]
+        if any(not abs(S[i, j] - (i == j)) <= 1e-7 for i in range(n) for j in range(i + 1)):
+            raise LeftT(t, "sample is not unit upper triangular")
+        eig = np.linalg.eigvals(np.linalg.solve(S, S.T))
+        if np.any(np.abs(np.abs(eig) - 1.0) > 1e-6):
+            worst = float(np.max(np.abs(np.abs(eig) - 1.0)))
+            raise LeftT(t, f"eigenvalue off the circle by {worst:.2e}")
+        nxt = _lift_angles(current, np.array([point_to_angle(z) for z in eig]))
+        for i in range(n):
+            for j in range(i + 1, n):
+                close = abs((nxt[i] - nxt[j] + 0.5) % 1.0 - 0.5) < 1e-6
+                if close and separated[i, j]:
+                    collisions.append((float(t), i, j))
+                elif not close:
+                    separated[i, j] = True
+        current = nxt
+        lifts[s] = current
+    return orbit.GenericTrack(times, lifts, collisions, bool(collisions))
+
+
+def _track_outcome(fn, path, steps):
+    try:
+        res = fn(path, steps)
+    except LeftT as exc:
+        return "LeftT", type(exc.parameter), exc.parameter, str(exc)
+    return res.times.tobytes(), res.alphas.tobytes(), res.collisions, res.path_dependent
+
+
+def _assert_same_as_reference(path, steps):
+    got = _track_outcome(orbit.generic_path_track, path, steps)
+    assert got == _track_outcome(_generic_reference, path, steps)
+    return got
+
+
+def _blocks(*a):
+    """Block-diagonal unit upper-triangular matrix of 2x2 blocks [[1, a], [0, 1]];
+    a block's eigenvalues stay on the circle for |a| <= 2 and meet at -1 for |a| = 2."""
+    S = np.eye(2 * len(a))
+    for q, x in enumerate(a):
+        S[2 * q, 2 * q + 1] = x
+    return S
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 1.5, 2.0, -2.0, 2.5]),
+                   st.floats(-2.5, 2.5, allow_nan=False))
+
+
+@st.composite
+def _paths(draw):
+    n = draw(st.integers(1, 4))
+    path = [np.eye(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        S = np.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                S[i, j] = draw(_ENTRY)
+        if n > 1 and draw(st.booleans()):
+            # a lower entry beyond the 1e-7 shape tolerance partway along
+            S[n - 1, 0] = draw(st.sampled_from([0.0, 5e-8, 2e-7, 1e-6]))
+        path.append(S)
+    return path
+
+
+class TestBatchedGenericTrack:
+    @given(_paths(), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sample_loop(self, path, steps):
+        _assert_same_as_reference(path, steps)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 64])
+    def test_few_steps(self, steps):
+        _assert_same_as_reference([np.eye(4), _blocks(1.0, -1.5)], steps)
+
+    def test_leaves_partway_along_later_segment(self):
+        got = _assert_same_as_reference([np.eye(2), _blocks(1.0), _blocks(3.0)], 40)
+        assert got[0] == "LeftT" and "off the circle" in got[3]
+        assert 0.5 < got[2] < 1.0
+
+    def test_several_colliding_pairs(self):
+        # both blocks reach a = 2 at r = 1 along different routes, so their
+        # four strands, apart before, all meet at the eigenvalue -1
+        got = _assert_same_as_reference([np.eye(4), _blocks(1.0, 0.5), _blocks(2.0, 2.0)], 64)
+        assert {(i, j) for _, i, j in got[2]} == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+
+    def test_shape_check_before_circle_check(self):
+        # the last sample is both off the circle and not triangular
+        bad = _blocks(3.0)
+        bad[1, 0] = 1.0
+        got = _assert_same_as_reference([np.eye(2), bad], 1)
+        assert got[0] == "LeftT" and "not unit upper triangular" in got[3]

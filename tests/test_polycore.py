@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,20 @@ class TestUnitCircleAngles:
             assert len(got) == len(angles)
             for x, y in zip(sorted(got, key=float), sorted(angles)):
                 assert pc.circle_dist(x, y) <= 1e-7
+
+
+@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(0, 1, exclude_max=True)),
+                min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_lift_angles_matches_strand_loop(pairs):
+    current = np.array([c for c, _ in pairs])
+    ang = np.array([a for _, a in pairs])
+    cost = np.abs(current[:, None] % 1.0 - ang[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(np.minimum(cost, 1.0 - cost))
+    want = current.copy()
+    for i, j in zip(rows, cols):
+        want[i] = current[i] + ((ang[j] - current[i] + 0.5) % 1.0 - 0.5)
+    assert pc._lift_angles(current, ang).tobytes() == want.tobytes()
 
 
 class TestExactOrToleranceComparisons:
