@@ -230,13 +230,14 @@ def criterion_class_round_trip():
                     total += 1
                     try:
                         got = sf.classify(sf.SeifertPair.from_triangular(M.S))
-                    except Unclassified:
+                    except Unclassified as exc:
+                        bad.append((n, k, mults, str(exc)))
                         continue
                     classified += 1
                     if not sf.types_multiset_equal(want, got):
                         bad.append((n, k, mults))
-        return not bad, {"total": total, "classified": classified,
-                         "failures": bad[:3]}
+        return not bad and classified == total, {"total": total, "classified": classified,
+                                                 "failures": bad[:3]}
     return _timed("ladder data vs direct classification", 60.0, run)
 
 

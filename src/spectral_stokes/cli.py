@@ -29,13 +29,22 @@ from .spectra import Spp
 #: largest --steps of the tracking commands: both trackers evaluate the
 #: whole path as one batch, so memory grows as O(steps * n^2)
 MAX_TRACK_STEPS = 1 << 16
+#: largest --n of ``orbit conj16``: the member pool roughly doubles with
+#: each size (1,420 members of size 12 alone)
+MAX_CONJ16_N = 12
+#: largest bounds of ``chain grid``: the tuple count grows as aj_max^m_max
+#: and the Milnor number of a tuple as the product of its exponents
+MAX_GRID_A0, MAX_GRID_AJ, MAX_GRID_M = 8, 5, 4
 
 
-def _track_steps(text: str) -> int:
-    steps = int(text)
-    if not 1 <= steps <= MAX_TRACK_STEPS:
-        raise argparse.ArgumentTypeError(f"steps must be in 1..{MAX_TRACK_STEPS}, got {steps}")
-    return steps
+def _int_in(lo: int, hi: int):
+    """argparse type of an int in lo..hi; anything else is a usage error."""
+    def bounded_int(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, got {value}")
+        return value
+    return bounded_int
 
 
 @dataclass
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp = hor_sub.add_parser("track")
     tp.add_argument("--k", type=int, choices=(1, 2), required=True)
     tp.add_argument("--target-poly", required=True)
-    tp.add_argument("--steps", type=_track_steps, default=256,
+    tp.add_argument("--steps", type=_int_in(1, MAX_TRACK_STEPS), default=256,
                     help=f"samples along the path, 1..{MAX_TRACK_STEPS}")
     tp.set_defaults(handler=_cmd_hor_track)
 
@@ -356,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--a", required=True, help="exponents, e.g. 3,2,2")
     cv.set_defaults(handler=_cmd_chain_verify)
     cg = ch_sub.add_parser("grid")
-    cg.add_argument("--a0-max", type=int, default=6)
-    cg.add_argument("--aj-max", type=int, default=4)
-    cg.add_argument("--m-max", type=int, default=4)
+    cg.add_argument("--a0-max", type=_int_in(1, MAX_GRID_A0), default=6)
+    cg.add_argument("--aj-max", type=_int_in(1, MAX_GRID_AJ), default=4)
+    cg.add_argument("--m-max", type=_int_in(0, MAX_GRID_M), default=4)
     cg.set_defaults(handler=_cmd_chain_grid)
     cs = ch_sub.add_parser("spectrum")
     cs.add_argument("--a", required=True)
@@ -388,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     oe.add_argument("--budget", type=int, default=100000)
     oe.set_defaults(handler=_cmd_orbit_explore)
     oc = orb_sub.add_parser("conj16")
-    oc.add_argument("--n", type=int, default=6)
+    oc.add_argument("--n", type=_int_in(1, MAX_CONJ16_N), default=6)
     oc.set_defaults(handler=_cmd_orbit_conj16)
 
     tr = sub.add_parser("track", help="eigenvalue tracking along a matrix path")
     tr.add_argument("--path-file", required=True,
                     help='JSON {"path": [matrix, ...]} starting at the identity')
-    tr.add_argument("--steps", type=_track_steps, default=512,
+    tr.add_argument("--steps", type=_int_in(1, MAX_TRACK_STEPS), default=512,
                     help=f"samples along the path, 1..{MAX_TRACK_STEPS}")
     tr.set_defaults(handler=_cmd_track)
 

@@ -423,8 +423,9 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
         power = np.eye(n, dtype=complex)
         for j in range(1, mult + 1):
             power = power @ A
-            dims.append(n - _numeric_rank(power, 1e-8))
-            if dims[-1] >= mult:
+            # a kernel never outgrows the algebraic multiplicity
+            dims.append(min(n - _numeric_rank(power, 1e-8), mult))
+            if dims[-1] == mult:
                 break
         return dims
 
@@ -486,140 +487,108 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
     return groups
 
 
-def _top_vector(A: np.ndarray, s: int) -> np.ndarray:
-    """Vector in ker(A^s) outside ker(A^{s-1}) (numeric)."""
-    As = np.linalg.matrix_power(A, s)
-    null = scipy.linalg.null_space(As, rcond=1e-10)
-    Asm = np.linalg.matrix_power(A, s - 1)
-    for i in range(null.shape[1]):
-        v = null[:, i]
-        if np.linalg.norm(Asm @ v) > 1e-10 * max(1.0, np.linalg.norm(v)):
-            return v
-    # fall back: combine columns
-    best, best_norm = None, -1.0
-    for i in range(null.shape[1]):
-        v = null[:, i]
-        r = np.linalg.norm(Asm @ v)
-        if r > best_norm:
-            best, best_norm = v, r
-    if best is None or best_norm <= 1e-10:
-        raise Unclassified("could not find a top-height vector", pattern=s)
-    return best
-
-
 def _canonical_zeta_sqrt(theta, n_b: int):
     """Angle z with exp(-2 pi i z)^2 = conj(lam) * (-1)^(n_b+1) where
     lam = exp(-2 pi i theta): z = -theta/2 - (n_b + 1)/4 mod 1."""
     return mod1(-theta * Fraction(1, 2) - Fraction(n_b + 1, 4))
 
 
-def _snap_zeta(value: complex, theta, n_b: int):
-    """Snap the phase of a nonzero complex pairing value to one of the two
-    admissible unit invariants (candidates +-zeta0)."""
-    z0 = _canonical_zeta_sqrt(theta, n_b)
-    phase_angle = mod1(-cmath.phase(value) / (2 * math.pi))
-    z1 = mod1(z0 + Fraction(1, 2))
-    d0 = circle_dist(phase_angle, z0)
-    d1 = circle_dist(phase_angle, z1)
-    if min(d0, d1) > 0.2:
-        raise Unclassified(f"pairing phase {phase_angle} is not near either "
-                           f"admissible invariant", pattern=(theta, n_b))
-    return z0 if d0 <= d1 else z1
+def _primitive_types(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> list[IrrType]:
+    """Irreducible types of one on-circle eigenvalue group, read off its
+    primitive forms (Milnor 1969, Nemethi 1995).
+
+    Let K = lam M - 1 at lam = +-1 and K = M/lam - 1 at a conjugate pair.
+    For a block size s with c blocks, F(x, y) = L(x, K^{s-1} y) on ker K^s
+    (at a pair L(x, conj(K^{s-1} y)) / zeta0) has radical
+    ker K^{s-1} + K ker K^{s+1} and rank c.  At +-1 it is antisymmetric
+    when s is odd at -1 or even at +1, and the blocks pair into F2real;
+    otherwise it is symmetric (Hermitian at a pair) and its c signs are
+    the eps (or zeta0 versus zeta0 + 1/2) of the blocks.
+
+    An exact M is worked in rationals; a float M takes ker K^s as the
+    dim ker K^s smallest right singular vectors of K^s, the dimension
+    coming from the block sizes, and the signs from the c eigenvalues of
+    largest modulus.
+    """
+    exact = mx.is_exact_matrix(M)
+    n = M.shape[0]
+    pair = g.kind == "pair"
+    if pair:
+        K = M / angle_to_point(g.lam) - np.eye(n)
+    else:
+        K = g.lam * M - mx.identity(n, exact)
+        lam_angle = Fraction(0) if g.lam == 1 else Fraction(1, 2)
+    out: list[IrrType] = []
+    powers = [mx.identity(n, exact), K]      # powers[e] = K^e
+    for s in sorted(set(g.sizes)):
+        c = g.sizes.count(s)
+        if not pair and (s % 2 == 1) != (g.lam == 1):
+            if c % 2:
+                raise VerificationFailed(f"{c} Jordan blocks of size {s} at {g.lam} "
+                                         "cannot pair into two-block types")
+            out.extend([IrrType("F2real", lam_angle, s)] * (c // 2))
+            continue
+        if pair:
+            z0 = _canonical_zeta_sqrt(g.lam, s)
+        while len(powers) <= s:
+            powers.append(powers[-1].dot(K))
+        if exact:
+            B = _as_columns(mx.nullspace_exact(powers[s]), n, True)
+            F = B.T.dot(G).dot(B if s == 1 else powers[s - 1].dot(B))
+            if not mx.mat_eq(F, F.T):
+                raise VerificationFailed(f"primitive form at {g.lam}, size {s} is not symmetric")
+            p, _, m = mx.signature_exact(F)
+            if p + m != c:
+                raise VerificationFailed(f"primitive form at {g.lam}, size {s} has rank "
+                                         f"{p + m}, not {c}")
+        else:
+            d = sum(min(t, s) for t in g.sizes)
+            B = np.linalg.svd(powers[s])[2][n - d:].conj().T
+            F = B.T @ G @ np.conj(powers[s - 1] @ B)
+            if pair:
+                F = F / angle_to_point(z0)
+            H = (F + F.conj().T) / 2
+            if np.abs(F - H).max() > 1e-6 * np.abs(H).max():
+                raise Unclassified("primitive form is not Hermitian", pattern=(g.lam, g.sizes))
+            w = np.linalg.eigvalsh(H)
+            p = int(np.sum(w[np.argsort(np.abs(w))[d - c:]] > 0))
+            m = c - p
+        for eps in [1] * p + [-1] * m:
+            out.append(IrrType("F2complex", g.lam, s, zeta=mod1(z0 + Fraction(1 - eps, 4))).normalized()
+                       if pair else IrrType("F1", lam_angle, s, eps=eps))
+    return out
 
 
 def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     """Irreducible type multiset of a pair.
 
-    Covered eigenvalue patterns: off-circle eigenvalues (descriptors
-    without sign data), on-circle semisimple eigenvalues of any
-    multiplicity, and a single Jordan block per on-circle eigenvalue.
-    Everything else raises Unclassified with the offending pattern.
+    Off-circle eigenvalues give descriptors without sign data.  Each
+    on-circle eigenvalue, with any Jordan pattern, is classified by its
+    primitive forms (``_primitive_types``): in rationals at +-1 when the
+    input is exact and its characteristic polynomial resolves exactly, in
+    floats otherwise and at conjugate pairs.  Unclassified remains for
+    float eigen-data that does not pair up: an unpaired unit eigenvalue,
+    an off-circle cluster without its inverse partners, or a primitive
+    form that is not numerically Hermitian; exact input reaches it when a
+    non-cyclotomic remainder of degree > 2 sends it to the float path.
     """
     G = P.G
-    n = P.n
     Gf = np.asarray(G, dtype=float)
     M_f = np.linalg.solve(Gf.T, Gf)
     groups = None
-    M_e = None
     if P.is_exact:
         M_e = mx.solve_exact(G.T.copy(), G)
         groups = _exact_eigdata(M_e)
+    exact_real = groups is not None
     if groups is None:
         groups = _numeric_eigdata(M_f, tol)
 
     out: list[IrrType] = []
     for g in groups:
-        if g.kind == "real":
-            lam = g.lam                     # +1 or -1
-            lam_angle = Fraction(0) if lam == 1 else Fraction(1, 2)
-            semisimple = all(s == 1 for s in g.sizes)
-            if semisimple:
-                if lam == 1:
-                    if P.is_exact:
-                        B = nullspace_matrix_exact(M_e, 1)
-                        F = B.T.copy().dot(G).dot(B)
-                        p, z, m = mx.signature_exact(F)
-                    else:
-                        B = scipy.linalg.null_space(M_f - np.eye(n), rcond=1e-10)
-                        F = B.T @ Gf @ B
-                        p, z, m = mx.signature_numeric((F + F.T) / 2, 1e-8)
-                    if z:
-                        raise Unclassified("degenerate restricted form at eigenvalue 1",
-                                           pattern=(1, g.sizes))
-                    out.extend([IrrType("F1", lam_angle, 1, eps=1)] * p)
-                    out.extend([IrrType("F1", lam_angle, 1, eps=-1)] * m)
-                else:
-                    if g.mult % 2 != 0:
-                        raise Unclassified("odd-dimensional semisimple eigenspace at -1",
-                                           pattern=(-1, g.sizes))
-                    out.extend([IrrType("F2real", lam_angle, 1)] * (g.mult // 2))
-            elif len(g.sizes) == 1:
-                s = g.sizes[0]
-                if (lam == 1 and s % 2 == 0) or (lam == -1 and s % 2 == 1):
-                    raise Unclassified("single-block size parity impossible for a real pair",
-                                       pattern=(lam, g.sizes))
-                if P.is_exact:
-                    eps = _single_block_sign_exact(M_e, G, lam, s)
-                else:
-                    eps = _single_block_sign_numeric(M_f, Gf, lam, s)
-                out.append(IrrType("F1", lam_angle, s, eps=eps))
-            else:
-                raise Unclassified("several Jordan blocks with one of size >= 2",
-                                   pattern=(lam, g.sizes))
-        elif g.kind == "pair":
-            theta = g.lam
-            lam_c = angle_to_point(theta)
-            semisimple = all(s == 1 for s in g.sizes)
-            if semisimple:
-                B = scipy.linalg.null_space(M_f.astype(complex) - lam_c * np.eye(n), rcond=1e-10)
-                if B.shape[1] != g.mult:
-                    raise Unclassified("numeric eigenspace dimension mismatch",
-                                       pattern=(theta, g.sizes))
-                z0 = _canonical_zeta_sqrt(theta, 1)
-                zeta0_c = angle_to_point(z0)
-                Phi = B.T @ Gf @ np.conj(B) / zeta0_c
-                Phi = (Phi + np.conj(Phi.T)) / 2
-                w = np.linalg.eigvalsh(Phi)
-                p = int(np.sum(w > 1e-8 * max(1.0, np.abs(w).max())))
-                m = int(np.sum(w < -1e-8 * max(1.0, np.abs(w).max())))
-                if p + m != g.mult:
-                    raise Unclassified("degenerate sesquilinear form on an eigenspace",
-                                       pattern=(theta, g.sizes))
-                out.extend([IrrType("F2complex", theta, 1, zeta=z0).normalized()] * p)
-                out.extend([IrrType("F2complex", theta, 1,
-                                    zeta=mod1(z0 + Fraction(1, 2))).normalized()] * m)
-            elif len(g.sizes) == 1:
-                s = g.sizes[0]
-                A = M_f.astype(complex) - lam_c * np.eye(n)
-                v = _top_vector(A, s)
-                K = M_f.astype(complex) / lam_c - np.eye(n)
-                w = np.linalg.matrix_power(K, s - 1) @ v
-                val = v @ Gf @ np.conj(w)
-                zeta = _snap_zeta(complex(val), theta, s)
-                out.append(IrrType("F2complex", theta, s, zeta=zeta).normalized())
-            else:
-                raise Unclassified("several Jordan blocks at a conjugate pair",
-                                   pattern=(theta, g.sizes))
+        if g.kind == "real" and exact_real:
+            out.extend(_primitive_types(g, M_e, G))
+        elif g.kind in ("real", "pair"):
+            out.extend(_primitive_types(g, M_f, Gf))
         elif g.kind == "hyper_real":
             for s in g.sizes:
                 out.append(IrrType("F2hyper", float(g.lam), s))
@@ -627,39 +596,10 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
             for s in g.sizes:
                 out.append(IrrType("F4hyper", complex(g.lam), s))
     total = sum(t.dim for t in out)
-    if total != n:
-        raise Unclassified(f"classified dimensions sum to {total}, not {n}",
+    if total != P.n:
+        raise Unclassified(f"classified dimensions sum to {total}, not {P.n}",
                            pattern=[t.label() for t in out])
     return sorted(out, key=IrrType.sort_key)
-
-
-def nullspace_matrix_exact(M_e: np.ndarray, lam) -> np.ndarray:
-    n = M_e.shape[0]
-    return _as_columns(mx.nullspace_exact(M_e - lam * mx.identity(n)), n, True)
-
-
-def _single_block_sign_exact(M_e: np.ndarray, G: np.ndarray, lam: int, s: int) -> int:
-    K = lam * M_e - mx.identity(M_e.shape[0])
-    Ksm = mx.mat_pow(K, s - 1)
-    v = next((cand for cand in mx.nullspace_exact(mx.mat_pow(K, s))
-              if any(x != 0 for x in Ksm.dot(cand))), None)
-    if v is None:
-        raise Unclassified("no top-height vector found exactly", pattern=(lam, s))
-    val = np.dot(v, G.dot(Ksm.dot(v)))
-    if val == 0:
-        raise Unclassified("vanishing top pairing", pattern=(lam, s))
-    return 1 if val > 0 else -1
-
-
-def _single_block_sign_numeric(M_f: np.ndarray, Gf: np.ndarray, lam: int, s: int) -> int:
-    A = M_f - lam * np.eye(M_f.shape[0])
-    v = np.real(_top_vector(A.astype(complex), s))
-    K = lam * M_f - np.eye(M_f.shape[0])
-    w = np.linalg.matrix_power(K, s - 1) @ v
-    val = float(v @ Gf @ w)
-    if abs(val) < 1e-10:
-        raise Unclassified("vanishing top pairing", pattern=(lam, s))
-    return 1 if val > 0 else -1
 
 
 def iso_equal(P1: SeifertPair, P2: SeifertPair, tol: float = 1e-8) -> bool:

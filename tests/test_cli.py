@@ -208,6 +208,33 @@ def test_track_steps_out_of_range_is_usage_error(capsys, command, steps):
     assert "--steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "conj16", f"--n={cli.MAX_CONJ16_N + 1}"],
+    ["orbit", "conj16", "--n=0"],
+    ["chain", "grid", f"--a0-max={cli.MAX_GRID_A0 + 1}"],
+    ["chain", "grid", f"--aj-max={cli.MAX_GRID_AJ + 1}"],
+    ["chain", "grid", f"--m-max={cli.MAX_GRID_M + 1}"],
+    ["chain", "grid", "--m-max=-1"],
+    ["chain", "grid", "--a0-max=many"],
+])
+def test_enumeration_sizes_out_of_range_are_usage_errors(capsys, argv):
+    # the guard fires while parsing, so no enumeration starts
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert argv[-1].split("=")[0] in capsys.readouterr().err
+
+
+def test_enumeration_size_caps_are_accepted():
+    parser = cli.build_parser()
+    args = parser.parse_args(["orbit", "conj16", f"--n={cli.MAX_CONJ16_N}"])
+    assert args.n == cli.MAX_CONJ16_N
+    args = parser.parse_args(["chain", "grid", f"--a0-max={cli.MAX_GRID_A0}",
+                              f"--aj-max={cli.MAX_GRID_AJ}", f"--m-max={cli.MAX_GRID_M}"])
+    assert (args.a0_max, args.aj_max, args.m_max) == \
+        (cli.MAX_GRID_A0, cli.MAX_GRID_AJ, cli.MAX_GRID_M)
+
+
 def test_console_entry_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_stokes.cli", "chain", "verify", "--a", "2"],

@@ -42,6 +42,7 @@ COMMANDS = [
     "seifert classify --matrix m3.json --gram gram",
     "seifert classify --matrix m3sym.json",
     "seifert classify --matrix m4jordan.json --exact",
+    "seifert classify --matrix m4kron.json --exact",
     "seifert iso m2.json m2b.json",
     "seifert iso m2.json m3.json",
     "chain verify --a 3,2,2",

@@ -134,12 +134,13 @@ def test_exact_arrays_hold_python_scalars():
     M = mx.monodromy_matrix(S)
     arrays = [S, M, mx.identity(3), mx.to_matrix([[1, Fraction(1, 2)], [0, 1]]),
               mx.kron(S, mx.identity(2)), companion_matrix(RealPoly([1, Fraction(1, 3), 1])),
-              seifert.nullspace_matrix_exact(M, 1), seifert._poly_of_matrix(RealPoly([1, 1, 1]), M),
+              seifert._as_columns(mx.nullspace_exact(M - mx.identity(4)), 4, True),
+              seifert._poly_of_matrix(RealPoly([1, 1, 1]), M),
               mx.solve_exact(S, mx.identity(4)), *hor.pl_factor_product(S, 1)[0]]
     for A in arrays:
         assert A.dtype == object
         assert all(type(x) in (int, Fraction) for x in A.flat), A
-    assert seifert.nullspace_matrix_exact(mx.identity(2), -1).shape == (2, 0)
+    assert seifert._as_columns(mx.nullspace_exact(2 * mx.identity(2)), 2, True).shape == (2, 0)
 
 
 # Each check must raise its error with assertions stripped.
@@ -208,9 +209,17 @@ expect(VerificationFailed, "unit_circle_angles passed a lost root",
        polycore.unit_circle_angles, RealPoly([1, 1]))
 polycore.factor_cyclotomic = real_factor
 
+expect(VerificationFailed, "an odd number of blocks passed as two-block types",
+       seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), M, P.G)
+expect(VerificationFailed, "a primitive form of rank 2 passed for one block",
+       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), mx.identity(2),
+       mx.identity(2))
+
 mx.mat_eq = lambda A, B, tol=0.0: False
 expect(VerificationFailed, "monodromy_and_forms passed a broken form check",
        seifert.monodromy_and_forms, P)
+expect(VerificationFailed, "the primitive form passed a broken symmetry check",
+       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), M, P.G)
 expect(VerificationFailed, "thom_sebastiani passed a broken monodromy check",
        chain.thom_sebastiani, S, S)
 
