@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -130,8 +131,9 @@ def criterion_chain_grid():
             reduced_count += 1
             ca = chain.ChainSing(a)
             cr = chain.ChainSing(red)
-            lhs = sorted(chain.qh_spectrum(cr.w), key=float)
-            rhs = sorted((x + shift for x in chain.qh_spectrum(ca.w)), key=float)
+            # exact multisets: no float decides the comparison
+            lhs = Counter(chain.qh_spectrum(cr.w))
+            rhs = Counter(x + shift for x in chain.qh_spectrum(ca.w))
             if lhs != rhs:
                 failures.append(("reduction-spectrum", a))
             if not chain.verify_spectrum_shift(a):

@@ -6,7 +6,11 @@ angles obtained by inclusion-exclusion, the weighted-homogeneous
 spectrum via generating functions over a common denominator, and a
 monomial basis of the Jacobi algebra ordered into a chain by dedicated
 Laurent-monomial steps.  The headline check compares the two spectra
-after the dimension shift (m - 1)/2 as exact multisets.
+after the dimension shift (m - 1)/2 as exact multisets: both sides are
+integer numerators over 2 r_m (root angles delta / r_m, weights over a
+divisor D of r_m), run through the family checks and the recipe of
+:mod:`hor` on integers, and compared as sorted int lists.  The public
+spectra are Fraction views of the same integers.
 
 Two conventions are pinned down here rather than guessed:
 
@@ -25,14 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from . import matrices as mx
 from .errors import (BadExponents, ChainBroken, NotPolynomial, NotReducible,
                      ReductionRequired, VerificationFailed)
-from .polycore import expand_signed_product
+from .hor import (poly_to_matrix, recipe_spectral_pairs, scal_from_angles,
+                  _check_family_numerators, _recipe_numerators, _split_root_one)
+from .polycore import expand_signed_product, _common_numerators
 from .spectra import Spp
 
 
@@ -105,6 +110,35 @@ def rho_literal(exponents) -> int:
     return total + (-1) ** k
 
 
+def _stokes_roots(c: ChainSing):
+    """The matrix polynomial, its symmetry class and the numerators delta
+    (ascending) of its root angles delta / r_m.
+
+    The multiplicity of a residue delta modulo r_m is found by
+    inclusion-exclusion: each factor (x^r - 1)^e (r divides r_m) adds e at
+    every (r_m / r)-th residue."""
+    m = c.m
+    factors = [(1, (-1) ** (m + 1))]
+    for kk in range(m + 1):
+        factors.append((c.r[kk], (-1) ** (m - kk)))
+    p = expand_signed_product(factors)
+    if p.degree != c.mu:
+        raise VerificationFailed("degree of the matrix polynomial must be mu")
+    k = 1 if p.coeffs[0] == 1 else 2
+    rm = c.r[-1]
+    mult = np.zeros(rm, dtype=np.int64)
+    for r, e in factors:
+        mult[::rm // r] += e
+    bad = np.flatnonzero((mult != 0) & (mult != 1))
+    if bad.size:
+        delta = int(bad[0])
+        raise VerificationFailed(f"root multiplicity {mult[delta]} at {delta}/{rm}")
+    deltas = np.flatnonzero(mult).tolist()
+    if len(deltas) != c.mu:
+        raise VerificationFailed("number of roots must be mu")
+    return p, k, deltas
+
+
 def stokes_poly(a):
     """The monic integer polynomial prod_{k=-1..m} (x^{r_k} - 1)^{(-1)^{m-k}}
     together with its symmetry class and exact root angles.
@@ -114,34 +148,25 @@ def stokes_poly(a):
     constant coefficient p_0 = (-1)^{k-1}.
     """
     c = ChainSing(tuple(a))
-    m = c.m
-    factors = [(1, (-1) ** (m + 1))]
-    for kk in range(m + 1):
-        factors.append((c.r[kk], (-1) ** (m - kk)))
-    p = expand_signed_product(factors)
-    if p.degree != c.mu:
-        raise VerificationFailed("degree of the matrix polynomial must be mu")
-    k = 1 if p.coeffs[0] == 1 else 2
-    # inclusion-exclusion over the residues modulo r_m
+    p, k, deltas = _stokes_roots(c)
     rm = c.r[-1]
-    angles = []
-    for delta in range(rm):
-        mult = (-1) ** (m + 1) * (1 if delta == 0 else 0)
-        for kk in range(m + 1):
-            if delta % (rm // c.r[kk]) == 0:
-                mult += (-1) ** (m - kk)
-        if mult not in (0, 1):
-            raise VerificationFailed(f"root multiplicity {mult} at {delta}/{rm}")
-        if mult:
-            angles.append((Fraction(delta, rm), 1))
-    if len(angles) != c.mu:
-        raise VerificationFailed("number of roots must be mu")
-    return p, k, angles
+    return p, k, [(Fraction(d, rm), 1) for d in deltas]
+
+
+def _stokes_numerators(c: ChainSing) -> list:
+    """Spectral numbers of the matrix side as numerators over 2 r_m, in
+    family order: the family point of the roots, checked for membership,
+    through the recipe, all on integers."""
+    _, k, deltas = _stokes_roots(c)
+    rm = c.r[-1]
+    ones = 1 if deltas[0] == 0 else 0
+    beta = _split_root_one(ones, deltas[ones:], k, 0, rm)
+    _check_family_numerators(k, beta, rm)
+    return _recipe_numerators(k, beta, rm)
 
 
 def stokes_member(a):
     """The banded family member attached to the exponent tuple."""
-    from .hor import poly_to_matrix
     p, k, _ = stokes_poly(a)
     return poly_to_matrix(p, k)
 
@@ -149,19 +174,18 @@ def stokes_member(a):
 def stokes_scal(a):
     """Family coordinates of the matrix side (exact angles, never rooted
     numerically)."""
-    from .hor import scal_from_angles
     _, k, angles = stokes_poly(a)
     return scal_from_angles(angles, k)
 
 
 def stokes_spectrum(a) -> list:
     """Spectral numbers of the matrix side, exact, in family order."""
-    from .hor import recipe_spectrum
-    return recipe_spectrum(stokes_scal(a))
+    c = ChainSing(tuple(a))
+    den = 2 * c.r[-1]
+    return [Fraction(x, den) for x in _stokes_numerators(c)]
 
 
 def stokes_spectral_pairs(a) -> Spp:
-    from .hor import recipe_spectral_pairs
     return recipe_spectral_pairs(stokes_scal(a))
 
 
@@ -169,28 +193,35 @@ def stokes_spectral_pairs(a) -> Spp:
 # weighted-homogeneous spectra
 # ---------------------------------------------------------------------------
 
-def qh_spectrum(weights) -> list:
-    """Exponent multiset {alpha_j} with sum over j of t^(alpha_j + 1)
-    = prod_k (t - t^{w_k}) / (t^{w_k} - 1), exact.
+def _qh_exponents(Ns: list, D: int) -> list:
+    """(e, multiplicity) pairs, e ascending, of the generating function
+    prod_k (t - t^{w_k}) / (t^{w_k} - 1) = sum_e mult t^{e / D}, given the
+    weight numerators N_k = w_k D.
 
-    Over the common denominator D of the weights, with s = t^(1/D) and
-    N_k = w_k D, each factor is s^{N_k} (s^{D - N_k} - 1) / (s^{N_k} - 1),
-    so the generating function is s^{sum N_k} times a signed product.
-    """
-    ws = [Fraction(w) for w in weights]
-    if any(not (0 < w < 1) for w in ws):
-        raise ValueError("weights must lie strictly between 0 and 1")
-    D = lcm(*[w.denominator for w in ws])
-    Ns = [int(w * D) for w in ws]
+    With s = t^(1/D) each factor is s^{N_k} (s^{D - N_k} - 1) / (s^{N_k} - 1),
+    so the generating function is s^{sum N_k} times a signed product."""
     try:
         quot = expand_signed_product([(D - N, 1) for N in Ns] + [(N, -1) for N in Ns])
     except NotPolynomial:
         raise VerificationFailed("generating function is not a polynomial") from None
+    if any(c < 0 for c in quot.coeffs):
+        raise VerificationFailed("negative multiplicity in the spectrum expansion")
+    return [(e, c) for e, c in enumerate(quot.coeffs, start=sum(Ns)) if c]
+
+
+def qh_spectrum(weights) -> list:
+    """Exponent multiset {alpha_j} with sum over j of t^(alpha_j + 1)
+    = prod_k (t - t^{w_k}) / (t^{w_k} - 1), exact and ascending.
+
+    Each exponent e / D of the generating function over the common
+    denominator D of the weights gives alpha = e / D - 1."""
+    ws = [Fraction(w) for w in weights]
+    if any(not (0 < w < 1) for w in ws):
+        raise ValueError("weights must lie strictly between 0 and 1")
+    Ns, D = _common_numerators(ws)
     out = []
-    for e, c in enumerate(quot.coeffs, start=sum(Ns)):
-        if c < 0:
-            raise VerificationFailed("negative multiplicity in the spectrum expansion")
-        out.extend([Fraction(e, D) - 1] * c)
+    for e, c in _qh_exponents(Ns, D):
+        out.extend([Fraction(e - D, D)] * c)
     return out
 
 
@@ -458,11 +489,20 @@ def reduce_chain(a):
 
 def verify_spectrum_shift(a) -> bool:
     """Exact multiset equality of the matrix-side spectrum and the
-    weighted-homogeneous spectrum shifted down by (m - 1)/2."""
+    weighted-homogeneous spectrum shifted down by (m - 1)/2.
+
+    Both sides are compared as sorted integer numerators over 2 r_m: the
+    weight denominator D divides r_m, so the shifted exponent
+    e / D - 1 - (m - 1)/2 has the numerator (2 r_m / D) e - (m + 1) r_m.
+    No Fraction is built past the invariants of the tuple."""
     c = ChainSing(tuple(a))
-    lhs = sorted(stokes_spectrum(a), key=float)
-    shift = Fraction(c.m - 1, 2)
-    rhs = sorted((x - shift for x in qh_spectrum(c.w)), key=float)
+    rm = c.r[-1]
+    lhs = sorted(_stokes_numerators(c))
+    Ns, D = _common_numerators(c.w)
+    scale, offset = 2 * rm // D, (c.m + 1) * rm
+    rhs = []
+    for e, mult in _qh_exponents(Ns, D):
+        rhs.extend([scale * e - offset] * mult)
     return lhs == rhs
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -35,6 +36,9 @@ MAX_CONJ16_N = 12
 #: largest bounds of ``chain grid``: the tuple count grows as aj_max^m_max
 #: and the Milnor number of a tuple as the product of its exponents
 MAX_GRID_A0, MAX_GRID_AJ, MAX_GRID_M = 8, 5, 4
+#: largest r_m = a_0 ... a_m of ``chain verify --a`` and ``chain spectrum
+#: --a``: work and memory grow with r_m (the ``chain grid`` caps reach 5,000)
+MAX_CHAIN_R = 1 << 16
 
 
 def _int_in(lo: int, hi: int):
@@ -45,6 +49,20 @@ def _int_in(lo: int, hi: int):
             raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, got {value}")
         return value
     return bounded_int
+
+
+def _chain_exponents(text: str) -> tuple:
+    """argparse type of comma-separated integer exponents whose product is
+    at most MAX_CHAIN_R; anything else is a usage error."""
+    try:
+        a = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers, got {text!r}") from None
+    r = math.prod(a)
+    if r > MAX_CHAIN_R:
+        raise argparse.ArgumentTypeError(
+            f"the product of the exponents must be at most {MAX_CHAIN_R}, got {r}")
+    return a
 
 
 @dataclass
@@ -185,7 +203,7 @@ def _cmd_seifert_iso(args, cfg):
 
 
 def _cmd_chain_verify(args, cfg):
-    a = tuple(int(x) for x in args.a.split(","))
+    a = args.a
     c = chain.ChainSing(a)
     p, k, _ = chain.stokes_poly(a)
     return {
@@ -215,7 +233,7 @@ def _cmd_chain_grid(args, cfg):
 
 
 def _cmd_chain_spectrum(args, cfg):
-    a = tuple(int(x) for x in args.a.split(","))
+    a = args.a
     c = chain.ChainSing(a)
     sp_f = chain.qh_spectrum(c.w)
     sp_s = chain.stokes_spectrum(a)
@@ -362,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch = sub.add_parser("chain", help="chain-type singularities")
     ch_sub = ch.add_subparsers(dest="sub", required=True)
     cv = ch_sub.add_parser("verify")
-    cv.add_argument("--a", required=True, help="exponents, e.g. 3,2,2")
+    cv.add_argument("--a", type=_chain_exponents, required=True,
+                    help=f"exponents, e.g. 3,2,2, with product at most {MAX_CHAIN_R}")
     cv.set_defaults(handler=_cmd_chain_verify)
     cg = ch_sub.add_parser("grid")
     cg.add_argument("--a0-max", type=_int_in(1, MAX_GRID_A0), default=6)
@@ -370,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     cg.add_argument("--m-max", type=_int_in(0, MAX_GRID_M), default=4)
     cg.set_defaults(handler=_cmd_chain_grid)
     cs = ch_sub.add_parser("spectrum")
-    cs.add_argument("--a", required=True)
+    cs.add_argument("--a", type=_chain_exponents, required=True,
+                    help=f"exponents, with product at most {MAX_CHAIN_R}")
     cs.add_argument("--format", choices=("json", "csv"), default="json")
     cs.set_defaults(handler=_cmd_chain_spectrum)
 

@@ -32,7 +32,8 @@ from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
                        jordan_chain_vectors, mod1, num_eq, palindrome_class,
                        point_to_angle, poly_from_cyclotomic_mults,
                        poly_from_float_angles, totient, unit_circle_angles,
-                       _companions, _expand_float_angles, _lift_angles)
+                       _common_numerators, _companions, _expand_float_angles,
+                       _lift_angles)
 from .spectra import Spp, SppLadder
 
 
@@ -50,6 +51,9 @@ class HorScal:
         n = len(b)
         if n < 1:
             raise NotInFamily("need at least one angle")
+        if self.is_exact:
+            _check_family_numerators(self.k, *_common_numerators(b))
+            return
         for x in b:
             if float(x) < -CIRCLE_TOL or float(x) > 1 + CIRCLE_TOL:
                 raise NotInFamily(f"angle {x} outside [0, 1]")
@@ -74,6 +78,49 @@ class HorScal:
     @property
     def is_exact(self) -> bool:
         return all(is_exact(x) for x in self.beta)
+
+
+# Exact family points run on integers: angle j is nums[j] / den, and the
+# membership checks and the spectrum recipe never build a Fraction.
+
+def _check_family_numerators(k: int, nums: list, den: int):
+    """The HorScal membership checks on the exact angles nums[j] / den."""
+    n = len(nums)
+    for x in nums:
+        if x < 0 or x > den:
+            raise NotInFamily(f"angle {Fraction(x, den)} outside [0, 1]")
+    for i in range(n - 1):
+        if nums[i] > nums[i + 1]:
+            raise NotInFamily("angles must be nondecreasing")
+    if k == 1:
+        for j in range(n):
+            if nums[j] + nums[n - 1 - j] != den:
+                raise NotInFamily(f"beta_{j+1} + beta_{n-j} != 1")
+    else:
+        if nums[0] != 0:
+            raise NotInFamily("k=2 requires beta_1 = 0")
+        for j in range(1, n):
+            if nums[j] + nums[n - j] != den:
+                raise NotInFamily(f"beta_{j+1} + beta_{n+1-j} != 1")
+
+
+def _recipe_numerators(k: int, nums: list, den: int) -> list:
+    """alpha_j = n beta_j - j + k/2 as numerators over 2 den, family order."""
+    n = len(nums)
+    return [2 * n * x - (2 * j - k) * den for j, x in enumerate(nums, start=1)]
+
+
+def _split_root_one(ones: int, rest: list, k: int, zero, one) -> list:
+    """Angles with the multiplicity of the root 1 split between the
+    representatives ``zero`` and ``one`` (k = 1: evenly; k = 2: the extra
+    copy leads) around the sorted other angles ``rest``."""
+    if k == 1:
+        if ones % 2 != 0:
+            raise NotInFamily("k=1 needs even multiplicity of the root 1")
+        return [zero] * (ones // 2) + rest + [one] * (ones // 2)
+    if ones % 2 != 1:
+        raise NotInFamily("k=2 needs odd multiplicity of the root 1")
+    return [zero] * ((ones + 1) // 2) + rest + [one] * ((ones - 1) // 2)
 
 
 def gamma_base(n: int, k: int) -> HorScal:
@@ -161,18 +208,10 @@ def scal_from_angles(angles, k: int) -> HorScal:
             ones = m
         else:
             rest.extend([beta] * m)
-    rest.sort(key=float)
     exact = all(is_exact(x) for x in rest)
+    rest.sort(key=None if exact else float)
     zero, one = (0, 1) if exact else (0.0, 1.0)
-    if k == 1:
-        if ones % 2 != 0:
-            raise NotInFamily("k=1 needs even multiplicity of the root 1")
-        beta = [zero] * (ones // 2) + rest + [one] * (ones // 2)
-    else:
-        if ones % 2 != 1:
-            raise NotInFamily("k=2 needs odd multiplicity of the root 1")
-        beta = [zero] * ((ones + 1) // 2) + rest + [one] * ((ones - 1) // 2)
-    return HorScal(k, tuple(beta))
+    return HorScal(k, tuple(_split_root_one(ones, rest, k, zero, one)))
 
 
 def poly_to_scal(p: RealPoly, k: int) -> HorScal:
@@ -218,7 +257,10 @@ def r_matrix(M: HorMatrix) -> np.ndarray:
 def recipe_spectrum(b: HorScal) -> list:
     """alpha_j = n beta_j - j + k/2 in family order (not sorted by size)."""
     n, k = b.n, b.k
-    beta = b.beta if b.is_exact else [float(x) for x in b.beta]
+    if b.is_exact:
+        nums, den = _common_numerators(b.beta)
+        return [Fraction(a, 2 * den) for a in _recipe_numerators(k, nums, den)]
+    beta = [float(x) for x in b.beta]
     return [n * x - j + Fraction(k, 2) for j, x in enumerate(beta, start=1)]
 
 

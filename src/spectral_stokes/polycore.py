@@ -56,6 +56,12 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _common_numerators(xs) -> tuple[list, int]:
+    """Numerators of exact scalars over their common denominator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def mod1(x):
     """Reduce an angle into ``[0, 1)``, preserving exactness."""
     return x % 1
@@ -549,7 +555,7 @@ def _div_xr_minus_1(coeffs: list, r: int) -> list:
             q[i - r] = c
             rem[i] = 0
             rem[i - r] += c
-    if any(c != 0 for c in rem):
+    if any(rem):
         raise NotPolynomial("(x^r - 1) does not divide the product")
     return q
 

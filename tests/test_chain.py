@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 
 from spectral_stokes import chain, hor, matrices as mx
-from spectral_stokes.errors import (BadExponents, NotReducible, ReductionRequired)
+from spectral_stokes.errors import (BadExponents, NotInFamily, NotReducible,
+                                    ReductionRequired)
 from spectral_stokes.polycore import RealPoly
 
 F = Fraction
@@ -211,6 +214,119 @@ class TestVerifySpectrumShift:
         spp = chain.stokes_spectral_pairs(a)
         assert spp.is_exact
         assert spp.alphas() == sorted(chain.stokes_spectrum(a), key=float)
+
+
+# The former Fraction path of the spectrum-shift check, kept as an oracle
+# for the integer path: residues tested one by one, the angles split and
+# pushed through the recipe as Fractions, and both spectra sorted by float.
+
+def _oracle_stokes_poly(a):
+    c = chain.ChainSing(a)
+    m, rm = c.m, c.r[-1]
+    p = chain.expand_signed_product(
+        [(1, (-1) ** (m + 1))] + [(c.r[kk], (-1) ** (m - kk)) for kk in range(m + 1)])
+    angles = []
+    for delta in range(rm):
+        mult = (-1) ** (m + 1) * (1 if delta == 0 else 0)
+        for kk in range(m + 1):
+            if delta % (rm // c.r[kk]) == 0:
+                mult += (-1) ** (m - kk)
+        assert mult in (0, 1)
+        if mult:
+            angles.append((Fraction(delta, rm), 1))
+    return p, 1 if p.coeffs[0] == 1 else 2, angles
+
+
+def _oracle_stokes_spectrum(a):
+    _, k, angles = _oracle_stokes_poly(a)
+    ones = sum(1 for b, _ in angles if b == 0)
+    rest = sorted((b for b, _ in angles if b != 0), key=float)
+    lead = (ones + 1) // 2 if k == 2 else ones // 2
+    beta = [Fraction(0)] * lead + rest + [Fraction(1)] * (ones - lead)
+    n = len(beta)
+    return [n * x - j + Fraction(k, 2) for j, x in enumerate(beta, start=1)]
+
+
+def _oracle_qh_spectrum(weights):
+    D = lcm(*(w.denominator for w in weights))
+    Ns = [int(w * D) for w in weights]
+    quot = chain.expand_signed_product([(D - N, 1) for N in Ns] + [(N, -1) for N in Ns])
+    out = []
+    for e, c in enumerate(quot.coeffs, start=sum(Ns)):
+        out.extend([Fraction(e, D) - 1] * c)
+    return out
+
+
+def _oracle_verify(a):
+    c = chain.ChainSing(a)
+    shift = Fraction(c.m - 1, 2)
+    return sorted(_oracle_stokes_spectrum(a), key=float) == \
+        sorted((x - shift for x in _oracle_qh_spectrum(c.w)), key=float)
+
+
+def _typed(xs):
+    return [(type(x), x) for x in xs]
+
+
+def _differential_tuples():
+    grid = random.Random(8).sample(chain.grid_tuples(6, 4, 4), 40)
+    extras = [a for a in chain.grid_tuples(6, 4, 4, a0_min=2, aj_min=1)
+              if a[0] == 2 or 1 in a[1:]]
+    out = list(grid)
+    for a in random.Random(9).sample(extras, 40):
+        out.append(a)
+        try:
+            out.append(chain.reduce_chain(a)[2])
+        except NotReducible:
+            pass
+    return out
+
+
+class TestIntegerComparison:
+    """verify_spectrum_shift compares integer numerators over 2 r_m; the
+    public spectra are views of the same integers."""
+
+    @pytest.mark.parametrize("a", _differential_tuples())
+    def test_agrees_with_fraction_oracle(self, a):
+        assert chain.verify_spectrum_shift(a) is _oracle_verify(a) is True
+        p, k, angles = chain.stokes_poly(a)
+        assert (p, k) == _oracle_stokes_poly(a)[:2]
+        assert [(type(b), b, m) for b, m in angles] == \
+            [(type(b), b, m) for b, m in _oracle_stokes_poly(a)[2]]
+        assert _typed(chain.stokes_spectrum(a)) == _typed(_oracle_stokes_spectrum(a))
+        w = chain.ChainSing(a).w
+        assert _typed(chain.qh_spectrum(w)) == _typed(_oracle_qh_spectrum(w))
+
+    @pytest.mark.parametrize("a", [(3,), (3, 2), (4, 3, 2), (2, 1, 3)])
+    def test_shifted_qh_exponent_fails(self, monkeypatch, a):
+        real = chain._qh_exponents
+
+        def shifted(Ns, D):
+            pairs = real(Ns, D)
+            e, mult = pairs[-1]
+            return pairs[:-1] + [(e + 1, mult)]
+
+        monkeypatch.setattr(chain, "_qh_exponents", shifted)
+        assert chain.verify_spectrum_shift(a) is False
+
+    def test_perturbed_matrix_side_fails(self, monkeypatch):
+        real = chain._recipe_numerators
+        monkeypatch.setattr(chain, "_recipe_numerators",
+                            lambda k, nums, den: [x + 1 for x in real(k, nums, den)])
+        assert chain.verify_spectrum_shift((4, 3, 2)) is False
+
+    def test_membership_checked_on_the_integer_path(self, monkeypatch):
+        monkeypatch.setattr(chain, "_split_root_one",
+                            lambda ones, rest, k, zero, one: rest[::-1])
+        with pytest.raises(NotInFamily, match="nondecreasing"):
+            chain.verify_spectrum_shift((3, 2))
+
+    def test_root_one_parity_checked(self, monkeypatch):
+        # x^2 - 1 in place of x^2 + x + 1: k = 2, but the root 1 is missing
+        monkeypatch.setattr(chain, "expand_signed_product",
+                            lambda factors: RealPoly([-1, 0, 1]))
+        with pytest.raises(NotInFamily, match="k=2 needs odd multiplicity"):
+            chain.verify_spectrum_shift((3,))
 
 
 class TestThomSebastiani:

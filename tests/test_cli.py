@@ -216,6 +216,10 @@ def test_track_steps_out_of_range_is_usage_error(capsys, command, steps):
     ["chain", "grid", f"--m-max={cli.MAX_GRID_M + 1}"],
     ["chain", "grid", "--m-max=-1"],
     ["chain", "grid", "--a0-max=many"],
+    ["chain", "verify", f"--a={cli.MAX_CHAIN_R + 1}"],
+    ["chain", "spectrum", f"--a=2,{cli.MAX_CHAIN_R // 2 + 1}"],
+    ["chain", "verify", "--a=3,x"],
+    ["chain", "spectrum", "--a="],
 ])
 def test_enumeration_sizes_out_of_range_are_usage_errors(capsys, argv):
     # the guard fires while parsing, so no enumeration starts
@@ -233,6 +237,9 @@ def test_enumeration_size_caps_are_accepted():
                               f"--aj-max={cli.MAX_GRID_AJ}", f"--m-max={cli.MAX_GRID_M}"])
     assert (args.a0_max, args.aj_max, args.m_max) == \
         (cli.MAX_GRID_A0, cli.MAX_GRID_AJ, cli.MAX_GRID_M)
+    for command in ("verify", "spectrum"):
+        args = parser.parse_args(["chain", command, f"--a=2,{cli.MAX_CHAIN_R // 2}"])
+        assert args.a == (2, cli.MAX_CHAIN_R // 2)
 
 
 def test_console_entry_smoke():

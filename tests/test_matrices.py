@@ -148,18 +148,20 @@ _OPTIMISED_SCRIPT = """
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from spectral_stokes import chain, matrices as mx, orbit, polycore, seifert
-from spectral_stokes.errors import VerificationFailed
+from spectral_stokes import chain, hor, matrices as mx, orbit, polycore, seifert
+from spectral_stokes.errors import NotInFamily, VerificationFailed
 from spectral_stokes.polycore import RealPoly
 
 assert sys.flags.optimize
 
 
-def expect(error, what, fn, *args):
+def expect(error, what, fn, *args, match=""):
     try:
         fn(*args)
-    except error:
-        return
+    except error as exc:
+        if match in str(exc):
+            return
+        raise SystemExit(f"{what}: stopped at {exc}")
     raise SystemExit(what)
 
 
@@ -184,19 +186,30 @@ chain.Fraction = Fraction
 
 real_chain_sing, real_expand = chain.ChainSing, chain.expand_signed_product
 chain.expand_signed_product = lambda factors: RealPoly([1, 1])
-expect(VerificationFailed, "stokes_poly passed a degree other than mu", chain.stokes_poly, (3, 2))
-chain.ChainSing = lambda a: SimpleNamespace(m=2, r=(2, 1, 2), mu=1)   # root 1/2 counted twice
-expect(VerificationFailed, "stokes_poly passed a double root", chain.stokes_poly, (3,))
+expect(VerificationFailed, "stokes_poly passed a degree other than mu", chain.stokes_poly, (3, 2),
+       match="degree")
 chain.ChainSing = lambda a: SimpleNamespace(m=0, r=(3,), mu=1)        # two roots, not one
-expect(VerificationFailed, "stokes_poly passed a root count other than mu", chain.stokes_poly, (3,))
+expect(VerificationFailed, "stokes_poly passed a root count other than mu", chain.stokes_poly, (3,),
+       match="number of roots")
+chain.expand_signed_product = real_expand
+chain.ChainSing = lambda a: SimpleNamespace(m=2, r=(2, 1, 2), mu=2)   # (x + 1)^2: root 1/2 twice
+expect(VerificationFailed, "stokes_poly passed a double root", chain.stokes_poly, (3,),
+       match="multiplicity 2 at 1/2")
 chain.ChainSing = lambda a: SimpleNamespace(a=(3,), m=0, mu=5)
 expect(VerificationFailed, "jacobi_basis passed a basis count other than mu",
        chain.jacobi_basis, (3,))
 chain.ChainSing = real_chain_sing
 chain.expand_signed_product = lambda factors: RealPoly([-1, 1])
 expect(VerificationFailed, "qh_spectrum passed a negative multiplicity",
-       chain.qh_spectrum, (Fraction(1, 3),))
+       chain.qh_spectrum, (Fraction(1, 3),), match="negative multiplicity")
 chain.expand_signed_product = real_expand
+expect(NotInFamily, "the integer membership check passed an asymmetric point",
+       hor.HorScal, 1, (Fraction(1, 4), Fraction(1, 2)), match="beta_1 + beta_2 != 1")
+real_split = chain._split_root_one
+chain._split_root_one = lambda ones, rest, k, zero, one: rest[::-1]
+expect(NotInFamily, "verify_spectrum_shift passed unsorted angles",
+       chain.verify_spectrum_shift, (3, 2), match="nondecreasing")
+chain._split_root_one = real_split
 
 real_degree = chain.Monomial.degree
 chain.Monomial.degree = lambda self, weights: Fraction(0)

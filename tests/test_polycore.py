@@ -227,3 +227,26 @@ class TestCyclotomic:
         mults, rem = pc.factor_cyclotomic(p)
         assert mults == {1: 2, 4: 1, 6: 2}
         assert rem.degree == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(1, 20), st.integers(1, 2), max_size=3),
+           st.one_of(st.none(), st.lists(st.integers(-4, 4), min_size=1, max_size=4)))
+    def test_factorization_matches_sympy(self, mults, low):
+        # cyclotomic products, times a random monic factor that may itself
+        # hold cyclotomic or non-cyclotomic irreducible factors
+        p = pc.poly_from_cyclotomic_mults(mults)
+        if low is not None:
+            p = p * pc.RealPoly(low + [1])
+        got_mults, got_rem = pc.factor_cyclotomic(p)
+        want_mults, want_rem = {}, sympy.Integer(1)
+        for f, e in sympy.factor_list(sympy_poly(p).as_expr(), x)[1]:
+            f = sympy.Poly(f, x)
+            if f.is_cyclotomic:
+                d = next(d for d in range(1, 2 * f.degree() ** 2 + 3)
+                         if sympy.totient(d) == f.degree()
+                         and sympy.Poly(sympy.cyclotomic_poly(d, x), x) == f)
+                want_mults[d] = want_mults.get(d, 0) + e
+            else:
+                want_rem *= f.as_expr() ** e
+        assert got_mults == want_mults
+        assert sympy_poly(got_rem) == sympy.Poly(want_rem, x)
