@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +180,8 @@ class HorMatrix:
     n: int
     S: np.ndarray
     p: RealPoly
+    # the angle coordinates the member was built from, if any
+    scal: HorScal | None = field(default=None, compare=False, repr=False)
 
 
 def scal_to_poly(b: HorScal) -> RealPoly:
@@ -238,11 +240,15 @@ def poly_to_matrix(p: RealPoly, k: int, tol: float = CIRCLE_TOL,
 
 def scal_to_matrix(b: HorScal) -> HorMatrix:
     # membership was validated on the angle side; skip the root finding
-    return poly_to_matrix(scal_to_poly(b), b.k, check=False)
+    return replace(poly_to_matrix(scal_to_poly(b), b.k, check=False), scal=b)
 
 
 def matrix_to_scal(M: HorMatrix) -> HorScal:
-    return poly_to_scal(M.p, M.k)
+    """The member's angle coordinates: those it was built from, else the
+    roots of its polynomial.  Float root finding cannot place clustered
+    roots on the circle to within CIRCLE_TOL, so a member built from
+    angles does not go back through it."""
+    return M.scal if M.scal is not None else poly_to_scal(M.p, M.k)
 
 
 def r_matrix(M: HorMatrix) -> np.ndarray:

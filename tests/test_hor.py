@@ -69,6 +69,12 @@ class TestMatrix:
         assert R.tolist() == [[0, 1], [1, 0]]
         assert mx.mat_pow(R, 2).tolist() == [[1, 0], [0, 1]]
 
+    def test_member_keeps_its_angles(self):
+        # three roots within 0.05 of 1: np.roots puts one of them 3.7e-9 off
+        # the circle, so the angles cannot be recovered from the polynomial
+        b = hor.sample_scal(7, 2, random.Random(623728))
+        assert hor.matrix_to_scal(hor.scal_to_matrix(b)) is b
+
 
 class TestRecipe:
     def test_gamma_vanishes(self):
