@@ -30,6 +30,9 @@ from .spectra import Spp
 #: largest --steps of the tracking commands: both trackers evaluate the
 #: whole path as one batch, so memory grows as O(steps * n^2)
 MAX_TRACK_STEPS = 1 << 16
+#: largest matrix size and matrix count of a ``track`` path file, checked
+#: before any entry is parsed: MAX_TRACK_STEPS samples of size 12 take 75 MB
+MAX_TRACK_N, MAX_TRACK_MATRICES = 12, 1024
 #: largest --n of ``orbit conj16``: the member pool roughly doubles with
 #: each size (1,420 members of size 12 alone)
 MAX_CONJ16_N = 12
@@ -312,7 +315,13 @@ def _cmd_track(args, cfg):
         data = json.load(fh)
     if not isinstance(data, dict) or "path" not in data:
         raise ValueError('path file needs a "path" list of matrices')
-    mats = [mx.matrix_from_json(m) for m in data["path"]]
+    path = data["path"]
+    if isinstance(path, list) and (len(path) > MAX_TRACK_MATRICES or any(
+            isinstance(m, dict) and isinstance(m.get("entries"), list)
+            and len(m["entries"]) > MAX_TRACK_N for m in path)):
+        raise ValueError(f"a path holds at most {MAX_TRACK_MATRICES} matrices "
+                         f"of size at most {MAX_TRACK_N}")
+    mats = [mx.matrix_from_json(m) for m in path]
     res = orbit.generic_path_track(mats, steps=args.steps)
     return {"steps": args.steps,
             "endpoint": [float(a) for a in res.endpoint],

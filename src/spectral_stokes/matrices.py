@@ -5,9 +5,12 @@ entries; numeric matrices are float arrays.  The dtype carries the mode:
 numpy builds both (``np.array``, ``np.eye``, ``np.zeros``, ``np.kron``
 with ``dtype=object`` hold Python ``int`` zeros and ones and products of
 the entries), and numpy's ``dot`` and elementwise arithmetic work for
-both.  The exact kernels (characteristic polynomial, rank, nullspace,
-solve, signature) clear denominators once on entry and run on Python
-``int`` rows: division-free Berkowitz for the characteristic polynomial,
+both.  Code that needs only rank, kernel or signature, which positive
+scaling keeps, runs on the integer form ``(B, d)`` of :func:`int_form`
+(Python ``int`` entries, A = B / d) and multiplies no Fractions.  The
+exact kernels (characteristic polynomial, rank, nullspace, solve,
+signature) clear denominators once on entry and run on Python ``int``
+rows: division-free Berkowitz for the characteristic polynomial,
 fraction-free elimination for the rest.  Fractions appear only in the
 results.
 """
@@ -89,6 +92,13 @@ def _int_rows(rows, common: bool = False):
         scales = [math.lcm(*scales)] * len(rows)
     return [[x.numerator * (d // x.denominator) for x in row]
             for row, d in zip(rows, scales)], scales
+
+
+def int_form(A: np.ndarray):
+    """(B, d) with B an object array of Python ``int`` entries, d > 0 the
+    common denominator of the exact matrix A, and A = B / d."""
+    rows, scales = _int_rows(A.tolist(), common=True)
+    return np.array(rows, dtype=object).reshape(A.shape), scales[0] if scales else 1
 
 
 def _eliminate(rows: list, ncols: int, reduced: bool) -> list:

@@ -133,8 +133,8 @@ def format_number(x, precision: int = 12) -> str:
 
 def _tidy(x):
     """Normalise Fraction-with-denominator-1 to int; leave floats alone."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
     return x
 
 
@@ -251,15 +251,16 @@ class RealPoly:
         """Polynomial division; exact when both operands are exact."""
         if other.coeffs == (0,):
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = [Fraction(c) if is_exact(c) else c for c in self.coeffs]
         d = list(other.coeffs)
         dn = d[-1]
+        monic = dn == 1 and other.is_integer and self.is_exact    # no division, no Fractions
+        rem = [Fraction(c) if is_exact(c) and not monic else c for c in self.coeffs]
         qd = len(rem) - len(d)
         if qd < 0:
             return RealPoly([0]), RealPoly(rem)
         quot = [0] * (qd + 1)
         for i in range(qd, -1, -1):
-            f = rem[i + len(d) - 1] / dn
+            f = rem[i + len(d) - 1] if monic else rem[i + len(d) - 1] / dn
             quot[i] = f
             if f != 0:
                 for j, dc in enumerate(d):

@@ -29,10 +29,10 @@ import scipy.linalg
 from . import matrices as mx
 from .errors import (DegenerateFlag, NotLadderComposed, Singular, Unclassified,
                      VerificationFailed)
-from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
-                       beta_from_cos, circle_dist, cyclotomic_angles,
-                       cyclotomic_polynomial, factor_cyclotomic, format_number,
-                       is_exact, mod1, num_eq, parse_rational, snap_angle)
+from .polycore import (CIRCLE_TOL, RealPoly, _common_numerators, angle_eq, angle_to_point,
+                       beta_from_cos, circle_dist, cyclotomic_angles, cyclotomic_polynomial,
+                       factor_cyclotomic, format_number, is_exact, mod1, num_eq,
+                       parse_rational, snap_angle)
 from .spectra import Spp, SppLadder, decompose_into_ladders
 
 
@@ -316,16 +316,16 @@ def _block_sizes(kernel_dims: list[int]) -> list[int]:
     return sorted(sizes, reverse=True)
 
 
-def _poly_of_matrix(p: RealPoly, A: np.ndarray) -> np.ndarray:
-    """p(A) for an exact square matrix A."""
-    n = A.shape[0]
-    out = np.zeros((n, n), dtype=object)
-    power = mx.identity(n)
-    for i, c in enumerate(p.coeffs):
-        if c != 0:
-            out = out + power * c
-        if i < len(p.coeffs) - 1:
-            power = power.dot(A)
+def _poly_of_matrix(p: RealPoly, B: np.ndarray, d: int) -> np.ndarray:
+    """The integer matrix L d^deg p(B/d), a positive multiple of p(B/d), for
+    an integer matrix B, d > 0 and L the common denominator of p, by Horner."""
+    cs, _ = _common_numerators(p.coeffs)
+    out = mx.identity(B.shape[0]) * cs[-1]
+    scale = 1
+    for c in reversed(cs[:-1]):
+        scale *= d
+        out = out.dot(B)
+        out[np.diag_indices_from(out)] += c * scale
     return out
 
 
@@ -343,21 +343,22 @@ def _exact_eigdata(M_e: np.ndarray):
     n = M_e.shape[0]
     cp = mx.char_poly_exact(M_e)
     groups: list[_EigGroup] = []
+    B, den = mx.int_form(M_e)
 
     def kernel_dims(q: RealPoly, per: int, mult: int):
         dims = []
-        power = mx.identity(n)
-        qm = _poly_of_matrix(q, M_e)
+        qm = _poly_of_matrix(q, B, den)
+        power = qm
         j = 0
         while True:
             j += 1
-            power = power.dot(qm)
             total = n - mx.rank_exact(power)
             if total % per:
                 raise VerificationFailed("kernel must split evenly over the orbit")
             dims.append(total // per)
             if dims[-1] >= mult or j >= mult:
                 break
+            power = power.dot(qm)
         return dims
 
     rem = cp
@@ -505,10 +506,12 @@ def _primitive_types(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> list[IrrType
     otherwise it is symmetric (Hermitian at a pair) and its c signs are
     the eps (or zeta0 versus zeta0 + 1/2) of the blocks.
 
-    An exact M is worked in rationals; a float M takes ker K^s as the
-    dim ker K^s smallest right singular vectors of K^s, the dimension
-    coming from the block sizes, and the signs from the c eigenvalues of
-    largest modulus.
+    An exact M = B/d is worked on Python ints: K, G and the basis vectors
+    of ker K^s become positive integer multiples (lam B - d for K), which
+    scale F and congruence it by a positive diagonal, keeping its symmetry,
+    rank and signature.  A float M takes ker K^s as the dim ker K^s
+    smallest right singular vectors of K^s, the dimension coming from the
+    block sizes, and the signs from the c eigenvalues of largest modulus.
     """
     exact = mx.is_exact_matrix(M)
     n = M.shape[0]
@@ -516,7 +519,9 @@ def _primitive_types(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> list[IrrType
     if pair:
         K = M / angle_to_point(g.lam) - np.eye(n)
     else:
-        K = g.lam * M - mx.identity(n, exact)
+        M, den = mx.int_form(M) if exact else (M, 1)
+        G = mx.int_form(G)[0] if exact else G
+        K = g.lam * M - den * mx.identity(n, exact)
         lam_angle = Fraction(0) if g.lam == 1 else Fraction(1, 2)
     out: list[IrrType] = []
     powers = [mx.identity(n, exact), K]      # powers[e] = K^e
@@ -533,7 +538,8 @@ def _primitive_types(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> list[IrrType
         while len(powers) <= s:
             powers.append(powers[-1].dot(K))
         if exact:
-            B = _as_columns(mx.nullspace_exact(powers[s]), n, True)
+            B = _as_columns([_common_numerators(v)[0] for v in mx.nullspace_exact(powers[s])],
+                            n, True)
             F = B.T.dot(G).dot(B if s == 1 else powers[s - 1].dot(B))
             if not mx.mat_eq(F, F.T):
                 raise VerificationFailed(f"primitive form at {g.lam}, size {s} is not symmetric")

@@ -208,6 +208,27 @@ def test_track_steps_out_of_range_is_usage_error(capsys, command, steps):
     assert "--steps" in capsys.readouterr().err
 
 
+def _identity_json(n):
+    return {"n": n, "entries": [[int(i == j) for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize("path", [
+    [_identity_json(cli.MAX_TRACK_N + 1)] * 2,
+    [_identity_json(1)] * (cli.MAX_TRACK_MATRICES + 1),
+], ids=["matrix-too-large", "too-many-matrices"])
+def test_oversize_path_file_exits_one(capsys, monkeypatch, tmp_path, path):
+    # the caps fire before any matrix is parsed or any tracker runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the path file passed its caps")
+    monkeypatch.setattr(cli.mx, "matrix_from_json", refuse)
+    monkeypatch.setattr(cli.orbit, "generic_path_track", refuse)
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps({"path": path}))
+    code, out, err = run_cli(capsys, "track", "--path-file", str(f))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "conj16", f"--n={cli.MAX_CONJ16_N + 1}"],
     ["orbit", "conj16", "--n=0"],

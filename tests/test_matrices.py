@@ -135,11 +135,21 @@ def test_exact_arrays_hold_python_scalars():
     arrays = [S, M, mx.identity(3), mx.to_matrix([[1, Fraction(1, 2)], [0, 1]]),
               mx.kron(S, mx.identity(2)), companion_matrix(RealPoly([1, Fraction(1, 3), 1])),
               seifert._as_columns(mx.nullspace_exact(M - mx.identity(4)), 4, True),
-              seifert._poly_of_matrix(RealPoly([1, 1, 1]), M),
               mx.solve_exact(S, mx.identity(4)), *hor.pl_factor_product(S, 1)[0]]
-    for A in arrays:
+    # the integer form and what is built from it hold Python ints only: K^40
+    # has entries far past the int64 range
+    B, d = mx.int_form(mx.to_matrix([[1, Fraction(1, 2)], [Fraction(-2, 3), 1]]))
+    assert d == 6 and B.tolist() == [[6, 3], [-4, 6]]
+    K = -B - d * mx.identity(2)
+    integer = [B, mx.int_form(M)[0], K, mx.mat_pow(K, 40),
+               seifert._poly_of_matrix(RealPoly([1, Fraction(1, 2), 1]), B, d),
+               seifert._poly_of_matrix(RealPoly([1, 1, 1]), *mx.int_form(M))]
+    assert max(abs(x) for x in integer[3].flat) > 2 ** 63
+    for A in arrays + integer:
         assert A.dtype == object
         assert all(type(x) in (int, Fraction) for x in A.flat), A
+    for A in integer:
+        assert all(type(x) is int for x in A.flat), A
     assert seifert._as_columns(mx.nullspace_exact(2 * mx.identity(2)), 2, True).shape == (2, 0)
 
 

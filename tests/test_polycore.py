@@ -215,6 +215,25 @@ class TestSerialization:
         assert pc.parse_rational("-1/2") == Fraction(-1, 2)
 
 
+class TestDivmod:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=9),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=4), st.integers(1, 3))
+    def test_monic_integer_divisor_matches_sympy(self, dividend, low, den):
+        # an exact dividend (integer when den is 1) over a monic integer divisor
+        p = pc.RealPoly([Fraction(c, den) for c in dividend])
+        d = pc.RealPoly(low + [1])
+        q, r = p.divmod(d)
+        assert q * d + r == p
+        assert r.degree < d.degree
+        want_q, want_r = sympy.div(sympy_poly(p), sympy_poly(d))
+        assert sympy_poly(q).as_expr() == want_q.as_expr()
+        assert sympy_poly(r).as_expr() == want_r.as_expr()
+        for c in q.coeffs + r.coeffs:
+            assert type(c) is int if den == 1 else \
+                type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 class TestCyclotomic:
     def test_known_polynomials(self):
         assert list(pc.cyclotomic_polynomial(1).coeffs) == [-1, 1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
-from spectral_stokes import hor, matrices as mx, seifert as sf
+from spectral_stokes import hor, lowdim, matrices as mx, seifert as sf
 from spectral_stokes.errors import (DegenerateFlag, NotLadderComposed, Singular,
                                     Unclassified)
 from spectral_stokes.polycore import RealPoly, angle_to_point, poly_from_cyclotomic_mults
@@ -145,22 +145,56 @@ def _sympy_jordan_blocks(M):
 
 def _eigdata_blocks(groups):
     """The same list read off ``_exact_eigdata``; a pair group stands for
-    its eigenvalue and the conjugate."""
+    its eigenvalue and the conjugate, a real hyperbolic one for lam, 1/lam."""
     out = []
     for g in groups:
-        zs = [complex(g.lam)] if g.kind == "real" else \
-            [angle_to_point(g.lam), angle_to_point(-g.lam)]
+        zs = {"real": [complex(g.lam)], "hyper_real": [complex(g.lam), 1 / complex(g.lam)],
+              "pair": [angle_to_point(g.lam), angle_to_point(-g.lam)]}[g.kind]
         out += [(round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0, s) for z in zs for s in g.sizes]
     return sorted(out)
+
+
+def _rational_unit_upper(rng, n):
+    """A unit upper-triangular S with entries j/den, den in 2, 3, 4, whose
+    monodromy has a non-integer entry and resolves exactly (first of at
+    most 400 draws)."""
+    for _ in range(400):
+        den = rng.choice((2, 3, 4))
+        S = mx.to_matrix([[F(int(i == j)) if j <= i else F(rng.randrange(-den, den + 1), den)
+                           for j in range(n)] for i in range(n)])
+        M = mx.monodromy_matrix(S)
+        if mx.int_form(M)[1] > 1 and sf._exact_eigdata(M) is not None:
+            return S
+    raise AssertionError(f"no resolvable rational member of size {n} drawn")
 
 
 def test_jordan_block_sizes_match_sympy():
     # the primitive forms trust these sizes; sympy's Jordan form is the oracle
     members = [(k, mults) for n in range(2, 6) for k in (1, 2)
                for mults in hor.enumerate_cyclotomic_mults(n, k)]
-    for k, mults in random.Random(41).sample(members, 15):
-        M = mx.monodromy_matrix(hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k).S)
-        assert _eigdata_blocks(sf._exact_eigdata(M)) == _sympy_jordan_blocks(M), (k, mults)
+    cases = [hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k).S
+             for k, mults in random.Random(41).sample(members, 15)]
+    # rational monodromies M = B/d with d > 1: size-3 grid points in
+    # quarter steps, two with the remainder x^2 - c x + 1 at a non-integer c
+    # (11/8: a conjugate pair; -145/32: real hyperbolic), then drawn members
+    # of size 2 to 4 and one of size 3 summed with the 2 x 2 identity, which
+    # puts Jordan blocks of both summands at 1
+    rng = random.Random(43)
+    quarters = [F(j, 4) for j in range(-10, 11)]
+    grid = [(F(1, 2), F(1, 2), F(1, 2)), (F(5, 2), F(1, 4), F(-1, 4))] + \
+        [tuple(rng.choice(quarters) for _ in range(3)) for _ in range(6)]
+    assert [lowdim.f3(a) - 2 for a in grid[:2]] == [F(11, 8), F(-145, 32)]
+    cases += [lowdim.s3_matrix(a) for a in grid]
+    cases += [_rational_unit_upper(rng, n) for n in (2, 3, 3, 4, 4)]
+    S3 = _rational_unit_upper(rng, 3)
+    cases.append(np.block([[S3, np.zeros((3, 2), dtype=object)],
+                           [np.zeros((2, 3), dtype=object), mx.identity(2)]]))
+    for S in cases:
+        M = mx.monodromy_matrix(S)
+        groups = sf._exact_eigdata(M)
+        assert groups is not None, S
+        assert _eigdata_blocks(groups) == _sympy_jordan_blocks(M), S
+    assert sum(mx.int_form(mx.monodromy_matrix(S))[1] > 1 for S in cases) == 14
 
 
 def test_float_kernel_dimensions_stay_within_multiplicity():
