@@ -42,6 +42,12 @@ MAX_GRID_A0, MAX_GRID_AJ, MAX_GRID_M = 8, 5, 4
 #: largest r_m = a_0 ... a_m of ``chain verify --a`` and ``chain spectrum
 #: --a``: work and memory grow with r_m (the ``chain grid`` caps reach 5,000)
 MAX_CHAIN_R = 1 << 16
+#: largest --n and --samples of ``hor verify``: the work per sample grows
+#: with n, and the orbit-index candidates of a draw as n^2
+MAX_VERIFY_N, MAX_VERIFY_SAMPLES = 24, 10_000
+#: largest number of grid values per axis of ``strata3 scan``, which visits
+#: the cube of it (the default --step 1/4 on [-4, 4] has 33, steps of 1/8 65)
+MAX_SCAN_AXIS = 65
 
 
 def _int_in(lo: int, hi: int):
@@ -52,6 +58,18 @@ def _int_in(lo: int, hi: int):
             raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, got {value}")
         return value
     return bounded_int
+
+
+def _positive_rational(text: str) -> Fraction:
+    """argparse type of a positive rational, "p/q" or decimal; anything else
+    is a usage error."""
+    try:
+        value = Fraction(parse_rational(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _chain_exponents(text: str) -> tuple:
@@ -80,8 +98,8 @@ class Config:
         env = os.environ.get("SPECTRAL_STOKES_MODE")
         if env in ("exact", "numeric"):
             self.mode = env
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:       # NaN fails every comparison
+            raise ValueError("tol must be positive and finite")
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
 
@@ -265,9 +283,8 @@ def _cmd_strata3_classify(args, cfg):
 
 
 def _cmd_strata3_scan(args, cfg):
-    step = parse_rational(args.step)
     rows = ["a1,a2,a3,f,stratum,types"]
-    for a, f, stratum, types in lowdim.scan3(step=step, lo=args.lo, hi=args.hi):
+    for a, f, stratum, types in lowdim.scan3(step=args.step, lo=args.lo, hi=args.hi):
         rows.append(",".join([
             format_number(a[0], cfg.precision), format_number(a[1], cfg.precision),
             format_number(a[2], cfg.precision), format_number(f, cfg.precision),
@@ -313,12 +330,12 @@ def _cmd_orbit_conj16(args, cfg):
 def _cmd_track(args, cfg):
     with open(args.path_file) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "path" not in data:
+    path = data.get("path") if isinstance(data, dict) else None
+    if not isinstance(path, list):
         raise ValueError('path file needs a "path" list of matrices')
-    path = data["path"]
-    if isinstance(path, list) and (len(path) > MAX_TRACK_MATRICES or any(
+    if len(path) > MAX_TRACK_MATRICES or any(
             isinstance(m, dict) and isinstance(m.get("entries"), list)
-            and len(m["entries"]) > MAX_TRACK_N for m in path)):
+            and len(m["entries"]) > MAX_TRACK_N for m in path):
         raise ValueError(f"a path holds at most {MAX_TRACK_MATRICES} matrices "
                          f"of size at most {MAX_TRACK_N}")
     mats = [mx.matrix_from_json(m) for m in path]
@@ -361,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--k", type=int, choices=(1, 2))
     mp.set_defaults(handler=_cmd_hor_matrix)
     vp = hor_sub.add_parser("verify")
-    vp.add_argument("--n", type=int, required=True)
-    vp.add_argument("--samples", type=int, default=1000)
+    vp.add_argument("--n", type=_int_in(1, MAX_VERIFY_N), required=True)
+    vp.add_argument("--samples", type=_int_in(1, MAX_VERIFY_SAMPLES), default=1000)
     vp.set_defaults(handler=_cmd_hor_verify)
     tp = hor_sub.add_parser("track")
     tp.add_argument("--k", type=int, choices=(1, 2), required=True)
@@ -409,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--a", required=True, help="a1,a2,a3")
     sc.set_defaults(handler=_cmd_strata3_classify)
     ss = st_sub.add_parser("scan")
-    ss.add_argument("--step", default="1/4")
+    ss.add_argument("--step", type=_positive_rational, default=Fraction(1, 4),
+                    help=f"positive grid step; at most {MAX_SCAN_AXIS} values per axis")
     ss.add_argument("--lo", type=int, default=-4)
     ss.add_argument("--hi", type=int, default=4)
     ss.set_defaults(handler=_cmd_strata3_scan)
@@ -444,6 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.handler is _cmd_strata3_scan and args.hi >= args.lo and \
+            (args.hi - args.lo) // args.step >= MAX_SCAN_AXIS:
+        ap.error(f"strata3 scan: --step {args.step} on [{args.lo}, {args.hi}] gives "
+                 f"more than {MAX_SCAN_AXIS} values per axis")
     try:
         cfg = Config(mode=args.mode, tol=args.tol, seed=args.seed,
                      output=args.output, precision=args.precision)

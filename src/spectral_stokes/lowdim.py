@@ -163,7 +163,9 @@ def hor1_line3(p1):
 def scan3(step=Fraction(1, 4), lo=-4, hi=4):
     """Classification of every grid point of [lo, hi]^3 inside the set.
 
-    Yields (a, f, stratum, types)."""
+    Yields (a, f, stratum, types); a step <= 0 raises ValueError."""
+    if step <= 0:
+        raise ValueError(f"scan step must be positive, got {step}")
     vals = []
     v = Fraction(lo)
     while v <= hi:

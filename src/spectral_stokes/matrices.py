@@ -5,14 +5,14 @@ entries; numeric matrices are float arrays.  The dtype carries the mode:
 numpy builds both (``np.array``, ``np.eye``, ``np.zeros``, ``np.kron``
 with ``dtype=object`` hold Python ``int`` zeros and ones and products of
 the entries), and numpy's ``dot`` and elementwise arithmetic work for
-both.  Code that needs only rank, kernel or signature, which positive
-scaling keeps, runs on the integer form ``(B, d)`` of :func:`int_form`
-(Python ``int`` entries, A = B / d) and multiplies no Fractions.  The
+both.  :func:`int_form`, the one step that clears denominators, gives
+the integer form ``(B, d)``: Python ``int`` entries, A = B / d.  The
 exact kernels (characteristic polynomial, rank, nullspace, solve,
-signature) clear denominators once on entry and run on Python ``int``
-rows: division-free Berkowitz for the characteristic polynomial,
-fraction-free elimination for the rest.  Fractions appear only in the
-results.
+signature) start from it and run on Python ``int`` rows: division-free
+Berkowitz for the characteristic polynomial, fraction-free elimination
+for the rest; Fractions appear only in the results.  Code that needs
+only rank, kernel or signature, which positive scaling keeps, converts
+a matrix once and works on B.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Singular
-from .polycore import RealPoly, format_number, is_exact, parse_rational, _tidy
+from .polycore import RealPoly, _common_numerators, format_number, is_exact, parse_rational, _tidy
 
 
 def to_matrix(rows) -> np.ndarray:
@@ -83,22 +83,14 @@ def monodromy_matrix(S: np.ndarray) -> np.ndarray:
     return solve_unit_upper(S, S.T.copy())
 
 
-def _int_rows(rows, common: bool = False):
-    """(integer rows, scales): row i times scales[i], the lcm of its
-    denominators, or with ``common`` of every denominator of the matrix."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
-    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    if common:
-        scales = [math.lcm(*scales)] * len(rows)
-    return [[x.numerator * (d // x.denominator) for x in row]
-            for row, d in zip(rows, scales)], scales
-
-
 def int_form(A: np.ndarray):
     """(B, d) with B an object array of Python ``int`` entries, d > 0 the
-    common denominator of the exact matrix A, and A = B / d."""
-    rows, scales = _int_rows(A.tolist(), common=True)
-    return np.array(rows, dtype=object).reshape(A.shape), scales[0] if scales else 1
+    common denominator of the matrix A, and A = B / d: the one step that
+    clears denominators.  Entries that are neither ``int`` nor ``Fraction``
+    are read as ``Fraction(x)``."""
+    nums, d = _common_numerators([x if isinstance(x, (int, Fraction)) else Fraction(x)
+                                  for x in A.flat])
+    return np.array(nums, dtype=object).reshape(A.shape), d
 
 
 def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
@@ -139,8 +131,8 @@ def char_poly_exact(A: np.ndarray) -> RealPoly:
     C_k are those of det(x E - B).
     """
     n = A.shape[0]
-    B, scales = _int_rows(A.tolist(), common=True)
-    d = scales[0] if n else 1
+    B, d = int_form(A)
+    B = B.tolist()
     # coefficients from x^r down to x^0 of the leading r x r block
     cs = [1]
     for r in range(n):
@@ -161,13 +153,13 @@ def char_poly_exact(A: np.ndarray) -> RealPoly:
 
 def rank_exact(A: np.ndarray) -> int:
     """Rank by fraction-free Gaussian elimination on integer rows."""
-    return len(_eliminate(_int_rows(A.tolist())[0], A.shape[1], reduced=False))
+    return len(_eliminate(int_form(A)[0].tolist(), A.shape[1], reduced=False))
 
 
 def nullspace_exact(A: np.ndarray) -> list:
     """Basis of ker(A) as Fraction column vectors (lists), read off the
     reduced row echelon form of a fraction-free Gauss-Jordan elimination."""
-    rows = _int_rows(A.tolist())[0]
+    rows = int_form(A)[0].tolist()
     m = A.shape[1]
     pivots = _eliminate(rows, m, reduced=True)
     basis = []
@@ -189,7 +181,7 @@ def signature_exact(A: np.ndarray):
     """
     if any(A[i, j] != A[j, i] for i in range(A.shape[0]) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    M = _int_rows(A.tolist(), common=True)[0]
+    M = int_form(A)[0].tolist()
     plus = minus = zero = 0
     while M:
         k = len(M)
@@ -281,7 +273,7 @@ def solve_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B exactly for a square rational A, by fraction-free
     Gauss-Jordan elimination on the integer rows of [A | B]."""
     n = A.shape[0]
-    rows = _int_rows(np.hstack([A, B]).tolist())[0]
+    rows = int_form(np.hstack([A, B]))[0].tolist()
     if len(_eliminate(rows, n, reduced=True)) < n:
         raise Singular("matrix is singular")
     return np.array([[_tidy(Fraction(x, row[i])) for x in row[n:]]

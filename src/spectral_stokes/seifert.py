@@ -337,13 +337,15 @@ class _EigGroup:
     sizes: list        # Jordan block sizes per eigenvalue
 
 
-def _exact_eigdata(M_e: np.ndarray):
-    """Eigenvalue groups of an exact monodromy matrix, or None when the
-    characteristic polynomial cannot be resolved exactly."""
-    n = M_e.shape[0]
-    cp = mx.char_poly_exact(M_e)
+def _exact_eigdata(B: np.ndarray, den: int):
+    """Eigenvalue groups of the exact monodromy B/den (its integer form), or
+    None when the characteristic polynomial cannot be resolved exactly."""
+    n = B.shape[0]
+    # det(x - B/den): the coefficient of x^k of det(x - B) over den^(n-k)
+    cp = mx.char_poly_exact(B)
+    if den > 1:
+        cp = RealPoly([Fraction(c, den ** (n - k)) for k, c in enumerate(cp.coeffs)])
     groups: list[_EigGroup] = []
-    B, den = mx.int_form(M_e)
 
     def kernel_dims(q: RealPoly, per: int, mult: int):
         dims = []
@@ -494,7 +496,7 @@ def _canonical_zeta_sqrt(theta, n_b: int):
     return mod1(-theta * Fraction(1, 2) - Fraction(n_b + 1, 4))
 
 
-def _primitive_types(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> list[IrrType]:
+def _primitive_types(g: _EigGroup, M: np.ndarray, den: int, G: np.ndarray) -> list[IrrType]:
     """Irreducible types of one on-circle eigenvalue group, read off its
     primitive forms (Milnor 1969, Nemethi 1995).
 
@@ -506,12 +508,14 @@ def _primitive_types(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> list[IrrType
     otherwise it is symmetric (Hermitian at a pair) and its c signs are
     the eps (or zeta0 versus zeta0 + 1/2) of the blocks.
 
-    An exact M = B/d is worked on Python ints: K, G and the basis vectors
-    of ker K^s become positive integer multiples (lam B - d for K), which
-    scale F and congruence it by a positive diagonal, keeping its symmetry,
-    rank and signature.  A float M takes ker K^s as the dim ker K^s
-    smallest right singular vectors of K^s, the dimension coming from the
-    block sizes, and the signs from the c eigenvalues of largest modulus.
+    The monodromy arrives as M/den with G a positive multiple of the Gram
+    matrix.  Exact input comes as the two integer forms and is worked on
+    Python ints: K and the basis vectors of ker K^s become positive integer
+    multiples too (lam M - den for K), which scale F and congruence it by a
+    positive diagonal, keeping its symmetry, rank and signature.  Float
+    input comes with den = 1 and takes ker K^s as the dim ker K^s smallest
+    right singular vectors of K^s, the dimension coming from the block
+    sizes, and the signs from the c eigenvalues of largest modulus.
     """
     exact = mx.is_exact_matrix(M)
     n = M.shape[0]
@@ -519,8 +523,6 @@ def _primitive_types(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> list[IrrType
     if pair:
         K = M / angle_to_point(g.lam) - np.eye(n)
     else:
-        M, den = mx.int_form(M) if exact else (M, 1)
-        G = mx.int_form(G)[0] if exact else G
         K = g.lam * M - den * mx.identity(n, exact)
         lam_angle = Fraction(0) if g.lam == 1 else Fraction(1, 2)
     out: list[IrrType] = []
@@ -577,14 +579,17 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     an off-circle cluster without its inverse partners, or a primitive
     form that is not numerically Hermitian; exact input reaches it when a
     non-cyclotomic remainder of degree > 2 sends it to the float path.
+    Exact input converts its monodromy and Gram matrix to integer forms
+    once, and the exact eigen-data and primitive forms run on those.
     """
     G = P.G
     Gf = np.asarray(G, dtype=float)
     M_f = np.linalg.solve(Gf.T, Gf)
     groups = None
     if P.is_exact:
-        M_e = mx.solve_exact(G.T.copy(), G)
-        groups = _exact_eigdata(M_e)
+        B, den = mx.int_form(mx.solve_exact(G.T.copy(), G))
+        G_int = mx.int_form(G)[0]
+        groups = _exact_eigdata(B, den)
     exact_real = groups is not None
     if groups is None:
         groups = _numeric_eigdata(M_f, tol)
@@ -592,9 +597,9 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     out: list[IrrType] = []
     for g in groups:
         if g.kind == "real" and exact_real:
-            out.extend(_primitive_types(g, M_e, G))
+            out.extend(_primitive_types(g, B, den, G_int))
         elif g.kind in ("real", "pair"):
-            out.extend(_primitive_types(g, M_f, Gf))
+            out.extend(_primitive_types(g, M_f, 1, Gf))
         elif g.kind == "hyper_real":
             for s in g.sizes:
                 out.append(IrrType("F2hyper", float(g.lam), s))

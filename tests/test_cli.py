@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from spectral_stokes import cli
+from spectral_stokes import cli, hor, lowdim
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +242,16 @@ def test_oversize_path_file_exits_one(capsys, monkeypatch, tmp_path, path):
     ["chain", "spectrum", f"--a=2,{cli.MAX_CHAIN_R // 2 + 1}"],
     ["chain", "verify", "--a=3,x"],
     ["chain", "spectrum", "--a="],
+    ["hor", "verify", f"--n={cli.MAX_VERIFY_N + 1}"],
+    ["hor", "verify", "--n=0"],
+    ["hor", "verify", "--n=4", f"--samples={cli.MAX_VERIFY_SAMPLES + 1}"],
+    ["hor", "verify", "--n=4", "--samples=0"],
+    ["strata3", "scan", "--step=0"],
+    ["strata3", "scan", "--step=-1/4"],
+    ["strata3", "scan", "--step=1/0"],
+    ["strata3", "scan", "--step=x"],
+    ["strata3", "scan", "--lo=-4", "--hi=4", "--step=1/9"],       # 73 values per axis
+    ["strata3", "scan", "--lo=-1000000", "--hi=0", "--step=1"],
 ])
 def test_enumeration_sizes_out_of_range_are_usage_errors(capsys, argv):
     # the guard fires while parsing, so no enumeration starts
@@ -261,6 +272,28 @@ def test_enumeration_size_caps_are_accepted():
     for command in ("verify", "spectrum"):
         args = parser.parse_args(["chain", command, f"--a=2,{cli.MAX_CHAIN_R // 2}"])
         assert args.a == (2, cli.MAX_CHAIN_R // 2)
+    args = parser.parse_args(["hor", "verify", f"--n={cli.MAX_VERIFY_N}",
+                              f"--samples={cli.MAX_VERIFY_SAMPLES}"])
+    assert (args.n, args.samples) == (cli.MAX_VERIFY_N, cli.MAX_VERIFY_SAMPLES)
+    assert parser.parse_args(["hor", "verify", "--n=4"]).samples == 1000
+
+
+def test_library_enumerations_refuse_oversize_input():
+    # the cyclotomic enumeration admits every size conj16 may ask for
+    assert cli.MAX_CONJ16_N <= hor.MAX_ENUMERATE_N
+    with pytest.raises(ValueError, match="exceeds"):
+        hor.enumerate_cyclotomic_mults(hor.MAX_ENUMERATE_N + 1, 1)
+    for step in (0, -1, Fraction(-1, 4)):
+        with pytest.raises(ValueError, match="positive"):
+            next(lowdim.scan3(step=step))
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_must_be_positive_and_finite(capsys, tol):
+    # a NaN tolerance would fail every tolerance comparison
+    code, out, err = run_cli(capsys, f"--tol={tol}", "hor", "matrix", "--poly", "1,1,1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "tol must be positive and finite"}
 
 
 def test_console_entry_smoke():

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_stokes import hor, matrices as mx
+from spectral_stokes import chain, hor, matrices as mx
 from spectral_stokes.errors import CollisionInsideSimplex, NotInFamily, VerificationFailed
 from spectral_stokes.polycore import (RealPoly, angle_to_point, mod1, point_to_angle,
                                       unit_circle_angles, _lift_angles)
@@ -112,6 +112,20 @@ class TestRecipe:
                 else:
                     assert al[0] == 0
                     assert all(al[j] + al[n - j] == 0 for j in range(1, n))
+
+    def test_one_spp_equals_ladder_sum(self):
+        # one Spp of every ladder's members, not a re-sorted sum per ladder;
+        # the sort is stable, so even the order of equal pairs agrees
+        rng = random.Random(11)
+        scals = [chain.stokes_scal(a) for a in ((3, 2), (4, 3, 2), (6, 4, 4), (2, 2, 2, 2))]
+        scals += [hor.matrix_to_scal(hor.sample_cyclotomic_member(n, k, rng))
+                  for n in (3, 6, 8) for k in (1, 2)]
+        scals += [hor.sample_scal(n, k, rng) for n in (4, 7) for k in (1, 2)]
+        for b in scals:
+            want = Spp()
+            for lad in hor.recipe_ladders(b):
+                want = want + lad.members()
+            assert hor.recipe_spectral_pairs(b).pairs == want.pairs
 
     def test_eigenvalue_consistency_exact(self):
         # multiset {exp(-2 pi i alpha_j)} = eigenvalues of S^{-1} S^t

@@ -233,22 +233,22 @@ expect(VerificationFailed, "unit_circle_angles passed a lost root",
 polycore.factor_cyclotomic = real_factor
 
 expect(VerificationFailed, "an odd number of blocks passed as two-block types",
-       seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), M, P.G)
+       seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), *mx.int_form(M), P.G)
 expect(VerificationFailed, "a primitive form of rank 2 passed for one block",
-       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), mx.identity(2),
+       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), mx.identity(2), 1,
        mx.identity(2))
 
 mx.mat_eq = lambda A, B, tol=0.0: False
 expect(VerificationFailed, "monodromy_and_forms passed a broken form check",
        seifert.monodromy_and_forms, P)
 expect(VerificationFailed, "the primitive form passed a broken symmetry check",
-       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), M, P.G)
+       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), *mx.int_form(M), P.G)
 expect(VerificationFailed, "thom_sebastiani passed a broken monodromy check",
        chain.thom_sebastiani, S, S)
 
 mx.rank_exact = lambda A: 0         # kernel of dimension 3 over the pair +-i
 expect(VerificationFailed, "kernel_dims passed an uneven orbit split",
-       seifert._exact_eigdata, M)
+       seifert._exact_eigdata, *mx.int_form(M))
 
 calls = iter(range(1000))
 mx.char_poly_exact = lambda A: next(calls)

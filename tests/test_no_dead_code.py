@@ -3,7 +3,8 @@ public method and property of a public class, is used: called, imported
 or otherwise referenced by name in the package, the tests, the demos or
 the benchmark, beyond its own definition, or named as a console-script
 entry point.  Every defaulted parameter of the package is set by some
-call there."""
+call there.  Every top-level private function and class of the package
+is referenced in the package itself, beyond its own definition."""
 
 import ast
 import re
@@ -64,6 +65,18 @@ def test_every_public_name_is_referenced():
               for module in sorted(PACKAGE.glob("*.py"))
               for label, name in public_names(ast.parse(module.read_text()))
               if name not in used]
+    assert unused == []
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    # a private helper can only be reached from the package, and a
+    # reference from inside its own definition (recursion) does not count
+    refs = {node: referenced_names(node)
+            for module in PACKAGE.glob("*.py") for node in ast.parse(module.read_text()).body}
+    unused = [node.name for node in refs
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and not any(node.name in names for other, names in refs.items() if other is not node)]
     assert unused == []
 
 

@@ -95,7 +95,7 @@ class TestClassify:
     def test_several_blocks_match_ladder_class(self, n, k, mults, sizes):
         M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
         assert M.n == n
-        groups = sf._exact_eigdata(mx.monodromy_matrix(M.S))
+        groups = sf._exact_eigdata(*mx.int_form(mx.monodromy_matrix(M.S)))
         assert all(g.sizes == sizes[g.lam] for g in groups if g.lam in sizes)
         want = sf.class_from_spp(hor.recipe_spectral_pairs(hor.matrix_to_scal(M)), 1)
         got = sf.classify(sf.SeifertPair.from_triangular(M.S))
@@ -163,7 +163,7 @@ def _rational_unit_upper(rng, n):
         S = mx.to_matrix([[F(int(i == j)) if j <= i else F(rng.randrange(-den, den + 1), den)
                            for j in range(n)] for i in range(n)])
         M = mx.monodromy_matrix(S)
-        if mx.int_form(M)[1] > 1 and sf._exact_eigdata(M) is not None:
+        if mx.int_form(M)[1] > 1 and sf._exact_eigdata(*mx.int_form(M)) is not None:
             return S
     raise AssertionError(f"no resolvable rational member of size {n} drawn")
 
@@ -191,7 +191,7 @@ def test_jordan_block_sizes_match_sympy():
                            [np.zeros((2, 3), dtype=object), mx.identity(2)]]))
     for S in cases:
         M = mx.monodromy_matrix(S)
-        groups = sf._exact_eigdata(M)
+        groups = sf._exact_eigdata(*mx.int_form(M))
         assert groups is not None, S
         assert _eigdata_blocks(groups) == _sympy_jordan_blocks(M), S
     assert sum(mx.int_form(mx.monodromy_matrix(S))[1] > 1 for S in cases) == 14
@@ -354,35 +354,57 @@ class TestEnhancements:
         assert sf.check_enhancement(P, E, signed=True)
 
 
+def _floats(vectors):
+    """A basis or flag with every entry a float."""
+    return [_floats(v) if isinstance(v[0], list) else [float(x) for x in v] for v in vectors]
+
+
 class TestSemiorthogonal:
+    """Each case runs three ways: exact Gram and exact basis, the same Gram
+    in floats (the float branch), and the exact Gram with a float basis,
+    whose entries reach the exact kernels through ``int_form``."""
+
+    @staticmethod
+    def variants(G, basis):
+        return [(sf.SeifertPair(G), basis),
+                (sf.SeifertPair(np.asarray(G, dtype=float)), basis),
+                (sf.SeifertPair(G), _floats(basis))]
+
     def test_standard_basis(self):
         S = mx.to_matrix([[1, 2, -1], [0, 1, 3], [0, 0, 1]])
-        P = sf.SeifertPair.from_triangular(S)
-        basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        data = sf.semiorthogonal(P, basis)
-        assert data.eps == (1, 1, 1)
-        assert data.triangular is not None
-        assert np.allclose(data.triangular, np.asarray(S, dtype=float))
+        for P, basis in self.variants(S.T.copy(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+            data = sf.semiorthogonal(P, basis)
+            assert data.eps == (1, 1, 1)
+            assert data.triangular is not None
+            assert np.allclose(data.triangular, np.asarray(S, dtype=float))
 
     def test_sign_flip_absorbed(self):
         # the recovered member agrees with S up to diagonal sign conjugation
         S = mx.to_matrix([[1, 1], [0, 1]])
-        P = sf.SeifertPair.from_triangular(S)
-        data = sf.semiorthogonal(P, [[1, 0], [0, -1]])
-        assert data.eps == (1, 1)
-        got = data.triangular
-        assert np.allclose(np.abs(got), [[1.0, 1.0], [0.0, 1.0]])
-        assert np.allclose(np.diag(got), 1.0)
+        for P, basis in self.variants(S.T.copy(), [[1, 0], [0, -1]]):
+            data = sf.semiorthogonal(P, basis)
+            assert data.eps == (1, 1)
+            got = data.triangular
+            assert np.allclose(np.abs(got), [[1.0, 1.0], [0.0, 1.0]])
+            assert np.allclose(np.diag(got), 1.0)
+
+    def test_size3_point(self):
+        S = lowdim.s3_matrix((1, 1, 1))
+        want = sf.semiorthogonal(sf.SeifertPair.from_triangular(S), np.eye(3, dtype=int).tolist())
+        assert want.eps == (1, 1, 1)
+        for P, basis in self.variants(S.T.copy(), np.eye(3, dtype=int).tolist())[1:]:
+            data = sf.semiorthogonal(P, basis)
+            assert data.eps == want.eps
+            assert np.allclose(data.triangular, want.triangular)
 
     def test_degenerate_flag(self):
-        P = sf.SeifertPair(mx.to_matrix([[0, 1], [1, 0]]))
-        with pytest.raises(DegenerateFlag) as err:
-            sf.semiorthogonal(P, [[[1, 0]], [[1, 0], [0, 1]]])
-        assert err.value.index == 1
+        for P, flag in self.variants(mx.to_matrix([[0, 1], [1, 0]]), [[[1, 0]], [[1, 0], [0, 1]]]):
+            with pytest.raises(DegenerateFlag) as err:
+                sf.semiorthogonal(P, flag)
+            assert err.value.index == 1
 
     def test_mixed_signs(self):
-        G = mx.to_matrix([[1, 0], [0, -1]])
-        P = sf.SeifertPair(G)
-        data = sf.semiorthogonal(P, [[1, 0], [0, 1]])
-        assert data.eps == (1, -1)
-        assert data.triangular is None
+        for P, basis in self.variants(mx.to_matrix([[1, 0], [0, -1]]), [[1, 0], [0, 1]]):
+            data = sf.semiorthogonal(P, basis)
+            assert data.eps == (1, -1)
+            assert data.triangular is None
