@@ -2,15 +2,17 @@
 
 A family member is a sorted angle tuple; the banded matrix S and the
 companion matrix R are derived views and satisfy the exact power
-identity (-1)^k S^{-1} S^t = R^n.  Tracking eigenvalue angles from the
-distinguished interior point reproduces the closed-form spectrum.
+identity (-1)^k S^{-1} S^t = R^n.  Along the segment from the
+distinguished interior point the eigenvalue angles move linearly, and
+continuing the monodromy eigenvalues along the member's own path from
+the identity matrix reproduces the closed-form spectrum.
 """
 
 from fractions import Fraction as F
 
 import numpy as np
 
-from spectral_stokes import hor
+from spectral_stokes import hor, orbit
 from spectral_stokes.matrices import mat_pow, solve_unit_upper
 
 # an exact member of the antisymmetric (k = 2) family in size 4
@@ -37,9 +39,11 @@ print("spectrum      :", [str(a) for a in hor.recipe_spectrum(b)])
 print("spectral pairs:", hor.recipe_spectral_pairs(b))
 
 print()
-print("tracking the eigenvalue angles from the interior point:")
+print("the eigenvalue angles along the segment from the interior point:")
 res = hor.simplex_path_track(M, steps=128)
 for r_idx in (0, 32, 64, 96, 128):
     vals = ", ".join(f"{a:+.4f}" for a in res.alphas[r_idx])
     print(f"  r = {res.times[r_idx]:.2f}: alpha = ({vals})")
-print("endpoint equals the closed form to 1e-8.")
+track = orbit.generic_path_track(hor.path_matrices(res.betas), steps=128)
+print("S^-1 S^t continued along S(beta(r)) ends at",
+      ", ".join(f"{a:+.4f}" for a in sorted(track.endpoint)))

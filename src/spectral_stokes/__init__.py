@@ -6,14 +6,15 @@ Subpackages by topic:
   angles, companion matrices, Jordan chains
 * :mod:`spectral_stokes.spectra`   spectral pairs, ladders, partners
 * :mod:`spectral_stokes.hor`       the two banded families, the spectrum
-  recipe, matrix identities, simplex path tracking
+  recipe, matrix identities, the eigenvalue angles along a simplex
+  segment in closed form
 * :mod:`spectral_stokes.seifert`   bilinear-form pairs, irreducible type
   classification, enhancements, semiorthogonal data
 * :mod:`spectral_stokes.chain`     chain-type singularities and the exact
   two-route spectrum comparison
 * :mod:`spectral_stokes.lowdim`    closed forms for sizes 2 and 3
 * :mod:`spectral_stokes.orbit`     sign/mutation actions, experiments,
-  generic eigenvalue tracking
+  generic eigenvalue tracking by a predictor step
 """
 
 from . import chain, errors, hor, lowdim, matrices, orbit, polycore, seifert, spectra

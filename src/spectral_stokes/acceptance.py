@@ -312,11 +312,16 @@ def criterion_properties():
             if not mx.mat_eq(orbit.braid_act(i, S2, -1), S):
                 problems.append(("braid-involution", n))
 
-        # tracked endpoints match the closed form (asserted inside at 1e-8)
+        # continuing the monodromy eigenvalues from E along the member's own
+        # path S(beta(t)) ends at the closed-form spectrum
         for n in range(2, 7):
             for k in (1, 2):
                 b = hor.sample_scal(n, k, rng)
-                hor.simplex_path_track(hor.scal_to_matrix(b), steps=64 * n)
+                fam = hor.simplex_path_track(hor.scal_to_matrix(b), steps=64 * n)
+                res = orbit.generic_path_track(hor.path_matrices(fam.betas), steps=64 * n)
+                want = sorted(float(a) for a in fam.endpoint)
+                if any(abs(x - y) > 1e-6 for x, y in zip(sorted(res.endpoint), want)):
+                    problems.append(("family-path-track", n, k))
 
         # eigenvalue-stratum experiment over all exact members of degree <= 8
         # completes and emits a report; entries under "violations" are

@@ -96,10 +96,6 @@ class OutOfFamily(SpectralStokesError):
     """A scalar parameter leaves the one-parameter family."""
 
 
-class CollisionInsideSimplex(SpectralStokesError):
-    """Eigenvalues collided strictly inside the family simplex."""
-
-
 class LeftT(SpectralStokesError):
     """A path sample left the unit-circle-eigenvalue set."""
 

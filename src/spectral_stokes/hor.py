@@ -25,15 +25,13 @@ import numpy as np
 import scipy.linalg
 
 from . import matrices as mx
-from .errors import (CollisionInsideSimplex, NotArithmeticGroup, NotInFamily,
-                     PhaseViolation, VerificationFailed)
+from .errors import NotArithmeticGroup, NotInFamily, PhaseViolation, VerificationFailed
 from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
                        companion_matrix, galois_closed_mults, is_exact,
                        jordan_chain_vectors, mod1, num_eq, palindrome_class,
-                       point_to_angle, poly_from_cyclotomic_mults,
-                       poly_from_float_angles, totient, unit_circle_angles,
-                       _common_numerators, _companions, _expand_float_angles,
-                       _lift_angles)
+                       poly_from_cyclotomic_mults, poly_from_float_angles,
+                       totient, unit_circle_angles, _common_numerators,
+                       _expand_float_angles)
 from .spectra import Spp, SppLadder
 
 
@@ -231,11 +229,17 @@ def poly_to_matrix(p: RealPoly, k: int, tol: float = CIRCLE_TOL,
         kk, _ = palindrome_class(p, tol)
         if kk != k:
             raise NotInFamily(f"polynomial has symmetry class {kk}, not {k}")
-    n = p.degree
-    S = mx.identity(n, p.is_exact)
+    S = mx.identity(p.degree, p.is_exact)
+    return HorMatrix(k, p.degree, _fill_band(S, np.array(p.coeffs, dtype=S.dtype)), p)
+
+
+def _fill_band(S: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Write S_{ij} = p_{n-(j-i)} above the unit diagonal of each (n, n)
+    matrix of ``S`` from the coefficient rows (..., n + 1) of ``C``."""
+    n = S.shape[-1]
     for i in range(n - 1):
-        S[i, i + 1:] = p.coeffs[n - 1:i:-1]      # S_{ij} = p_{n-(j-i)}
-    return HorMatrix(k, n, S, p)
+        S[..., i, i + 1:] = C[..., n - 1:i:-1]
+    return S
 
 
 def scal_to_matrix(b: HorScal) -> HorMatrix:
@@ -549,22 +553,17 @@ class PathTrack:
 
 
 def simplex_path_track(target: HorMatrix, steps: int | None = None) -> PathTrack:
-    """Track eigenvalue angles of the companion matrix along the straight
+    """The eigenvalue angles of the companion matrix along the straight
     scal-coordinate segment from the distinguished interior point to the
-    target, and read off the spectrum at the end.
+    target, and the spectrum they continue to.
 
-    Eigenvalues stay pairwise distinct strictly inside the simplex; a
-    collision before the endpoint raises CollisionInsideSimplex at the
-    first colliding sample.  The endpoint is checked against the
-    closed-form spectrum.
-
-    The inner samples are evaluated as one batch: one stack of companion
-    matrices and one ``eigvals`` call.  Only the matching of strands to
-    angles walks them in order.  Bit for bit the same output as a
-    sample-by-sample loop is kept on purpose: the polynomials are still
-    expanded by ``np.convolve`` and the angles read with ``cmath.phase``
-    (``point_to_angle``), whose last bits a vectorised rewrite does not
-    always reproduce.
+    Along the segment the companion polynomial has the roots
+    ``exp(-2 pi i beta_j(t))`` with ``beta(t) = (1 - t) gamma + t beta``
+    by construction, so the continuous lifts are this interpolation
+    itself, sampled at ``steps + 1`` equally spaced times.  For t < 1 the
+    strands stay strictly increasing inside [0, 1) (gamma is, and beta
+    is sorted in [0, 1]), so they never collide before the endpoint.  The
+    endpoint is the recipe spectrum, exact for exact input.
     """
     n, k = target.n, target.k
     if steps is None:
@@ -572,35 +571,19 @@ def simplex_path_track(target: HorMatrix, steps: int | None = None) -> PathTrack
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     b1 = matrix_to_scal(target)
-    g = gamma_base(n, k)
-    gf = np.array([float(x) for x in g.beta])
+    gf = np.array([float(x) for x in gamma_base(n, k).beta])
     bf = np.array([float(x) for x in b1.beta])
     times = np.linspace(0.0, 1.0, steps + 1)
-    inner = times[1:-1, None]
-    eig = np.linalg.eigvals(_companions(_expand_float_angles((1 - inner) * gf + inner * bf)))
-    ang = np.array([point_to_angle(z) for z in eig.ravel().tolist()]).reshape(eig.shape)
-    if n > 1:
-        srt = np.sort(ang, axis=1)
-        gap = np.minimum(np.diff(srt, axis=1).min(axis=1), 1.0 - srt[:, -1] + srt[:, 0])
-        hit = np.flatnonzero(gap < 1e-12)
-        if hit.size:
-            raise CollisionInsideSimplex(f"eigenvalue collision at r={times[hit[0] + 1]}")
-    # the eigenvalue multiset at the target is part of its data; only the
-    # matching of strands to angles is resolved numerically there (a float
-    # eigensolver would lose accuracy at multiple roots)
-    ang = np.vstack([ang, [float(mod1(x)) for x in b1.beta]])
-    lifts = np.empty((steps + 1, n))
-    lifts[0] = gf
-    for s in range(steps):
-        lifts[s + 1] = _lift_angles(lifts[s], ang[s])
-    alphas = n * (lifts - gf[None, :])
-    endpoint = list(alphas[-1])
-    expected = [float(a) for a in recipe_spectrum(b1)]
-    for got, want in zip(endpoint, expected):
-        if abs(got - want) > 1e-8:
-            raise VerificationFailed(
-                f"tracked endpoint {got} != recipe value {want}")
-    return PathTrack(times, lifts, alphas, endpoint)
+    betas = (1 - times[:, None]) * gf + times[:, None] * bf
+    return PathTrack(times, betas, n * (betas - gf), recipe_spectrum(b1))
+
+
+def path_matrices(betas: np.ndarray) -> np.ndarray:
+    """The banded members ``S(beta)`` of the angle rows ``betas`` (m, n),
+    stacked (m, n, n): the sampled family path of a :class:`PathTrack`."""
+    m, n = betas.shape
+    S = np.tile(np.eye(n), (m, 1, 1))
+    return _fill_band(S, _expand_float_angles(betas))
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,12 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     identity matrix with all angles 0.
 
     Every sample must stay in the unit-circle-eigenvalue set (LeftT is
-    raised otherwise).  Parameters where two tracked angles collide are
-    reported; results are flagged path/choice dependent in that case.
+    raised otherwise).  Strands are continued by a predictor step (each
+    is expected at its linear continuation from the two samples before),
+    so strands that cross pass through each other; the first step out of
+    the identity, where every strand is at 0, matches by least distance.
+    Parameters where two tracked angles collide are reported; results
+    are flagged path/choice dependent in that case.
 
     The ``steps`` samples are evaluated as one batch: one shape and
     finiteness check, one ``det``, one ``solve`` and one ``eigvals`` over
@@ -254,7 +258,7 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     ang = np.array([point_to_angle(z) for z in eig.ravel().tolist()]).reshape(eig.shape)
     lifts = np.zeros((steps + 1, n))
     for s in range(steps):
-        lifts[s + 1] = _lift_angles(lifts[s], ang[s])
+        lifts[s + 1] = _lift_angles(lifts[max(s - 1, 0)], lifts[s], ang[s])
     # a collision is a genuine meeting: strands that start together (all
     # angles vanish at the identity) are not ambiguous until they separate
     i, j = np.triu_indices(n, 1)

@@ -101,8 +101,11 @@ def point_to_angle(z: complex):
 def parse_rational(s):
     """Parse "p/q" or a plain integer/decimal string into Fraction or float.
 
-    Raises ValueError for a zero denominator and for non-finite values.
+    Raises ValueError for a zero denominator, for non-finite values and
+    for booleans (a JSON ``true`` is not a number).
     """
+    if isinstance(s, bool):
+        raise ValueError(f"boolean {s!r} is not a number")
     if isinstance(s, (int, Fraction)):
         return s
     if not isinstance(s, float):
@@ -150,17 +153,22 @@ def snap_angle(b: float):
     return mod1(b)
 
 
-def _lift_angles(current: np.ndarray, ang: np.ndarray) -> np.ndarray:
+def _lift_angles(prev: np.ndarray, current: np.ndarray, ang: np.ndarray) -> np.ndarray:
     """Continue lifted float angles ``current`` to the angle set ``ang``.
 
-    Strands are matched to angles by an assignment of least total circle
-    distance; each strand then moves by its step taken in [-1/2, 1/2).
+    A predictor step: each strand is expected at ``2 current - prev``,
+    its linear continuation, so strands that cross pass through each
+    other instead of bouncing.  Strands are matched to angles by an
+    assignment of least total circle distance from the guess; each then
+    moves from the guess by its step taken in [-1/2, 1/2).  With
+    ``prev = current`` the guess is ``current`` itself.
     """
-    cost = np.abs(current[:, None] % 1.0 - ang[None, :])
+    guess = 2.0 * current - prev
+    cost = np.abs(guess[:, None] % 1.0 - ang[None, :])
     cost = np.minimum(cost, 1.0 - cost)
     # for a square cost matrix the rows come back as 0 .. n-1 in order
     _, cols = scipy.optimize.linear_sum_assignment(cost)
-    return current + ((ang[cols] - current + 0.5) % 1.0 - 0.5)
+    return guess + ((ang[cols] - guess + 0.5) % 1.0 - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +627,11 @@ def companion_matrix(p: RealPoly) -> np.ndarray:
     block below-left; its characteristic polynomial is p."""
     if not p.is_monic or p.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    return _companions(np.array(p.coeffs, dtype=object if p.is_exact else float))
-
-
-def _companions(C: np.ndarray) -> np.ndarray:
-    """Companion matrices (..., n, n), laid out as :func:`companion_matrix`,
-    of the monic coefficient rows (..., n + 1) of ``C``."""
-    n = C.shape[-1] - 1
-    A = np.zeros(C.shape[:-1] + (n, n), dtype=C.dtype)
-    A[..., 1:, :-1] = np.eye(n - 1, dtype=C.dtype)
-    A[..., 0, :] = -C[..., -2::-1]
+    C = np.array(p.coeffs, dtype=object if p.is_exact else float)
+    n = p.degree
+    A = np.zeros((n, n), dtype=C.dtype)
+    A[1:, :-1] = np.eye(n - 1, dtype=C.dtype)
+    A[0, :] = -C[-2::-1]
     return A
 
 

@@ -406,6 +406,10 @@ def _exact_eigdata(B: np.ndarray, den: int):
     return None
 
 
+# a monodromy with overflowing entries makes numpy divide by zero here; the
+# outcome is the same without the RuntimeWarnings, which would otherwise
+# precede the CLI's one JSON document on stderr
+@np.errstate(divide="ignore", invalid="ignore")
 def _numeric_eigdata(M_f: np.ndarray, tol: float):
     n = M_f.shape[0]
     eig = np.linalg.eigvals(M_f)

@@ -172,6 +172,18 @@ class TestGenericTrack:
         assert sorted(res.endpoint) == pytest.approx(
             sorted(float(x) for x in fam.endpoint), abs=1e-6)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_family_path_ends_at_recipe(self, seed):
+        # continued along the member's own path S(beta(t)), the strands
+        # cross where least-distance matching would bounce
+        for n in range(2, 8):
+            for k in (1, 2):
+                b = hor.sample_scal(n, k, random.Random(seed))
+                fam = hor.simplex_path_track(hor.scal_to_matrix(b), steps=64 * n)
+                res = orbit.generic_path_track(hor.path_matrices(fam.betas), steps=64 * n)
+                want = sorted(float(a) for a in hor.recipe_spectrum(b))
+                assert sorted(res.endpoint) == pytest.approx(want, abs=1e-6), (n, k)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sample_leaves_t(self, bad):
         # the first sample already carries the bad entry, above the diagonal
@@ -205,7 +217,7 @@ def _generic_reference(path, steps):
     n = mats[0].shape[0]
     times = np.linspace(0.0, 1.0, steps + 1)
     segs = len(mats) - 1
-    current = np.zeros(n)
+    prev = current = np.zeros(n)
     lifts = np.empty((steps + 1, n))
     lifts[0] = current
     collisions = []
@@ -221,7 +233,7 @@ def _generic_reference(path, steps):
         if np.any(np.abs(np.abs(eig) - 1.0) > 1e-6):
             worst = float(np.max(np.abs(np.abs(eig) - 1.0)))
             raise LeftT(t, f"eigenvalue off the circle by {worst:.2e}")
-        nxt = _lift_angles(current, np.array([point_to_angle(z) for z in eig]))
+        nxt = _lift_angles(prev, current, np.array([point_to_angle(z) for z in eig]))
         for i in range(n):
             for j in range(i + 1, n):
                 close = abs((nxt[i] - nxt[j] + 0.5) % 1.0 - 0.5) < 1e-6
@@ -229,7 +241,7 @@ def _generic_reference(path, steps):
                     collisions.append((float(t), i, j))
                 elif not close:
                     separated[i, j] = True
-        current = nxt
+        prev, current = current, nxt
         lifts[s] = current
     return orbit.GenericTrack(times, lifts, collisions, bool(collisions))
 

@@ -98,18 +98,30 @@ class TestUnitCircleAngles:
                 assert pc.circle_dist(x, y) <= 1e-7
 
 
-@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(0, 1, exclude_max=True)),
+@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-0.1, 0.1),
+                          st.floats(0, 1, exclude_max=True)),
                 min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_lift_angles_matches_strand_loop(pairs):
-    current = np.array([c for c, _ in pairs])
-    ang = np.array([a for _, a in pairs])
-    cost = np.abs(current[:, None] % 1.0 - ang[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(np.minimum(cost, 1.0 - cost))
+def test_lift_angles_matches_strand_loop(triples):
+    current = np.array([c for c, _, _ in triples])
+    prev = current - np.array([d for _, d, _ in triples])
+    ang = np.array([a for _, _, a in triples])
+    guess = [2.0 * c - p for p, c in zip(prev, current)]
+    cost = [[min(abs(g % 1.0 - a), 1.0 - abs(g % 1.0 - a)) for a in ang] for g in guess]
+    rows, cols = scipy.optimize.linear_sum_assignment(np.array(cost))
     want = current.copy()
     for i, j in zip(rows, cols):
-        want[i] = current[i] + ((ang[j] - current[i] + 0.5) % 1.0 - 0.5)
-    assert pc._lift_angles(current, ang).tobytes() == want.tobytes()
+        want[i] = guess[i] + ((ang[j] - guess[i] + 0.5) % 1.0 - 0.5)
+    assert pc._lift_angles(prev, current, ang).tobytes() == want.tobytes()
+
+
+def test_lift_angles_passes_through_a_crossing():
+    # two strands moving towards each other cross at 1/2 and continue
+    prev, current = np.array([0.40, 0.60]), np.array([0.48, 0.52])
+    ang = np.array([0.44, 0.56])
+    assert pc._lift_angles(prev, current, ang) == pytest.approx([0.56, 0.44])
+    # without a previous step the nearest angles win: the strands bounce
+    assert pc._lift_angles(current, current, ang) == pytest.approx([0.44, 0.56])
 
 
 class TestExactOrToleranceComparisons:
