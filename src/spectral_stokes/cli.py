@@ -13,12 +13,15 @@ import argparse
 import json
 import math
 import os
+import platform
 import random
+import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy
 
 from . import acceptance, chain, hor, lowdim, matrices as mx, orbit, seifert as sf
 from .errors import SpectralStokesError
@@ -346,9 +349,25 @@ def _cmd_track(args, cfg):
             "path_dependent": res.path_dependent}
 
 
+def _git_sha():
+    """HEAD of the git checkout holding this package, None outside one."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                              cwd=os.path.dirname(os.path.abspath(__file__)), timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def _cmd_selftest(args, cfg):
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all(verbose=not args.json)
     ok = all(r.passed and r.in_time for r in results)
+    if args.json:
+        report = {"criteria": [asdict(r) for r in results],
+                  "python": platform.python_version(), "numpy": np.__version__,
+                  "scipy": scipy.__version__, "git_sha": _git_sha()}
+        # criterion details may hold Fractions and tuples of numpy scalars
+        print(json.dumps(report, default=str, sort_keys=True))
     return 0 if ok else 1
 
 
@@ -455,6 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(handler=_cmd_track)
 
     se = sub.add_parser("selftest", help="run the acceptance battery")
+    se.add_argument("--json", action="store_true",
+                    help="print one JSON report on stdout instead of a line per criterion")
     se.set_defaults(handler=_cmd_selftest)
     return ap
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import LeftT, VerificationFailed
-from .polycore import num_eq, point_to_angle, _lift_angles
+from .polycore import num_eq, point_to_angle, _lift_path
 
 
 def sign_act(eps, S: np.ndarray) -> np.ndarray:
@@ -208,18 +208,28 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     is expected at its linear continuation from the two samples before),
     so strands that cross pass through each other; the first step out of
     the identity, where every strand is at 0, matches by least distance.
-    Parameters where two tracked angles collide are reported; results
-    are flagged path/choice dependent in that case.
+    Two strands meet where their eigenvalues coincide, that is where the
+    difference of their lifts is an integer.  A meeting is reported
+    (as ``(t, i, j)``, once per meeting) at a sample where the two are
+    within 1e-6 after having separated, or, when the difference crosses
+    an integer strictly between two samples neither of which is within
+    1e-6, at the later of the two.  Results are flagged path/choice
+    dependent when any meeting is reported.
 
     The ``steps`` samples are evaluated as one batch: one shape and
     finiteness check, one ``det``, one ``solve`` and one ``eigvals`` over
-    the stack.  Only the matching of strands to angles walks them in
-    order.  LeftT names the first failing sample: one that is not unit
-    upper-triangular, has a non-finite entry, is singular, or has an
+    the stack.  LeftT names the first failing sample: one that is not
+    unit upper-triangular, has a non-finite entry, is singular, or has an
     eigenvalue off the circle, checked in that order within a sample.
     Angles are read with ``cmath.phase`` (``point_to_angle``), whose last
-    bits ``np.angle`` does not always reproduce, so tracked output stays
-    bit for bit the same as a sample-by-sample loop.
+    bits ``np.angle`` does not always reproduce.  The matching walks the
+    samples in order in ``polycore._lift_path``: a step where every
+    strand's guess is nearer one angle than half the smallest gap between
+    distinct angles is lifted directly, and any other step (about 1.5%
+    of them on random family members, such as the first step out of the
+    identity, where every guess is 0) goes to the assignment step
+    ``polycore._lift_angles``.  Tracked output is bit for bit that of
+    ``_lift_angles`` applied sample by sample.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -256,15 +266,17 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
                     else "sample has a non-finite entry" if not finite[inside]
                     else "sample is singular")
     ang = np.array([point_to_angle(z) for z in eig.ravel().tolist()]).reshape(eig.shape)
-    lifts = np.zeros((steps + 1, n))
-    for s in range(steps):
-        lifts[s + 1] = _lift_angles(lifts[max(s - 1, 0)], lifts[s], ang[s])
+    lifts = _lift_path(ang)
     # a collision is a genuine meeting: strands that start together (all
     # angles vanish at the identity) are not ambiguous until they separate
     i, j = np.triu_indices(n, 1)
-    close = np.abs((lifts[1:, i] - lifts[1:, j] + 0.5) % 1.0 - 0.5) < 1e-6
+    diff = lifts[1:, i] - lifts[1:, j]
+    close = np.abs((diff + 0.5) % 1.0 - 0.5) < 1e-6
     apart = np.logical_or.accumulate(~close, axis=0)
     met = close[1:] & apart[:-1]
-    collisions = [(float(times[s + 2]), int(i[p]), int(j[p])) for s, p in zip(*np.nonzero(met))]
+    # eigenvalues that coincide strictly between two samples, neither close
+    crossed = (np.floor(diff[1:]) != np.floor(diff[:-1])) & ~close[1:] & ~close[:-1]
+    collisions = [(float(times[s + 2]), int(i[p]), int(j[p]))
+                  for s, p in zip(*np.nonzero(met | crossed))]
     # the lifted angle of an eigenvalue exp(-2 pi i alpha) is alpha itself
     return GenericTrack(times, lifts, collisions, bool(collisions))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -162,6 +163,10 @@ def _lift_angles(prev: np.ndarray, current: np.ndarray, ang: np.ndarray) -> np.n
     assignment of least total circle distance from the guess; each then
     moves from the guess by its step taken in [-1/2, 1/2).  With
     ``prev = current`` the guess is ``current`` itself.
+
+    This is the one rule for matching strands.  :func:`_lift_path`, the
+    lifting pass of ``orbit.generic_path_track``, hands it every step
+    whose matching it cannot certify.
     """
     guess = 2.0 * current - prev
     cost = np.abs(guess[:, None] % 1.0 - ang[None, :])
@@ -169,6 +174,53 @@ def _lift_angles(prev: np.ndarray, current: np.ndarray, ang: np.ndarray) -> np.n
     # for a square cost matrix the rows come back as 0 .. n-1 in order
     _, cols = scipy.optimize.linear_sum_assignment(cost)
     return guess + ((ang[cols] - guess + 0.5) % 1.0 - 0.5)
+
+
+def _lift_path(ang: np.ndarray) -> np.ndarray:
+    """Lift the angle sets ``ang[s]`` (shape ``(steps, n)``) of a path
+    whose strands all start at 0.
+
+    Row ``s + 1`` of the ``(steps + 1, n)`` result is, bit for bit,
+    ``_lift_angles(row s - 1, row s, ang[s])``, with row ``-1`` read as
+    row 0.  A step is certified when every strand's guess lies closer to
+    one angle value than half the step's smallest circular gap between
+    distinct values (less 1e-12), and these nearest values use each value
+    as often as it occurs.  Each strand is then at the strict minimum of
+    its row of the cost matrix, so the least-total-distance assignment
+    takes the same values and the same expression gives the same floats.
+    Every other step, such as the first one out of all-zero strands,
+    goes to :func:`_lift_angles`.
+    """
+    steps, n = ang.shape
+    srt = np.sort(ang, axis=1)
+    gaps = np.diff(srt, axis=1)
+    # exactly equal angles are one value with a multiplicity
+    gaps[gaps == 0.0] = np.inf
+    # the wrap gap never merges: the point 1 can come out as 1e-17 and 1.0
+    wrap = srt[:, :1] + 1.0 - srt[:, -1:]
+    half = np.hstack([gaps, wrap]).min(axis=1, initial=np.inf) / 2.0 - 1e-12
+    prev = cur = [0.0] * n
+    lifts = [cur]
+    for s, (row, h) in enumerate(zip(srt.tolist(), half.tolist())):
+        # a guess x is certified at a if min(d, 1 - d) < h for d = |x - a|
+        far = 1.0 - h
+        nxt, picks = [], []
+        for p, c in zip(prev, cur):
+            g = 2.0 * c - p
+            x = g % 1.0
+            k = bisect_left(row, x)
+            a = row[k - 1]
+            if h <= abs(x - a) <= far:
+                a = row[k % n]
+                if h <= abs(x - a) <= far:
+                    break
+            picks.append(a)
+            nxt.append(g + ((a - g + 0.5) % 1.0 - 0.5))
+        if sorted(picks) != row:
+            nxt = _lift_angles(np.array(prev), np.array(cur), ang[s]).tolist()
+        lifts.append(nxt)
+        prev, cur = cur, nxt
+    return np.array(lifts)
 
 
 # ---------------------------------------------------------------------------

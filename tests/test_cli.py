@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectral_stokes import cli, hor, lowdim
@@ -167,6 +168,29 @@ class TestSelftest:
         monkeypatch.setattr(acceptance, "run_all", fake_run_all)
         assert cli.main(["selftest"]) == 0
         assert calls.get("ran")
+
+    @pytest.mark.parametrize("passed, seconds, code", [(True, 1.5, 0), (False, 1.5, 1),
+                                                       (True, 99.0, 1)])
+    def test_selftest_json_report(self, capsys, monkeypatch, passed, seconds, code):
+        from spectral_stokes import acceptance
+
+        def fake_run_all(verbose=True):
+            assert not verbose
+            details = {"failures": [(2, 1, {3: 1}, Fraction(1, 3), np.int64(4))], "count": 8}
+            return [acceptance.CriterionResult("first", True, 0.25, 10.0),
+                    acceptance.CriterionResult("second", passed, seconds, 60.0, details)]
+
+        monkeypatch.setattr(acceptance, "run_all", fake_run_all)
+        assert cli.main(["selftest", "--json"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"criteria", "python", "numpy", "scipy", "git_sha"}
+        assert report["numpy"] == np.__version__
+        assert report["git_sha"] is None or len(report["git_sha"]) == 40
+        first, second = report["criteria"]
+        assert first == {"name": "first", "passed": True, "seconds": 0.25, "limit": 10.0,
+                         "details": {}}
+        assert second["passed"] is passed and second["seconds"] == seconds
+        assert second["details"] == {"failures": [[2, 1, {"3": 1}, "1/3", "4"]], "count": 8}
 
 
 @pytest.mark.parametrize("argv, file_data, error", [

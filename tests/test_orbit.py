@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -183,6 +184,29 @@ class TestGenericTrack:
                 res = orbit.generic_path_track(hor.path_matrices(fam.betas), steps=64 * n)
                 want = sorted(float(a) for a in hor.recipe_spectrum(b))
                 assert sorted(res.endpoint) == pytest.approx(want, abs=1e-6), (n, k)
+                # meetings at the times the closed-form strands cross an integer
+                strands = np.asarray(fam.alphas, dtype=float)
+                crossings = []
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        d = np.floor(strands[1:, i] - strands[1:, j])
+                        crossings += [fam.times[s + 2] for s in np.flatnonzero(d[1:] != d[:-1])]
+                assert sorted(t for t, _, _ in res.collisions) == sorted(crossings), (n, k)
+                assert res.path_dependent == bool(crossings)
+
+    def test_crossing_between_samples_is_reported(self):
+        # (3, 1) at seed 0: the strands alpha and -alpha pass through +-1/2,
+        # the eigenvalue -1, strictly between two samples, and end at +-0.767
+        b = hor.sample_scal(3, 1, random.Random(0))
+        fam = hor.simplex_path_track(hor.scal_to_matrix(b), steps=192)
+        res = orbit.generic_path_track(hor.path_matrices(fam.betas), steps=192)
+        [(t, i, j)] = res.collisions
+        assert res.path_dependent
+        assert res.alphas[-1, i] == pytest.approx(-res.alphas[-1, j])
+        s = int(np.flatnonzero(res.times == t)[0])
+        before, after = (res.alphas[r, i] - res.alphas[r, j] for r in (s - 1, s))
+        assert math.floor(before) != math.floor(after)
+        assert min(abs(before - round(before)), abs(after - round(after))) > 1e-3
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sample_leaves_t(self, bad):
@@ -222,6 +246,9 @@ def _generic_reference(path, steps):
     lifts[0] = current
     collisions = []
     separated = np.zeros((n, n), dtype=bool)
+    # every strand starts at 0, so each pair starts close with floor 0
+    was_close = np.ones((n, n), dtype=bool)
+    floors = np.zeros((n, n))
     for s, t in enumerate(times[1:], start=1):
         x = t * segs
         seg = min(int(x), segs - 1)
@@ -236,11 +263,15 @@ def _generic_reference(path, steps):
         nxt = _lift_angles(prev, current, np.array([point_to_angle(z) for z in eig]))
         for i in range(n):
             for j in range(i + 1, n):
-                close = abs((nxt[i] - nxt[j] + 0.5) % 1.0 - 0.5) < 1e-6
-                if close and separated[i, j]:
+                diff = nxt[i] - nxt[j]
+                close = abs((diff + 0.5) % 1.0 - 0.5) < 1e-6
+                # the difference crossed an integer strictly between two samples
+                crossed = not close and not was_close[i, j] and math.floor(diff) != floors[i, j]
+                if close and separated[i, j] or crossed:
                     collisions.append((float(t), i, j))
                 elif not close:
                     separated[i, j] = True
+                was_close[i, j], floors[i, j] = close, math.floor(diff)
         prev, current = current, nxt
         lifts[s] = current
     return orbit.GenericTrack(times, lifts, collisions, bool(collisions))

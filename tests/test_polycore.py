@@ -124,6 +124,59 @@ def test_lift_angles_passes_through_a_crossing():
     assert pc._lift_angles(current, current, ang) == pytest.approx([0.44, 0.56])
 
 
+def _lift_loop(ang):
+    """The lifting pass of generic_path_track, one _lift_angles call per step."""
+    lifts = np.zeros((len(ang) + 1, ang.shape[1]))
+    for s in range(len(ang)):
+        lifts[s + 1] = pc._lift_angles(lifts[max(s - 1, 0)], lifts[s], ang[s])
+    return lifts
+
+
+@st.composite
+def _angle_stacks(draw):
+    """Strands moving at constant speeds (so they cross), then edited: exact
+    repeats of another angle, tiny angles and 1.0 for the point 1, and
+    near-ties within 1e-12 of another angle."""
+    n, steps = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    start = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)),
+                          min_size=n, max_size=n))
+    speed = draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n))
+    ang = np.array([[(a + v * s) % 1.0 for a, v in zip(start, speed)]
+                    for s in range(1, steps + 1)])
+    for _ in range(draw(st.integers(0, 8))):
+        s, col, src = (draw(st.integers(0, steps - 1)), draw(st.integers(0, n - 1)),
+                       draw(st.integers(0, n - 1)))
+        kind = draw(st.sampled_from(["repeat", "tiny", "one", "near"]))
+        if kind == "repeat":
+            ang[s, col] = ang[s, src]
+        elif kind == "tiny":
+            ang[s, col] = draw(st.sampled_from([1.87e-17, 2.0 ** -54, 2.0 ** -53, 5e-324, 1e-13]))
+        elif kind == "one":
+            ang[s, col] = 1.0
+        else:
+            ang[s, col] = min(max(ang[s, src] + draw(st.floats(-1e-12, 1e-12)), 0.0), 1.0)
+    return ang
+
+
+@given(_angle_stacks())
+@settings(max_examples=300, deadline=None)
+def test_lift_path_matches_step_loop(ang):
+    assert pc._lift_path(ang).tobytes() == _lift_loop(ang).tobytes()
+
+
+def test_lift_path_keeps_the_point_one_as_two_values():
+    # the point 1 read as the two angles 1.87e-17 and 1.0: their wrap gap is
+    # 0.0 in floats, yet they are two values.  The strand lifted to
+    # 1.1e-16, 1.7e-16, 1.1e-16 guesses 2**-54, whose float cost to 1.0 is 0,
+    # so the assignment sends it to 1.0, not to the nearer 1.87e-17
+    ulp = 2.0 ** -54
+    ang = np.array([[2 * ulp, 0.0, 0.3], [3 * ulp, 0.0, 0.3], [2 * ulp, 0.0, 0.3],
+                    [1.87e-17, 1.0, 0.3]])
+    lifts = pc._lift_path(ang)
+    assert lifts.tobytes() == _lift_loop(ang).tobytes()
+    assert lifts[-1].tolist() == [0.0, ulp, 0.3]
+
+
 class TestExactOrToleranceComparisons:
     def test_exact_never_uses_the_tolerance(self):
         assert not pc.num_eq(Fraction(1, 10**12), 0)
