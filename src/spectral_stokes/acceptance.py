@@ -268,7 +268,7 @@ def criterion_properties():
                 ok, _ = hor.is_realizable_spectrum(sp, n, k)
                 if not ok:
                     problems.append(("realizable", n, k))
-                srt = sorted(sp, key=float)
+                srt = sorted(sp)
                 if any(float(srt[i + 1] - srt[i]) > 1 + 1e-12 for i in range(n - 1)):
                     problems.append(("gap", n, k))
 

@@ -230,7 +230,7 @@ def qh_ts_spectrum(w1, w2) -> list:
     disjoint variables: all pairwise sums alpha + alpha' + 1."""
     s1 = qh_spectrum(w1)
     s2 = qh_spectrum(w2)
-    return sorted((a + b + 1 for a in s1 for b in s2), key=float)
+    return sorted(a + b + 1 for a in s1 for b in s2)
 
 
 def thom_sebastiani(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
@@ -329,7 +329,7 @@ def spectrum_from_basis(a) -> list:
     """alpha_j = -1 + sum w_k + weighted degree of the j-th basis monomial."""
     c = ChainSing(tuple(a))
     base = sum(c.w, Fraction(0)) - 1
-    return sorted((base + mon.degree(c.w) for mon in jacobi_basis(a)), key=float)
+    return sorted(base + mon.degree(c.w) for mon in jacobi_basis(a))
 
 
 def _step_monomials(c: ChainSing) -> list[tuple]:

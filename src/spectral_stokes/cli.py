@@ -263,8 +263,7 @@ def _cmd_chain_spectrum(args, cfg):
     sp_s = chain.stokes_spectrum(a)
     if args.format == "csv":
         lines = ["index,alpha_f,alpha_matrix"]
-        for i, (x, y) in enumerate(zip(sorted(sp_f, key=float),
-                                       sorted(sp_s, key=float)), start=1):
+        for i, (x, y) in enumerate(zip(sorted(sp_f), sorted(sp_s)), start=1):
             lines.append(f"{i},{format_number(x, cfg.precision)},"
                          f"{format_number(y, cfg.precision)}")
         return "\n".join(lines) + "\n"

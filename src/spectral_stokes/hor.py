@@ -209,7 +209,7 @@ def scal_from_angles(angles, k: int) -> HorScal:
         else:
             rest.extend([beta] * m)
     exact = all(is_exact(x) for x in rest)
-    rest.sort(key=None if exact else float)
+    rest.sort()
     zero, one = (0, 1) if exact else (0.0, 1.0)
     return HorScal(k, tuple(_split_root_one(ones, rest, k, zero, one)))
 
@@ -277,22 +277,23 @@ def recipe_spectrum(b: HorScal) -> list:
 def recipe_ladder_groups(b: HorScal):
     """(circle point angle, ladder) pairs: the alphas attached to a common
     circle point form a run alpha, alpha+1, ..., alpha+l and become the
-    ladder with first number alpha, center 1, length l + 1."""
-    alphas = recipe_spectrum(b)
-    groups: list[tuple[object, list]] = []
-    for beta, a in zip(b.beta, alphas):
-        key = mod1(beta)
-        placed = False
-        for gk, vals in groups:
-            if angle_eq(gk, key):
-                vals.append(a)
-                placed = True
-                break
-        if not placed:
-            groups.append((key, [a]))
+    ladder with first number alpha, center 1, length l + 1.
+
+    The angles are nondecreasing in [0, 1], so the angles of one circle
+    point are adjacent and one pass reads them off as runs.  The one
+    exception is the point 1, listed as 0 at the front and as 1 at the
+    back, so the last run joins the first when their angles agree."""
+    runs: list[tuple[object, list]] = []
+    for beta, a in zip(b.beta, recipe_spectrum(b)):
+        if runs and angle_eq(runs[-1][0], beta):
+            runs[-1][1].append(a)
+        else:
+            runs.append((mod1(beta), [a]))
+    if len(runs) > 1 and angle_eq(runs[0][0], runs[-1][0]):
+        runs[0][1].extend(runs.pop()[1])
     out = []
-    for key, vals in groups:
-        vals.sort(key=float)
+    for key, vals in runs:
+        vals.sort()
         l = len(vals) - 1
         for i in range(l):
             if not num_eq(vals[i + 1] - vals[i], 1, 1e-7):
@@ -318,7 +319,7 @@ def is_realizable_spectrum(candidate, n: int, k: int):
     alpha_{j+1} >= alpha_j - 1, and for k=1 additionally alpha_1 >= -1/2.
     Returns (ok, witness ordering or None).
     """
-    cand = sorted(candidate, key=float, reverse=True)
+    cand = sorted(candidate, reverse=True)
     if len(cand) != n:
         return False, None
     order: list = []

@@ -170,7 +170,7 @@ def conjecture16_check(pool) -> Conjecture16Report:
         cp = mx.char_poly_exact(mono) if mx.is_exact_matrix(M.S) else None
         key = cp.coeffs if cp is not None else tuple(
             round(float(c), 9) for c in np.poly(np.asarray(mono, dtype=float))[::-1])
-        sp = sorted(recipe_spectrum(matrix_to_scal(M)), key=float)
+        sp = sorted(recipe_spectrum(matrix_to_scal(M)))
         groups.setdefault(key, []).append((label, sp))
     violations = []
     for key, vals in groups.items():
@@ -219,8 +219,9 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     The ``steps`` samples are evaluated as one batch: one shape and
     finiteness check, one ``det``, one ``solve`` and one ``eigvals`` over
     the stack.  LeftT names the first failing sample: one that is not
-    unit upper-triangular, has a non-finite entry, is singular, or has an
-    eigenvalue off the circle, checked in that order within a sample.
+    unit upper-triangular, has a non-finite entry, is singular, has a
+    non-finite S^{-1} S^t, or has an eigenvalue off the circle, checked in
+    that order within a sample.
     Angles are read with ``cmath.phase`` (``point_to_angle``), whose last
     bits ``np.angle`` does not always reproduce.  The matching walks the
     samples in order in ``polycore._lift_path``: a step where every
@@ -255,14 +256,25 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     inside = int(singular[0]) if singular.size else inside
     # float LAPACK solve kept on purpose: it runs on every tracking sample
     good = samples[:inside]
-    eig = np.linalg.eigvals(np.linalg.solve(good, good.transpose(0, 2, 1)))
+    mono = np.linalg.solve(good, good.transpose(0, 2, 1))
+    overflow = False
+    try:
+        eig = np.linalg.eigvals(mono)
+    except np.linalg.LinAlgError:
+        # eigvals refuses the whole stack when one S^{-1} S^t overflowed
+        mono_finite = np.isfinite(mono).all(axis=(1, 2))
+        if mono_finite.all():
+            raise
+        inside, overflow = int(np.argmin(mono_finite)), True
+        eig = np.linalg.eigvals(mono[:inside])
     off = np.abs(np.abs(eig) - 1.0)
     left = np.flatnonzero((off > 1e-6).any(axis=1))
     if left.size:
         s = left[0]
         raise LeftT(times[s + 1], f"eigenvalue off the circle by {float(np.max(off[s])):.2e}")
     if inside < steps:
-        raise LeftT(times[inside + 1], "sample is not unit upper triangular" if not shaped[inside]
+        raise LeftT(times[inside + 1], "monodromy has a non-finite entry" if overflow
+                    else "sample is not unit upper triangular" if not shaped[inside]
                     else "sample has a non-finite entry" if not finite[inside]
                     else "sample is singular")
     ang = np.array([point_to_angle(z) for z in eig.ravel().tolist()]).reshape(eig.shape)

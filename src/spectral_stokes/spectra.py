@@ -3,7 +3,10 @@
 A spectral pair is ``(alpha, k)`` with ``alpha`` real and ``k`` an integer
 level.  A ladder with first number ``alpha``, center ``m`` and length
 ``l + 1`` consists of the pairs ``(alpha + j, m + l - 2j)`` for
-``j = 0..l``.  Multisets of pairs are modelled by :class:`Spp`.
+``j = 0..l``.  Multisets of pairs are modelled by :class:`Spp`, which
+orders its pairs by their exact values (Python compares Fractions, ints
+and floats exactly), so two exact multisets are equal exactly when their
+sorted tuples are.
 """
 
 from __future__ import annotations
@@ -14,17 +17,13 @@ from .errors import NotLadderComposed
 from .polycore import CIRCLE_TOL, format_number, is_exact, num_eq, parse_rational
 
 
-def _sort_key(pair):
-    return (float(pair[0]), pair[1])
-
-
 class Spp:
     """Multiset of spectral pairs, stored as a sorted tuple with repeats."""
 
     __slots__ = ("pairs",)
 
     def __init__(self, pairs=()):
-        self.pairs = tuple(sorted(((a, int(k)) for a, k in pairs), key=_sort_key))
+        self.pairs = tuple(sorted((a, int(k)) for a, k in pairs))
 
     def __len__(self):
         return len(self.pairs)
@@ -45,7 +44,7 @@ class Spp:
 
     def alphas(self):
         """The underlying spectrum (first components, sorted)."""
-        return sorted((a for a, _ in self.pairs), key=float)
+        return [a for a, _ in self.pairs]
 
     def equals(self, other: "Spp") -> bool:
         if len(self) != len(other):
@@ -202,8 +201,7 @@ def decompose_into_ladders(s: Spp, m: int) -> list[LadderAssignment]:
             raise NotLadderComposed(
                 f"pair with level {top} cannot belong to a ladder with center {m}",
                 witness=next(p for p in remaining if p[1] == top))
-        starts = sorted((a for a, k in remaining if k == top), key=float)
-        alpha = starts[0]
+        alpha = min(a for a, k in remaining if k == top)
         got = [take(alpha, top)]
         ok = True
         for j in range(1, l + 1):

@@ -200,10 +200,13 @@ class TestSelftest:
      "ValueError"),
     (["track", "--path-file"], {"paths": []}, "ValueError"),
     (["track", "--path-file"], {"path": []}, "ValueError"),
+    (["track", "--path-file"], {"path": [{"n": 2, "entries": [[1, 0], [0, 1]]},
+                                         {"n": 2, "entries": [[1, 1e200], [0, 1]]}]}, "LeftT"),
     (["hor", "spectrum", "--k", "1", "--beta", "1/0"], None, "ValueError"),
     (["solve2", "--a", "nan"], None, "ValueError"),
 ], ids=["matrix-without-entries", "entries-not-rows", "boolean-entries",
-        "path-file-without-path", "empty-path", "zero-denominator", "nan"])
+        "path-file-without-path", "empty-path", "overflowing-monodromy", "zero-denominator",
+        "nan"])
 def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data, error):
     if file_data is not None:
         f = tmp_path / "input.json"

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from spectral_stokes import chain, hor, matrices as mx
 from spectral_stokes.errors import NotInFamily
-from spectral_stokes.polycore import (RealPoly, angle_to_point, mod1, point_to_angle,
-                                      poly_from_float_angles, unit_circle_angles,
-                                      _lift_angles)
-from spectral_stokes.spectra import Spp
+from spectral_stokes.polycore import (RealPoly, angle_eq, angle_to_point, mod1,
+                                      point_to_angle, poly_from_float_angles,
+                                      unit_circle_angles, _lift_angles)
+from spectral_stokes.spectra import Spp, SppLadder
 
 F = Fraction
 
@@ -139,6 +139,62 @@ class TestRecipe:
             for a in alphas:
                 want[mod1(a)] = want.get(mod1(a), 0) + 1
             assert dict(angles) == want
+
+
+def _ladder_groups_reference(b):
+    """recipe_ladder_groups by a scan over every group found so far."""
+    groups = []
+    for beta, a in zip(b.beta, hor.recipe_spectrum(b)):
+        key = mod1(beta)
+        for gk, vals in groups:
+            if angle_eq(gk, key):
+                vals.append(a)
+                break
+        else:
+            groups.append((key, [a]))
+    return [(key, SppLadder(min(vals), 1, len(vals) - 1)) for key, vals in groups]
+
+
+_SMALL_CHAIN_TUPLES = [a for a in chain.grid_tuples(6, 4, 4) if chain.ChainSing(a).mu <= 120]
+
+
+@st.composite
+def _family_points(draw):
+    """Grid points with repeated angles and the root 1 of high multiplicity
+    (free coordinates at 0), exact or as floats, float draws and chain points."""
+    kind = draw(st.sampled_from(["grid", "float grid", "sample", "chain"]))
+    if kind == "chain":
+        return chain.stokes_scal(draw(st.sampled_from(_SMALL_CHAIN_TUPLES)))
+    n, k = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2]))
+    if kind == "sample":
+        return hor.sample_scal(n, k, random.Random(draw(st.integers(0, 10 ** 6))))
+    d = hor.free_dimension(n, k)
+    den = draw(st.integers(1, 12))
+    ones = draw(st.integers(0, d))
+    free = [0] * ones + draw(st.lists(st.integers(0, den), min_size=d - ones, max_size=d - ones))
+    free = sorted(F(x, 2 * den) for x in free)
+    return hor.scal_from_free(n, k, free if kind == "grid" else [float(x) for x in free])
+
+
+class TestLadderGroups:
+    @given(_family_points())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_match_the_group_scan(self, b):
+        got = hor.recipe_ladder_groups(b)
+        want = _ladder_groups_reference(b)
+        assert [(key, type(key), lad, type(lad.alpha)) for key, lad in got] == \
+            [(key, type(key), lad, type(lad.alpha)) for key, lad in want]
+
+    def test_one_pass_over_the_angles(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, *args):
+            calls.append(None)
+            return angle_eq(a, b, *args)
+        b = chain.stokes_scal((6, 4, 4, 4))
+        monkeypatch.setattr(hor, "angle_eq", counted)
+        hor.recipe_ladder_groups(b)
+        assert b.n == 307 and len(calls) <= b.n + 1
 
 
 class TestRealizable:

@@ -256,7 +256,10 @@ def _generic_reference(path, steps):
         S = (1 - loc) * mats[seg] + loc * mats[seg + 1]
         if any(not abs(S[i, j] - (i == j)) <= 1e-7 for i in range(n) for j in range(i + 1)):
             raise LeftT(t, "sample is not unit upper triangular")
-        eig = np.linalg.eigvals(np.linalg.solve(S, S.T))
+        mono = np.linalg.solve(S, S.T)
+        if not np.isfinite(mono).all():
+            raise LeftT(t, "monodromy has a non-finite entry")
+        eig = np.linalg.eigvals(mono)
         if np.any(np.abs(np.abs(eig) - 1.0) > 1e-6):
             worst = float(np.max(np.abs(np.abs(eig) - 1.0)))
             raise LeftT(t, f"eigenvalue off the circle by {worst:.2e}")
@@ -347,3 +350,17 @@ class TestBatchedGenericTrack:
         bad[1, 0] = 1.0
         got = _assert_same_as_reference([np.eye(2), bad], 1)
         assert got[0] == "LeftT" and "not unit upper triangular" in got[3]
+
+    def test_overflowing_monodromy_leaves(self):
+        # each sample is finite and unit upper-triangular, but 1 - a^2 overflows
+        with pytest.raises(LeftT) as exc:
+            orbit.generic_path_track([np.eye(2), [[1, 1e200], [0, 1]]], steps=4)
+        assert exc.value.parameter == 0.25 and "non-finite" in str(exc.value)
+
+    def test_overflow_after_finite_samples(self):
+        got = _assert_same_as_reference([np.eye(2), _blocks(1.0), [[1, 1e200], [0, 1]]], 8)
+        assert got[0] == "LeftT" and got[2] == 0.625 and "non-finite" in got[3]
+
+    def test_circle_check_before_overflow(self):
+        got = _assert_same_as_reference([np.eye(2), _blocks(3.0), [[1, 1e200], [0, 1]]], 8)
+        assert got[0] == "LeftT" and "off the circle" in got[3] and got[2] < 0.5

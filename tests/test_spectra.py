@@ -167,3 +167,15 @@ class TestSerialization:
         data = s.to_json()
         assert {"alpha": "-1/2", "level": 2, "mult": 2} in data
         assert Spp.from_json(data) == s
+
+
+class TestExactOrder:
+    # equal as floats, so a float sort key would keep the input order
+    x = F(1, 3)
+    y = F(1, 3) + F(1, 10 ** 20)
+
+    def test_equal_multisets_in_either_order(self):
+        assert Spp([(self.x, 1), (self.y, 1)]) == Spp([(self.y, 1), (self.x, 1)])
+
+    def test_alphas_in_exact_order(self):
+        assert Spp([(self.y, 1), (self.x, 1)]).alphas() == [self.x, self.y]
