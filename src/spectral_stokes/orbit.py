@@ -217,20 +217,26 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     dependent when any meeting is reported.
 
     The ``steps`` samples are evaluated as one batch: one shape and
-    finiteness check, one ``det``, one ``solve`` and one ``eigvals`` over
-    the stack.  LeftT names the first failing sample: one that is not
-    unit upper-triangular, has a non-finite entry, is singular, has a
-    non-finite S^{-1} S^t, or has an eigenvalue off the circle, checked in
-    that order within a sample.
+    finiteness check, one ``solve`` and one ``eigvals`` over the stack.
+    One singular sample makes the batched ``solve`` fail; only then is
+    ``det`` taken over the stack, to find the first sample whose ``det``
+    is 0 (``det`` and ``solve`` factor a sample alike), and the samples
+    before it are solved again.  LeftT names the first failing sample: one
+    that is not unit upper-triangular, has a non-finite entry, is
+    singular, has a non-finite S^{-1} S^t, or has an eigenvalue off the
+    circle, checked in that order within a sample.
     Angles are read with ``cmath.phase`` (``point_to_angle``), whose last
-    bits ``np.angle`` does not always reproduce.  The matching walks the
-    samples in order in ``polycore._lift_path``: a step where every
-    strand's guess is nearer one angle than half the smallest gap between
-    distinct angles is lifted directly, and any other step (about 1.5%
-    of them on random family members, such as the first step out of the
-    identity, where every guess is 0) goes to the assignment step
-    ``polycore._lift_angles``.  Tracked output is bit for bit that of
-    ``_lift_angles`` applied sample by sample.
+    bits ``np.angle`` does not always reproduce.  The matching is
+    ``polycore._lift_path``: one array pass certifies a step in place
+    when each sorted angle's guess from the two sorted rows before lies
+    nearer to the angle at the same sorted index than half the smallest
+    gap between distinct angles, and each run of such steps is lifted
+    strand by strand.  Every other step (about 4% of them on random
+    family members: crossings, wraps past the point 1 and the first step
+    out of the identity, where every guess is 0) is certified on its own
+    or goes to the assignment step ``polycore._lift_angles``.  Tracked
+    output is bit for bit that of ``_lift_angles`` applied sample by
+    sample.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -250,13 +256,19 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     finite = np.isfinite(samples).all(axis=(1, 2))
     ok = shaped & finite
     inside = steps if ok.all() else int(np.argmin(ok))
-    # one singular sample would make the batched solve fail for all of them;
-    # det and solve factor a sample alike, so det is 0 exactly where solve fails
-    singular = np.flatnonzero(np.linalg.det(samples[:inside]) == 0)
-    inside = int(singular[0]) if singular.size else inside
     # float LAPACK solve kept on purpose: it runs on every tracking sample
     good = samples[:inside]
-    mono = np.linalg.solve(good, good.transpose(0, 2, 1))
+    try:
+        mono = np.linalg.solve(good, good.transpose(0, 2, 1))
+    except np.linalg.LinAlgError:
+        # one singular sample makes the batched solve fail for all of them;
+        # det and solve factor a sample alike, so det is 0 exactly where solve fails
+        singular = np.flatnonzero(np.linalg.det(good) == 0)
+        if not singular.size:
+            raise
+        inside = int(singular[0])
+        good = samples[:inside]
+        mono = np.linalg.solve(good, good.transpose(0, 2, 1))
     overflow = False
     try:
         eig = np.linalg.eigvals(mono)

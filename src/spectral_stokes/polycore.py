@@ -176,20 +176,43 @@ def _lift_angles(prev: np.ndarray, current: np.ndarray, ang: np.ndarray) -> np.n
     return guess + ((ang[cols] - guess + 0.5) % 1.0 - 0.5)
 
 
+# lifts of this size or more end the certified runs of _lift_path: a run
+# reads its guesses in angle space, and the float error of a lift grows
+# with its size
+_RUN_LIMIT = 256.0
+
+
 def _lift_path(ang: np.ndarray) -> np.ndarray:
     """Lift the angle sets ``ang[s]`` (shape ``(steps, n)``) of a path
     whose strands all start at 0.
 
     Row ``s + 1`` of the ``(steps + 1, n)`` result is, bit for bit,
     ``_lift_angles(row s - 1, row s, ang[s])``, with row ``-1`` read as
-    row 0.  A step is certified when every strand's guess lies closer to
-    one angle value than half the step's smallest circular gap between
-    distinct values (less 1e-12), and these nearest values use each value
-    as often as it occurs.  Each strand is then at the strict minimum of
-    its row of the cost matrix, so the least-total-distance assignment
-    takes the same values and the same expression gives the same floats.
-    Every other step, such as the first one out of all-zero strands,
-    goes to :func:`_lift_angles`.
+    row 0.  Let ``half[s]`` be half the smallest circular gap between
+    distinct values of ``ang[s]``, less 1e-12.
+
+    One array pass certifies steps in place: step ``s`` is certified when,
+    for every sorted index ``i``, the guess ``2 srt[s-1, i] - srt[s-2, i]``
+    (mod 1) made from the sorted rows lies nearer than ``half[s]`` to
+    ``srt[s, i]``.  Where the walk's own rows ``s - 1`` and ``s`` hold
+    every strand at the same sorted index, as ``srt[s - 2]`` and
+    ``srt[s - 1]``, a maximal run of certified steps is lifted strand by
+    strand, each strand keeping its index.  Its lifted guess then differs
+    from the angle-space guess by a few units in the last place of the
+    lift, far below the 1e-12 margin, so it is nearest to its own value
+    by a clear margin, and the least-total-distance assignment of
+    ``_lift_angles`` takes the same values.  That bound needs lifts below
+    ``_RUN_LIMIT`` in size: a run that reaches it is discarded, and no
+    run is used for the rest of the path.
+
+    Every other step (a crossing, a wrap past the point 1, the first steps
+    out of all-zero strands) is certified on its own: when every strand's
+    guess lies nearer than ``half[s]`` to one value and these nearest
+    values use each value as often as it occurs, each strand is at the
+    strict minimum of its row of the cost matrix, so the assignment takes
+    the same values.  A step certified neither way goes to
+    :func:`_lift_angles`.  The same expression lifts a strand in all
+    three cases, so it gives the same floats.
     """
     steps, n = ang.shape
     srt = np.sort(ang, axis=1)
@@ -199,9 +222,38 @@ def _lift_path(ang: np.ndarray) -> np.ndarray:
     # the wrap gap never merges: the point 1 can come out as 1e-17 and 1.0
     wrap = srt[:, :1] + 1.0 - srt[:, -1:]
     half = np.hstack([gaps, wrap]).min(axis=1, initial=np.inf) / 2.0 - 1e-12
+    d = np.abs((2.0 * srt[1:-1] - srt[:-2]) % 1.0 - srt[2:])
+    held = np.zeros(steps, dtype=bool)
+    held[2:] = (np.minimum(d, 1.0 - d) < half[2:, None]).all(axis=1)
+    # a run of certified steps ends at the next step that is not certified
+    ends = np.flatnonzero(~held).tolist() + [steps]
+    rows, cols, halves, held = srt.tolist(), srt.T.tolist(), half.tolist(), held.tolist()
     prev = cur = [0.0] * n
     lifts = [cur]
-    for s, (row, h) in enumerate(zip(srt.tolist(), half.tolist())):
+    # the strands in the sorted order of their values in rows s - 1 and s
+    # of the walk; None where a row came from _lift_angles or is row 0
+    order_prev = order_cur = None
+    runs = True
+    s = 0
+    while s < steps:
+        if held[s] and runs and order_cur is not None and order_prev == order_cur:
+            e = ends[bisect_left(ends, s)]
+            run = [None] * n
+            for i, j in enumerate(order_cur):
+                p, c = prev[j], cur[j]
+                col = run[j] = []
+                for a in cols[i][s:e]:
+                    g = 2.0 * c - p
+                    p, c = c, g + ((a - g + 0.5) % 1.0 - 0.5)
+                    col.append(c)
+            if max(map(abs, prev + cur)) < _RUN_LIMIT and all(
+                    -_RUN_LIMIT < min(col) and max(col) < _RUN_LIMIT for col in run):
+                lifts.extend(map(list, zip(*run)))
+                prev, cur = lifts[-2], lifts[-1]
+                s = e
+                continue
+            runs = False
+        row, h = rows[s], halves[s]
         # a guess x is certified at a if min(d, 1 - d) < h for d = |x - a|
         far = 1.0 - h
         nxt, picks = [], []
@@ -216,10 +268,14 @@ def _lift_path(ang: np.ndarray) -> np.ndarray:
                     break
             picks.append(a)
             nxt.append(g + ((a - g + 0.5) % 1.0 - 0.5))
-        if sorted(picks) != row:
+        order = sorted(range(len(picks)), key=picks.__getitem__)
+        if [picks[j] for j in order] != row:
             nxt = _lift_angles(np.array(prev), np.array(cur), ang[s]).tolist()
+            order = None
         lifts.append(nxt)
         prev, cur = cur, nxt
+        order_prev, order_cur = order_cur, order
+        s += 1
     return np.array(lifts)
 
 

@@ -351,6 +351,18 @@ class TestBatchedGenericTrack:
         got = _assert_same_as_reference([np.eye(2), bad], 1)
         assert got[0] == "LeftT" and "not unit upper triangular" in got[3]
 
+    def test_singular_sample_named_after_solve_fails(self):
+        # det S = 1 - 2e7 * 5e-8 = 0: the last sample makes the batched solve
+        # fail, and det names it
+        E, S = np.eye(2), [[1, 2e7], [5e-8, 1]]
+        with pytest.raises(LeftT) as exc:
+            orbit.generic_path_track([E, E, S], steps=2)
+        assert exc.value.parameter == 1.0 and "sample is singular" in str(exc.value)
+        # an earlier sample off the circle is named first
+        with pytest.raises(LeftT) as exc:
+            orbit.generic_path_track([E, E, S], steps=6)
+        assert exc.value.parameter == pytest.approx(2 / 3) and "off the circle" in str(exc.value)
+
     def test_overflowing_monodromy_leaves(self):
         # each sample is finite and unit upper-triangular, but 1 - a^2 overflows
         with pytest.raises(LeftT) as exc:

@@ -134,13 +134,16 @@ def _lift_loop(ang):
 
 @st.composite
 def _angle_stacks(draw):
-    """Strands moving at constant speeds (so they cross), then edited: exact
-    repeats of another angle, tiny angles and 1.0 for the point 1, and
-    near-ties within 1e-12 of another angle."""
-    n, steps = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    """Strands moving at constant speeds (so they cross, and the fast ones
+    wrap past the point 1), then edited: exact repeats of another angle,
+    tiny angles and 1.0 for the point 1, and near-ties within 1e-12 of
+    another angle.  Long stacks give _lift_path certified runs, and the
+    edits and crossings break them."""
+    n, steps = draw(st.integers(1, 8)), draw(st.integers(1, 300))
     start = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)),
                           min_size=n, max_size=n))
-    speed = draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n))
+    speed = draw(st.lists(st.one_of(st.floats(-0.05, 0.05), st.floats(-0.45, 0.45)),
+                          min_size=n, max_size=n))
     ang = np.array([[(a + v * s) % 1.0 for a, v in zip(start, speed)]
                     for s in range(1, steps + 1)])
     for _ in range(draw(st.integers(0, 8))):
@@ -162,6 +165,26 @@ def _angle_stacks(draw):
 @settings(max_examples=300, deadline=None)
 def test_lift_path_matches_step_loop(ang):
     assert pc._lift_path(ang).tobytes() == _lift_loop(ang).tobytes()
+
+
+def test_lift_path_crossing_before_a_certified_stretch():
+    # two strands leave 0 in opposite directions and cross twice.  After the
+    # first crossing the sorted rows continue smoothly, so the next step is
+    # certified in place, but the strands have swapped sorted indices: that
+    # step goes through the per-step certificate before a run starts
+    ang = np.array([[(0.1 * s) % 1.0, (-0.13 * s) % 1.0] for s in range(1, 12)])
+    lifts = pc._lift_path(ang)
+    assert lifts.tobytes() == _lift_loop(ang).tobytes()
+    assert lifts[-1] == pytest.approx([1.1, -1.43])
+
+
+def test_lift_path_past_the_run_limit():
+    # two fast strands wind past _RUN_LIMIT turns; from there on every step
+    # goes through the per-step certificate
+    ang = np.array([[(0.43 * s) % 1.0, (0.1 * s) % 1.0] for s in range(1, 701)])
+    lifts = pc._lift_path(ang)
+    assert lifts.tobytes() == _lift_loop(ang).tobytes()
+    assert np.abs(lifts).max() > pc._RUN_LIMIT
 
 
 def test_lift_path_keeps_the_point_one_as_two_values():
