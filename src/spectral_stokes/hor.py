@@ -217,10 +217,10 @@ def scal_from_angles(angles, k: int) -> HorScal:
 def poly_to_scal(p: RealPoly, k: int) -> HorScal:
     """Sorted family coordinates of a symmetric polynomial; verifies the
     k-symmetry.  Raises NotInFamily if p is not in the family."""
-    kk, _ = palindrome_class(p)
+    kk, angles = palindrome_class(p)
     if kk != k:
         raise NotInFamily(f"polynomial has symmetry class {kk}, not {k}")
-    return scal_from_angles(unit_circle_angles(p), k)
+    return scal_from_angles(angles, k)
 
 
 def poly_to_matrix(p: RealPoly, k: int, tol: float = CIRCLE_TOL,
@@ -329,10 +329,13 @@ def is_realizable_spectrum(candidate, n: int, k: int):
         # 1-based position whose value must be the negative of position j
         return (n + 1 - j) if k == 1 else (n + 2 - j if j >= 2 else None)
 
+    def below(x, y):
+        return x < y and not num_eq(x, y)
+
     def feasible(j, val):
-        if j > 1 and float(val) < float(order[-1]) - 1 - CIRCLE_TOL:
+        if j > 1 and below(val, order[-1] - 1):
             return False
-        if k == 1 and j == 1 and float(val) < -0.5 - CIRCLE_TOL:
+        if k == 1 and j == 1 and below(val, Fraction(-1, 2)):
             return False
         if k == 2 and j == 1 and not num_eq(val, 0):
             return False
@@ -349,10 +352,9 @@ def is_realizable_spectrum(candidate, n: int, k: int):
         for i in range(n):
             if used[i]:
                 continue
-            key = round(float(cand[i]), 12)
-            if key in seen:
+            if cand[i] in seen:
                 continue
-            seen.add(key)
+            seen.add(cand[i])
             if not feasible(j, cand[i]):
                 continue
             used[i] = True

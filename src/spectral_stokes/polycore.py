@@ -12,8 +12,14 @@ Conventions used everywhere in the package:
   numeric mode.
 * Exact-or-tolerance decisions go through :func:`num_eq` for scalars and
   :func:`angle_eq` for circle angles: exact equality when both sides are
-  exact, a tolerance otherwise.  The monodromy ``S^{-1} S^t`` of a unit
-  upper-triangular ``S`` goes through ``matrices.monodromy_matrix``.
+  exact, a tolerance otherwise.  Whether a root of unity is a root of an
+  exact polynomial, and how often, is decided by :func:`cyclotomic_power`
+  alone.
+* The monodromy ``S^{-1} S^t`` of a unit upper-triangular ``S`` goes
+  through ``matrices.monodromy_matrix``.  Three callers solve with float
+  LAPACK ``solve`` instead, on purpose: ``seifert.classify`` (the float
+  monodromy ``G^{-t} G`` of every pair, exact ones included),
+  ``hor.restricted_form_eigenvalues`` and ``orbit.generic_path_track``.
 * The mode is carried by the values: it is decided once where a value
   enters (CLI parsing, ``matrices.to_matrix``, :class:`RealPoly`, the
   matrix dtype), and formulas below that point are written once with
@@ -486,14 +492,34 @@ def cyclotomic_angles(d: int):
     return [Fraction(j, d) for j in range(1, d) if math.gcd(j, d) == 1]
 
 
+def cyclotomic_power(p: RealPoly, d: int):
+    """Split off the d-th cyclotomic polynomial: ``(m, q)`` with
+    ``p = Phi_d^m q`` and ``Phi_d`` not dividing ``q``, for an exact
+    (integer or rational) polynomial p.
+
+    This is the one exact root-of-unity test: m is the multiplicity of
+    every primitive d-th root of unity as a root of p.  An integer p keeps
+    an integer cofactor, since Phi_d is monic.
+    """
+    phi = cyclotomic_polynomial(d)
+    m = 0
+    while p.degree >= phi.degree:
+        q, r = p.divmod(phi)
+        if any(r.coeffs):
+            break
+        m, p = m + 1, q
+    return m, p
+
+
 def factor_cyclotomic(p: RealPoly):
     """Split an integer polynomial into cyclotomic factors.
 
     Returns ``(mults, remainder)`` where ``mults`` maps d to the
     multiplicity of the d-th cyclotomic polynomial and ``remainder`` has no
     root-of-unity roots.  Candidates with phi(d) <= deg are screened by a
-    cheap float evaluation at a primitive d-th root before the exact trial
-    division, which keeps degrees in the thousands tractable.
+    cheap float evaluation at a primitive d-th root before
+    :func:`cyclotomic_power` divides, which keeps degrees in the thousands
+    tractable.
     """
     if not p.is_integer or not p.is_monic:
         raise ValueError("cyclotomic factorization needs a monic integer polynomial")
@@ -506,16 +532,10 @@ def factor_cyclotomic(p: RealPoly):
         if totient(d) <= rem.degree:
             z = cmath.exp(-2j * math.pi / d)
             scale = max(abs(float(c)) for c in rem.coeffs)
-            if abs(rem(z)) > 1e-6 * max(scale, 1.0) * (rem.degree + 1):
-                d += 1
-                continue
-            phi_d = cyclotomic_polynomial(d)
-            while rem.degree >= phi_d.degree:
-                q, r = rem.divmod(phi_d)
-                if any(c != 0 for c in r.coeffs):
-                    break
-                mults[d] = mults.get(d, 0) + 1
-                rem = RealPoly([_tidy(Fraction(c)) for c in q.coeffs])
+            if abs(rem(z)) <= 1e-6 * max(scale, 1.0) * (rem.degree + 1):
+                m, rem = cyclotomic_power(rem, d)
+                if m:
+                    mults[d] = m
         d += 1
     return mults, rem
 
@@ -706,24 +726,25 @@ def expand_signed_product(factors) -> RealPoly:
 def palindrome_class(p: RealPoly, tol: float = CIRCLE_TOL):
     """Classify the coefficient symmetry of a monic polynomial.
 
-    Returns ``(k, p0)`` where k=1 for p_j = p_{n-j}, k=2 for p_j = -p_{n-j}
-    (in both cases all roots must lie on the unit circle), and k=None
-    otherwise.  For a classified polynomial ``p0 == (-1)**(k-1)`` holds.
+    Returns ``(k, angles)`` where k=1 for p_j = p_{n-j}, k=2 for
+    p_j = -p_{n-j} (in both cases all roots must lie on the unit circle),
+    and ``angles`` is the :func:`unit_circle_angles` root multiset that
+    shows it; ``(None, None)`` otherwise.  A classified polynomial has
+    ``p_0 == (-1)**(k-1)``.
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
     n = p.degree
     c = p.coeffs
-    p0 = c[0]
     sym = all(num_eq(c[j], c[n - j], tol) for j in range(n + 1))
     asym = all(num_eq(c[j], -c[n - j], tol) for j in range(n + 1))
     if not (sym or asym):
-        return None, p0
+        return None, None
     try:
-        unit_circle_angles(p, tol=max(tol, CIRCLE_TOL))
+        angles = unit_circle_angles(p, tol=max(tol, CIRCLE_TOL))
     except RootOffCircle:
-        return None, p0
-    return (1 if sym else 2), p0
+        return None, None
+    return (1 if sym else 2), angles
 
 
 # ---------------------------------------------------------------------------
@@ -750,61 +771,11 @@ def falling_factorial(a, b: int):
     return out
 
 
-class CycVec:
-    """Element of Q(zeta_D) with zeta = exp(-2*pi*i/D), stored as a dense
-    Fraction coefficient vector over zeta^0 .. zeta^{D-1}.
-
-    Only the operations needed for exact Jordan-chain verification are
-    implemented; equality reduces modulo the D-th cyclotomic polynomial.
-    """
-
-    __slots__ = ("D", "c")
-
-    def __init__(self, D: int, coeffs=None):
-        self.D = D
-        self.c = [Fraction(0)] * D if coeffs is None else list(coeffs)
-
-    @classmethod
-    def root_power(cls, D: int, t: int, scale=1) -> "CycVec":
-        v = cls(D)
-        v.c[t % D] = Fraction(scale)
-        return v
-
-    def __add__(self, other):
-        return CycVec(self.D, [a + b for a, b in zip(self.c, other.c)])
-
-    def __sub__(self, other):
-        return CycVec(self.D, [a - b for a, b in zip(self.c, other.c)])
-
-    def scaled(self, s) -> "CycVec":
-        s = Fraction(s)
-        return CycVec(self.D, [a * s for a in self.c])
-
-    def shifted(self, t: int) -> "CycVec":
-        """Multiplication by zeta^t."""
-        out = CycVec(self.D)
-        for i, a in enumerate(self.c):
-            out.c[(i + t) % self.D] = a
-        return out
-
-    def is_zero(self) -> bool:
-        if all(a == 0 for a in self.c):
-            return True
-        rem = RealPoly(self.c).divmod(cyclotomic_polynomial(self.D))[1]
-        return all(a == 0 for a in rem.coeffs)
-
-
 def _root_multiplicity(p: RealPoly, kappa) -> int:
     """Multiplicity of kappa (complex or exact angle) as a root of p."""
     if is_exact(kappa) and p.is_exact:
-        angles = unit_circle_angles(p) if p.is_integer else None
-        if angles is not None:
-            for b, m in angles:
-                if is_exact(b) and mod1(b) == mod1(Fraction(kappa)):
-                    return m
-            return 0
-        kappa = angle_to_point(kappa)
-    z = complex(kappa) if not is_exact(kappa) else angle_to_point(kappa)
+        return cyclotomic_power(p, mod1(Fraction(kappa)).denominator)[0]
+    z = angle_to_point(kappa) if is_exact(kappa) else complex(kappa)
     q = p
     m = 0
     scale = max(abs(float(c)) for c in p.coeffs)
@@ -839,26 +810,30 @@ def jordan_chain_vectors(p: RealPoly, kappa, l: int):
 
     R = companion_matrix(p)
     if exact_angle:
+        # kappa = zeta^a with zeta = exp(-2 pi i / D); an element of Q(zeta)
+        # is a coefficient list over zeta^0 .. zeta^{D-1}, zero when its
+        # remainder mod Phi_D is
         b = mod1(Fraction(kappa))
-        D = b.denominator if b != 0 else 1
-        a = b.numerator % D
-        # exact vectors over Q(zeta_D); kappa = zeta^a, kappa^{-1} = zeta^{-a}
-        ev = []
-        for j in range(l + 1):
-            col = [CycVec.root_power(D, (a * t) % D, falling_factorial(t, j))
-                   if t >= j else CycVec(D)
-                   for t in range(n - 1, -1, -1)]
-            ev.append(col)
+        D, a = b.denominator, b.numerator
+        phi = cyclotomic_polynomial(D)
+
+        def add(row, j, i, scale, shift):
+            # row += scale kappa^shift (v_j)_i, where (v_j)_i = (t)_j kappa^t, t = n - 1 - i
+            t = n - 1 - i
+            if t >= j:
+                row[a * (t + shift) % D] += scale * falling_factorial(t, j)
+
         for j in range(l + 1):
             for i in range(n):
-                acc = CycVec(D)
-                for t in range(n):
-                    if R[i, t] != 0:
-                        acc = acc + ev[j][t].scaled(R[i, t])
-                lhs = acc.shifted(-a) - ev[j][i]  # (kappa^{-1} R - E) v_j, row i
+                # row i of (kappa^{-1} R - E) v_j - j v_{j-1}
+                row = [0] * D
+                for c in range(n):
+                    if R[i, c] != 0:
+                        add(row, j, c, R[i, c], -1)
+                add(row, j, i, -1, 0)
                 if j:
-                    lhs = lhs - ev[j - 1][i].scaled(j)
-                if not lhs.is_zero():
+                    add(row, j - 1, i, -j, 0)
+                if any(RealPoly(row).divmod(phi)[1].coeffs):
                     raise VerificationFailed(f"exact Jordan chain relation failed at j={j}")
     else:
         Rf = np.asarray(R, dtype=float)

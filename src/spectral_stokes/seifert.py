@@ -18,7 +18,6 @@ angle lies in (0, 1/2).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +30,9 @@ from .errors import (DegenerateFlag, NotLadderComposed, Singular, Unclassified,
                      VerificationFailed)
 from .polycore import (CIRCLE_TOL, RealPoly, _common_numerators, angle_eq, angle_to_point,
                        beta_from_cos, circle_dist, cyclotomic_angles, cyclotomic_polynomial,
-                       factor_cyclotomic, format_number, is_exact, mod1, num_eq,
-                       parse_rational, snap_angle)
-from .spectra import Spp, SppLadder, decompose_into_ladders
+                       cyclotomic_power, factor_cyclotomic, format_number, is_exact, mod1,
+                       num_eq, parse_rational, point_to_angle, snap_angle)
+from .spectra import Spp, decompose_into_ladders
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +363,10 @@ def _exact_eigdata(B: np.ndarray, den: int):
         return dims
 
     rem = cp
-    for lam in (1, -1):
-        mult = 0
-        lin = RealPoly([-lam, 1])
-        while rem.degree >= 1 and rem(lam) == 0:
-            rem = rem.exact_div(lin)
-            mult += 1
+    for lam, d in ((1, 1), (-1, 2)):
+        mult, rem = cyclotomic_power(rem, d)
         if mult:
-            dims = kernel_dims(lin, 1, mult)
+            dims = kernel_dims(cyclotomic_polynomial(d), 1, mult)
             groups.append(_EigGroup("real", lam, mult, _block_sizes(dims)))
     if rem.degree == 0:
         return groups
@@ -456,7 +451,7 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
                 raise Unclassified("unpaired complex unit eigenvalue", pattern=complex(lam))
             used[conj_idx] = True
             rep = lam if lam.imag < 0 else np.conj(lam)
-            theta = mod1(-cmath.phase(complex(rep)) / (2 * math.pi))
+            theta = point_to_angle(complex(rep))
             groups.append(_EigGroup("pair", snap_angle(theta), mult,
                                     _block_sizes(kdims(complex(rep), mult))))
             continue

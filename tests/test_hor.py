@@ -212,6 +212,12 @@ class TestRealizable:
         assert sorted(witness) == [F(-1, 6), F(1, 6)]
         assert witness[0] + witness[1] == 0
 
+    def test_exact_values_decide(self):
+        # values 1e-13 apart are distinct candidates, and the bounds are exact
+        e = F(1, 10**13)
+        assert hor.is_realizable_spectrum([F(0), e, -e], 3, 2) == (True, [F(0), e, -e])
+        assert hor.is_realizable_spectrum([F(1, 2) + e, -F(1, 2) - e], 2, 1) == (False, None)
+
     def test_recipe_output_realizable_with_gap_bound(self):
         rng = random.Random(11)
         for n in range(1, 9):

@@ -232,6 +232,12 @@ expect(VerificationFailed, "unit_circle_angles passed a lost root",
        polycore.unit_circle_angles, RealPoly([1, 1]))
 polycore.factor_cyclotomic = real_factor
 
+real_companion = polycore.companion_matrix
+polycore.companion_matrix = lambda p: real_companion(p) + 1   # not the companion of p
+expect(VerificationFailed, "jordan_chain_vectors passed a wrong companion matrix",
+       polycore.jordan_chain_vectors, RealPoly([1, 1, 1]), Fraction(1, 3), 0)
+polycore.companion_matrix = real_companion
+
 expect(VerificationFailed, "an odd number of blocks passed as two-block types",
        seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), *mx.int_form(M), P.G)
 expect(VerificationFailed, "a primitive form of rank 2 passed for one block",

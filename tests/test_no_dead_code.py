@@ -139,3 +139,43 @@ def test_every_defaulted_parameter_is_set():
                     qual = f"{owner}.{fn.name}" if owner else fn.name
                     never_set.append(f"{module.stem}.{qual}({name})")
     assert never_set == []
+
+
+#: imports kept although their module does not use them: another file of
+#: the project reads them through the module, as "module.name"
+READ_THROUGH_MODULE = {
+    # the tracer test checks that tracing rebinds names a module imported
+    ("hor", "unit_circle_angles"): ROOT / "perfbench" / "test_perfbench.py",
+}
+
+
+def imported_names(tree: ast.Module):
+    """Names bound by the import statements of a module, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [a.asname or a.name.split(".")[0] for a in node.names]
+    return out
+
+
+def loaded_names(tree: ast.AST):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used():
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text())
+        unused += [f"{module.stem}.{name}" for name in imported_names(tree)
+                   if name not in loaded_names(tree) and (module.stem, name) not in READ_THROUGH_MODULE]
+    assert unused == []
+
+
+def test_kept_imports_are_unused_and_read_through_their_module():
+    for (stem, name), reader in READ_THROUGH_MODULE.items():
+        assert name not in loaded_names(ast.parse((PACKAGE / f"{stem}.py").read_text()))
+        assert f"{stem}.{name}" in reader.read_text()

@@ -47,9 +47,8 @@ class TestExpandSignedProduct:
         for factors in ([(1, 1), (3, -1), (6, 1)], [(1, -1), (4, 1)],
                         [(1, 1), (2, -1), (4, 1)]):
             p = pc.expand_signed_product(factors)
-            k, p0 = pc.palindrome_class(p)
-            assert p0 in (1, -1)
-            assert p0 == (-1) ** (k - 1)
+            k, _ = pc.palindrome_class(p)
+            assert p.coeffs[0] == (-1) ** (k - 1)
 
 
 class TestUnitCircleAngles:
@@ -227,16 +226,19 @@ class TestExactOrToleranceComparisons:
 
 class TestPalindromeClass:
     def test_symmetric(self):
-        k, p0 = pc.palindrome_class(pc.RealPoly([1, 1, 1]))
-        assert (k, p0) == (1, 1)
+        p = pc.RealPoly([1, 1, 1])
+        k, angles = pc.palindrome_class(p)
+        assert k == 1 and p.coeffs[0] == (-1) ** (k - 1)
+        assert angles == pc.unit_circle_angles(p)
 
     def test_antisymmetric(self):
-        k, p0 = pc.palindrome_class(pc.RealPoly([-1, 1, 0, -1, 1]))
-        assert (k, p0) == (2, -1)
+        p = pc.RealPoly([-1, 1, 0, -1, 1])
+        k, angles = pc.palindrome_class(p)
+        assert k == 2 and p.coeffs[0] == (-1) ** (k - 1)
+        assert angles == pc.unit_circle_angles(p)
 
     def test_real_roots_off_circle(self):
-        k, _ = pc.palindrome_class(pc.RealPoly([1, -3, 1]))
-        assert k is None
+        assert pc.palindrome_class(pc.RealPoly([1, -3, 1])) == (None, None)
 
 
 class TestCompanionMatrix:
@@ -291,6 +293,16 @@ class TestJordanChains:
         p = pc.RealPoly([1, -2, 1]) * pc.RealPoly([1, 1, 1])
         pc.jordan_chain_vectors(p, Fraction(0), 1)
         pc.jordan_chain_vectors(p, Fraction(1, 3), 0)
+
+    def test_rational_polynomial_multiplicity_is_exact(self):
+        # a simple root at angle 1/3 beside a non-cyclotomic factor 1e-12
+        # away from Phi_3: no float test may count it twice
+        p = pc.RealPoly([1, 1, 1]) * pc.RealPoly([1, 1 - Fraction(1, 10**12), 1])
+        assert pc._root_multiplicity(p, Fraction(1, 3)) == 1
+        assert pc._root_multiplicity(p, Fraction(0)) == 0
+        pc.jordan_chain_vectors(p, Fraction(1, 3), 0)
+        with pytest.raises(MultiplicityTooLow):
+            pc.jordan_chain_vectors(p, Fraction(1, 3), 1)
 
 
 class TestSerialization:
@@ -357,3 +369,22 @@ class TestCyclotomic:
                 want_rem *= f.as_expr() ** e
         assert got_mults == want_mults
         assert sympy_poly(got_rem) == sympy.Poly(want_rem, x)
+
+
+class TestCyclotomicPower:
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(1, 12), st.integers(1, 3), max_size=3),
+           st.lists(st.integers(-4, 4), min_size=1, max_size=4), st.integers(1, 3),
+           st.integers(1, 12))
+    def test_multiplicity_matches_sympy(self, mults, low, den, d):
+        # cyclotomic products times a rational factor, which may itself hold
+        # cyclotomic factors; p = Phi_d^m q with Phi_d not dividing q
+        p = pc.poly_from_cyclotomic_mults(mults) * pc.RealPoly(
+            [Fraction(c, den) for c in low] + [Fraction(1, den)])
+        m, q = pc.cyclotomic_power(p, d)
+        phi = sympy.cyclotomic_poly(d, x)
+        want = sum(e for f, e in sympy.factor_list(sympy_poly(p).as_expr(), x)[1]
+                   if sympy.Poly(f, x).monic().as_expr() == phi)
+        assert m == want
+        assert pc.poly_from_cyclotomic_mults({d: m}) * q == p
+        assert q.is_integer or not p.is_integer
