@@ -72,16 +72,21 @@ class ChainSing:
         object.__setattr__(self, "r", tuple(r))
         object.__setattr__(self, "mu_seq", tuple(mu))
         object.__setattr__(self, "w", tuple(w))
-        # weight recursion and the product formula must agree
-        prod = Fraction(1)
+        # weight recursion and the product formula must agree, as integer
+        # equalities over the weights' numerators p_k and denominators q_k:
+        # prod (q_k - p_k) = mu prod p_k, and a_k p_k q_{k-1} = q_k (q_{k-1} - p_{k-1})
+        lhs = rhs = 1
         for wk in w:
-            prod *= 1 / wk - 1
-        if prod != mu[-1]:
+            lhs *= wk.denominator - wk.numerator
+            rhs *= wk.numerator
+        if lhs != mu[-1] * rhs:
             raise VerificationFailed("Milnor number disagrees with the weight product")
-        for k, wk in enumerate(w):
-            prev = w[k - 1] if k else Fraction(0)
-            if wk != (1 - prev) / a[k]:
+        p_prev, q_prev = 0, 1
+        for ak, wk in zip(a, w):
+            p, q = wk.numerator, wk.denominator
+            if ak * p * q_prev != q * (q_prev - p_prev):
                 raise VerificationFailed("weight recursion violated")
+            p_prev, q_prev = p, q
 
     @property
     def m(self) -> int:

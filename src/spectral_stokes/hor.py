@@ -308,7 +308,8 @@ def recipe_ladders(b: HorScal) -> list[SppLadder]:
 
 
 def recipe_spectral_pairs(b: HorScal) -> Spp:
-    return Spp(pair for lad in recipe_ladders(b) for pair in lad.members())
+    # the ladders' pairs go into one Spp, which sorts them once
+    return Spp(pair for lad in recipe_ladders(b) for pair in lad._pairs())
 
 
 def is_realizable_spectrum(candidate, n: int, k: int):

@@ -5,11 +5,14 @@ with |a| <= 2.  For n = 3 membership and the stratification are governed
 by f(a1, a2, a3) = 4 + a1 a2 a3 - (a1^2 + a2^2 + a3^2): the set is
 0 <= f <= 4, the monodromy characteristic polynomial is
 (x - 1)(x^2 - (f - 2) x + 1), and the boundary pieces are told apart by
-the exact signature of S + S^t together with the four cone points.
+the exact signature of S + S^t together with the four cone points.  An
+exact point is worked on as integer numerators over its common
+denominator; a Fraction appears only as the value of f.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import OutOfFamily, OutOfT, VerificationFailed
-from .polycore import alpha_from_sin, beta_from_cos, mod1
+from .polycore import RealPoly, alpha_from_sin, beta_from_cos, mod1
 from .seifert import IrrType
 from .spectra import Spp, SppLadder
 
@@ -36,28 +39,58 @@ class Stratum3(str, Enum):
 
 EXCEPTIONAL_POINTS = ((2, 2, 2), (-2, -2, 2), (-2, 2, -2), (2, -2, -2))
 
+_EXACT = (int, Fraction)
+
 
 def s3_matrix(a) -> np.ndarray:
     a1, a2, a3 = a
     return mx.to_matrix([[1, a1, a3], [0, 1, a2], [0, 0, 1]])
 
 
+def _scaled_f3(a):
+    """(N, D) with f3(a) = N / D^3 for an exact point a = (n1, n2, n3) / D,
+    D the common denominator: D^3 f = 4 D^3 + n1 n2 n3 - D (n1^2 + n2^2 + n3^2).
+    None when an entry is a float."""
+    a1, a2, a3 = a
+    if not (isinstance(a1, _EXACT) and isinstance(a2, _EXACT) and isinstance(a3, _EXACT)):
+        return None
+    d1, d2, d3 = a1.denominator, a2.denominator, a3.denominator
+    d = math.lcm(d1, d2, d3)
+    n1, n2, n3 = a1.numerator * (d // d1), a2.numerator * (d // d2), a3.numerator * (d // d3)
+    return 4 * d * d * d + n1 * n2 * n3 - d * (n1 * n1 + n2 * n2 + n3 * n3), d
+
+
+def _f_value(a, scaled):
+    """f3(a) from ``_scaled_f3(a)``: a Fraction when an entry is one, an int
+    for int entries, a float for float entries."""
+    if scaled is None:
+        a1, a2, a3 = a
+        return 4 + a1 * a2 * a3 - (a1 * a1 + a2 * a2 + a3 * a3)
+    num, d = scaled
+    return Fraction(num, d ** 3) if any(isinstance(x, Fraction) for x in a) else num
+
+
 def f3(a):
     """4 + a1 a2 a3 - (a1^2 + a2^2 + a3^2), exact for exact input."""
-    a1, a2, a3 = a
-    return 4 + a1 * a2 * a3 - (a1 * a1 + a2 * a2 + a3 * a3)
+    return _f_value(a, _scaled_f3(a))
 
 
 def member3(a) -> bool:
-    v = f3(a)
-    return 0 <= v <= 4
+    scaled = _scaled_f3(a)
+    if scaled is None:
+        return 0 <= _f_value(a, None) <= 4
+    num, d = scaled
+    return 0 <= num <= 4 * d ** 3
+
+
+def _char_poly_of_f(f):
+    """(x-1)(x^2-(f-2)x+1) = x^3 - (f-1)x^2 + (f-1)x - 1."""
+    return RealPoly([-1, f - 1, 1 - f, 1])
 
 
 def char_poly3(a):
     """Characteristic polynomial of S^{-1}S^t: (x-1)(x^2-(f-2)x+1)."""
-    from .polycore import RealPoly
-    f = f3(a)
-    return RealPoly([1, -(f - 2), 1]) * RealPoly([-1, 1])
+    return _char_poly_of_f(f3(a))
 
 
 @dataclass
@@ -81,13 +114,19 @@ def classify3(a) -> Classification3:
     """Stratum, irreducible types and monodromy polynomial of a 3x3 point.
 
     The f-value decides interior/boundary; on f = 0 the four cone points
-    are exceptional and the remaining points split by the exact signature
-    of S + S^t ((2,1,0) on the definite side, (1,1,1) on the indefinite
-    side); f = 4 away from the identity is the triple-Jordan boundary.
+    are exceptional and the remaining points split by the signature of
+    S + S^t ((2,1,0) on the definite side, (1,1,1) on the indefinite side);
+    f = 4 away from the identity is the triple-Jordan boundary.  For exact
+    input the interior is decided by Sylvester's rule: the leading
+    principal minors of S + S^t are 2, 4 - a1^2 and 2f, and a1^2 != 4
+    there (a1 = +-2 gives f = -(a2 -+ a3)^2 <= 0), so the sign of 4 - a1^2
+    gives (3,0,0) or (1,0,2).  The exact signature of S + S^t is computed
+    only on f = 0, where the last minor vanishes.
     """
     a = tuple(a)
-    f = f3(a)
-    cp = char_poly3(a)
+    scaled = _scaled_f3(a)
+    f = _f_value(a, scaled)
+    cp = _char_poly_of_f(f)
     one = IrrType("F1", Fraction(0), 1, eps=1)
     if f < 0 or f > 4:
         return Classification3(Stratum3.OUTSIDE, [], cp, f)
@@ -99,9 +138,15 @@ def classify3(a) -> Classification3:
     if f == 0 and a in EXCEPTIONAL_POINTS:
         return Classification3(Stratum3.EXCEPTIONAL,
                                [one, IrrType("F2real", Fraction(1, 2), 1)], cp, f)
-    S = s3_matrix(a)
-    sym = S + S.T
-    sig = mx.signature_exact(sym) if mx.is_exact_matrix(sym) else mx.signature_numeric(sym)
+    if scaled is not None and f != 0:
+        # 4 - a1^2 over the common denominator d: the sign of 4 d^2 - n1^2
+        d = scaled[1]
+        n1 = a[0].numerator * (d // a[0].denominator)
+        sig = (3, 0, 0) if 4 * d * d > n1 * n1 else (1, 0, 2)
+    else:
+        S = s3_matrix(a)
+        sym = S + S.T
+        sig = mx.signature_exact(sym) if scaled is not None else mx.signature_numeric(sym)
     if f == 0:
         if sig == (2, 1, 0):
             return Classification3(Stratum3.BOUNDARY_POS_SPHERE,

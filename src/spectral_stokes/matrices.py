@@ -5,19 +5,27 @@ entries; numeric matrices are float arrays.  The dtype carries the mode:
 numpy builds both (``np.array``, ``np.eye``, ``np.zeros``, ``np.kron``
 with ``dtype=object`` hold Python ``int`` zeros and ones and products of
 the entries), and numpy's ``dot`` and elementwise arithmetic work for
-both.  :func:`int_form`, the one step that clears denominators, gives
-the integer form ``(B, d)``: Python ``int`` entries, A = B / d.  The
-exact kernels (characteristic polynomial, rank, nullspace, solve,
-signature) start from it and run on Python ``int`` rows: division-free
-Berkowitz for the characteristic polynomial, fraction-free elimination
-for the rest; Fractions appear only in the results.  Code that needs
-only rank, kernel or signature, which positive scaling keeps, converts
-a matrix once and works on B.
+both.
+
+The exact kernels run on integer rows: lists of lists of Python ``int``.
+Their private cores (``_char_poly_rows``, ``_rank_rows``,
+``_nullspace_rows``, ``_signature_rows``, ``_solve_rows``,
+``_matmul_rows``) take such rows and never see a ``Fraction``:
+division-free Berkowitz for the characteristic polynomial, fraction-free
+elimination for the rest.  :func:`int_form`, the one step that clears
+denominators, gives the integer form ``(B, d)`` of a matrix, A = B / d;
+each public exact kernel is one :func:`int_form` call followed by its
+core, and Fractions appear only in its result.  Code that runs several
+kernels on one matrix, such as ``seifert.classify``, calls
+:func:`int_form` once and hands the rows to the cores: rank, kernel and
+signature are kept by positive scaling, and the solve core returns its
+solution as integer rows over one denominator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -123,16 +131,16 @@ def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
     return pivots
 
 
-def char_poly_exact(A: np.ndarray) -> RealPoly:
-    """Characteristic polynomial det(x E - A), exact.
+def _matmul_rows(A: list, B: list) -> list:
+    """Product of two integer row matrices."""
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
-    Division-free Berkowitz on the integer matrix B = d A, with d the
-    common denominator of A: the coefficient of x^k is C_k / d^(n-k), where
-    C_k are those of det(x E - B).
-    """
-    n = A.shape[0]
-    B, d = int_form(A)
-    B = B.tolist()
+
+def _char_poly_rows(B: list) -> list:
+    """Coefficients, constant first, of det(x E - B) for integer rows B,
+    by division-free Berkowitz."""
+    n = len(B)
     # coefficients from x^r down to x^0 of the leading r x r block
     cs = [1]
     for r in range(n):
@@ -146,42 +154,69 @@ def char_poly_exact(A: np.ndarray) -> RealPoly:
                 v = [sum(a * b for a, b in zip(row, v)) for row in lead]
         cs = [sum(t[i - j] * cs[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
               for i in range(r + 2)]
+    return cs[::-1]
+
+
+def char_poly_exact(A: np.ndarray) -> RealPoly:
+    """Characteristic polynomial det(x E - A), exact.
+
+    Berkowitz on the integer matrix B = d A, with d the common denominator
+    of A: the coefficient of x^k is C_k / d^(n-k), where C_k are those of
+    det(x E - B).
+    """
+    n = A.shape[0]
+    B, d = int_form(A)
+    cs = _char_poly_rows(B.tolist())
     if d == 1:
-        return RealPoly(cs[::-1])
-    return RealPoly([_tidy(Fraction(c, d ** k)) for k, c in enumerate(cs)][::-1])
+        return RealPoly(cs)
+    return RealPoly([_tidy(Fraction(c, d ** (n - k))) for k, c in enumerate(cs)])
+
+
+def _rank_rows(rows: list, ncols: int) -> int:
+    """Rank of integer rows with ``ncols`` columns."""
+    # _eliminate replaces rows and never changes one in place
+    return len(_eliminate(list(rows), ncols, reduced=False))
 
 
 def rank_exact(A: np.ndarray) -> int:
     """Rank by fraction-free Gaussian elimination on integer rows."""
-    return len(_eliminate(int_form(A)[0].tolist(), A.shape[1], reduced=False))
+    return _rank_rows(int_form(A)[0].tolist(), A.shape[1])
+
+
+def _nullspace_rows(rows: list, ncols: int) -> list:
+    """Basis of the kernel of integer rows, one ``(c, v)`` per free column
+    c of the reduced row echelon form: v is a primitive integer vector, a
+    positive multiple of the kernel vector that is 1 at c and 0 at the
+    other free columns."""
+    rows = list(rows)
+    pivots = _eliminate(rows, ncols, reduced=True)
+    scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        g = math.gcd(*v)
+        basis.append((fc, [x // g for x in v] if g > 1 else v))
+    return basis
 
 
 def nullspace_exact(A: np.ndarray) -> list:
     """Basis of ker(A) as Fraction column vectors (lists), read off the
-    reduced row echelon form of a fraction-free Gauss-Jordan elimination."""
-    rows = int_form(A)[0].tolist()
-    m = A.shape[1]
-    pivots = _eliminate(rows, m, reduced=True)
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    reduced row echelon form of a fraction-free Gauss-Jordan elimination:
+    each vector is 1 at its free column and 0 at the other free ones."""
+    return [[Fraction(x, v[fc]) for x in v]
+            for fc, v in _nullspace_rows(int_form(A)[0].tolist(), A.shape[1])]
 
 
-def signature_exact(A: np.ndarray):
-    """Signature (s_plus, s_zero, s_minus) of a rational symmetric matrix,
-    by fraction-free congruence reduction on integers (no eigenvalues).
+def _signature_rows(M: list):
+    """Signature (s_plus, s_zero, s_minus) of symmetric integer rows, by
+    fraction-free congruence reduction (no eigenvalues).
 
     A Schur complement step is scaled by |pivot| > 0, which keeps the
     inertia, and then divided by the gcd of the entries.
     """
-    if any(A[i, j] != A[j, i] for i in range(A.shape[0]) for j in range(i)):
-        raise ValueError("matrix must be symmetric")
-    M = int_form(A)[0].tolist()
     plus = minus = zero = 0
     while M:
         k = len(M)
@@ -192,7 +227,8 @@ def signature_exact(A: np.ndarray):
                 zero += k
                 break
             i, j = od
-            # make a diagonal entry nonzero: e_i <- e_i + e_j
+            # make a diagonal entry nonzero: e_i <- e_i + e_j, on fresh rows
+            M = [row[:] for row in M]
             M[i] = [a + b for a, b in zip(M[i], M[j])]
             for row in M:
                 row[i] += row[j]
@@ -209,6 +245,14 @@ def signature_exact(A: np.ndarray):
         if g > 1:
             M = [[x // g for x in row] for row in M]
     return plus, zero, minus
+
+
+def signature_exact(A: np.ndarray):
+    """Signature (s_plus, s_zero, s_minus) of a rational symmetric matrix,
+    by fraction-free congruence reduction on integers (no eigenvalues)."""
+    if any(A[i, j] != A[j, i] for i in range(A.shape[0]) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    return _signature_rows(int_form(A)[0].tolist())
 
 
 def signature_numeric(A: np.ndarray, tol: float = 1e-6):
@@ -269,12 +313,28 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return to_matrix([[parse_rational(x) for x in row] for row in entries])
 
 
+def _solve_rows(A: list, B: list):
+    """(X, den) with A (X / den) = B for square integer rows A and integer
+    rows B, den > 0 and gcd(den, entries of X) = 1, read off the rows of a
+    fraction-free Gauss-Jordan elimination of [A | B]."""
+    n = len(A)
+    rows = [a + b for a, b in zip(A, B)]
+    if len(_eliminate(rows, n, reduced=True)) < n:
+        raise Singular("matrix is singular")
+    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    X = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    g = math.gcd(den, *(x for row in X for x in row))
+    if g > 1:
+        den //= g
+        X = [[x // g for x in row] for row in X]
+    return X, den
+
+
 def solve_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B exactly for a square rational A, by fraction-free
     Gauss-Jordan elimination on the integer rows of [A | B]."""
     n = A.shape[0]
     rows = int_form(np.hstack([A, B]))[0].tolist()
-    if len(_eliminate(rows, n, reduced=True)) < n:
-        raise Singular("matrix is singular")
-    return np.array([[_tidy(Fraction(x, row[i])) for x in row[n:]]
-                     for i, row in enumerate(rows)], dtype=object).reshape(n, B.shape[1])
+    X, den = _solve_rows([row[:n] for row in rows], [row[n:] for row in rows])
+    return np.array([[_tidy(Fraction(x, den)) for x in row] for row in X],
+                    dtype=object).reshape(n, B.shape[1])

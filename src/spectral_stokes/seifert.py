@@ -19,6 +19,7 @@ angle lies in (0, 1/2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from .errors import (DegenerateFlag, NotLadderComposed, Singular, Unclassified,
 from .polycore import (CIRCLE_TOL, RealPoly, _common_numerators, angle_eq, angle_to_point,
                        beta_from_cos, circle_dist, cyclotomic_angles, cyclotomic_polynomial,
                        cyclotomic_power, factor_cyclotomic, format_number, is_exact, mod1,
-                       num_eq, parse_rational, point_to_angle, snap_angle)
+                       num_eq, parse_rational, point_to_angle, snap_angle, _tidy)
 from .spectra import Spp, decompose_into_ladders
 
 
@@ -315,16 +316,18 @@ def _block_sizes(kernel_dims: list[int]) -> list[int]:
     return sorted(sizes, reverse=True)
 
 
-def _poly_of_matrix(p: RealPoly, B: np.ndarray, d: int) -> np.ndarray:
-    """The integer matrix L d^deg p(B/d), a positive multiple of p(B/d), for
-    an integer matrix B, d > 0 and L the common denominator of p, by Horner."""
+def _poly_of_matrix(p: RealPoly, B: list, d: int) -> list:
+    """The integer rows L d^deg p(B/d), a positive multiple of p(B/d), for
+    integer rows B, d > 0 and L the common denominator of p, by Horner."""
     cs, _ = _common_numerators(p.coeffs)
-    out = mx.identity(B.shape[0]) * cs[-1]
+    n = len(B)
+    out = [[cs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
     scale = 1
     for c in reversed(cs[:-1]):
         scale *= d
-        out = out.dot(B)
-        out[np.diag_indices_from(out)] += c * scale
+        out = mx._matmul_rows(out, B)
+        for i in range(n):
+            out[i][i] += c * scale
     return out
 
 
@@ -336,14 +339,17 @@ class _EigGroup:
     sizes: list        # Jordan block sizes per eigenvalue
 
 
-def _exact_eigdata(B: np.ndarray, den: int):
-    """Eigenvalue groups of the exact monodromy B/den (its integer form), or
-    None when the characteristic polynomial cannot be resolved exactly."""
-    n = B.shape[0]
-    # det(x - B/den): the coefficient of x^k of det(x - B) over den^(n-k)
-    cp = mx.char_poly_exact(B)
-    if den > 1:
-        cp = RealPoly([Fraction(c, den ** (n - k)) for k, c in enumerate(cp.coeffs)])
+def _exact_eigdata(B: list, den: int):
+    """Eigenvalue groups of the exact monodromy B/den (its integer rows), or
+    None when the characteristic polynomial cannot be resolved exactly.
+
+    The roots are read off the integer polynomial
+    den^n det(x - B/den) = sum_k C_k den^k x^k, C_k the coefficients of
+    det(x - B): dividing it by the monic Phi_d keeps integers, and every
+    cofactor keeps the leading coefficient den^n."""
+    n = len(B)
+    lead = den ** n
+    rem = RealPoly([c * den ** k for k, c in enumerate(mx._char_poly_rows(B))])
     groups: list[_EigGroup] = []
 
     def kernel_dims(q: RealPoly, per: int, mult: int):
@@ -353,16 +359,15 @@ def _exact_eigdata(B: np.ndarray, den: int):
         j = 0
         while True:
             j += 1
-            total = n - mx.rank_exact(power)
+            total = n - mx._rank_rows(power, n)
             if total % per:
                 raise VerificationFailed("kernel must split evenly over the orbit")
             dims.append(total // per)
             if dims[-1] >= mult or j >= mult:
                 break
-            power = power.dot(qm)
+            power = mx._matmul_rows(power, qm)
         return dims
 
-    rem = cp
     for lam, d in ((1, 1), (-1, 2)):
         mult, rem = cyclotomic_power(rem, d)
         if mult:
@@ -370,22 +375,25 @@ def _exact_eigdata(B: np.ndarray, den: int):
             groups.append(_EigGroup("real", lam, mult, _block_sizes(dims)))
     if rem.degree == 0:
         return groups
-    if rem.is_integer:
-        mults, tail = factor_cyclotomic(rem)
+    if all(c % lead == 0 for c in rem.coeffs):
+        # the cofactor of the characteristic polynomial is an integer polynomial
+        mults, tail = factor_cyclotomic(RealPoly([c // lead for c in rem.coeffs]))
+        if tail.degree not in (0, 2):
+            return None
+        for d, m in sorted(mults.items()):
+            phi = cyclotomic_angles(d)
+            dims = kernel_dims(cyclotomic_polynomial(d), len(phi), m)
+            sizes = _block_sizes(dims)
+            for b in phi:
+                if float(b) < 0.5:
+                    groups.append(_EigGroup("pair", b, m, sizes))
         if tail.degree == 0:
-            for d, m in sorted(mults.items()):
-                phi = cyclotomic_angles(d)
-                dims = kernel_dims(cyclotomic_polynomial(d), len(phi), m)
-                sizes = _block_sizes(dims)
-                for b in phi:
-                    if float(b) < 0.5:
-                        groups.append(_EigGroup("pair", b, m, sizes))
             return groups
-        rem = tail
+        rem, lead = tail, 1
     if rem.degree == 2:
         c2, c1, c0 = rem.coeffs[2], rem.coeffs[1], rem.coeffs[0]
-        if c2 == 1 and c0 == 1:
-            c = -c1
+        if c2 == lead and c0 == lead:
+            c = _tidy(Fraction(-c1, lead))
             q = RealPoly([1, -c, 1])
             if abs(float(c)) < 2:
                 theta = beta_from_cos(c * Fraction(1, 2))
@@ -495,75 +503,116 @@ def _canonical_zeta_sqrt(theta, n_b: int):
     return mod1(-theta * Fraction(1, 2) - Fraction(n_b + 1, 4))
 
 
-def _primitive_types(g: _EigGroup, M: np.ndarray, den: int, G: np.ndarray) -> list[IrrType]:
+def _form_is_symmetric(g: _EigGroup, s: int) -> bool:
+    """Whether the primitive form of the size-s blocks of g is symmetric
+    (Hermitian at a pair); at +-1 it is antisymmetric when s is odd at -1
+    or even at +1."""
+    return g.kind == "pair" or (s % 2 == 1) == (g.lam == 1)
+
+
+def _exact_form_signs(g: _EigGroup, B: list, den: int, G: list) -> dict:
+    """{s: (p, m)}, the signs of the symmetric primitive forms of a group at
+    +-1, from the integer rows of the monodromy B/den and of G, a positive
+    multiple of the Gram matrix.
+
+    K = lam B - den E, the basis vectors of ker K^s and so F are positive
+    integer multiples of their rational counterparts, which scales F and
+    congruences it by a positive diagonal, keeping its symmetry, rank and
+    signature."""
+    n = len(B)
+    K = [[g.lam * x - (den if i == j else 0) for j, x in enumerate(row)]
+         for i, row in enumerate(B)]
+    powers = [K]                                  # powers[e - 1] = K^e
+    signs = {}
+    for s in sorted(set(g.sizes)):
+        if not _form_is_symmetric(g, s):
+            continue
+        while len(powers) < s:
+            powers.append(mx._matmul_rows(powers[-1], K))
+        # F[i][j] = v_i^t G w_j over kernel vectors v_i of K^s, w_j = K^(s-1) v_j
+        V = [v for _, v in mx._nullspace_rows(powers[s - 1], n)]
+        W = V if s == 1 else [[sum(map(operator.mul, row, v)) for row in powers[s - 2]] for v in V]
+        GW = [[sum(map(operator.mul, row, w)) for row in G] for w in W]
+        F = [[sum(map(operator.mul, v, gw)) for gw in GW] for v in V]
+        if any(F[i][j] != F[j][i] for i in range(len(F)) for j in range(i)):
+            raise VerificationFailed(f"primitive form at {g.lam}, size {s} is not symmetric")
+        p, _, m = mx._signature_rows(F)
+        c = g.sizes.count(s)
+        if p + m != c:
+            raise VerificationFailed(f"primitive form at {g.lam}, size {s} has rank "
+                                     f"{p + m}, not {c}")
+        signs[s] = (p, m)
+    return signs
+
+
+def _numeric_form_signs(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> dict:
+    """{s: (p, m)}, the signs of the symmetric (Hermitian) primitive forms of
+    an on-circle group, from the float monodromy M and Gram matrix G.
+
+    ker K^s is taken as the dim ker K^s smallest right singular vectors of
+    K^s, the dimension coming from the block sizes, and the signs from the
+    c eigenvalues of largest modulus."""
+    n = M.shape[0]
+    pair = g.kind == "pair"
+    K = M / angle_to_point(g.lam) - np.eye(n) if pair else g.lam * M - np.eye(n)
+    powers = [mx.identity(n, False), K]      # powers[e] = K^e
+    signs = {}
+    for s in sorted(set(g.sizes)):
+        if not _form_is_symmetric(g, s):
+            continue
+        c = g.sizes.count(s)
+        while len(powers) <= s:
+            powers.append(powers[-1].dot(K))
+        d = sum(min(t, s) for t in g.sizes)
+        B = np.linalg.svd(powers[s])[2][n - d:].conj().T
+        F = B.T @ G @ np.conj(powers[s - 1] @ B)
+        if pair:
+            F = F / angle_to_point(_canonical_zeta_sqrt(g.lam, s))
+        H = (F + F.conj().T) / 2
+        if np.abs(F - H).max() > 1e-6 * np.abs(H).max():
+            raise Unclassified("primitive form is not Hermitian", pattern=(g.lam, g.sizes))
+        w = np.linalg.eigvalsh(H)
+        p = int(np.sum(w[np.argsort(np.abs(w))[d - c:]] > 0))
+        signs[s] = (p, c - p)
+    return signs
+
+
+def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
     """Irreducible types of one on-circle eigenvalue group, read off its
     primitive forms (Milnor 1969, Nemethi 1995).
 
     Let K = lam M - 1 at lam = +-1 and K = M/lam - 1 at a conjugate pair.
     For a block size s with c blocks, F(x, y) = L(x, K^{s-1} y) on ker K^s
     (at a pair L(x, conj(K^{s-1} y)) / zeta0) has radical
-    ker K^{s-1} + K ker K^{s+1} and rank c.  At +-1 it is antisymmetric
-    when s is odd at -1 or even at +1, and the blocks pair into F2real;
-    otherwise it is symmetric (Hermitian at a pair) and its c signs are
-    the eps (or zeta0 versus zeta0 + 1/2) of the blocks.
-
-    The monodromy arrives as M/den with G a positive multiple of the Gram
-    matrix.  Exact input comes as the two integer forms and is worked on
-    Python ints: K and the basis vectors of ker K^s become positive integer
-    multiples too (lam M - den for K), which scale F and congruence it by a
-    positive diagonal, keeping its symmetry, rank and signature.  Float
-    input comes with den = 1 and takes ker K^s as the dim ker K^s smallest
-    right singular vectors of K^s, the dimension coming from the block
-    sizes, and the signs from the c eigenvalues of largest modulus.
+    ker K^{s-1} + K ker K^{s+1} and rank c.  When F is antisymmetric
+    (``_form_is_symmetric``) the blocks pair into F2real; otherwise
+    ``signs[s]`` holds its p positive and m negative signs, the eps (or
+    zeta0 versus zeta0 + 1/2) of the blocks.  ``_exact_form_signs`` and
+    ``_numeric_form_signs`` compute them.
     """
-    exact = mx.is_exact_matrix(M)
-    n = M.shape[0]
     pair = g.kind == "pair"
-    if pair:
-        K = M / angle_to_point(g.lam) - np.eye(n)
-    else:
-        K = g.lam * M - den * mx.identity(n, exact)
-        lam_angle = Fraction(0) if g.lam == 1 else Fraction(1, 2)
+    lam_angle = None if pair else Fraction(0) if g.lam == 1 else Fraction(1, 2)
     out: list[IrrType] = []
-    powers = [mx.identity(n, exact), K]      # powers[e] = K^e
     for s in sorted(set(g.sizes)):
         c = g.sizes.count(s)
-        if not pair and (s % 2 == 1) != (g.lam == 1):
+        if not _form_is_symmetric(g, s):
             if c % 2:
                 raise VerificationFailed(f"{c} Jordan blocks of size {s} at {g.lam} "
                                          "cannot pair into two-block types")
             out.extend([IrrType("F2real", lam_angle, s)] * (c // 2))
             continue
-        if pair:
-            z0 = _canonical_zeta_sqrt(g.lam, s)
-        while len(powers) <= s:
-            powers.append(powers[-1].dot(K))
-        if exact:
-            B = _as_columns([_common_numerators(v)[0] for v in mx.nullspace_exact(powers[s])],
-                            n, True)
-            F = B.T.dot(G).dot(B if s == 1 else powers[s - 1].dot(B))
-            if not mx.mat_eq(F, F.T):
-                raise VerificationFailed(f"primitive form at {g.lam}, size {s} is not symmetric")
-            p, _, m = mx.signature_exact(F)
-            if p + m != c:
-                raise VerificationFailed(f"primitive form at {g.lam}, size {s} has rank "
-                                         f"{p + m}, not {c}")
-        else:
-            d = sum(min(t, s) for t in g.sizes)
-            B = np.linalg.svd(powers[s])[2][n - d:].conj().T
-            F = B.T @ G @ np.conj(powers[s - 1] @ B)
-            if pair:
-                F = F / angle_to_point(z0)
-            H = (F + F.conj().T) / 2
-            if np.abs(F - H).max() > 1e-6 * np.abs(H).max():
-                raise Unclassified("primitive form is not Hermitian", pattern=(g.lam, g.sizes))
-            w = np.linalg.eigvalsh(H)
-            p = int(np.sum(w[np.argsort(np.abs(w))[d - c:]] > 0))
-            m = c - p
+        p, m = signs[s]
+        z0 = _canonical_zeta_sqrt(g.lam, s) if pair else None
         for eps in [1] * p + [-1] * m:
             out.append(IrrType("F2complex", g.lam, s, zeta=mod1(z0 + Fraction(1 - eps, 4))).normalized()
                        if pair else IrrType("F1", lam_angle, s, eps=eps))
     return out
+
+
+def _float_monodromy(G: np.ndarray):
+    """(float Gram matrix, float monodromy) of a Gram matrix."""
+    Gf = np.asarray(G, dtype=float)
+    return Gf, np.linalg.solve(Gf.T, Gf)
 
 
 def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
@@ -571,34 +620,40 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
 
     Off-circle eigenvalues give descriptors without sign data.  Each
     on-circle eigenvalue, with any Jordan pattern, is classified by its
-    primitive forms (``_primitive_types``): in rationals at +-1 when the
-    input is exact and its characteristic polynomial resolves exactly, in
-    floats otherwise and at conjugate pairs.  Unclassified remains for
-    float eigen-data that does not pair up: an unpaired unit eigenvalue,
-    an off-circle cluster without its inverse partners, or a primitive
-    form that is not numerically Hermitian; exact input reaches it when a
+    primitive forms (``_primitive_types``): exactly at +-1 when the input
+    is exact and its characteristic polynomial resolves exactly, in floats
+    otherwise and at conjugate pairs.  Unclassified remains for float
+    eigen-data that does not pair up: an unpaired unit eigenvalue, an
+    off-circle cluster without its inverse partners, or a primitive form
+    that is not numerically Hermitian; exact input reaches it when a
     non-cyclotomic remainder of degree > 2 sends it to the float path.
-    Exact input converts its monodromy and Gram matrix to integer forms
-    once, and the exact eigen-data and primitive forms run on those.
+
+    Exact or float is decided here, once.  Exact input clears the
+    denominators of its Gram matrix once (``mx.int_form``); the monodromy
+    comes from the solve core as integer rows over one denominator, and
+    the exact eigen-data and primitive forms run on those rows with the
+    matrix layer's integer cores.  The float monodromy is computed only
+    when a group takes the float path.
     """
     G = P.G
-    Gf = np.asarray(G, dtype=float)
-    M_f = np.linalg.solve(Gf.T, Gf)
-    groups = None
+    groups = Gf = M_f = None
     if P.is_exact:
-        B, den = mx.int_form(mx.solve_exact(G.T.copy(), G))
-        G_int = mx.int_form(G)[0]
+        G_int = mx.int_form(G)[0].tolist()
+        B, den = mx._solve_rows([list(col) for col in zip(*G_int)], G_int)
         groups = _exact_eigdata(B, den)
     exact_real = groups is not None
     if groups is None:
+        Gf, M_f = _float_monodromy(G)
         groups = _numeric_eigdata(M_f, tol)
 
     out: list[IrrType] = []
     for g in groups:
         if g.kind == "real" and exact_real:
-            out.extend(_primitive_types(g, B, den, G_int))
+            out.extend(_primitive_types(g, _exact_form_signs(g, B, den, G_int)))
         elif g.kind in ("real", "pair"):
-            out.extend(_primitive_types(g, M_f, 1, Gf))
+            if M_f is None:
+                Gf, M_f = _float_monodromy(G)
+            out.extend(_primitive_types(g, _numeric_form_signs(g, M_f, Gf)))
         elif g.kind == "hyper_real":
             for s in g.sizes:
                 out.append(IrrType("F2hyper", float(g.lam), s))

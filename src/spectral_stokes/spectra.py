@@ -125,8 +125,11 @@ class SppLadder:
         if self.l < 0:
             raise ValueError("ladder length parameter l must be >= 0")
 
+    def _pairs(self) -> list:
+        return [(self.alpha + j, self.m + self.l - 2 * j) for j in range(self.l + 1)]
+
     def members(self) -> Spp:
-        return Spp([(self.alpha + j, self.m + self.l - 2 * j) for j in range(self.l + 1)])
+        return Spp(self._pairs())
 
     @property
     def distance(self):

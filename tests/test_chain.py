@@ -7,7 +7,7 @@ import sympy
 
 from spectral_stokes import chain, hor, matrices as mx
 from spectral_stokes.errors import (BadExponents, NotInFamily, NotReducible,
-                                    ReductionRequired)
+                                    ReductionRequired, VerificationFailed)
 from spectral_stokes.polycore import RealPoly
 
 F = Fraction
@@ -352,3 +352,25 @@ class TestThomSebastiani:
         from spectral_stokes.polycore import unit_circle_angles
         angles = dict(unit_circle_angles(cp))
         assert angles == {F(0): 2, F(1, 3): 1, F(2, 3): 1}
+
+
+class TestChainSingChecks:
+    # (2, 3) has the weights 1/2, 1/6 and mu = 5
+
+    def test_weights(self):
+        c = chain.ChainSing((2, 3))
+        assert c.w == (Fraction(1, 2), Fraction(1, 6)) and c.mu == 5
+        assert all(type(w) is Fraction for w in c.w)
+
+    def test_wrong_weight_breaks_the_product(self, monkeypatch):
+        monkeypatch.setattr(chain, "Fraction",
+                            lambda a, b=1: Fraction(1, 3) if (a, b) == (1, 2) else Fraction(a, b))
+        with pytest.raises(VerificationFailed, match="weight product"):
+            chain.ChainSing((2, 3))
+
+    def test_swapped_weights_break_the_recursion(self, monkeypatch):
+        # the product of 1/w - 1 is the same, the order is not
+        swapped = {(1, 2): Fraction(1, 6), (1, 6): Fraction(1, 2)}
+        monkeypatch.setattr(chain, "Fraction", lambda a, b=1: swapped.get((a, b), Fraction(a, b)))
+        with pytest.raises(VerificationFailed, match="recursion"):
+            chain.ChainSing((2, 3))

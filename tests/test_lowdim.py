@@ -160,3 +160,57 @@ class TestLine3:
         assert counts[ld.Stratum3.JORDAN3_BOUNDARY] == 1
         assert counts[ld.Stratum3.IDENTITY] == 1
         assert ld.Stratum3.BOUNDARY_IND_CONE not in counts
+
+
+#: the signature of S + S^t on each stratum that classify3 tells apart by it
+_STRATUM_SIGNATURE = {ld.Stratum3.INTERIOR_POS: (3, 0, 0), ld.Stratum3.INTERIOR_IND: (1, 0, 2),
+                      ld.Stratum3.BOUNDARY_POS_SPHERE: (2, 1, 0),
+                      ld.Stratum3.BOUNDARY_IND_CONE: (1, 1, 1)}
+
+
+class TestSylvester:
+    @pytest.mark.parametrize("step", [F(1, 4), F(1, 3)])
+    def test_decision_matches_signature(self, step, monkeypatch):
+        # Sylvester's rule on the minors 2, 4 - a1^2, 2f against the exact
+        # signature of S + S^t on every grid member; the exact signature is
+        # taken only on f = 0, where the last minor vanishes
+        calls = []
+        signature = mx.signature_exact
+        monkeypatch.setattr(ld.mx, "signature_exact", lambda A: calls.append(A) or signature(A))
+        points = [a for a, *_ in ld.scan3(step=step)]
+        on_f0 = sum(ld.f3(a) == 0 and a not in ld.EXCEPTIONAL_POINTS for a in points)
+        assert len(calls) == on_f0 > 0
+        monkeypatch.undo()
+        seen = set()
+        for a in points:
+            c = ld.classify3(a)
+            if c.stratum in _STRATUM_SIGNATURE:
+                S = ld.s3_matrix(a)
+                assert mx.signature_exact(S + S.T) == _STRATUM_SIGNATURE[c.stratum], a
+                seen.add((c.stratum, abs(a[0]) == 2))
+        # |a1| = 2 lies on f = 0 only, on both sheets
+        assert seen == {(s, False) for s in _STRATUM_SIGNATURE} | \
+            {(ld.Stratum3.BOUNDARY_POS_SPHERE, True), (ld.Stratum3.BOUNDARY_IND_CONE, True)}
+
+
+class TestIntegerF3:
+    def test_values_and_types(self):
+        # D^3 f = 4 D^3 + n1 n2 n3 - D sum n_i^2 gives the value of the
+        # direct formula, with its type: Fraction, int or float
+        rng = random.Random(5)
+        for _ in range(500):
+            a = tuple(rng.choice([F(rng.randrange(-13, 14), rng.randrange(1, 7)),
+                                  rng.randrange(-4, 5), F(rng.randrange(-4, 5))])
+                      for _ in range(3))
+            a1, a2, a3 = a
+            want = 4 + a1 * a2 * a3 - (a1 * a1 + a2 * a2 + a3 * a3)
+            got = ld.f3(a)
+            assert got == want and type(got) is type(want), a
+            assert ld.member3(a) == (0 <= want <= 4)
+            assert ld.char_poly3(a) == RealPoly([1, -(want - 2), 1]) * RealPoly([-1, 1])
+        for a in [(0.5, 1.0, -0.25), (1, 0.5, 2), (2.0, 2.0, 2.0)]:
+            a1, a2, a3 = a
+            assert ld.f3(a) == 4 + a1 * a2 * a3 - (a1 * a1 + a2 * a2 + a3 * a3)
+            assert type(ld.f3(a)) is float
+        assert type(ld.classify3((F(1), F(1), F(1))).f) is F
+        assert type(ld.classify3((1, 1, 1)).f) is int

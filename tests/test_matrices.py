@@ -141,9 +141,14 @@ def test_exact_arrays_hold_python_scalars():
     B, d = mx.int_form(mx.to_matrix([[1, Fraction(1, 2)], [Fraction(-2, 3), 1]]))
     assert d == 6 and B.tolist() == [[6, 3], [-4, 6]]
     K = -B - d * mx.identity(2)
-    integer = [B, mx.int_form(M)[0], K, mx.mat_pow(K, 40),
-               seifert._poly_of_matrix(RealPoly([1, Fraction(1, 2), 1]), B, d),
-               seifert._poly_of_matrix(RealPoly([1, 1, 1]), *mx.int_form(M))]
+    BM, dM = mx.int_form(M)
+    # the integer row cores return lists of rows; as object arrays they join the check
+    rows = [seifert._poly_of_matrix(RealPoly([1, Fraction(1, 2), 1]), B.tolist(), d),
+            seifert._poly_of_matrix(RealPoly([1, 1, 1]), BM.tolist(), dM),
+            mx._matmul_rows(K.tolist(), K.tolist()),
+            mx._solve_rows(BM.tolist(), mx.identity(4).tolist())[0],
+            [v for _, v in mx._nullspace_rows((BM - dM * mx.identity(4)).tolist(), 4)]]
+    integer = [B, BM, K, mx.mat_pow(K, 40)] + [np.array(r, dtype=object) for r in rows]
     assert max(abs(x) for x in integer[3].flat) > 2 ** 63
     for A in arrays + integer:
         assert A.dtype == object
@@ -188,10 +193,15 @@ expect(ValueError, "thom_sebastiani accepted a factor off the unit triangle",
        chain.thom_sebastiani, mx.to_matrix([[1, 0], [1, 1]]), S)
 expect(ValueError, "sign_act accepted a sign outside {1, -1}", orbit.sign_act, (1, 2, 1), S)
 
-chain.Fraction = lambda a, b=1: Fraction(2) if (a, b) == (1, 1) else Fraction(a, b)
-expect(VerificationFailed, "ChainSing passed a wrong weight product", chain.ChainSing, (3, 2))
-chain.Fraction = lambda a, b=1: Fraction(1, 7) if (a, b) == (0, 1) else Fraction(a, b)
-expect(VerificationFailed, "ChainSing passed a broken weight recursion", chain.ChainSing, (3, 2))
+# (2, 3) has the weights 1/2, 1/6: 1/3 in place of 1/2 breaks the product,
+# and the swapped weights keep the product but break the recursion
+chain.Fraction = lambda a, b=1: Fraction(1, 3) if (a, b) == (1, 2) else Fraction(a, b)
+expect(VerificationFailed, "ChainSing passed a wrong weight product", chain.ChainSing, (2, 3),
+       match="product")
+swapped = {(1, 2): Fraction(1, 6), (1, 6): Fraction(1, 2)}
+chain.Fraction = lambda a, b=1: swapped.get((a, b), Fraction(a, b))
+expect(VerificationFailed, "ChainSing passed a broken weight recursion", chain.ChainSing, (2, 3),
+       match="recursion")
 chain.Fraction = Fraction
 
 real_chain_sing, real_expand = chain.ChainSing, chain.expand_signed_product
@@ -238,23 +248,31 @@ expect(VerificationFailed, "jordan_chain_vectors passed a wrong companion matrix
        polycore.jordan_chain_vectors, RealPoly([1, 1, 1]), Fraction(1, 3), 0)
 polycore.companion_matrix = real_companion
 
+B, den = mx.int_form(M)
+B, G = B.tolist(), P.G.tolist()
 expect(VerificationFailed, "an odd number of blocks passed as two-block types",
-       seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), *mx.int_form(M), P.G)
+       seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), {})
 expect(VerificationFailed, "a primitive form of rank 2 passed for one block",
-       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), mx.identity(2), 1,
-       mx.identity(2))
+       seifert._exact_form_signs, seifert._EigGroup("real", 1, 1, [1]), [[1, 0], [0, 1]], 1,
+       [[1, 0], [0, 1]])
 
 mx.mat_eq = lambda A, B, tol=0.0: False
 expect(VerificationFailed, "monodromy_and_forms passed a broken form check",
        seifert.monodromy_and_forms, P)
-expect(VerificationFailed, "the primitive form passed a broken symmetry check",
-       seifert._primitive_types, seifert._EigGroup("real", 1, 1, [1]), *mx.int_form(M), P.G)
 expect(VerificationFailed, "thom_sebastiani passed a broken monodromy check",
        chain.thom_sebastiani, S, S)
 
-mx.rank_exact = lambda A: 0         # kernel of dimension 3 over the pair +-i
+real_nullspace = mx._nullspace_rows
+mx._nullspace_rows = lambda rows, ncols: [(c, [int(i == c) for i in range(ncols)])
+                                          for c in range(ncols)]   # not the kernel
+expect(VerificationFailed, "the primitive form passed a broken symmetry check",
+       seifert._exact_form_signs, seifert._EigGroup("real", 1, 1, [1]), B, den, G,
+       match="not symmetric")
+mx._nullspace_rows = real_nullspace
+
+mx._rank_rows = lambda rows, ncols: 0         # kernel of dimension 3 over the pair +-i
 expect(VerificationFailed, "kernel_dims passed an uneven orbit split",
-       seifert._exact_eigdata, *mx.int_form(M))
+       seifert._exact_eigdata, B, den)
 
 calls = iter(range(1000))
 mx.char_poly_exact = lambda A: next(calls)

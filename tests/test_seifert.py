@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_stokes import hor, lowdim, matrices as mx, seifert as sf
 from spectral_stokes.errors import (DegenerateFlag, NotLadderComposed, Singular,
-                                    Unclassified)
+                                    Unclassified, VerificationFailed)
 from spectral_stokes.polycore import RealPoly, angle_to_point, poly_from_cyclotomic_mults
 from spectral_stokes.spectra import Spp, SppLadder
 
@@ -408,3 +410,117 @@ class TestSemiorthogonal:
             data = sf.semiorthogonal(P, basis)
             assert data.eps == (1, -1)
             assert data.triangular is None
+
+
+# entries of the drawn unit upper-triangular matrices: many zeros and small
+# values, so eigenvalues +-1 with Jordan blocks come up often
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -2, F(1, 2), F(-1, 2), F(3, 2), F(-1, 3), F(2, 3)])
+
+
+@st.composite
+def _unit_upper(draw):
+    n = draw(st.integers(2, 4))
+    return mx.to_matrix([[int(i == j) if j <= i else draw(_ENTRIES) for j in range(n)]
+                         for i in range(n)])
+
+
+def _sympy_signature(A):
+    """(s+, s0, s-) of a rational symmetric matrix by Descartes' rule on its
+    characteristic polynomial, exact since every root is real."""
+    x = sympy.Symbol("x")
+    p = sympy.Matrix(A.tolist()).charpoly(x)
+
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    coeffs = p.all_coeffs()
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    return changes(coeffs), zero, changes(p.subs(x, -x).as_poly(x).all_coeffs())
+
+
+def _type_blocks(types):
+    """(eigenvalue, block size) of each Jordan block the types stand for,
+    as in ``_eigdata_blocks``."""
+    out = []
+    for t in types:
+        if t.family in ("F1", "F2real"):
+            zs = [angle_to_point(t.lam)] * (1 if t.family == "F1" else 2)
+        elif t.family == "F2complex":
+            zs = [angle_to_point(t.lam), angle_to_point(-t.lam)]
+        else:
+            continue
+        out += [(round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0, t.n) for z in zs]
+    return sorted(out)
+
+
+@given(_unit_upper())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_integer_eigdata_and_types_match_sympy(S):
+    # the integer-row eigen-data and the exact primitive forms against
+    # sympy's Jordan form and the Descartes signature of S + S^t
+    B, den = mx.int_form(mx.monodromy_matrix(S))
+    groups = sf._exact_eigdata(B.tolist(), den)
+    if groups is None:        # a non-cyclotomic remainder of degree > 2: the float path
+        return
+    M = mx.monodromy_matrix(S)
+    want = _sympy_jordan_blocks(M)
+    assert _eigdata_blocks(groups) == want
+    for g in groups:
+        if g.kind == "real":
+            assert g.mult == sum(s for z_re, z_im, s in want if (z_re, z_im) == (g.lam, 0.0))
+    types = sf.classify(sf.SeifertPair.from_triangular(S))
+    assert _type_blocks(types) == [b for b in want if abs(abs(complex(b[0], b[1])) - 1) < 1e-9]
+    total = tuple(map(sum, zip(*(sf.type_signature(t) for t in types))))
+    assert total == _sympy_signature(S + S.T)
+
+
+class TestKeptChecks:
+    """Each verification of the exact classification still raises when
+    the kernel it guards is broken."""
+
+    S = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]       # char poly (x - 1)(x^2 + 1)
+
+    def test_kernel_split(self, monkeypatch):
+        # rank 0 makes ker Phi_4(M) three-dimensional, odd over the pair +-i
+        P = pair_from_triangular(self.S)
+        monkeypatch.setattr(mx, "_rank_rows", lambda rows, ncols: 0)
+        with pytest.raises(VerificationFailed, match="split evenly"):
+            sf.classify(P)
+
+    def test_primitive_form_symmetry(self, monkeypatch):
+        # the standard basis in place of ker(M - 1): F is the whole Gram matrix
+        P = pair_from_triangular(self.S)
+        monkeypatch.setattr(mx, "_nullspace_rows", lambda rows, ncols: [
+            (c, [int(i == c) for i in range(ncols)]) for c in range(ncols)])
+        with pytest.raises(VerificationFailed, match="not symmetric"):
+            sf.classify(P)
+
+    def test_primitive_form_rank(self, monkeypatch):
+        P = pair_from_triangular(self.S)
+        monkeypatch.setattr(mx, "_signature_rows", lambda rows: (len(rows) + 1, 0, 0))
+        with pytest.raises(VerificationFailed, match="has rank"):
+            sf.classify(P)
+
+    def test_primitive_form_rank_of_a_wrong_group(self):
+        # M = E read as one block at 1: ker K is the plane, F has rank 2
+        with pytest.raises(VerificationFailed, match="has rank 2, not 1"):
+            sf._exact_form_signs(sf._EigGroup("real", 1, 1, [1]), [[1, 0], [0, 1]], 1,
+                                 [[1, 0], [0, 1]])
+
+    def test_odd_block_count(self):
+        with pytest.raises(VerificationFailed, match="cannot pair"):
+            sf._primitive_types(sf._EigGroup("real", -1, 1, [1]), {})
+
+
+def test_cyclotomic_factors_beside_a_quadratic_remainder():
+    # char poly Phi_6 (x^2 + 14 x + 1): the cyclotomic factor leaves a
+    # quadratic tail, and the pair at 1/6 stands beside the hyperbolic pair
+    S = mx.to_matrix([[1, 0, 0, 2], [0, 1, -2, F(3, 2)], [0, 0, 1, F(3, 2)], [0, 0, 0, 1]])
+    assert mx.char_poly_exact(mx.monodromy_matrix(S)) == RealPoly([1, 13, -12, 13, 1])
+    exact = sf.classify(sf.SeifertPair.from_triangular(S))
+    assert sf.type_label_multiset(exact) == \
+        "Seif(e(-2pi i 1/6),2,1,e(-2pi i 11/12))+Seif(-13.9282,2,1)"
+    numeric = sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float)))
+    assert sf.types_multiset_equal(exact, numeric, tol=1e-7)
+    total = tuple(map(sum, zip(*(sf.type_signature(t) for t in exact))))
+    assert total == mx.signature_exact(S + S.T) == (3, 0, 1)
