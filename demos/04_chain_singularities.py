@@ -31,6 +31,9 @@ shift = Fraction(c.m - 1, 2)
 print(f"\nweighted-homogeneous spectrum: {[str(x) for x in sorted(sp_f)]}")
 print(f"matrix-side spectrum         : {[str(x) for x in sorted(sp_s)]}")
 print(f"shift (m-1)/2 = {shift}; equality holds: {chain.verify_spectrum_shift(a)}")
+along_chain = [x - shift for x in chain.chain_ordered_spectrum(a)]
+print(f"spectrum along the monomial chain, minus the shift: {[str(x) for x in along_chain]}")
+print(f"equals the matrix-side spectrum in family order: {along_chain == sp_s}")
 
 print("\nsmall-exponent reductions:")
 for t in ((2, 3), (3, 2, 1, 2), (2, 2, 2)):

@@ -3,15 +3,15 @@
 Subpackages by topic:
 
 * :mod:`spectral_stokes.polycore`  exact/float polynomials, unit-circle
-  angles, companion matrices, Jordan chains
+  angles, companion matrices
 * :mod:`spectral_stokes.spectra`   spectral pairs, ladders, partners
 * :mod:`spectral_stokes.hor`       the two banded families, the spectrum
   recipe, matrix identities, the eigenvalue angles along a simplex
   segment in closed form
 * :mod:`spectral_stokes.seifert`   bilinear-form pairs, irreducible type
-  classification, enhancements, semiorthogonal data
-* :mod:`spectral_stokes.chain`     chain-type singularities and the exact
-  two-route spectrum comparison
+  classification, the types a ladder forces
+* :mod:`spectral_stokes.chain`     chain-type singularities, the exact
+  two-route spectrum comparison and the monomial chain
 * :mod:`spectral_stokes.lowdim`    closed forms for sizes 2 and 3
 * :mod:`spectral_stokes.orbit`     sign/mutation actions, experiments,
   generic eigenvalue tracking by a predictor step

@@ -20,9 +20,11 @@ Two conventions are pinned down here rather than guessed:
   k = 1 for even m and k = 2 for odd m.  Only this choice reproduces
   the weighted-homogeneous spectra.
 * The count of basis monomials follows the recursion mu_k = r_k -
-  mu_{k-1}, the one consistent with mu = prod(1/w_k - 1); the literal
-  alternating-sum formula (kept as :func:`rho_literal` for reference)
-  agrees with it only for all-equal exponent tuples.
+  mu_{k-1}, the one consistent with mu = prod(1/w_k - 1).  The literal
+  alternating sum a_0...a_{k-1} - a_1...a_{k-1} + ... +- a_{k-1} -+ 1
+  drops leading factors where the recursion drops trailing ones, and
+  agrees with it only for all-equal exponent tuples: (3, 2) gives 5,
+  against mu = 4.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import numpy as np
 from . import matrices as mx
 from .errors import (BadExponents, ChainBroken, NotPolynomial, NotReducible,
                      ReductionRequired, VerificationFailed)
-from .hor import (poly_to_matrix, recipe_spectral_pairs, scal_from_angles,
-                  _check_family_numerators, _recipe_numerators, _split_root_one)
+from .hor import (recipe_spectral_pairs, scal_from_angles, _check_family_numerators,
+                  _recipe_numerators, _split_root_one)
 from .polycore import expand_signed_product, _common_numerators
 from .spectra import Spp
 
@@ -97,24 +99,6 @@ class ChainSing:
         return self.mu_seq[-1]
 
 
-def rho_literal(exponents) -> int:
-    """The literal alternating sum a_0...a_{k-1} - a_1...a_{k-1} + ...
-    +- a_{k-1} -+ 1.  Documentation only: it drops leading factors where
-    the recursion mu_k = r_k - mu_{k-1} drops trailing ones; the two
-    agree for all-equal exponent tuples and the recursion is the one
-    consistent with mu = prod(1/w_k - 1).
-    """
-    xs = list(exponents)
-    k = len(xs)
-    total = 0
-    for i in range(k):
-        prod = 1
-        for x in xs[i:]:
-            prod *= x
-        total += (-1) ** i * prod
-    return total + (-1) ** k
-
-
 def _stokes_roots(c: ChainSing):
     """The matrix polynomial, its symmetry class and the numerators delta
     (ascending) of its root angles delta / r_m.
@@ -168,12 +152,6 @@ def _stokes_numerators(c: ChainSing) -> list:
     beta = _split_root_one(ones, deltas[ones:], k, 0, rm)
     _check_family_numerators(k, beta, rm)
     return _recipe_numerators(k, beta, rm)
-
-
-def stokes_member(a):
-    """The banded family member attached to the exponent tuple."""
-    p, k, _ = stokes_poly(a)
-    return poly_to_matrix(p, k)
 
 
 def stokes_scal(a):
@@ -328,13 +306,6 @@ def jacobi_basis(a) -> list[Monomial]:
     if len(out) != c.mu:
         raise VerificationFailed(f"basis count {len(out)} != mu = {c.mu}")
     return out
-
-
-def spectrum_from_basis(a) -> list:
-    """alpha_j = -1 + sum w_k + weighted degree of the j-th basis monomial."""
-    c = ChainSing(tuple(a))
-    base = sum(c.w, Fraction(0)) - 1
-    return sorted(base + mon.degree(c.w) for mon in jacobi_basis(a))
 
 
 def _step_monomials(c: ChainSing) -> list[tuple]:

@@ -25,6 +25,7 @@ import scipy
 
 from . import acceptance, chain, hor, lowdim, matrices as mx, orbit, seifert as sf
 from .errors import SpectralStokesError
+from .orbit import MAX_ORBIT_N
 from .polycore import (RealPoly, format_number, palindrome_class,
                        parse_rational, poly_from_cyclotomic_mults)
 from .spectra import Spp
@@ -51,6 +52,10 @@ MAX_VERIFY_N, MAX_VERIFY_SAMPLES = 24, 10_000
 #: largest number of grid values per axis of ``strata3 scan``, which visits
 #: the cube of it (the default --step 1/4 on [-4, 4] has 33, steps of 1/8 65)
 MAX_SCAN_AXIS = 65
+#: largest --budget (nodes) and --depth (generations, never more than the
+#: nodes) of ``orbit explore``; its matrix size is capped at MAX_ORBIT_N,
+#: checked before any entry is parsed
+MAX_ORBIT_BUDGET = 100_000
 
 
 def _int_in(lo: int, hi: int):
@@ -148,9 +153,31 @@ def emit(result, cfg: Config) -> str:
     return json.dumps(result, default=default, sort_keys=True)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _too_large(data, max_n: int) -> bool:
+    """Whether matrix file data holds more than max_n rows, read before any
+    entry is parsed."""
+    return isinstance(data, dict) and isinstance(data.get("entries"), list) \
+        and len(data["entries"]) > max_n
+
+
+def _load_matrix(path: str, max_n: int | None = None) -> np.ndarray:
     with open(path) as fh:
-        return mx.matrix_from_json(json.load(fh))
+        data = json.load(fh)
+    if max_n is not None and _too_large(data, max_n):
+        raise ValueError(f"the matrix must have size at most {max_n}")
+    return mx.matrix_from_json(data)
+
+
+def _load_pair(path: str, gram: str, cfg, exact: bool = False) -> sf.SeifertPair:
+    """The pair of a matrix file, which holds its Gram matrix or, with
+    ``gram`` "triangular", a unit upper-triangular member (Gram = transpose);
+    in floats in numeric mode unless ``exact`` forces exact arithmetic."""
+    S = _load_matrix(path)
+    if exact and not mx.is_exact_matrix(S):
+        raise SpectralStokesError("matrix file contains floats; cannot force exact mode")
+    if not exact and cfg.mode == "numeric":
+        S = np.asarray(S, dtype=float)
+    return sf.SeifertPair(S.T.copy() if gram == "triangular" else S)
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +234,15 @@ def _cmd_hor_track(args, cfg):
 
 
 def _cmd_seifert_classify(args, cfg):
-    S = _load_matrix(args.matrix)
-    if args.exact and not mx.is_exact_matrix(S):
-        raise SpectralStokesError("matrix file contains floats; cannot force exact mode")
-    if not args.exact and cfg.mode == "numeric":
-        S = np.asarray(S, dtype=float)
-    P = sf.SeifertPair(S.T.copy() if args.gram == "triangular" else S)
+    P = _load_pair(args.matrix, args.gram, cfg, exact=args.exact)
     types = sf.classify(P, tol=max(cfg.tol, 1e-10))
     return {"n": P.n, "types": [t.to_json() for t in types],
             "label": sf.type_label_multiset(types)}
 
 
 def _cmd_seifert_iso(args, cfg):
-    A = _load_matrix(args.a)
-    B = _load_matrix(args.b)
-    make = (lambda S: sf.SeifertPair(S.T.copy())) if args.gram == "triangular" \
-        else sf.SeifertPair
-    return {"isomorphic": sf.iso_equal(make(A), make(B), tol=max(cfg.tol, 1e-10))}
+    A, B = (_load_pair(path, args.gram, cfg) for path in (args.a, args.b))
+    return {"isomorphic": sf.iso_equal(A, B, tol=max(cfg.tol, 1e-10))}
 
 
 def _cmd_chain_verify(args, cfg):
@@ -306,7 +325,7 @@ def _cmd_solve2(args, cfg):
 
 
 def _cmd_orbit_explore(args, cfg):
-    S = _load_matrix(args.matrix)
+    S = _load_matrix(args.matrix, MAX_ORBIT_N)
     rep = orbit.orbit_explore(S, depth=args.depth, budget=args.budget)
     return {"nodes": len(rep.nodes), "exhausted": rep.exhausted,
             "generations": rep.generations}
@@ -335,9 +354,7 @@ def _cmd_track(args, cfg):
     path = data.get("path") if isinstance(data, dict) else None
     if not isinstance(path, list):
         raise ValueError('path file needs a "path" list of matrices')
-    if len(path) > MAX_TRACK_MATRICES or any(
-            isinstance(m, dict) and isinstance(m.get("entries"), list)
-            and len(m["entries"]) > MAX_TRACK_N for m in path):
+    if len(path) > MAX_TRACK_MATRICES or any(_too_large(m, MAX_TRACK_N) for m in path):
         raise ValueError(f"a path holds at most {MAX_TRACK_MATRICES} matrices "
                          f"of size at most {MAX_TRACK_N}")
     mats = [mx.matrix_from_json(m) for m in path]
@@ -457,9 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     orb = sub.add_parser("orbit", help="mutation/sign orbits and experiments")
     orb_sub = orb.add_subparsers(dest="sub", required=True)
     oe = orb_sub.add_parser("explore")
-    oe.add_argument("--matrix", required=True)
-    oe.add_argument("--depth", type=int, default=6)
-    oe.add_argument("--budget", type=int, default=100000)
+    oe.add_argument("--matrix", required=True,
+                    help=f"JSON matrix file, size at most {MAX_ORBIT_N}")
+    oe.add_argument("--depth", type=_int_in(0, MAX_ORBIT_BUDGET), default=6)
+    oe.add_argument("--budget", type=_int_in(1, MAX_ORBIT_BUDGET), default=MAX_ORBIT_BUDGET)
     oe.set_defaults(handler=_cmd_orbit_explore)
     oc = orb_sub.add_parser("conj16")
     oc.add_argument("--n", type=_int_in(1, MAX_CONJ16_N), default=6)

@@ -24,10 +24,6 @@ class RootOffCircle(SpectralStokesError):
         super().__init__(f"root {root} is off the unit circle by {distance:.3e}")
 
 
-class MultiplicityTooLow(SpectralStokesError):
-    """A root does not have the multiplicity required for a Jordan chain."""
-
-
 class NotInFamily(SpectralStokesError):
     """Input is not a member of the requested banded family."""
 
@@ -58,14 +54,6 @@ class Unclassified(SpectralStokesError):
     def __init__(self, message, pattern=None):
         self.pattern = pattern
         super().__init__(message)
-
-
-class DegenerateFlag(SpectralStokesError):
-    """A complete flag fails the direct-sum condition at some index."""
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"flag is degenerate at index {index}")
 
 
 class BadExponents(SpectralStokesError):
@@ -102,7 +90,3 @@ class LeftT(SpectralStokesError):
     def __init__(self, parameter, detail=""):
         self.parameter = parameter
         super().__init__(f"path leaves the admissible set at r={parameter}" + (f": {detail}" if detail else ""))
-
-
-class PhaseViolation(SpectralStokesError):
-    """A computed pairing phase contradicts the predicted polarization phase."""

@@ -16,8 +16,6 @@ identity matrix unambiguous and yields the spectrum
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -25,10 +23,9 @@ import numpy as np
 import scipy.linalg
 
 from . import matrices as mx
-from .errors import NotArithmeticGroup, NotInFamily, PhaseViolation, VerificationFailed
-from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point,
-                       companion_matrix, galois_closed_mults, is_exact,
-                       jordan_chain_vectors, mod1, num_eq, palindrome_class,
+from .errors import NotArithmeticGroup, NotInFamily
+from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, companion_matrix,
+                       galois_closed_mults, is_exact, mod1, num_eq, palindrome_class,
                        poly_from_cyclotomic_mults, poly_from_float_angles,
                        totient, unit_circle_angles, _common_numerators,
                        _expand_float_angles)
@@ -413,90 +410,9 @@ def verify_power_identity(M: HorMatrix):
     return ok1 and ok2, details
 
 
-def pl_factor_product(S: np.ndarray, k: int):
-    """The n twisted reflection factors whose product is (-1)^k S^{-1} S^t.
-
-    Works for any unit upper-triangular S (the identity is purely
-    algebraic).  Returns (factors, ok).
-    """
-    n = S.shape[0]
-    sign = -1 if k == 1 else 1
-    factors = []
-    for j in range(1, n + 1):
-        F = np.eye(n, k=-1, dtype=object if mx.is_exact_matrix(S) else float)
-        F[0] = [-S[j - 1, t] for t in range(j, n)] + \
-            [sign * S[t, j - 1] for t in range(j - 1)] + [sign]
-        factors.append(F)
-    prod = factors[0]
-    for F in factors[1:]:
-        prod = prod.dot(F)
-    mono = mx.monodromy_matrix(S)
-    ok = mx.mat_eq(prod, sign * mono, CIRCLE_TOL)
-    return factors, ok
-
-
-def dual_basis_matrix(M: HorMatrix):
-    """R^{-t}: the matrix of the cyclic automorphism in the left-dual basis.
-
-    Verified to consist of an identity block with last column
-    (-p_0, ..., -p_{n-1}), i.e. it shifts dual basis vectors up by one.
-    """
-    R = companion_matrix(M.p)
-    n = M.n
-    if mx.is_exact_matrix(R):
-        X = mx.solve_exact(R.T.copy(), mx.identity(n))
-    else:
-        X = np.linalg.solve(np.asarray(R, dtype=float).T, np.eye(n))
-    p = M.p.coeffs
-    for i in range(n):
-        for j in range(n):
-            if j == n - 1:
-                want = -p[i]
-            elif i == j + 1:
-                want = 1
-            else:
-                want = 0
-            if not num_eq(X[i, j], want):
-                raise VerificationFailed("dual-basis matrix does not have the shifted-cycle shape")
-    return X
-
-
 # ---------------------------------------------------------------------------
-# enhancement data and the signature law
+# the signature law
 # ---------------------------------------------------------------------------
-
-def hor_enhancement(M: HorMatrix):
-    """Eigenvalue-wise enhancement of a family member.
-
-    For each circle point kappa among the eigenvalues of the companion
-    matrix: the ladder from the recipe, the irreducible class it forces
-    in a polarized enhancement, and a numeric verification that the
-    pairing phase of L(a, N^l conj(a)) equals pi (2 alpha + l) / 2.
-    Returns a list of (kappa_angle, ladder, irr_type, phase_ok).
-    """
-    from .seifert import irr_type_from_ladder
-
-    b = matrix_to_scal(M)
-    Sf = np.asarray(M.S, dtype=float)
-    out = []
-    for kappa_angle, lad in recipe_ladder_groups(b):
-        alpha = lad.alpha
-        l = lad.l
-        typ = irr_type_from_ladder(alpha, 1, l, signed=False)
-        # exact angles keep the chain relation verified in exact arithmetic
-        kappa = kappa_angle if (is_exact(kappa_angle) and M.p.is_exact) \
-            else angle_to_point(kappa_angle)
-        vecs = jordan_chain_vectors(M.p, kappa, l)
-        w = vecs[l] @ Sf.T @ np.conj(vecs[0])
-        want = math.pi * (2 * float(alpha) + l) / 2.0
-        got = cmath.phase(complex(w))
-        diff = (got - want + math.pi) % (2 * math.pi) - math.pi
-        if abs(diff) > 1e-6:
-            raise PhaseViolation(
-                f"pairing phase {got:.9f} != predicted {want:.9f} at angle {kappa_angle}")
-        out.append((kappa_angle, lad, typ, True))
-    return out
-
 
 def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
     """Predicted and computed signature of S + S^t away from eigenvalue -1.

@@ -202,14 +202,6 @@ def _nullspace_rows(rows: list, ncols: int) -> list:
     return basis
 
 
-def nullspace_exact(A: np.ndarray) -> list:
-    """Basis of ker(A) as Fraction column vectors (lists), read off the
-    reduced row echelon form of a fraction-free Gauss-Jordan elimination:
-    each vector is 1 at its free column and 0 at the other free ones."""
-    return [[Fraction(x, v[fc]) for x in v]
-            for fc, v in _nullspace_rows(int_form(A)[0].tolist(), A.shape[1])]
-
-
 def _signature_rows(M: list):
     """Signature (s_plus, s_zero, s_minus) of symmetric integer rows, by
     fraction-free congruence reduction (no eigenvalues).
@@ -328,13 +320,3 @@ def _solve_rows(A: list, B: list):
         den //= g
         X = [[x // g for x in row] for row in X]
     return X, den
-
-
-def solve_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B exactly for a square rational A, by fraction-free
-    Gauss-Jordan elimination on the integer rows of [A | B]."""
-    n = A.shape[0]
-    rows = int_form(np.hstack([A, B]))[0].tolist()
-    X, den = _solve_rows([row[:n] for row in rows], [row[n:] for row in rows])
-    return np.array([[_tidy(Fraction(x, den)) for x in row] for row in X],
-                    dtype=object).reshape(n, B.shape[1])

@@ -82,6 +82,11 @@ def sign_canonical(S: np.ndarray) -> tuple:
     return best
 
 
+#: largest matrix size of orbit_explore: a node canonicalises its 2(n - 1)
+#: neighbours over 2^(n-1) sign vectors each
+MAX_ORBIT_N = 10
+
+
 @dataclass
 class OrbitReport:
     nodes: set
@@ -95,9 +100,13 @@ def orbit_explore(S: np.ndarray, depth: int = 6, budget: int = 10000) -> OrbitRe
     Nodes are canonicalised by the smallest sign-orbit representative;
     the characteristic polynomial of the monodromy is verified invariant
     on every node.  ``exhausted`` reports whether the walk was cut off
-    by depth or budget (orbits may be infinite).
+    by depth or budget (orbits may be infinite).  Matrices larger than
+    MAX_ORBIT_N raise ValueError.
     """
     n = S.shape[0]
+    if n > MAX_ORBIT_N:
+        raise ValueError(f"orbit exploration takes matrices of size at most {MAX_ORBIT_N}, "
+                         f"got {n}")
     start = sign_canonical(S)
     base_cp = mx.char_poly_exact(mx.monodromy_matrix(S)) \
         if mx.is_exact_matrix(S) else None

@@ -42,8 +42,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize
 
-from .errors import (MultiplicityTooLow, NotPolynomial, RootOffCircle,
-                     VerificationFailed)
+from .errors import NotPolynomial, RootOffCircle, VerificationFailed
 
 TWO_PI = 2.0 * math.pi
 
@@ -395,11 +394,6 @@ class RealPoly:
             raise NotPolynomial(f"{other!r} does not divide {self!r}")
         return q
 
-    def derivative(self) -> "RealPoly":
-        if self.degree == 0:
-            return RealPoly([0])
-        return RealPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def of_minus_x(self) -> "RealPoly":
         """p(-x)."""
         return RealPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
@@ -407,10 +401,6 @@ class RealPoly:
     # -- serialization -------------------------------------------------------
     def to_json(self):
         return [format_number(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "RealPoly":
-        return cls([parse_rational(c) for c in data])
 
     @classmethod
     def x_power_minus_1(cls, r: int) -> "RealPoly":
@@ -516,13 +506,14 @@ def factor_cyclotomic(p: RealPoly):
 
     Returns ``(mults, remainder)`` where ``mults`` maps d to the
     multiplicity of the d-th cyclotomic polynomial and ``remainder`` has no
-    root-of-unity roots.  Candidates with phi(d) <= deg are screened by a
-    cheap float evaluation at a primitive d-th root before
-    :func:`cyclotomic_power` divides, which keeps degrees in the thousands
-    tractable.
+    root-of-unity roots; it is an integer polynomial with the leading
+    coefficient of p, since every Phi_d is monic.  Candidates with
+    phi(d) <= deg are screened by a cheap float evaluation at a primitive
+    d-th root before :func:`cyclotomic_power` divides, which keeps degrees
+    in the thousands tractable.
     """
-    if not p.is_integer or not p.is_monic:
-        raise ValueError("cyclotomic factorization needs a monic integer polynomial")
+    if not p.is_integer:
+        raise ValueError("cyclotomic factorization needs an integer polynomial")
     mults: dict[int, int] = {}
     rem = p
     d = 1
@@ -547,14 +538,6 @@ def poly_from_cyclotomic_mults(mults: dict[int, int]) -> RealPoly:
         for _ in range(m):
             p = p * q
     return p
-
-
-def angles_from_cyclotomic_mults(mults: dict[int, int]):
-    out = []
-    for d, m in sorted(mults.items()):
-        for b in cyclotomic_angles(d):
-            out.append((b, m))
-    return sorted(out)
 
 
 def galois_closed_mults(angles) -> dict[int, int] | None:
@@ -657,13 +640,6 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
     return out
 
 
-def flatten_angles(angles):
-    out = []
-    for b, m in angles:
-        out.extend([b] * m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # signed products  prod (x^r - 1)^e
 # ---------------------------------------------------------------------------
@@ -748,7 +724,7 @@ def palindrome_class(p: RealPoly, tol: float = CIRCLE_TOL):
 
 
 # ---------------------------------------------------------------------------
-# companion matrices and Jordan chains
+# companion matrices
 # ---------------------------------------------------------------------------
 
 def companion_matrix(p: RealPoly) -> np.ndarray:
@@ -762,88 +738,6 @@ def companion_matrix(p: RealPoly) -> np.ndarray:
     A[1:, :-1] = np.eye(n - 1, dtype=C.dtype)
     A[0, :] = -C[-2::-1]
     return A
-
-
-def falling_factorial(a, b: int):
-    out = 1
-    for i in range(b):
-        out *= a - i
-    return out
-
-
-def _root_multiplicity(p: RealPoly, kappa) -> int:
-    """Multiplicity of kappa (complex or exact angle) as a root of p."""
-    if is_exact(kappa) and p.is_exact:
-        return cyclotomic_power(p, mod1(Fraction(kappa)).denominator)[0]
-    z = angle_to_point(kappa) if is_exact(kappa) else complex(kappa)
-    q = p
-    m = 0
-    scale = max(abs(float(c)) for c in p.coeffs)
-    while q.degree >= 0 and abs(complex(q(z))) <= 1e-8 * max(scale, 1.0):
-        m += 1
-        if q.degree == 0:
-            break
-        q = q.derivative()
-    return m
-
-
-def jordan_chain_vectors(p: RealPoly, kappa, l: int):
-    """Jordan chain v_0..v_l of the companion matrix of p at the root kappa.
-
-    ``kappa`` is either a complex number or an exact angle (Fraction), in
-    which case the defining relation (kappa^{-1} R - E) v_j = j v_{j-1}
-    is verified in exact cyclotomic arithmetic.  The vectors returned are
-    complex numpy arrays; entry t (from the top, t = n-1 .. 0) of v_j is
-    ``falling_factorial(t, j) * kappa^t``.
-    """
-    n = p.degree
-    if _root_multiplicity(p, kappa) < l + 1:
-        raise MultiplicityTooLow(f"root has multiplicity < {l + 1}")
-    exact_angle = is_exact(kappa) and p.is_exact
-    z = angle_to_point(kappa) if is_exact(kappa) else complex(kappa)
-    vectors = []
-    for j in range(l + 1):
-        v = np.zeros(n, dtype=complex)
-        for t in range(n - 1, j - 1, -1):
-            v[n - 1 - t] = falling_factorial(t, j) * z ** t
-        vectors.append(v)
-
-    R = companion_matrix(p)
-    if exact_angle:
-        # kappa = zeta^a with zeta = exp(-2 pi i / D); an element of Q(zeta)
-        # is a coefficient list over zeta^0 .. zeta^{D-1}, zero when its
-        # remainder mod Phi_D is
-        b = mod1(Fraction(kappa))
-        D, a = b.denominator, b.numerator
-        phi = cyclotomic_polynomial(D)
-
-        def add(row, j, i, scale, shift):
-            # row += scale kappa^shift (v_j)_i, where (v_j)_i = (t)_j kappa^t, t = n - 1 - i
-            t = n - 1 - i
-            if t >= j:
-                row[a * (t + shift) % D] += scale * falling_factorial(t, j)
-
-        for j in range(l + 1):
-            for i in range(n):
-                # row i of (kappa^{-1} R - E) v_j - j v_{j-1}
-                row = [0] * D
-                for c in range(n):
-                    if R[i, c] != 0:
-                        add(row, j, c, R[i, c], -1)
-                add(row, j, i, -1, 0)
-                if j:
-                    add(row, j - 1, i, -j, 0)
-                if any(RealPoly(row).divmod(phi)[1].coeffs):
-                    raise VerificationFailed(f"exact Jordan chain relation failed at j={j}")
-    else:
-        Rf = np.asarray(R, dtype=float)
-        scale = max(np.abs(vectors[0]).max(), 1.0)
-        for j in range(l + 1):
-            prev = vectors[j - 1] if j > 0 else np.zeros(n, dtype=complex)
-            resid = (Rf @ vectors[j]) / z - vectors[j] - j * prev
-            if np.abs(resid).max() > 1e-8 * scale * n:
-                raise VerificationFailed("numeric Jordan chain relation failed")
-    return vectors
 
 
 _COS_TABLE = {

@@ -1,5 +1,5 @@
-"""Pairs (real vector space, nondegenerate bilinear form): monodromy,
-classification into irreducible types, enhancements, semiorthogonal data.
+"""Pairs (real vector space, nondegenerate bilinear form): monodromy and
+classification into irreducible types.
 
 The monodromy of a pair with Gram matrix G (so L(a, b) = a^t G b) is
 M = G^{-t} G; it satisfies L(Ma, b) = L(b, a).  Unit-circle pairs split
@@ -24,15 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import matrices as mx
-from .errors import (DegenerateFlag, NotLadderComposed, Singular, Unclassified,
-                     VerificationFailed)
+from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
 from .polycore import (CIRCLE_TOL, RealPoly, _common_numerators, angle_eq, angle_to_point,
                        beta_from_cos, circle_dist, cyclotomic_angles, cyclotomic_polynomial,
-                       cyclotomic_power, factor_cyclotomic, format_number, is_exact, mod1,
-                       num_eq, parse_rational, point_to_angle, snap_angle, _tidy)
+                       cyclotomic_power, factor_cyclotomic, format_number, mod1, num_eq,
+                       point_to_angle, snap_angle, _tidy)
 from .spectra import Spp, decompose_into_ladders
 
 
@@ -142,13 +140,6 @@ class IrrType:
             out["zeta"] = format_number(self.zeta)
         return out
 
-    @classmethod
-    def from_json(cls, data) -> "IrrType":
-        lam = data["lambda"]
-        lam = complex(lam[0], lam[1]) if isinstance(lam, list) else parse_rational(lam)
-        zeta = parse_rational(data["zeta"]) if "zeta" in data else None
-        return cls(data["family"], lam, int(data["n"]),
-                   eps=data.get("eps"), zeta=zeta)
 
 
 def types_multiset_equal(ts1, ts2, tol: float = CIRCLE_TOL) -> bool:
@@ -262,34 +253,6 @@ class SeifertPair:
         return cls(S.T.copy())
 
 
-def monodromy_and_forms(P: SeifertPair):
-    """(M, symmetric Gram, antisymmetric Gram) of a pair.
-
-    M = G^{-t} G satisfies L(Ma, b) = L(b, a); the symmetric form has
-    Gram G + G^t, the antisymmetric one G^t - G.  The radical of the
-    symmetric form is ker(M + 1), that of the antisymmetric one
-    ker(M - 1); both are verified.
-    """
-    G = P.G
-    n = P.n
-    if P.is_exact:
-        M = mx.solve_exact(G.T.copy(), G)
-        Is = G + G.T
-        Ia = G.T - G
-        if not mx.mat_eq(M.T.copy().dot(G).dot(M), G):
-            raise VerificationFailed("monodromy must preserve the form")
-        if mx.rank_exact(Is) != mx.rank_exact(M + mx.identity(n)):
-            raise VerificationFailed("radical of the symmetric form must be ker(M + 1)")
-        if mx.rank_exact(Ia) != mx.rank_exact(M - mx.identity(n)):
-            raise VerificationFailed("radical of the antisymmetric form must be ker(M - 1)")
-    else:
-        Gf = np.asarray(G, dtype=float)
-        M = np.linalg.solve(Gf.T, Gf)
-        Is = Gf + Gf.T
-        Ia = Gf.T - Gf
-    return M, Is, Ia
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -375,10 +338,12 @@ def _exact_eigdata(B: list, den: int):
             groups.append(_EigGroup("real", lam, mult, _block_sizes(dims)))
     if rem.degree == 0:
         return groups
-    if all(c % lead == 0 for c in rem.coeffs):
-        # the cofactor of the characteristic polynomial is an integer polynomial
-        mults, tail = factor_cyclotomic(RealPoly([c // lead for c in rem.coeffs]))
-        if tail.degree not in (0, 2):
+    # every remainder of degree > 2 goes through the cyclotomic split; a
+    # quadratic one only when it is lead times an integer polynomial, and
+    # otherwise straight to the closed form below
+    if rem.degree > 2 or all(c % lead == 0 for c in rem.coeffs):
+        mults, rem = factor_cyclotomic(rem)
+        if rem.degree not in (0, 2):
             return None
         for d, m in sorted(mults.items()):
             phi = cyclotomic_angles(d)
@@ -387,9 +352,8 @@ def _exact_eigdata(B: list, den: int):
             for b in phi:
                 if float(b) < 0.5:
                     groups.append(_EigGroup("pair", b, m, sizes))
-        if tail.degree == 0:
+        if rem.degree == 0:
             return groups
-        rem, lead = tail, 1
     if rem.degree == 2:
         c2, c1, c0 = rem.coeffs[2], rem.coeffs[1], rem.coeffs[0]
         if c2 == lead and c0 == lead:
@@ -707,150 +671,3 @@ def type_signature(t: IrrType):
     if t.family == "F4hyper":
         return (2 * n, 0, 2 * n)
     raise ValueError(f"unknown family {t.family}")
-
-
-# ---------------------------------------------------------------------------
-# enhancements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Enhancement:
-    """A decomposition into blocks, each carrying one irreducible type and
-    one ladder.  For pair types (non-single ladders) the stored ladder is
-    either representative of the partner pair; the block covers both."""
-
-    m: int
-    blocks: tuple  # of (IrrType, SppLadder)
-
-
-def check_enhancement(P: SeifertPair, E: Enhancement, signed: bool = False) -> bool:
-    """True iff every block's sign data matches the (signed) polarized
-    phase formula for its ladder."""
-    dims = 0
-    for typ, lad in E.blocks:
-        want = irr_type_from_ladder(lad.alpha, E.m, lad.l, signed)
-        if want.family != typ.family or want.n != typ.n:
-            return False
-        if not want.matches(typ, 1e-7):
-            return False
-        dims += typ.dim if not (typ.family == "F1" and not lad.is_single) else 2 * typ.dim
-    if dims != P.n:
-        raise ValueError(f"enhancement blocks have dimension {dims}, not {P.n}")
-    return True
-
-
-def enhancement_from_hor(M_hor) -> Enhancement:
-    """Enhancement carried by a banded family member: one block per
-    eigenvalue pair of the attached companion matrix."""
-    from .hor import hor_enhancement
-    entries = hor_enhancement(M_hor)
-    blocks = []
-    seen_pairs = set()
-    for kappa_angle, lad, typ, _ in entries:
-        key = round(min(float(mod1(kappa_angle)), float(mod1(-kappa_angle))), 9)
-        if not lad.is_single:
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-        blocks.append((typ, lad))
-    return Enhancement(1, tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
-# semiorthogonal data (basis / splitting / flag)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SemiorthogonalData:
-    eps: tuple                 # signs of L on the one-dimensional pieces
-    splitting: list            # one vector per piece (exact or float)
-    flag: list                 # flag bases, flag[j] spans U_{j+1}
-    triangular: np.ndarray | None   # the Gram in T(n, R) if all eps = +1
-
-
-def _as_columns(vectors, n, exact):
-    return np.array(vectors, dtype=object if exact else float).reshape(len(vectors), n).T
-
-
-def semiorthogonal(P: SeifertPair, basis_or_flag) -> SemiorthogonalData:
-    """Convert between the equivalent data of a semiorthogonal structure.
-
-    Input is either n basis vectors (rows or a list of vectors) or a
-    complete flag (list of n nested bases, the j-th with j vectors).
-    Output: the sign tuple, the canonical one-dimensional splitting
-    H^(j) = U_j cap (right orthogonal of U_{j-1}), the flag, and, when
-    every sign is +1, the unit-triangular Gram of the normalised basis.
-
-    Raises DegenerateFlag(j) when U_j + its right orthogonal fail to span,
-    or when L vanishes on a piece.
-    """
-    G = P.G
-    n = P.n
-    exact = P.is_exact
-    items = [list(u) for u in basis_or_flag]
-    if items and np.ndim(items[0]) == 1:
-        # a basis: n vectors; the flag is spanned by the leading vectors
-        flag = [[items[i] for i in range(j + 1)] for j in range(n)]
-    else:
-        flag = items
-    if len(flag) != n or any(len(flag[j]) != j + 1 for j in range(n)):
-        raise ValueError("flag must consist of n nested bases of dimensions 1..n")
-
-    def vec(v):
-        return [x if exact and is_exact(x) else float(x) for x in v]
-
-    splitting = []
-    eps = []
-    Gf = np.asarray(G, dtype=float)
-    for j in range(1, n + 1):
-        Uj = [vec(v) for v in flag[j - 1]]
-        rows_prev = [vec(v) for v in flag[j - 2]] if j >= 2 else []
-        if exact:
-            Umat = _as_columns(Uj, n, True)
-            # Eq-style direct sum check: U_j + U_j^{perp R} spans everything
-            perp_j = mx.nullspace_exact(Umat.T.dot(G))
-            if mx.rank_exact(_as_columns(Uj + perp_j, n, True)) != n:
-                raise DegenerateFlag(j)
-            if rows_prev:
-                # right orthogonal of U_{j-1}: kernel of the L(u, .) rows
-                R = np.array(rows_prev, dtype=object).dot(G)
-                coeffs = mx.nullspace_exact(R.dot(Umat))
-            else:
-                coeffs = [[Fraction(1)]]
-            if len(coeffs) != 1:
-                raise DegenerateFlag(j)
-            h = list(Umat.dot(coeffs[0]))
-            val = np.dot(h, G.dot(h))
-            if val == 0:
-                raise DegenerateFlag(j)
-            eps.append(1 if val > 0 else -1)
-            splitting.append(h)
-        else:
-            Umat = np.array(Uj, dtype=float).T
-            rows_j = np.array(Uj, dtype=float) @ Gf
-            perp = scipy.linalg.null_space(rows_j, rcond=1e-10)
-            span = np.hstack([Umat, perp]) if perp.size else Umat
-            if np.linalg.matrix_rank(span, tol=1e-9) != n:
-                raise DegenerateFlag(j)
-            if rows_prev:
-                A = (np.array(rows_prev, dtype=float) @ Gf) @ Umat
-                null = scipy.linalg.null_space(A, rcond=1e-10)
-                if null.shape[1] != 1:
-                    raise DegenerateFlag(j)
-                h = Umat @ null[:, 0]
-            else:
-                h = Umat[:, 0]
-            val = float(h @ Gf @ h)
-            if abs(val) < 1e-12:
-                raise DegenerateFlag(j)
-            eps.append(1 if val > 0 else -1)
-            splitting.append(list(h))
-
-    triangular = None
-    if all(e == 1 for e in eps):
-        H = np.array([[float(x) for x in h] for h in splitting], dtype=float).T
-        scale = np.array([1 / math.sqrt(float(H[:, j] @ Gf @ H[:, j])) for j in range(n)])
-        Hn = H * scale[None, :]
-        W = Hn.T @ Gf @ Hn
-        triangular = W.T  # unit upper triangular member
-    return SemiorthogonalData(tuple(eps), splitting, flag, triangular)

@@ -1,4 +1,4 @@
-"""Spectral pairs, spectral-pair ladders, partners and their symmetries.
+"""Spectral pairs, spectral-pair ladders, partners and ladder decompositions.
 
 A spectral pair is ``(alpha, k)`` with ``alpha`` real and ``k`` an integer
 level.  A ladder with first number ``alpha``, center ``m`` and length
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLadderComposed
-from .polycore import CIRCLE_TOL, format_number, is_exact, num_eq, parse_rational
+from .polycore import CIRCLE_TOL, format_number, is_exact, num_eq
 
 
 class Spp:
@@ -81,12 +81,6 @@ class Spp:
             out.append({"alpha": format_number(a), "level": k, "mult": counted[(a, k)]})
         return out
 
-    @classmethod
-    def from_json(cls, data) -> "Spp":
-        pairs = []
-        for rec in data:
-            pairs.extend([(parse_rational(rec["alpha"]), int(rec["level"]))] * int(rec.get("mult", 1)))
-        return cls(pairs)
 
 
 def spp_mod2_equal(s1: Spp, s2: Spp) -> bool:
@@ -145,23 +139,6 @@ class SppLadder:
 
     def __repr__(self):
         return f"SppLadder(alpha={format_number(self.alpha)}, m={self.m}, l={self.l})"
-
-
-def kleinian_image(pair, m: int, which: str):
-    """Image of a spectral pair under the Kleinian involutions with center m.
-
-    ``pi1``: (a, w) -> (m - 1 - a, 2m - w)
-    ``pi2``: (a, w) -> (2m - 1 - w - a, w)
-    ``pi3`` = pi1 o pi2 = pi2 o pi1: (a, w) -> (a + w - m, 2m - w)
-    """
-    a, w = pair
-    if which == "pi1":
-        return (m - 1 - a, 2 * m - w)
-    if which == "pi2":
-        return (2 * m - 1 - w - a, w)
-    if which == "pi3":
-        return (a + w - m, 2 * m - w)
-    raise ValueError("which must be one of 'pi1', 'pi2', 'pi3'")
 
 
 @dataclass(frozen=True)

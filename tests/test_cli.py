@@ -139,10 +139,13 @@ class TestEmit:
         assert "/" not in str(data["alpha1"])
 
     def test_round_trip_spp(self, capsys):
+        from spectral_stokes.polycore import parse_rational
         from spectral_stokes.spectra import Spp
         _, out, _ = run_cli(capsys, "solve2", "--a", "2")
         pairs = json.loads(out)["spectral_pairs"]
-        assert Spp.from_json(pairs).to_json() == pairs
+        back = Spp(pair for r in pairs
+                   for pair in [(parse_rational(r["alpha"]), r["level"])] * r["mult"])
+        assert back.to_json() == pairs
 
     def test_empty_scan_header_only(self, capsys):
         code, out, _ = run_cli(capsys, "strata3", "scan", "--step", "1",
@@ -204,9 +207,13 @@ class TestSelftest:
                                          {"n": 2, "entries": [[1, 1e200], [0, 1]]}]}, "LeftT"),
     (["hor", "spectrum", "--k", "1", "--beta", "1/0"], None, "ValueError"),
     (["solve2", "--a", "nan"], None, "ValueError"),
+    # the sign orbit of each node has 2^(n-1) members: refused before the walk
+    (["orbit", "explore", "--matrix"],
+     {"n": cli.MAX_ORBIT_N + 1, "entries": np.eye(cli.MAX_ORBIT_N + 1, dtype=int).tolist()},
+     "ValueError"),
 ], ids=["matrix-without-entries", "entries-not-rows", "boolean-entries",
         "path-file-without-path", "empty-path", "overflowing-monodromy", "zero-denominator",
-        "nan"])
+        "nan", "orbit-matrix-too-large"])
 def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data, error):
     if file_data is not None:
         f = tmp_path / "input.json"
@@ -219,6 +226,24 @@ def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data, error)
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("mode, dtype", [("exact", object), ("numeric", float)])
+def test_seifert_iso_honours_the_mode(capsys, monkeypatch, tmp_path, mode, dtype):
+    from spectral_stokes import seifert as sf
+    seen = []
+    classify = sf.classify
+
+    def spy(P, tol=1e-8):
+        seen.append(P.G.dtype)
+        return classify(P, tol)
+
+    monkeypatch.setattr(sf, "classify", spy)
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"n": 2, "entries": [[1, 1], [0, 1]]}))
+    code, out, _ = run_cli(capsys, "--mode", mode, "seifert", "iso", str(f), str(f))
+    assert code == 0 and json.loads(out) == {"isomorphic": True}
+    assert seen == [dtype, dtype]
 
 
 def test_float_kernel_warnings_stay_off_stderr(tmp_path):

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_stokes import chain, hor, matrices as mx
+from spectral_stokes import chain, hor, matrices as mx, seifert as sf
 from spectral_stokes.errors import NotInFamily
 from spectral_stokes.polycore import (RealPoly, angle_eq, angle_to_point, mod1,
                                       point_to_angle, poly_from_float_angles,
@@ -284,48 +284,30 @@ class TestPowerIdentity:
             assert ok, (n, M.p)
 
 
-class TestFactorProduct:
-    def test_banded_members_have_equal_factors(self):
-        M = hor.poly_to_matrix(RealPoly([1, 2, 2, 1]), 1)
-        factors, ok = hor.pl_factor_product(M.S, 1)
-        assert ok
-        R = hor.r_matrix(M)
-        assert all(mx.mat_eq(Fk, R) for Fk in factors)
-
-    def test_identity_matrix(self):
-        for k in (1, 2):
-            _, ok = hor.pl_factor_product(mx.identity(4), k)
-            assert ok
-
-    def test_general_triangular(self):
-        S = mx.to_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        for k in (1, 2):
-            _, ok = hor.pl_factor_product(S, k)
-            assert ok
-
-
 class TestEnhancement:
+    """The type each eigenvalue group of a member forces in the polarized
+    enhancement: its recipe ladder read by ``irr_type_from_ladder``."""
+
+    @staticmethod
+    def types(M):
+        return [sf.irr_type_from_ladder(lad.alpha, 1, lad.l)
+                for _, lad in hor.recipe_ladder_groups(hor.matrix_to_scal(M))]
+
     def test_interior_pair(self):
-        M = hor.poly_to_matrix(RealPoly([1, 1, 1]), 1)
-        entries = hor.hor_enhancement(M)
-        assert len(entries) == 2
-        types = {t.label() for _, _, t, _ in entries}
-        assert types == {"Seif(e(-2pi i 1/6),2,1,e(-2pi i 11/12))"}
-        assert all(ok for _, _, _, ok in entries)
+        types = self.types(hor.poly_to_matrix(RealPoly([1, 1, 1]), 1))
+        assert len(types) == 2
+        assert {t.label() for t in types} == {"Seif(e(-2pi i 1/6),2,1,e(-2pi i 11/12))"}
 
     def test_boundary_single_ladder(self):
         M = hor.scal_to_matrix(scal(1, F(0), F(1)))
-        entries = hor.hor_enhancement(M)
-        assert len(entries) == 1
-        _, lad, typ, ok = entries[0]
+        ((_, lad),) = hor.recipe_ladder_groups(hor.matrix_to_scal(M))
         assert (lad.alpha, lad.l) == (F(-1, 2), 1)
-        assert typ.label() == "Seif(-1,1,2,1)" and ok
+        assert [t.label() for t in self.types(M)] == ["Seif(-1,1,2,1)"]
 
     def test_two_singles_at_identity(self):
-        M = hor.scal_to_matrix(hor.gamma_base(2, 1))
-        entries = hor.hor_enhancement(M)
-        assert len(entries) == 2
-        assert {t.label() for _, _, t, _ in entries} == {"Seif(1,1,1,1)"}
+        types = self.types(hor.scal_to_matrix(hor.gamma_base(2, 1)))
+        assert len(types) == 2
+        assert {t.label() for t in types} == {"Seif(1,1,1,1)"}
 
 
 class TestSignatureLaw:
@@ -342,21 +324,6 @@ class TestSignatureLaw:
         M = hor.poly_to_matrix(RealPoly([1, 3, 3, 1]), 1)
         predicted, computed = hor.is_signature(M)
         assert predicted == computed == (1, 0, 2)
-
-
-class TestDualBasis:
-    def test_n2(self):
-        M = hor.poly_to_matrix(RealPoly([1, 1, 1]), 1)
-        X = hor.dual_basis_matrix(M)
-        assert X.tolist() == [[0, -1], [1, -1]]
-
-    def test_identity_k2(self):
-        X = hor.dual_basis_matrix(hor.poly_to_matrix(RealPoly([-1, 0, 1]), 2))
-        assert X.tolist() == [[0, 1], [1, 0]]
-
-    def test_shape_on_chain_member(self):
-        M = hor.poly_to_matrix(RealPoly([-1, 1, 0, -1, 1]), 2)
-        hor.dual_basis_matrix(M)  # shape is asserted internally
 
 
 class TestPathTrack:

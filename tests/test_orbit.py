@@ -102,6 +102,10 @@ class TestOrbitExplore:
             T = mx.to_matrix([list(r) for r in key])
             assert mx.char_poly_exact(mx.solve_unit_upper(T, T.T.copy())) == cp
 
+    def test_size_guard(self):
+        with pytest.raises(ValueError, match="at most"):
+            orbit.orbit_explore(mx.identity(orbit.MAX_ORBIT_N + 1), depth=1, budget=1)
+
     def test_budget_exhaustion_reported(self):
         S = hor.poly_to_matrix(RealPoly([1, 3, 3, 1]), 1).S
         rep = orbit.orbit_explore(S, depth=50, budget=10)

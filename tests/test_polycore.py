@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spectral_stokes import matrices as mx
 from spectral_stokes import polycore as pc
-from spectral_stokes.errors import MultiplicityTooLow, NotPolynomial, RootOffCircle
+from spectral_stokes.errors import NotPolynomial, RootOffCircle
 
 x = sympy.Symbol("x")
 
@@ -91,7 +91,7 @@ class TestUnitCircleAngles:
             half = sorted(rng.uniform(0.02, 0.48) for _ in range(rng.randrange(1, 5)))
             angles = half + [1.0 - b for b in reversed(half)]
             p = pc.poly_from_float_angles(angles)
-            got = pc.flatten_angles(pc.unit_circle_angles(p, tol=1e-7))
+            got = [b for b, m in pc.unit_circle_angles(p, tol=1e-7) for _ in range(m)]
             assert len(got) == len(angles)
             for x, y in zip(sorted(got, key=float), sorted(angles)):
                 assert pc.circle_dist(x, y) <= 1e-7
@@ -265,50 +265,11 @@ class TestCompanionMatrix:
         assert cp == p
 
 
-class TestJordanChains:
-    def test_double_root_one(self):
-        p = pc.RealPoly([1, -2, 1])
-        v0, v1 = pc.jordan_chain_vectors(p, Fraction(0), 1)
-        assert np.allclose(v0, [1, 1]) and np.allclose(v1, [1, 0])
-        R = np.array([[2.0, -1.0], [1.0, 0.0]])
-        assert np.allclose((R - np.eye(2)) @ v1, v0)
-
-    def test_eigenvector_case(self):
-        p = pc.RealPoly([1, 1, 1])
-        (v0,) = pc.jordan_chain_vectors(p, Fraction(1, 3), 0)
-        z = pc.angle_to_point(Fraction(1, 3))
-        assert np.allclose(v0, [z, 1])
-
-    def test_double_root_minus_one(self):
-        p = pc.RealPoly([1, 2, 1])
-        v0, v1 = pc.jordan_chain_vectors(p, Fraction(1, 2), 1)
-        assert np.allclose(v0, [-1, 1]) and np.allclose(v1, [-1, 0])
-
-    def test_multiplicity_guard(self):
-        with pytest.raises(MultiplicityTooLow):
-            pc.jordan_chain_vectors(pc.RealPoly([1, 1, 1]), Fraction(1, 3), 1)
-
-    def test_exact_relation_higher_block(self):
-        # (x - 1)^2 (x^2 + x + 1): root of unity angle 1/3, plus a 2-block at 1
-        p = pc.RealPoly([1, -2, 1]) * pc.RealPoly([1, 1, 1])
-        pc.jordan_chain_vectors(p, Fraction(0), 1)
-        pc.jordan_chain_vectors(p, Fraction(1, 3), 0)
-
-    def test_rational_polynomial_multiplicity_is_exact(self):
-        # a simple root at angle 1/3 beside a non-cyclotomic factor 1e-12
-        # away from Phi_3: no float test may count it twice
-        p = pc.RealPoly([1, 1, 1]) * pc.RealPoly([1, 1 - Fraction(1, 10**12), 1])
-        assert pc._root_multiplicity(p, Fraction(1, 3)) == 1
-        assert pc._root_multiplicity(p, Fraction(0)) == 0
-        pc.jordan_chain_vectors(p, Fraction(1, 3), 0)
-        with pytest.raises(MultiplicityTooLow):
-            pc.jordan_chain_vectors(p, Fraction(1, 3), 1)
-
-
 class TestSerialization:
     def test_poly_round_trip(self):
         p = pc.RealPoly([Fraction(1, 2), -3, 1])
-        assert pc.RealPoly.from_json(p.to_json()) == p
+        assert p.to_json() == ["1/2", "-3", "1"]
+        assert pc.RealPoly([pc.parse_rational(c) for c in p.to_json()]) == p
 
     def test_rational_strings(self):
         assert pc.format_number(Fraction(-1, 2)) == "-1/2"
@@ -388,3 +349,10 @@ class TestCyclotomicPower:
         assert m == want
         assert pc.poly_from_cyclotomic_mults({d: m}) * q == p
         assert q.is_integer or not p.is_integer
+
+    def test_rational_polynomial_multiplicity_is_exact(self):
+        # a simple root at angle 1/3 beside a non-cyclotomic factor 1e-12
+        # away from Phi_3: no float test may count it twice
+        p = pc.RealPoly([1, 1, 1]) * pc.RealPoly([1, 1 - Fraction(1, 10**12), 1])
+        assert pc.cyclotomic_power(p, 3)[0] == 1
+        assert pc.cyclotomic_power(p, 1)[0] == 0

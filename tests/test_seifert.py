@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_stokes import hor, lowdim, matrices as mx, seifert as sf
-from spectral_stokes.errors import (DegenerateFlag, NotLadderComposed, Singular,
-                                    Unclassified, VerificationFailed)
+from spectral_stokes.errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
 from spectral_stokes.polycore import RealPoly, angle_to_point, poly_from_cyclotomic_mults
-from spectral_stokes.spectra import Spp, SppLadder
+from spectral_stokes.spectra import Spp
 
 F = Fraction
 
@@ -20,10 +19,22 @@ def pair_from_triangular(rows):
     return sf.SeifertPair.from_triangular(mx.to_matrix(rows))
 
 
+def monodromy_and_forms(P):
+    """(M, symmetric Gram, antisymmetric Gram) of an exact pair, the
+    monodromy M = G^{-t} G from the solve core as ``classify`` takes it;
+    M preserves the form."""
+    G = P.G
+    rows = mx.int_form(G)[0].tolist()
+    B, den = mx._solve_rows([list(col) for col in zip(*rows)], rows)
+    M = mx.to_matrix([[F(x, den) for x in row] for row in B])
+    assert mx.mat_eq(M.T.dot(G).dot(M), G)
+    return M, G + G.T, G.T - G
+
+
 class TestMonodromyAndForms:
     def test_identity(self):
         P = sf.SeifertPair(mx.identity(3))
-        M, Is, Ia = sf.monodromy_and_forms(P)
+        M, Is, Ia = monodromy_and_forms(P)
         assert mx.mat_eq(M, mx.identity(3))
         assert Is.tolist() == (2 * np.eye(3)).astype(int).tolist()
         assert all(v == 0 for v in Ia.flat)
@@ -31,7 +42,7 @@ class TestMonodromyAndForms:
     def test_two_by_two(self):
         a = 3
         P = pair_from_triangular([[1, a], [0, 1]])
-        M, _, _ = sf.monodromy_and_forms(P)
+        M, _, _ = monodromy_and_forms(P)
         assert M.tolist() == [[1 - a * a, -a], [a, 1]]
 
     def test_size3_char_poly_formula(self):
@@ -40,7 +51,7 @@ class TestMonodromyAndForms:
             a1, a2, a3 = a
             f = 4 + a1 * a2 * a3 - (a1**2 + a2**2 + a3**2)
             P = pair_from_triangular([[1, a1, a3], [0, 1, a2], [0, 0, 1]])
-            M, _, _ = sf.monodromy_and_forms(P)
+            M, _, _ = monodromy_and_forms(P)
             want = RealPoly([1, -(f - 2), 1]) * RealPoly([-1, 1])
             assert mx.char_poly_exact(M) == want
 
@@ -55,7 +66,7 @@ class TestMonodromyAndForms:
             S = mx.to_matrix([[1 if i == j else (rng.randrange(-2, 3) if j > i else 0)
                                for j in range(n)] for i in range(n)])
             P = sf.SeifertPair.from_triangular(S)
-            M, Is, Ia = sf.monodromy_and_forms(P)
+            M, Is, Ia = monodromy_and_forms(P)
             assert n - mx.rank_exact(Is) == n - mx.rank_exact(M + mx.identity(n))
             assert n - mx.rank_exact(Ia) == n - mx.rank_exact(M - mx.identity(n))
 
@@ -333,83 +344,25 @@ class TestLadderTypes:
 
 
 class TestEnhancements:
+    """The types a ladder forces in the polarized and the signed polarized
+    enhancement."""
+
     def test_banded_member_is_polarized(self):
         M = hor.poly_to_matrix(RealPoly([1, 1, 1]), 1)
-        E = sf.enhancement_from_hor(M)
-        P = sf.SeifertPair.from_triangular(M.S)
-        assert sf.check_enhancement(P, E, signed=False)
+        pairs = hor.recipe_spectral_pairs(hor.matrix_to_scal(M))
+        got = sf.classify(sf.SeifertPair.from_triangular(M.S))
+        assert sf.types_multiset_equal(sf.class_from_spp(pairs, 1, signed=False), got)
 
     def test_boundary_block_signed_vs_polarized(self):
-        lad = SppLadder(F(-1, 2), 1, 1)
         typ = sf.IrrType("F1", F(1, 2), 2, eps=1)
-        E = sf.Enhancement(1, ((typ, lad),))
-        P = pair_from_triangular([[1, 2], [0, 1]])
-        assert sf.check_enhancement(P, E, signed=False)
-        assert not sf.check_enhancement(P, E, signed=True)
+        assert sf.irr_type_from_ladder(F(-1, 2), 1, 1, signed=False) == typ
+        assert sf.irr_type_from_ladder(F(-1, 2), 1, 1, signed=True) == sf.IrrType(
+            "F1", F(1, 2), 2, eps=-1)
 
     def test_trivial_block_both_conventions(self):
-        lad = SppLadder(F(0), 1, 0)
         typ = sf.IrrType("F1", F(0), 1, eps=1)
-        E = sf.Enhancement(1, ((typ, lad),))
-        P = sf.SeifertPair(mx.identity(1))
-        assert sf.check_enhancement(P, E, signed=False)
-        assert sf.check_enhancement(P, E, signed=True)
-
-
-def _floats(vectors):
-    """A basis or flag with every entry a float."""
-    return [_floats(v) if isinstance(v[0], list) else [float(x) for x in v] for v in vectors]
-
-
-class TestSemiorthogonal:
-    """Each case runs three ways: exact Gram and exact basis, the same Gram
-    in floats (the float branch), and the exact Gram with a float basis,
-    whose entries reach the exact kernels through ``int_form``."""
-
-    @staticmethod
-    def variants(G, basis):
-        return [(sf.SeifertPair(G), basis),
-                (sf.SeifertPair(np.asarray(G, dtype=float)), basis),
-                (sf.SeifertPair(G), _floats(basis))]
-
-    def test_standard_basis(self):
-        S = mx.to_matrix([[1, 2, -1], [0, 1, 3], [0, 0, 1]])
-        for P, basis in self.variants(S.T.copy(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
-            data = sf.semiorthogonal(P, basis)
-            assert data.eps == (1, 1, 1)
-            assert data.triangular is not None
-            assert np.allclose(data.triangular, np.asarray(S, dtype=float))
-
-    def test_sign_flip_absorbed(self):
-        # the recovered member agrees with S up to diagonal sign conjugation
-        S = mx.to_matrix([[1, 1], [0, 1]])
-        for P, basis in self.variants(S.T.copy(), [[1, 0], [0, -1]]):
-            data = sf.semiorthogonal(P, basis)
-            assert data.eps == (1, 1)
-            got = data.triangular
-            assert np.allclose(np.abs(got), [[1.0, 1.0], [0.0, 1.0]])
-            assert np.allclose(np.diag(got), 1.0)
-
-    def test_size3_point(self):
-        S = lowdim.s3_matrix((1, 1, 1))
-        want = sf.semiorthogonal(sf.SeifertPair.from_triangular(S), np.eye(3, dtype=int).tolist())
-        assert want.eps == (1, 1, 1)
-        for P, basis in self.variants(S.T.copy(), np.eye(3, dtype=int).tolist())[1:]:
-            data = sf.semiorthogonal(P, basis)
-            assert data.eps == want.eps
-            assert np.allclose(data.triangular, want.triangular)
-
-    def test_degenerate_flag(self):
-        for P, flag in self.variants(mx.to_matrix([[0, 1], [1, 0]]), [[[1, 0]], [[1, 0], [0, 1]]]):
-            with pytest.raises(DegenerateFlag) as err:
-                sf.semiorthogonal(P, flag)
-            assert err.value.index == 1
-
-    def test_mixed_signs(self):
-        for P, basis in self.variants(mx.to_matrix([[1, 0], [0, -1]]), [[1, 0], [0, 1]]):
-            data = sf.semiorthogonal(P, basis)
-            assert data.eps == (1, -1)
-            assert data.triangular is None
+        assert sf.irr_type_from_ladder(F(0), 1, 0, signed=False) == typ
+        assert sf.irr_type_from_ladder(F(0), 1, 0, signed=True) == typ
 
 
 # entries of the drawn unit upper-triangular matrices: many zeros and small
@@ -422,6 +375,48 @@ def _unit_upper(draw):
     n = draw(st.integers(2, 4))
     return mx.to_matrix([[int(i == j) if j <= i else draw(_ENTRIES) for j in range(n)]
                          for i in range(n)])
+
+
+def _sympy_cyclotomic_split(M):
+    """({d: multiplicity of Phi_d}, degree of the rest) of the characteristic
+    polynomial of a rational matrix, from sympy's factorization."""
+    x = sympy.Symbol("x")
+    mults, rest = {}, 0
+    for f, e in sympy.factor_list(sympy.Matrix(M.tolist()).charpoly(x).as_expr(), x)[1]:
+        f = sympy.Poly(f, x).monic()
+        d = next((d for d in range(1, 2 * f.degree() ** 2 + 3)
+                  if sympy.expand(f.as_expr() - sympy.cyclotomic_poly(d, x)) == 0), None)
+        if d is None:
+            rest += e * f.degree()
+        else:
+            mults[d] = mults.get(d, 0) + e
+    return mults, rest
+
+
+@given(st.lists(_ENTRIES, min_size=6, max_size=6))
+@example([-1, -1, 0, F(-1, 2), F(-1, 2), 1])
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_rational_char_poly_splits_its_cyclotomic_factors_exactly(upper):
+    # the example has det(x - M) = (x^2 + x + 1)(x^2 - 5/4 x + 1): the
+    # cyclotomic split runs on the integer cofactor of degree 4, whose
+    # leading coefficient den^4 it keeps
+    it = iter(upper)
+    S = mx.to_matrix([[int(i == j) if j <= i else next(it) for j in range(4)] for i in range(4)])
+    M = mx.monodromy_matrix(S)
+    groups = sf._exact_eigdata(*mx.int_form(M))
+    mults, rest = _sympy_cyclotomic_split(M)
+    # only a non-cyclotomic rest of degree > 2 stays unresolved
+    assert (groups is None) == (rest > 2)
+    if groups is None:
+        return
+    got = {}
+    for g in groups:
+        if g.kind == "real":
+            got[{1: 1, -1: 2}[g.lam]] = g.mult
+        elif g.kind == "pair" and isinstance(g.lam, Fraction):
+            got[g.lam.denominator] = g.mult
+    assert got == mults
+    assert _eigdata_blocks(groups) == _sympy_jordan_blocks(M)
 
 
 def _sympy_signature(A):
