@@ -269,7 +269,7 @@ def criterion_properties():
                 if not ok:
                     problems.append(("realizable", n, k))
                 srt = sorted(sp)
-                if any(float(srt[i + 1] - srt[i]) > 1 + 1e-12 for i in range(n - 1)):
+                if any(srt[i + 1] - srt[i] > 1 for i in range(n - 1)):
                     problems.append(("gap", n, k))
 
         # ladder decomposition round trip
@@ -338,7 +338,7 @@ def criterion_properties():
         if "groups" not in emitted or "violations" not in emitted:
             problems.append(("experiment-report",))
         for key, la, sa, lb, sb in report.violations:
-            if sorted(map(float, sa)) == sorted(map(float, sb)):
+            if sa == sb:
                 problems.append(("experiment-false-candidate", la, lb))
 
         return not problems, {"problems": problems[:5],

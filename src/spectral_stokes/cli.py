@@ -28,7 +28,6 @@ from .errors import SpectralStokesError
 from .orbit import MAX_ORBIT_N
 from .polycore import (RealPoly, format_number, palindrome_class,
                        parse_rational, poly_from_cyclotomic_mults)
-from .spectra import Spp
 
 
 #: largest --steps of the tracking commands: both trackers evaluate the
@@ -125,32 +124,15 @@ def _nums(cfg, s):
 
 def emit(result, cfg: Config) -> str:
     """Stable-keyed JSON, aligned key/value lines for --output table, or
-    passthrough CSV text; rationals print as "p/q"."""
+    passthrough CSV text.  Handlers serialise their own values (rationals
+    as "p/q" through ``format_number``), so the result is plain JSON data."""
     if isinstance(result, str):
         return result
-
-    def default(o):
-        if isinstance(o, Fraction):
-            return format_number(o, cfg.precision)
-        if isinstance(o, float):
-            return float(f"{o:.{cfg.precision}g}")
-        if isinstance(o, (np.floating, np.integer)):
-            return default(o.item()) if isinstance(o.item(), float) else o.item()
-        if isinstance(o, RealPoly):
-            return o.to_json()
-        if isinstance(o, Spp):
-            return o.to_json()
-        if isinstance(o, sf.IrrType):
-            return o.to_json()
-        if isinstance(o, np.ndarray):
-            return mx.matrix_to_json(o, cfg.precision)
-        raise TypeError(f"cannot serialize {type(o)}")
-
     if cfg.output == "table" and isinstance(result, dict):
         width = max(len(k) for k in result)
-        return "\n".join(f"{k:<{width}}  {json.dumps(v, default=default, sort_keys=True)}"
+        return "\n".join(f"{k:<{width}}  {json.dumps(v, sort_keys=True)}"
                          for k, v in sorted(result.items()))
-    return json.dumps(result, default=default, sort_keys=True)
+    return json.dumps(result, sort_keys=True)
 
 
 def _too_large(data, max_n: int) -> bool:

@@ -12,7 +12,6 @@ denominator; a Fraction appears only as the value of f.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import OutOfFamily, OutOfT, VerificationFailed
-from .polycore import RealPoly, alpha_from_sin, beta_from_cos, mod1
+from .polycore import RealPoly, _common_numerators, alpha_from_sin, beta_from_cos, is_exact, mod1
 from .seifert import IrrType
 from .spectra import Spp, SppLadder
 
@@ -39,8 +38,6 @@ class Stratum3(str, Enum):
 
 EXCEPTIONAL_POINTS = ((2, 2, 2), (-2, -2, 2), (-2, 2, -2), (2, -2, -2))
 
-_EXACT = (int, Fraction)
-
 
 def s3_matrix(a) -> np.ndarray:
     a1, a2, a3 = a
@@ -48,16 +45,13 @@ def s3_matrix(a) -> np.ndarray:
 
 
 def _scaled_f3(a):
-    """(N, D) with f3(a) = N / D^3 for an exact point a = (n1, n2, n3) / D,
+    """(N, D, n1) with f3(a) = N / D^3 for an exact point a = (n1, n2, n3) / D,
     D the common denominator: D^3 f = 4 D^3 + n1 n2 n3 - D (n1^2 + n2^2 + n3^2).
     None when an entry is a float."""
-    a1, a2, a3 = a
-    if not (isinstance(a1, _EXACT) and isinstance(a2, _EXACT) and isinstance(a3, _EXACT)):
+    if not all(map(is_exact, a)):
         return None
-    d1, d2, d3 = a1.denominator, a2.denominator, a3.denominator
-    d = math.lcm(d1, d2, d3)
-    n1, n2, n3 = a1.numerator * (d // d1), a2.numerator * (d // d2), a3.numerator * (d // d3)
-    return 4 * d * d * d + n1 * n2 * n3 - d * (n1 * n1 + n2 * n2 + n3 * n3), d
+    (n1, n2, n3), d = _common_numerators(a)
+    return 4 * d * d * d + n1 * n2 * n3 - d * (n1 * n1 + n2 * n2 + n3 * n3), d, n1
 
 
 def _f_value(a, scaled):
@@ -66,7 +60,7 @@ def _f_value(a, scaled):
     if scaled is None:
         a1, a2, a3 = a
         return 4 + a1 * a2 * a3 - (a1 * a1 + a2 * a2 + a3 * a3)
-    num, d = scaled
+    num, d, _ = scaled
     return Fraction(num, d ** 3) if any(isinstance(x, Fraction) for x in a) else num
 
 
@@ -79,7 +73,7 @@ def member3(a) -> bool:
     scaled = _scaled_f3(a)
     if scaled is None:
         return 0 <= _f_value(a, None) <= 4
-    num, d = scaled
+    num, d, _ = scaled
     return 0 <= num <= 4 * d ** 3
 
 
@@ -140,8 +134,7 @@ def classify3(a) -> Classification3:
                                [one, IrrType("F2real", Fraction(1, 2), 1)], cp, f)
     if scaled is not None and f != 0:
         # 4 - a1^2 over the common denominator d: the sign of 4 d^2 - n1^2
-        d = scaled[1]
-        n1 = a[0].numerator * (d // a[0].denominator)
+        _, d, n1 = scaled
         sig = (3, 0, 0) if 4 * d * d > n1 * n1 else (1, 0, 2)
     else:
         S = s3_matrix(a)
@@ -172,15 +165,15 @@ def solve2(a):
     [-1/2, 1/2] satisfies 2 sin(pi alpha1) = a.  Raises OutOfT for
     |a| > 2.
     """
-    if abs(float(a)) > 2:
+    if abs(a) > 2:
         raise OutOfT(f"|{a}| > 2")
     beta1 = beta_from_cos(-a * Fraction(1, 2))
     alpha1 = alpha_from_sin(a * Fraction(1, 2))
-    if abs(float(a)) == 2:
+    if abs(a) == 2:
         # alpha1 = +-1/2: the ladder (-1/2, 2), (1/2, 0)
         spp = SppLadder(-abs(alpha1), 1, 1).members()
         types = [IrrType("F1", Fraction(1, 2), 2, eps=1)]
-    elif float(a) == 0:
+    elif a == 0:
         spp = Spp([(abs(alpha1), 1)] * 2)      # abs: a = -0.0 gives alpha1 = -0.0
         types = [IrrType("F1", Fraction(0), 1, eps=1)] * 2
     else:
@@ -199,7 +192,7 @@ def hor1_line3(p1):
     with p1, as does alpha1 = 3 beta1 - 1/2.
     """
     from .hor import recipe_spectral_pairs, recipe_spectrum, scal_from_free
-    if not -1 <= float(p1) <= 3:
+    if not -1 <= p1 <= 3:
         raise OutOfFamily(f"band value {p1} outside [-1, 3]")
     b = scal_from_free(3, 1, [beta_from_cos((1 - p1) * Fraction(1, 2))])
     return b.beta, tuple(recipe_spectrum(b)), recipe_spectral_pairs(b)

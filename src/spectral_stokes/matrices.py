@@ -31,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Singular
-from .polycore import RealPoly, _common_numerators, format_number, is_exact, parse_rational, _tidy
+from .polycore import (RealPoly, _common_numerators, format_number, is_exact, num_eq,
+                       parse_rational, _tidy)
 
 
 def to_matrix(rows) -> np.ndarray:
@@ -51,8 +52,7 @@ def identity(n: int, exact: bool = True) -> np.ndarray:
 
 
 def mat_pow(A: np.ndarray, e: int) -> np.ndarray:
-    n = A.shape[0]
-    result = identity(n, exact=is_exact_matrix(A))
+    result = np.eye(A.shape[0], dtype=A.dtype)
     base = A
     while e > 0:
         if e & 1:
@@ -64,12 +64,10 @@ def mat_pow(A: np.ndarray, e: int) -> np.ndarray:
 
 
 def mat_eq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> bool:
+    """Entrywise ``num_eq``: exact for two exact entries, else within ``tol``."""
     if A.shape != B.shape:
         return False
-    if is_exact_matrix(A) and is_exact_matrix(B):
-        return all(A[i, j] == B[i, j] for i in range(A.shape[0]) for j in range(A.shape[1]))
-    return bool(np.allclose(np.asarray(A, dtype=float), np.asarray(B, dtype=float),
-                            atol=tol, rtol=0.0))
+    return all(num_eq(a, b, tol) for a, b in zip(A.flat, B.flat))
 
 
 def solve_unit_upper(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -93,11 +91,9 @@ def monodromy_matrix(S: np.ndarray) -> np.ndarray:
 
 def int_form(A: np.ndarray):
     """(B, d) with B an object array of Python ``int`` entries, d > 0 the
-    common denominator of the matrix A, and A = B / d: the one step that
-    clears denominators.  Entries that are neither ``int`` nor ``Fraction``
-    are read as ``Fraction(x)``."""
-    nums, d = _common_numerators([x if isinstance(x, (int, Fraction)) else Fraction(x)
-                                  for x in A.flat])
+    common denominator of the exact matrix A (``int``/``Fraction`` entries),
+    and A = B / d: the one step that clears denominators."""
+    nums, d = _common_numerators(list(A.flat))
     return np.array(nums, dtype=object).reshape(A.shape), d
 
 
@@ -262,25 +258,15 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def is_unit_upper_triangular(S: np.ndarray, tol: float = 0.0):
-    """Ones on the diagonal and zeros below it: exactly for exact entries,
-    within ``tol`` for floats, where NaN fails.  A float stack
+    """Ones on the diagonal and zeros below it: exactly for an exact matrix,
+    within ``tol`` for a float one, where NaN fails.  A float stack
     ``(..., n, n)`` gets a boolean array, one answer per matrix."""
     if S.shape[-2] != S.shape[-1]:
         return False
-    if not is_exact_matrix(S):
-        lower = np.tril(np.ones(S.shape[-2:], dtype=bool))
-        return np.all((np.abs(S - np.eye(S.shape[-1])) <= tol) | ~lower, axis=(-2, -1))
-    n = S.shape[0]
-    for i in range(n):
-        for j in range(i + 1):
-            target = 1 if i == j else 0
-            v = S[i, j]
-            if is_exact(v):
-                if v != target:
-                    return False
-            elif not abs(float(v) - target) <= tol:
-                return False
-    return True
+    bound = 0 if is_exact_matrix(S) else tol
+    lower = np.tril(np.ones(S.shape[-2:], dtype=bool))
+    return np.all((np.abs(S - np.eye(S.shape[-1], dtype=S.dtype)) <= bound) | ~lower,
+                  axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import LeftT, VerificationFailed
-from .polycore import num_eq, point_to_angle, _lift_path
+from .polycore import multiset_eq, num_eq, point_to_angle, _lift_path
 
 
 def sign_act(eps, S: np.ndarray) -> np.ndarray:
@@ -44,7 +44,7 @@ def braid_act(i: int, S: np.ndarray, direction: int = 1) -> np.ndarray:
         raise ValueError(f"mutation position {i} outside 1..{n - 1}")
     G = S.T.copy()
     c = S[i - 1, i]
-    B = mx.identity(n, mx.is_exact_matrix(S))
+    B = np.eye(n, dtype=S.dtype)
     if direction == 1:
         # v_i' = v_{i+1} - c v_i, v_{i+1}' = v_i
         B[i - 1, i - 1] = -c
@@ -185,8 +185,7 @@ def conjecture16_check(pool) -> Conjecture16Report:
     for key, vals in groups.items():
         ref_label, ref = vals[0]
         for lab, sp in vals[1:]:
-            same = len(sp) == len(ref) and all(num_eq(x, y) for x, y in zip(sp, ref))
-            if not same:
+            if not multiset_eq(sp, ref, num_eq):
                 violations.append((key, ref_label, ref, lab, sp))
     return Conjecture16Report(groups, violations)
 

@@ -12,9 +12,12 @@ Conventions used everywhere in the package:
   numeric mode.
 * Exact-or-tolerance decisions go through :func:`num_eq` for scalars and
   :func:`angle_eq` for circle angles: exact equality when both sides are
-  exact, a tolerance otherwise.  Whether a root of unity is a root of an
-  exact polynomial, and how often, is decided by :func:`cyclotomic_power`
-  alone.
+  exact, a tolerance otherwise.  Multisets compare through
+  :func:`multiset_eq` with one of them as its test: ``spectra.Spp``, the
+  type lists of ``seifert`` and the entries of ``matrices.mat_eq`` all go
+  through these helpers, and no ``float()`` orders or compares an exact
+  value.  Whether a root of unity is a root of an exact polynomial, and
+  how often, is decided by :func:`cyclotomic_power` alone.
 * The monodromy ``S^{-1} S^t`` of a unit upper-triangular ``S`` goes
   through ``matrices.monodromy_matrix``.  Three callers solve with float
   LAPACK ``solve`` instead, on purpose: ``seifert.classify`` (the float
@@ -64,7 +67,7 @@ def is_exact(x) -> bool:
 
 def _common_numerators(xs) -> tuple[list, int]:
     """Numerators of exact scalars over their common denominator."""
-    den = math.lcm(*(x.denominator for x in xs))
+    den = math.lcm(*[x.denominator for x in xs])
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
@@ -92,6 +95,23 @@ def angle_eq(a, b, tol: float = CIRCLE_TOL) -> bool:
     if is_exact(a) and is_exact(b):
         return mod1(a) == mod1(b)
     return circle_dist(a, b) <= tol
+
+
+def multiset_eq(xs, ys, eq) -> bool:
+    """Equality of two multisets under the test ``eq``: each x takes the
+    first unused y that it equals, and every x and every y must be used.
+    On sorted input that is equal, each x takes the head of what is left."""
+    rest = list(ys)
+    if len(rest) != len(xs):
+        return False
+    for x in xs:
+        for i, y in enumerate(rest):
+            if eq(x, y):
+                del rest[i]
+                break
+        else:
+            return False
+    return True
 
 
 def angle_to_point(b) -> complex:
@@ -594,7 +614,7 @@ def _cluster_angles(angles: list[float], tol: float):
     for g in groups:
         rep = mod1(math.fsum(g) / len(g))
         out.append((snap_angle(rep), len(g)))
-    return sorted(out, key=lambda t: float(t[0]))
+    return sorted(out, key=lambda t: t[0])
 
 
 def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
@@ -634,7 +654,7 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
     for b, m in exact_part + numeric_part:
         key = mod1(b)
         merged[key] = merged.get(key, 0) + m
-    out = sorted(merged.items(), key=lambda t: float(t[0]))
+    out = sorted(merged.items(), key=lambda t: t[0])
     if sum(m for _, m in out) != p.degree:
         raise VerificationFailed("root multiplicities must add up to the degree")
     return out

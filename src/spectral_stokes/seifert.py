@@ -28,9 +28,9 @@ import numpy as np
 from . import matrices as mx
 from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
 from .polycore import (CIRCLE_TOL, RealPoly, _common_numerators, angle_eq, angle_to_point,
-                       beta_from_cos, circle_dist, cyclotomic_angles, cyclotomic_polynomial,
-                       cyclotomic_power, factor_cyclotomic, format_number, mod1, num_eq,
-                       point_to_angle, snap_angle, _tidy)
+                       beta_from_cos, cyclotomic_angles, cyclotomic_polynomial,
+                       cyclotomic_power, factor_cyclotomic, format_number, mod1, multiset_eq,
+                       num_eq, point_to_angle, snap_angle, _tidy)
 from .spectra import Spp, decompose_into_ladders
 
 
@@ -69,9 +69,7 @@ class IrrType:
             if self.zeta is None:
                 raise ValueError("F2complex needs a unit invariant zeta")
             # zeta^2 = conj(lam) * (-1)^(n+1), in angle form
-            want = mod1(-self.lam + Fraction(self.n + 1, 2))
-            got = mod1(2 * self.zeta)
-            if circle_dist(got, want) > 1e-7:
+            if not angle_eq(2 * self.zeta, -self.lam + Fraction(self.n + 1, 2), 1e-7):
                 raise ValueError("zeta^2 != conj(lam) * (-1)^(n+1)")
 
     @property
@@ -84,7 +82,7 @@ class IrrType:
         if self.family != "F2complex":
             return self
         a = mod1(self.lam)
-        if float(a) <= 0.5:
+        if a <= 0.5:
             return self
         return IrrType(self.family, mod1(-a), self.n, zeta=mod1(-self.zeta))
 
@@ -93,8 +91,8 @@ class IrrType:
         if self.family in ("F2hyper", "F4hyper"):
             lamk = (abs(complex(lam)), complex(lam).real, complex(lam).imag)
         else:
-            lamk = (float(mod1(lam)), 0.0, 0.0)
-        zk = float(mod1(self.zeta)) if self.zeta is not None else -1.0
+            lamk = (mod1(lam), 0, 0)
+        zk = mod1(self.zeta) if self.zeta is not None else -1
         return (self.family, self.n, lamk, self.eps or 0, zk)
 
     def matches(self, other: "IrrType", tol: float = CIRCLE_TOL) -> bool:
@@ -102,13 +100,11 @@ class IrrType:
             return False
         if self.family in ("F2hyper", "F4hyper"):
             return abs(complex(self.lam) - complex(other.lam)) <= 1e-6 * max(1.0, abs(complex(self.lam)))
-        if circle_dist(self.lam, other.lam) > tol:
+        if not angle_eq(self.lam, other.lam, tol):
             return False
-        if (self.zeta is None) != (other.zeta is None):
-            return False
-        if self.zeta is not None and circle_dist(self.zeta, other.zeta) > tol:
-            return False
-        return True
+        if self.zeta is None or other.zeta is None:
+            return self.zeta is None and other.zeta is None
+        return angle_eq(self.zeta, other.zeta, tol)
 
     def label(self) -> str:
         def ang(a):
@@ -143,15 +139,7 @@ class IrrType:
 
 
 def types_multiset_equal(ts1, ts2, tol: float = CIRCLE_TOL) -> bool:
-    if len(ts1) != len(ts2):
-        return False
-    rem = sorted(ts2, key=IrrType.sort_key)
-    for t in sorted(ts1, key=IrrType.sort_key):
-        hit = next((i for i, u in enumerate(rem) if t.matches(u, tol)), None)
-        if hit is None:
-            return False
-        rem.pop(hit)
-    return True
+    return multiset_eq(ts1, ts2, lambda t, u: t.matches(u, tol))
 
 
 def type_label_multiset(types) -> str:
@@ -350,7 +338,7 @@ def _exact_eigdata(B: list, den: int):
             dims = kernel_dims(cyclotomic_polynomial(d), len(phi), m)
             sizes = _block_sizes(dims)
             for b in phi:
-                if float(b) < 0.5:
+                if b < 0.5:
                     groups.append(_EigGroup("pair", b, m, sizes))
         if rem.degree == 0:
             return groups
@@ -359,7 +347,7 @@ def _exact_eigdata(B: list, den: int):
         if c2 == lead and c0 == lead:
             c = _tidy(Fraction(-c1, lead))
             q = RealPoly([1, -c, 1])
-            if abs(float(c)) < 2:
+            if abs(c) < 2:
                 theta = beta_from_cos(c * Fraction(1, 2))
                 dims = kernel_dims(q, 2, 1)
                 groups.append(_EigGroup("pair", theta, 1, _block_sizes(dims)))

@@ -5,8 +5,8 @@ level.  A ladder with first number ``alpha``, center ``m`` and length
 ``l + 1`` consists of the pairs ``(alpha + j, m + l - 2j)`` for
 ``j = 0..l``.  Multisets of pairs are modelled by :class:`Spp`, which
 orders its pairs by their exact values (Python compares Fractions, ints
-and floats exactly), so two exact multisets are equal exactly when their
-sorted tuples are.
+and floats exactly) and compares them through ``polycore.multiset_eq``:
+levels equal, first numbers equal by ``num_eq``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLadderComposed
-from .polycore import CIRCLE_TOL, format_number, is_exact, num_eq
+from .polycore import format_number, multiset_eq, num_eq
 
 
 class Spp:
@@ -38,34 +38,15 @@ class Spp:
     def __add__(self, other: "Spp") -> "Spp":
         return Spp(self.pairs + other.pairs)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(a) for a, _ in self.pairs)
-
-    def alphas(self):
-        """The underlying spectrum (first components, sorted)."""
-        return [a for a, _ in self.pairs]
-
     def equals(self, other: "Spp") -> bool:
-        if len(self) != len(other):
-            return False
-        if self.is_exact and other.is_exact:
-            return self.pairs == other.pairs
-        return all(k1 == k2 and num_eq(a1, a2)
-                   for (a1, k1), (a2, k2) in zip(self.pairs, other.pairs))
+        return multiset_eq(self.pairs, other.pairs,
+                           lambda p, q: p[1] == q[1] and num_eq(p[0], q[0]))
 
     def __eq__(self, other):
         return isinstance(other, Spp) and self.equals(other)
 
     def __hash__(self):
         return hash(len(self.pairs))
-
-    def shift(self, dalpha, dk: int) -> "Spp":
-        """Subtract (dalpha, dk) from every pair."""
-        return Spp([(a - dalpha, k - dk) for a, k in self.pairs])
-
-    def mod2(self) -> "Spp":
-        return Spp([(a % 2, k) for a, k in self.pairs])
 
     def to_json(self):
         out = []
@@ -84,27 +65,10 @@ class Spp:
 
 
 def spp_mod2_equal(s1: Spp, s2: Spp) -> bool:
-    """Equality of pair multisets after reducing the first components mod 2."""
-    m1, m2 = s1.mod2(), s2.mod2()
-    if len(m1) != len(m2):
-        return False
-    if m1.is_exact and m2.is_exact:
-        return m1.pairs == m2.pairs
-    # mod-2 reduction can put nearly-equal values at opposite ends (2-eps vs eps)
-    used = [False] * len(m2.pairs)
-    for a, k in m1.pairs:
-        hit = None
-        for i, (b, k2) in enumerate(m2.pairs):
-            if used[i] or k != k2:
-                continue
-            d = abs(float(a) - float(b))
-            if min(d, 2.0 - d) <= CIRCLE_TOL:
-                hit = i
-                break
-        if hit is None:
-            return False
-        used[hit] = True
-    return True
+    """Equality of pair multisets after reducing the first components mod 2;
+    in floats, values near opposite ends of [0, 2) match too."""
+    return multiset_eq(s1.pairs, s2.pairs,
+                       lambda p, q: p[1] == q[1] and num_eq((p[0] - q[0] + 1) % 2, 1))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,72 @@
+"""No float decides an exact comparison.
+
+Exact values (``int``/``Fraction``) compare exactly with each other and
+with floats, so ``float(x)`` in a comparison or a sort key can only lose
+exactness: two exact values that round to one float compare equal, and
+an exact value just inside a bound rounds onto it.  An AST walk over the
+package finds every comparison with an operand that names ``float`` and
+every ``key=`` argument that names it; only the float-only sites below
+may have them, each with the count it has.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spectral_stokes"
+
+#: (module, function) -> number of float comparisons there; each site runs
+#: on float values only
+FLOAT_ONLY = {
+    ("polycore", "num_eq"): 1,                   # the float branch of num_eq itself
+    ("hor", "HorScal.__post_init__"): 3,         # the float range and order checks
+    ("seifert", "SeifertPair.__post_init__"): 1, # the float determinant of a float Gram matrix
+    ("acceptance", "_sample_resolvable"): 1,     # resampling by a float tolerance
+}
+
+
+def _names_float(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "float" for n in ast.walk(node))
+
+
+def float_comparisons(tree: ast.AST):
+    """The enclosing function (``Class.method`` inside a class) of every
+    comparison operand and every ``key=`` argument that names ``float``,
+    once per comparison or argument."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Compare) and any(map(_names_float, [node.left, *node.comparators])):
+            out.append(scope)
+        if isinstance(node, ast.keyword) and node.arg == "key" and _names_float(node.value):
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def package_float_comparisons() -> Counter:
+    found = Counter()
+    for module in sorted(PACKAGE.glob("*.py")):
+        for scope in float_comparisons(ast.parse(module.read_text())):
+            found[(module.stem, scope)] += 1
+    return found
+
+
+def test_only_float_only_sites_compare_floats():
+    assert dict(package_float_comparisons()) == FLOAT_ONLY
+
+
+def test_the_walk_finds_float_in_comparisons_and_sort_keys():
+    src = ("def f(a, xs):\n"
+           "    if float(a) <= 0.5:\n"
+           "        return sorted(xs, key=lambda t: float(t[0]))\n"
+           "    return a == 1 or sorted(xs, key=abs)\n"
+           "class C:\n"
+           "    def g(self, b):\n"
+           "        return abs(float(b)) < 2 < 3\n")
+    assert float_comparisons(ast.parse(src)) == ["f", "f", "C.g"]

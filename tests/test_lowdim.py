@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spectral_stokes import hor, lowdim as ld, matrices as mx, seifert as sf
-from spectral_stokes.errors import OutOfFamily, OutOfT
+from spectral_stokes.errors import OutOfFamily, OutOfT, Unclassified
 from spectral_stokes.polycore import RealPoly
 from spectral_stokes.spectra import Spp
 
@@ -96,6 +96,30 @@ class TestSolve2:
             assert spp == hor.recipe_spectral_pairs(hor.matrix_to_scal(M))
             got = sf.classify(sf.SeifertPair.from_triangular(M.S))
             assert sf.types_multiset_equal(types, got)
+
+
+class TestJustInsideTheBoundary:
+    # |a| < 2 exactly, but float(a) == 2.0: the eigenvalues lie on the circle
+    a = F(19999999999999999999, 10 ** 19)
+
+    def test_solve2_is_interior(self):
+        for a in (self.a, -self.a):
+            _, _, spp, types = ld.solve2(a)
+            assert [t.family for t in types] == ["F2complex"]
+            assert [k for _, k in spp] == [1, 1]
+        assert [t.family for t in ld.classify3((self.a, 0, 0)).types] == ["F1", "F2complex"]
+
+    def test_classify_gives_no_off_circle_type(self):
+        for S in (mx.to_matrix([[1, self.a], [0, 1]]), ld.s3_matrix((self.a, 0, 0))):
+            try:
+                types = sf.classify(sf.SeifertPair.from_triangular(S))
+            except Unclassified:
+                continue
+            assert not any(t.family in ("F2hyper", "F4hyper") for t in types)
+
+    def test_line3_band_just_outside(self):
+        with pytest.raises(OutOfFamily):
+            ld.hor1_line3(3 + F(1, 10 ** 20))
 
 
 class TestLine3:

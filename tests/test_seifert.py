@@ -519,3 +519,35 @@ def test_cyclotomic_factors_beside_a_quadratic_remainder():
     assert sf.types_multiset_equal(exact, numeric, tol=1e-7)
     total = tuple(map(sum, zip(*(sf.type_signature(t) for t in exact))))
     assert total == mx.signature_exact(S + S.T) == (3, 0, 1)
+
+
+class TestTypeEquality:
+    """Type angles compare through ``angle_eq``: exactly for exact angles,
+    within the tolerance for floats."""
+
+    @staticmethod
+    def pair(lam):
+        return sf.IrrType("F2complex", lam, 1, zeta=(-lam / 2) % 1)
+
+    def test_exact_types_apart_are_unequal(self):
+        a, b = F(1, 3), F(1, 3) + F(1, 10 ** 12)
+        assert not sf.types_multiset_equal([self.pair(a)], [self.pair(b)])
+        assert sf.types_multiset_equal([self.pair(a), self.pair(b)], [self.pair(b), self.pair(a)])
+
+    def test_float_types_within_tol_match(self):
+        assert sf.types_multiset_equal([self.pair(1 / 3)], [self.pair(1 / 3 + 1e-12)])
+        assert sf.types_multiset_equal([self.pair(F(1, 3))], [self.pair(1 / 3)])
+        assert not sf.types_multiset_equal([self.pair(1 / 3)], [self.pair(1 / 3 + 1e-6)])
+
+    def test_exact_invariant_is_checked_exactly(self):
+        with pytest.raises(ValueError, match="zeta"):
+            sf.IrrType("F2complex", F(1, 3), 1, zeta=F(5, 6) + F(1, 10 ** 12))
+
+    def test_exact_angle_just_past_one_half_is_normalized(self):
+        lam = F(1, 2) + F(1, 10 ** 30)
+        assert self.pair(lam).normalized().lam == 1 - lam
+
+    def test_exact_angles_sort_exactly(self):
+        # equal as floats, so a float sort key would keep the input order
+        x, y = self.pair(F(1, 3)), self.pair(F(1, 3) + F(1, 10 ** 20))
+        assert sorted([y, x], key=sf.IrrType.sort_key) == [x, y]

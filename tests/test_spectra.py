@@ -105,11 +105,6 @@ class TestDecompose:
 
 
 class TestShiftAndMod2:
-    def test_shift_example(self):
-        s = Spp([(F(-2, 3), 1), (F(-1, 3), 1)])
-        got = s.shift(F(-1, 2), 0)
-        assert got == Spp([(F(-1, 6), 1), (F(1, 6), 1)])
-
     def test_mod2_true(self):
         assert spp_mod2_equal(Spp([(F(0), 1)]), Spp([(F(2), 1)]))
 
@@ -120,12 +115,24 @@ class TestShiftAndMod2:
     @settings(max_examples=40, deadline=None)
     def test_mod2_equivalence_relation(self, pairs):
         s = Spp(pairs)
-        shifted = s.shift(F(-2), 0)
+        shifted = Spp([(a + 2, k) for a, k in s])
         assert spp_mod2_equal(s, s)
         assert spp_mod2_equal(s, shifted) and spp_mod2_equal(shifted, s)
-        shifted2 = shifted.shift(F(4), 0)
+        shifted2 = Spp([(a - 4, k) for a, k in shifted])
         if spp_mod2_equal(s, shifted) and spp_mod2_equal(shifted, shifted2):
             assert spp_mod2_equal(s, shifted2)
+
+
+class TestNearEqualFloats:
+    def test_near_equal_alphas_at_swapped_levels(self):
+        # sorted, the two tuples hold their levels in opposite order
+        assert Spp([(0.1 + 1e-12, 2), (0.1, 1)]) == Spp([(0.1, 2), (0.1 + 1e-12, 1)])
+        assert Spp([(0.1 + 1e-6, 2), (0.1, 1)]) != Spp([(0.1, 2), (0.1 + 1e-6, 1)])
+
+    def test_mod2_matches_across_the_seam(self):
+        assert spp_mod2_equal(Spp([(2 - 1e-12, 1)]), Spp([(0.0, 1)]))
+        assert spp_mod2_equal(Spp([(F(1, 3), 1)]), Spp([(F(1, 3) - 2 + 1e-12, 1)]))
+        assert not spp_mod2_equal(Spp([(F(2) - F(1, 10 ** 12), 1)]), Spp([(F(0), 1)]))
 
 
 class TestSerialization:
@@ -144,5 +151,9 @@ class TestExactOrder:
     def test_equal_multisets_in_either_order(self):
         assert Spp([(self.x, 1), (self.y, 1)]) == Spp([(self.y, 1), (self.x, 1)])
 
+    def test_exact_values_apart_are_unequal(self):
+        assert Spp([(self.x, 1)]) != Spp([(self.y, 1)])
+        assert not spp_mod2_equal(Spp([(self.x, 1)]), Spp([(self.y + 2, 1)]))
+
     def test_alphas_in_exact_order(self):
-        assert Spp([(self.y, 1), (self.x, 1)]).alphas() == [self.x, self.y]
+        assert [a for a, _ in Spp([(self.y, 1), (self.x, 1)])] == [self.x, self.y]
