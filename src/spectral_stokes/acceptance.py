@@ -290,8 +290,8 @@ def criterion_properties():
                     spp = spp + lad.members()
             got = decompose_into_ladders(spp, m)
             back = Spp()
-            for asg in got:
-                back = back + asg.ladder.members()
+            for lad in got:
+                back = back + lad.members()
             if not back.equals(spp) or len(got) != len(ladders):
                 problems.append(("ladder-round-trip", m))
 

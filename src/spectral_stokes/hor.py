@@ -42,29 +42,12 @@ class HorScal:
     def __post_init__(self):
         if self.k not in (1, 2):
             raise NotInFamily("k must be 1 or 2")
-        b = self.beta
-        n = len(b)
-        if n < 1:
+        if len(self.beta) < 1:
             raise NotInFamily("need at least one angle")
         if self.is_exact:
-            _check_family_numerators(self.k, *_common_numerators(b))
-            return
-        for x in b:
-            if float(x) < -CIRCLE_TOL or float(x) > 1 + CIRCLE_TOL:
-                raise NotInFamily(f"angle {x} outside [0, 1]")
-        for i in range(n - 1):
-            if float(b[i]) > float(b[i + 1]) + CIRCLE_TOL:
-                raise NotInFamily("angles must be nondecreasing")
-        if self.k == 1:
-            for j in range(n):
-                if not num_eq(b[j] + b[n - 1 - j], 1):
-                    raise NotInFamily(f"beta_{j+1} + beta_{n-j} != 1")
+            _check_family_numerators(self.k, *_common_numerators(self.beta))
         else:
-            if not num_eq(b[0], 0):
-                raise NotInFamily("k=2 requires beta_1 = 0")
-            for j in range(1, n):
-                if not num_eq(b[j] + b[n - j], 1):
-                    raise NotInFamily(f"beta_{j+1} + beta_{n+1-j} != 1")
+            _check_family_numerators(self.k, self.beta, 1, CIRCLE_TOL)
 
     @property
     def n(self) -> int:
@@ -78,24 +61,26 @@ class HorScal:
 # Exact family points run on integers: angle j is nums[j] / den, and the
 # membership checks and the spectrum recipe never build a Fraction.
 
-def _check_family_numerators(k: int, nums: list, den: int):
-    """The HorScal membership checks on the exact angles nums[j] / den."""
+def _check_family_numerators(k: int, nums: list, den: int, tol: float = 0):
+    """The HorScal membership checks on the angles nums[j] / den, within
+    ``tol``: exactly on integer numerators, within ``CIRCLE_TOL`` on float
+    angles (den 1)."""
     n = len(nums)
     for x in nums:
-        if x < 0 or x > den:
-            raise NotInFamily(f"angle {Fraction(x, den)} outside [0, 1]")
+        if x < -tol or x > den + tol:
+            raise NotInFamily(f"angle {x if den == 1 else Fraction(x, den)} outside [0, 1]")
     for i in range(n - 1):
-        if nums[i] > nums[i + 1]:
+        if nums[i] > nums[i + 1] + tol:
             raise NotInFamily("angles must be nondecreasing")
     if k == 1:
         for j in range(n):
-            if nums[j] + nums[n - 1 - j] != den:
+            if abs(nums[j] + nums[n - 1 - j] - den) > tol:
                 raise NotInFamily(f"beta_{j+1} + beta_{n-j} != 1")
     else:
-        if nums[0] != 0:
+        if abs(nums[0]) > tol:
             raise NotInFamily("k=2 requires beta_1 = 0")
         for j in range(1, n):
-            if nums[j] + nums[n - j] != den:
+            if abs(nums[j] + nums[n - j] - den) > tol:
                 raise NotInFamily(f"beta_{j+1} + beta_{n+1-j} != 1")
 
 
@@ -449,8 +434,7 @@ def restricted_form_eigenvalues(M: HorMatrix) -> np.ndarray:
     """Eigenvalues of S + S^t restricted to the generalized eigenspaces of
     S^{-1} S^t away from -1 (ordered real Schur basis)."""
     Sf = np.asarray(M.S, dtype=float)
-    # float LAPACK solve kept on purpose: this runs on every float member
-    Mono = np.linalg.solve(Sf, Sf.T)
+    Mono = mx.monodromy_matrix(Sf)
     _, Z, sdim = scipy.linalg.schur(
         Mono, output="real",
         sort=lambda re, im: (re + 1.0) ** 2 + im ** 2 > 1e-7 ** 2)

@@ -16,10 +16,12 @@ elimination for the rest.  :func:`int_form`, the one step that clears
 denominators, gives the integer form ``(B, d)`` of a matrix, A = B / d;
 each public exact kernel is one :func:`int_form` call followed by its
 core, and Fractions appear only in its result.  Code that runs several
-kernels on one matrix, such as ``seifert.classify``, calls
+kernels on one matrix, such as ``seifert.SeifertPair``, calls
 :func:`int_form` once and hands the rows to the cores: rank, kernel and
 signature are kept by positive scaling, and the solve core returns its
-solution as integer rows over one denominator.
+solution as integer rows over one denominator.  Every monodromy goes
+through :func:`monodromy_matrix` or, for an exact pair, through the solve
+core that ``seifert.SeifertPair`` runs once.
 """
 
 from __future__ import annotations
@@ -85,8 +87,12 @@ def solve_unit_upper(S: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def monodromy_matrix(S: np.ndarray) -> np.ndarray:
-    """S^{-1} S^t for unit upper-triangular S."""
-    return solve_unit_upper(S, S.T.copy())
+    """S^{-1} S^t, the one monodromy helper: by back substitution for an
+    exact unit upper-triangular S, by LAPACK ``solve`` for a float S or a
+    float stack ``(..., n, n)`` (any invertible matrices, one per sample)."""
+    if is_exact_matrix(S):
+        return solve_unit_upper(S, S.T.copy())
+    return np.linalg.solve(S, np.swapaxes(S, -1, -2))
 
 
 def int_form(A: np.ndarray):

@@ -264,19 +264,16 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     finite = np.isfinite(samples).all(axis=(1, 2))
     ok = shaped & finite
     inside = steps if ok.all() else int(np.argmin(ok))
-    # float LAPACK solve kept on purpose: it runs on every tracking sample
-    good = samples[:inside]
     try:
-        mono = np.linalg.solve(good, good.transpose(0, 2, 1))
+        mono = mx.monodromy_matrix(samples[:inside])
     except np.linalg.LinAlgError:
         # one singular sample makes the batched solve fail for all of them;
         # det and solve factor a sample alike, so det is 0 exactly where solve fails
-        singular = np.flatnonzero(np.linalg.det(good) == 0)
+        singular = np.flatnonzero(np.linalg.det(samples[:inside]) == 0)
         if not singular.size:
             raise
         inside = int(singular[0])
-        good = samples[:inside]
-        mono = np.linalg.solve(good, good.transpose(0, 2, 1))
+        mono = mx.monodromy_matrix(samples[:inside])
     overflow = False
     try:
         eig = np.linalg.eigvals(mono)

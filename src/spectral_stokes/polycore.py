@@ -18,11 +18,9 @@ Conventions used everywhere in the package:
   through these helpers, and no ``float()`` orders or compares an exact
   value.  Whether a root of unity is a root of an exact polynomial, and
   how often, is decided by :func:`cyclotomic_power` alone.
-* The monodromy ``S^{-1} S^t`` of a unit upper-triangular ``S`` goes
-  through ``matrices.monodromy_matrix``.  Three callers solve with float
-  LAPACK ``solve`` instead, on purpose: ``seifert.classify`` (the float
-  monodromy ``G^{-t} G`` of every pair, exact ones included),
-  ``hor.restricted_form_eigenvalues`` and ``orbit.generic_path_track``.
+* Every monodromy goes through ``matrices.monodromy_matrix`` (exact or
+  float, one matrix or a float stack) or, for an exact Gram matrix,
+  through the exact solve core that ``seifert.SeifertPair`` runs once.
 * The mode is carried by the values: it is decided once where a value
   enters (CLI parsing, ``matrices.to_matrix``, :class:`RealPoly`, the
   matrix dtype), and formulas below that point are written once with

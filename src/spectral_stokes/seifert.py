@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -186,25 +186,23 @@ def class_from_spp(spp: Spp, m: int, signed: bool = False) -> list[IrrType]:
     with non-integer distance produce one conjugate-pair type; single
     ladders produce one F1 each.
     """
-    assignments = decompose_into_ladders(spp, m)
+    ladders = decompose_into_ladders(spp, m)
     out: list[IrrType] = []
-    seen = set()
-    for i, asg in enumerate(assignments):
-        if i in seen:
-            continue
-        lad = asg.ladder
-        if asg.is_single:
+    while ladders:
+        lad = ladders.pop(0)
+        if lad.is_single:
             out.append(irr_type_from_ladder(lad.alpha, m, lad.l, signed))
             continue
-        if asg.partner_index is None:
+        # the partner has the same center and length
+        partner = lad.partner()
+        j = next((j for j, other in enumerate(ladders)
+                  if other.l == partner.l and num_eq(other.alpha, partner.alpha)), None)
+        if j is None:
             raise NotLadderComposed(
                 f"ladder {lad} has no partner in the multiset", witness=lad)
-        seen.add(asg.partner_index)
+        del ladders[j]
         t = irr_type_from_ladder(lad.alpha, m, lad.l, signed)
-        if t.family == "F1":
-            out.extend([t, t])
-        else:
-            out.append(t)
+        out.extend([t, t] if t.family == "F1" else [t])
     return out
 
 
@@ -214,27 +212,39 @@ def class_from_spp(spp: Spp, m: int, signed: bool = False) -> list[IrrType]:
 
 @dataclass(frozen=True)
 class SeifertPair:
-    """Gram matrix G of a nondegenerate form, L(a, b) = a^t G b."""
+    """Gram matrix G of a nondegenerate form, L(a, b) = a^t G b.
+
+    Exact or float is decided here, once.  An exact G clears its
+    denominators once (``mx.int_form``): ``G_int`` holds the integer rows
+    of a positive multiple of G, and ``B``, ``den`` the monodromy
+    G^{-t} G = B / den from the solve core, whose failure is the
+    singularity check.  A float G leaves the three at None.
+    """
 
     G: np.ndarray
+    G_int: list | None = field(init=False, default=None, repr=False, compare=False)
+    B: list | None = field(init=False, default=None, repr=False, compare=False)
+    den: int | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.G.shape[0] != self.G.shape[1]:
             raise ValueError("Gram matrix must be square")
-        if mx.is_exact_matrix(self.G):
-            if mx.rank_exact(self.G) != self.n:
-                raise Singular("Gram matrix is singular")
-        else:
+        if not mx.is_exact_matrix(self.G):
             if abs(np.linalg.det(np.asarray(self.G, dtype=float))) < 1e-12:
                 raise Singular("Gram matrix is numerically singular")
+            return
+        G_int = mx.int_form(self.G)[0].tolist()
+        try:
+            B, den = mx._solve_rows([list(col) for col in zip(*G_int)], G_int)
+        except Singular:
+            raise Singular("Gram matrix is singular") from None
+        object.__setattr__(self, "G_int", G_int)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "den", den)
 
     @property
     def n(self) -> int:
         return self.G.shape[0]
-
-    @property
-    def is_exact(self) -> bool:
-        return mx.is_exact_matrix(self.G)
 
     @classmethod
     def from_triangular(cls, S: np.ndarray) -> "SeifertPair":
@@ -326,10 +336,9 @@ def _exact_eigdata(B: list, den: int):
             groups.append(_EigGroup("real", lam, mult, _block_sizes(dims)))
     if rem.degree == 0:
         return groups
-    # every remainder of degree > 2 goes through the cyclotomic split; a
-    # quadratic one only when it is lead times an integer polynomial, and
-    # otherwise straight to the closed form below
-    if rem.degree > 2 or all(c % lead == 0 for c in rem.coeffs):
+    # a remainder of degree > 2 goes through the cyclotomic split, a
+    # quadratic one (Phi_3, Phi_4 and Phi_6 among them) to the closed form
+    if rem.degree > 2:
         mults, rem = factor_cyclotomic(rem)
         if rem.degree not in (0, 2):
             return None
@@ -561,12 +570,6 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
     return out
 
 
-def _float_monodromy(G: np.ndarray):
-    """(float Gram matrix, float monodromy) of a Gram matrix."""
-    Gf = np.asarray(G, dtype=float)
-    return Gf, np.linalg.solve(Gf.T, Gf)
-
-
 def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     """Irreducible type multiset of a pair.
 
@@ -580,31 +583,25 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     that is not numerically Hermitian; exact input reaches it when a
     non-cyclotomic remainder of degree > 2 sends it to the float path.
 
-    Exact or float is decided here, once.  Exact input clears the
-    denominators of its Gram matrix once (``mx.int_form``); the monodromy
-    comes from the solve core as integer rows over one denominator, and
-    the exact eigen-data and primitive forms run on those rows with the
-    matrix layer's integer cores.  The float monodromy is computed only
-    when a group takes the float path.
+    Exact or float was decided when the pair was built: the exact
+    eigen-data and primitive forms run on the integer rows ``P.B``,
+    ``P.den`` and ``P.G_int`` with the matrix layer's integer cores.  The
+    float monodromy (``mx.monodromy_matrix``) is computed only when a
+    group takes the float path.
     """
-    G = P.G
-    groups = Gf = M_f = None
-    if P.is_exact:
-        G_int = mx.int_form(G)[0].tolist()
-        B, den = mx._solve_rows([list(col) for col in zip(*G_int)], G_int)
-        groups = _exact_eigdata(B, den)
+    groups = None if P.B is None else _exact_eigdata(P.B, P.den)
     exact_real = groups is not None
+    if not exact_real or any(g.kind == "pair" for g in groups):
+        Gf = np.asarray(P.G, dtype=float)
+        M_f = mx.monodromy_matrix(Gf.T)
     if groups is None:
-        Gf, M_f = _float_monodromy(G)
         groups = _numeric_eigdata(M_f, tol)
 
     out: list[IrrType] = []
     for g in groups:
         if g.kind == "real" and exact_real:
-            out.extend(_primitive_types(g, _exact_form_signs(g, B, den, G_int)))
+            out.extend(_primitive_types(g, _exact_form_signs(g, P.B, P.den, P.G_int)))
         elif g.kind in ("real", "pair"):
-            if M_f is None:
-                Gf, M_f = _float_monodromy(G)
             out.extend(_primitive_types(g, _numeric_form_signs(g, M_f, Gf)))
         elif g.kind == "hyper_real":
             for s in g.sizes:

@@ -105,26 +105,13 @@ class SppLadder:
         return f"SppLadder(alpha={format_number(self.alpha)}, m={self.m}, l={self.l})"
 
 
-@dataclass(frozen=True)
-class LadderAssignment:
-    """One ladder of a decomposition, with its pairing status."""
-
-    ladder: SppLadder
-    partner_index: int | None  # index into the decomposition list, None if single
-
-    @property
-    def is_single(self) -> bool:
-        return self.partner_index is None and self.ladder.is_single
-
-
-def decompose_into_ladders(s: Spp, m: int) -> list[LadderAssignment]:
+def decompose_into_ladders(s: Spp, m: int) -> list[SppLadder]:
     """The unique decomposition of ``s`` into ladders with center ``m``.
 
     Greedy extraction: among the remaining pairs, the highest level must
     start a full ladder (level m + l forces length l + 1); ties are broken
-    by the smallest first number.  Afterwards the ladders are matched into
-    partner pairs; ladders without a present partner stay unpaired (their
-    assignment has ``partner_index None`` but ``is_single False``).
+    by the smallest first number.  ``seifert.class_from_spp`` pairs the
+    ladders with their partners.
 
     Raises NotLadderComposed when the top-level pair cannot be extended to
     a full ladder.
@@ -159,30 +146,4 @@ def decompose_into_ladders(s: Spp, m: int) -> list[LadderAssignment]:
                 f"ladder starting at ({format_number(alpha)}, {top}) is incomplete",
                 witness=(alpha, top))
         ladders.append(SppLadder(got[0][0], m, l))
-
-    assignments: list[LadderAssignment] = []
-    used = [False] * len(ladders)
-    for i, lad in enumerate(ladders):
-        if used[i]:
-            continue
-        used[i] = True
-        if lad.is_single:
-            assignments.append(LadderAssignment(lad, None))
-            continue
-        partner = lad.partner()
-        match = None
-        for j in range(i + 1, len(ladders)):
-            if used[j]:
-                continue
-            other = ladders[j]
-            if other.m == partner.m and other.l == partner.l and \
-                    num_eq(other.alpha, partner.alpha):
-                match = j
-                break
-        if match is not None:
-            used[match] = True
-            assignments.append(LadderAssignment(lad, len(assignments) + 1))
-            assignments.append(LadderAssignment(ladders[match], len(assignments) - 1))
-        else:
-            assignments.append(LadderAssignment(lad, None))
-    return assignments
+    return ladders

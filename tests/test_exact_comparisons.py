@@ -19,7 +19,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spectral_stokes"
 #: on float values only
 FLOAT_ONLY = {
     ("polycore", "num_eq"): 1,                   # the float branch of num_eq itself
-    ("hor", "HorScal.__post_init__"): 3,         # the float range and order checks
     ("seifert", "SeifertPair.__post_init__"): 1, # the float determinant of a float Gram matrix
     ("acceptance", "_sample_resolvable"): 1,     # resampling by a float tolerance
 }

@@ -304,3 +304,20 @@ class TestUnitUpperNaN:
         path = [np.eye(2), np.array([[float("nan"), 0.0], [0.0, 1.0]])]
         with pytest.raises(LeftT):
             orbit.generic_path_track(path, steps=4)
+
+
+class TestMonodromyHelper:
+    def test_float_stack_is_the_per_sample_lapack_solve(self):
+        rng = np.random.default_rng(3)
+        stack = np.triu(rng.normal(size=(5, 4, 4)) * 3, 1) + np.eye(4)
+        stack[2] = rng.normal(size=(4, 4)) + 4 * np.eye(4)    # any invertible sample
+        got = mx.monodromy_matrix(stack)
+        want = np.array([np.linalg.solve(S, S.T) for S in stack])
+        assert got.tobytes() == want.tobytes()
+        assert mx.monodromy_matrix(stack[1]).tobytes() == want[1].tobytes()
+
+    def test_exact_input_is_back_substitution(self):
+        S = mx.to_matrix([[1, Fraction(1, 2), -3], [0, 1, Fraction(2, 3)], [0, 0, 1]])
+        M = mx.monodromy_matrix(S)
+        assert M.dtype == object
+        assert M.tolist() == mx.solve_unit_upper(S, S.T.copy()).tolist()

@@ -21,12 +21,10 @@ def pair_from_triangular(rows):
 
 def monodromy_and_forms(P):
     """(M, symmetric Gram, antisymmetric Gram) of an exact pair, the
-    monodromy M = G^{-t} G from the solve core as ``classify`` takes it;
+    monodromy M = G^{-t} G that the pair keeps and ``classify`` reads;
     M preserves the form."""
     G = P.G
-    rows = mx.int_form(G)[0].tolist()
-    B, den = mx._solve_rows([list(col) for col in zip(*rows)], rows)
-    M = mx.to_matrix([[F(x, den) for x in row] for row in B])
+    M = mx.to_matrix([[F(x, P.den) for x in row] for row in P.B])
     assert mx.mat_eq(M.T.dot(G).dot(M), G)
     return M, G + G.T, G.T - G
 
@@ -56,7 +54,7 @@ class TestMonodromyAndForms:
             assert mx.char_poly_exact(M) == want
 
     def test_singular_rejected(self):
-        with pytest.raises(Singular):
+        with pytest.raises(Singular, match="Gram matrix is singular"):
             sf.SeifertPair(mx.to_matrix([[1, 1], [1, 1]]))
 
     def test_radical_dimensions(self):

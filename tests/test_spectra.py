@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spectral_stokes.errors import NotLadderComposed
 from spectral_stokes.polycore import parse_rational
+from spectral_stokes.seifert import class_from_spp
 from spectral_stokes.spectra import Spp, SppLadder, decompose_into_ladders, spp_mod2_equal
 
 F = Fraction
@@ -62,16 +63,16 @@ class TestDecompose:
     def test_three_pairs(self):
         s = Spp([(F(-1, 2), 2), (F(1, 2), 0), (F(0), 1)])
         got = decompose_into_ladders(s, 1)
-        ladders = sorted((a.ladder for a in got), key=lambda l: (l.l, float(l.alpha)))
+        ladders = sorted(got, key=lambda l: (l.l, l.alpha))
         assert ladders == [SppLadder(F(0), 1, 0), SppLadder(F(-1, 2), 1, 1)]
-        assert all(a.is_single for a in got)
+        assert all(lad.is_single for lad in got)
 
     def test_all_trivial(self):
         n = 5
         s = Spp([(F(0), 1)] * n)
         got = decompose_into_ladders(s, 1)
         assert len(got) == n
-        assert all(a.ladder == SppLadder(F(0), 1, 0) and a.is_single for a in got)
+        assert all(lad == SppLadder(F(0), 1, 0) and lad.is_single for lad in got)
 
     def test_missing_member(self):
         with pytest.raises(NotLadderComposed):
@@ -96,12 +97,11 @@ class TestDecompose:
         got = decompose_into_ladders(spp, m)
         assert len(got) == count
         back = Spp()
-        for asg in got:
-            back = back + asg.ladder.members()
+        for lad in got:
+            back = back + lad.members()
         assert back == spp
-        # every non-single ladder found its partner
-        for asg in got:
-            assert asg.is_single or asg.partner_index is not None
+        # every non-single ladder finds its partner
+        class_from_spp(spp, m)
 
 
 class TestShiftAndMod2:
