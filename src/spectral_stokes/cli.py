@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy
 
 from . import acceptance, chain, hor, lowdim, matrices as mx, orbit, seifert as sf
 from .errors import SpectralStokesError
@@ -358,6 +357,8 @@ def _git_sha():
 
 
 def _cmd_selftest(args, cfg):
+    import scipy
+
     results = acceptance.run_all(verbose=not args.json)
     ok = all(r.passed and r.in_time for r in results)
     if args.json:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import matrices as mx
 from .errors import NotArithmeticGroup, NotInFamily
@@ -432,7 +431,10 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
 
 def restricted_form_eigenvalues(M: HorMatrix) -> np.ndarray:
     """Eigenvalues of S + S^t restricted to the generalized eigenspaces of
-    S^{-1} S^t away from -1 (ordered real Schur basis)."""
+    S^{-1} S^t away from -1 (ordered real Schur basis).  It imports
+    ``scipy.linalg`` on its first call, so exact work never loads scipy."""
+    import scipy.linalg
+
     Sf = np.asarray(M.S, dtype=float)
     Mono = mx.monodromy_matrix(Sf)
     _, Z, sdim = scipy.linalg.schur(

@@ -12,6 +12,7 @@ denominator; a Fraction appears only as the value of f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import OutOfFamily, OutOfT, VerificationFailed
-from .polycore import RealPoly, _common_numerators, alpha_from_sin, beta_from_cos, is_exact, mod1
+from .polycore import RealPoly, alpha_from_sin, beta_from_cos, is_exact, mod1
 from .seifert import IrrType
 from .spectra import Spp, SppLadder
 
@@ -37,6 +38,8 @@ class Stratum3(str, Enum):
 
 
 EXCEPTIONAL_POINTS = ((2, 2, 2), (-2, -2, 2), (-2, 2, -2), (2, -2, -2))
+#: the exact scalar types whose numerators _scaled_f3 reads without a check
+_RATIONAL = frozenset((int, Fraction))
 
 
 def s3_matrix(a) -> np.ndarray:
@@ -47,10 +50,22 @@ def s3_matrix(a) -> np.ndarray:
 def _scaled_f3(a):
     """(N, D, n1) with f3(a) = N / D^3 for an exact point a = (n1, n2, n3) / D,
     D the common denominator: D^3 f = 4 D^3 + n1 n2 n3 - D (n1^2 + n2^2 + n3^2).
-    None when an entry is a float."""
-    if not all(map(is_exact, a)):
+    None when an entry is a float.
+
+    ``int`` and ``Fraction`` entries are read directly, with one lcm only
+    when their denominators differ; any other type goes through
+    ``is_exact``."""
+    a1, a2, a3 = a
+    if not (type(a1) in _RATIONAL and type(a2) in _RATIONAL and type(a3) in _RATIONAL
+            or all(map(is_exact, a))):
         return None
-    (n1, n2, n3), d = _common_numerators(a)
+    n1, n2, n3 = a1.numerator, a2.numerator, a3.numerator
+    d1, d2, d3 = a1.denominator, a2.denominator, a3.denominator
+    if d1 == d2 == d3:
+        d = d1
+    else:
+        d = math.lcm(d1, d2, d3)
+        n1, n2, n3 = n1 * (d // d1), n2 * (d // d2), n3 * (d // d3)
     return 4 * d * d * d + n1 * n2 * n3 - d * (n1 * n1 + n2 * n2 + n3 * n3), d, n1
 
 

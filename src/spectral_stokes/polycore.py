@@ -41,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NotPolynomial, RootOffCircle, VerificationFailed
 
@@ -189,8 +188,11 @@ def _lift_angles(prev: np.ndarray, current: np.ndarray, ang: np.ndarray) -> np.n
 
     This is the one rule for matching strands.  :func:`_lift_path`, the
     lifting pass of ``orbit.generic_path_track``, hands it every step
-    whose matching it cannot certify.
+    whose matching it cannot certify.  It imports ``scipy.optimize`` on
+    its first call, so exact work never loads scipy.
     """
+    import scipy.optimize
+
     guess = 2.0 * current - prev
     cost = np.abs(guess[:, None] % 1.0 - ang[None, :])
     cost = np.minimum(cost, 1.0 - cost)

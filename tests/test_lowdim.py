@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_stokes import hor, lowdim as ld, matrices as mx, seifert as sf
 from spectral_stokes.errors import OutOfFamily, OutOfT, Unclassified
@@ -238,3 +240,23 @@ class TestIntegerF3:
             assert type(ld.f3(a)) is float
         assert type(ld.classify3((F(1), F(1), F(1))).f) is F
         assert type(ld.classify3((1, 1, 1)).f) is int
+
+
+#: int, Fraction (denominators up to 12, so most points mix them), float
+#: and bool entries
+_ENTRIES = st.one_of(st.integers(-5, 5),
+                     st.fractions(-5, 5, max_denominator=12),
+                     st.floats(-5, 5),
+                     st.booleans())
+
+
+@given(st.tuples(_ENTRIES, _ENTRIES, _ENTRIES))
+@settings(max_examples=500, deadline=None)
+def test_f3_and_member3_match_the_direct_formula(a):
+    # whatever mix of entry types and denominators, f3 is the value and
+    # type of 4 + a1 a2 a3 - sum a_i^2 (an int for bools), and member3 tests it
+    a1, a2, a3 = a
+    want = 4 + a1 * a2 * a3 - (a1 * a1 + a2 * a2 + a3 * a3)
+    got = ld.f3(a)
+    assert got == want and type(got) is type(want)
+    assert ld.member3(a) == (0 <= want <= 4)
