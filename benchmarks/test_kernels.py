@@ -35,7 +35,7 @@ MONODROMY_MULTS = {2: 2, 6: 3}
 
 @pytest.fixture(scope="module")
 def family_member():
-    M = hor.poly_to_matrix(poly_from_cyclotomic_mults(FAMILY_MULTS), 1)
+    M = hor.cyclotomic_member(FAMILY_MULTS, 1)
     assert M.n == 8
     return M
 

@@ -10,7 +10,6 @@ for closer inspection, not counterexamples.
 
 from spectral_stokes import hor, orbit
 from spectral_stokes.matrices import to_matrix
-from spectral_stokes.polycore import poly_from_cyclotomic_mults
 
 S = to_matrix([[1, 1], [0, 1]])
 rep = orbit.orbit_explore(S, depth=12, budget=5000)
@@ -23,12 +22,7 @@ print(f"orbit of the triple-block member, depth 4: {len(rep.nodes)} nodes, "
       f"cut off: {rep.exhausted}")
 
 print("\neigenvalue-fiber experiment over exact members of degree <= 6:")
-pool = []
-for n in range(2, 7):
-    for k in (1, 2):
-        for mults in hor.enumerate_cyclotomic_mults(n, k):
-            M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
-            pool.append((f"n={n} k={k} {sorted(mults.items())}", M))
+pool = hor.cyclotomic_pool(6)
 report = orbit.conjecture16_check(pool)
 print(f"  pool {len(pool)}, fibers {len(report.groups)}, "
       f"candidate pairs {len(report.violations)}")

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import chain, hor, lowdim, matrices as mx, orbit, seifert as sf
 from .errors import NotReducible, Unclassified
-from .polycore import poly_from_cyclotomic_mults
 from .spectra import Spp, SppLadder, decompose_into_ladders
 
 
@@ -99,7 +98,7 @@ def criterion_power_identity():
                 key = (k, tuple(sorted(mults.items())))
                 if key in checked:
                     continue
-                M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
+                M = hor.cyclotomic_member(mults, k)
                 ok, _ = hor.verify_power_identity(M)
                 checked[key] = ok
                 if not ok:
@@ -226,7 +225,7 @@ def criterion_class_round_trip():
         for n in range(1, 9):
             for k in (1, 2):
                 for mults in hor.enumerate_cyclotomic_mults(n, k):
-                    M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
+                    M = hor.cyclotomic_member(mults, k)
                     spp = hor.recipe_spectral_pairs(hor.matrix_to_scal(M))
                     want = sf.class_from_spp(spp, 1, signed=False)
                     total += 1
@@ -255,7 +254,7 @@ def criterion_properties():
             for k in (1, 2):
                 M = hor.sample_cyclotomic_member(n, k, rng)
                 q, k2 = hor.negate_poly_transform(M.p, k)
-                s1 = hor.recipe_spectral_pairs(hor.poly_to_scal(M.p, k))
+                s1 = hor.recipe_spectral_pairs(hor.matrix_to_scal(M))
                 s2 = hor.recipe_spectral_pairs(hor.poly_to_scal(q, k2))
                 if not s1.equals(s2):
                     problems.append(("negation", n, k))
@@ -327,13 +326,7 @@ def criterion_properties():
         # completes and emits a report; entries under "violations" are
         # same-fiber different-spectrum candidates (a fiber of the eigenvalue
         # map is coarser than a stratum), reported, never suppressed
-        pool = []
-        for n in range(2, 9):
-            for k in (1, 2):
-                for mults in hor.enumerate_cyclotomic_mults(n, k):
-                    M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
-                    pool.append((f"n={n} k={k} {sorted(mults.items())}", M))
-        report = orbit.conjecture16_check(pool)
+        report = orbit.conjecture16_check(hor.cyclotomic_pool(8))
         emitted = report.to_json()
         if "groups" not in emitted or "violations" not in emitted:
             problems.append(("experiment-report",))

@@ -25,8 +25,7 @@ import numpy as np
 from . import acceptance, chain, hor, lowdim, matrices as mx, orbit, seifert as sf
 from .errors import SpectralStokesError
 from .orbit import MAX_ORBIT_N
-from .polycore import (RealPoly, format_number, palindrome_class,
-                       parse_rational, poly_from_cyclotomic_mults)
+from .polycore import RealPoly, format_number, palindrome_class, parse_rational
 
 
 #: largest --steps of the tracking commands: both trackers evaluate the
@@ -313,12 +312,7 @@ def _cmd_orbit_explore(args, cfg):
 
 
 def _cmd_orbit_conj16(args, cfg):
-    pool = []
-    for n in range(2, args.n + 1):
-        for k in (1, 2):
-            for mults in hor.enumerate_cyclotomic_mults(n, k):
-                M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
-                pool.append((f"n={n} k={k} {sorted(mults.items())}", M))
+    pool = hor.cyclotomic_pool(args.n)
     rep = orbit.conjecture16_check(pool)
     out = rep.to_json()
     out["pool"] = len(pool)

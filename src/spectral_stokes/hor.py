@@ -11,23 +11,25 @@ output is independent of how ties across the symmetry axis are ordered).
 For every member the n-th power of the attached companion matrix equals
 ``(-1)^k S^{-1} S^t``, which is what makes eigenvalue tracking from the
 identity matrix unambiguous and yields the spectrum
-``alpha_j = n beta_j - j + k/2``.
+``alpha_j = n beta_j - j + k/2``.  :func:`cyclotomic_member` builds an
+exact member from its cyclotomic multiplicities without factoring, and
+:func:`cyclotomic_pool` lists every one up to a size, labelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import matrices as mx
 from .errors import NotArithmeticGroup, NotInFamily
-from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, companion_matrix,
+from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, companion_matrix, cyclotomic_angles,
                        galois_closed_mults, is_exact, mod1, num_eq, palindrome_class,
-                       poly_from_cyclotomic_mults, poly_from_float_angles,
-                       totient, unit_circle_angles, _common_numerators,
-                       _expand_float_angles)
+                       poly_from_cyclotomic_mults, poly_from_float_angles, totient,
+                       unit_circle_angles, _common_numerators, _expand_float_angles)
 from .spectra import Spp, SppLadder
 
 
@@ -496,39 +498,27 @@ def path_matrices(betas: np.ndarray) -> np.ndarray:
 # exact members from root-of-unity data
 # ---------------------------------------------------------------------------
 
-def _cyclotomic_degree_candidates(n: int):
-    out = []
-    d = 1
-    bound = 2 * n * n + 2
-    while d <= bound:
-        if totient(d) <= n:
-            out.append(d)
-        d += 1
-    return out
+@lru_cache(maxsize=None)
+def _cyclotomic_degree_candidates(n: int) -> tuple:
+    # phi(d) >= sqrt(d/2) for every d, so phi(d) <= n implies d <= 2 n^2
+    return tuple(d for d in range(1, 2 * n * n + 3) if totient(d) <= n)
 
 
 def _fix_parity(mults: dict[int, int], k: int) -> dict[int, int] | None:
-    """Adjust multiplicities of the degree-1 factors so the constant term
-    matches the family: the factor with root 1 occurs an even number of
-    times for k=1 and an odd number for k=2."""
-    want_odd = (k == 2)
-    e1 = mults.get(1, 0)
-    if (e1 % 2 == 1) == want_odd:
+    """Adjust the degree-1 factors so the root 1 occurs an even number of
+    times for k=1 and an odd number for k=2: one factor x - 1 becomes
+    x + 1, or, with no x - 1, one x + 1 becomes x - 1 (None with neither)."""
+    if mults.get(1, 0) % 2 == k - 1:
         return mults
+    src, dst = (1, 2) if mults.get(1) else (2, 1)
+    if not mults.get(src):
+        return None
     out = dict(mults)
-    if e1 > 0:
-        out[1] = e1 - 1
-        out[2] = out.get(2, 0) + 1
-        if out[1] == 0:
-            del out[1]
-        return out
-    if out.get(2, 0) > 0:
-        out[2] -= 1
-        out[1] = 1
-        if out[2] == 0:
-            del out[2]
-        return out
-    return None
+    out[src] -= 1
+    out[dst] = out.get(dst, 0) + 1
+    if out[src] == 0:
+        del out[src]
+    return out
 
 
 def sample_cyclotomic_mults(n: int, k: int, rng) -> dict[int, int]:
@@ -551,10 +541,17 @@ def sample_cyclotomic_mults(n: int, k: int, rng) -> dict[int, int]:
             return fixed
 
 
+def cyclotomic_member(mults: dict[int, int], k: int) -> HorMatrix:
+    """The member with polynomial prod Phi_d^{m_d}, ``mults`` = {d: m_d}.  Its
+    angles, the primitive d-th roots of unity m_d times each, become its
+    ``scal``: nothing is factored.  A wrong parity at the root 1 raises
+    NotInFamily."""
+    b = scal_from_angles([(x, m) for d, m in mults.items() for x in cyclotomic_angles(d)], k)
+    return replace(poly_to_matrix(poly_from_cyclotomic_mults(mults), k, check=False), scal=b)
+
+
 def sample_cyclotomic_member(n: int, k: int, rng) -> HorMatrix:
-    mults = sample_cyclotomic_mults(n, k, rng)
-    p = poly_from_cyclotomic_mults(mults)
-    return poly_to_matrix(p, k)
+    return cyclotomic_member(sample_cyclotomic_mults(n, k, rng), k)
 
 
 #: largest n of enumerate_cyclotomic_mults: the member count grows fast
@@ -572,8 +569,7 @@ def enumerate_cyclotomic_mults(n: int, k: int):
 
     def rec(idx: int, remaining: int, acc: dict):
         if remaining == 0:
-            want_odd = (k == 2)
-            if (acc.get(1, 0) % 2 == 1) == want_odd:
+            if acc.get(1, 0) % 2 == k - 1:
                 results.append(dict(acc))
             return
         if idx >= len(cands):
@@ -590,3 +586,11 @@ def enumerate_cyclotomic_mults(n: int, k: int):
 
     rec(0, n, {})
     return results
+
+
+def cyclotomic_pool(n_max: int) -> list:
+    """(label, member) for every exact member of size 2 to ``n_max``, both
+    k, in enumeration order; the label reads ``n=<n> k=<k> <sorted mults>``."""
+    return [(f"n={n} k={k} {sorted(mults.items())}", cyclotomic_member(mults, k))
+            for n in range(2, n_max + 1) for k in (1, 2)
+            for mults in enumerate_cyclotomic_mults(n, k)]

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Singular
-from .polycore import (RealPoly, _common_numerators, format_number, is_exact, num_eq,
+from .polycore import (RealPoly, _common_numerators, format_number, is_exact,
                        parse_rational, _tidy)
 
 
@@ -66,10 +66,12 @@ def mat_pow(A: np.ndarray, e: int) -> np.ndarray:
 
 
 def mat_eq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> bool:
-    """Entrywise ``num_eq``: exact for two exact entries, else within ``tol``."""
+    """Exact for two exact matrices, else every entry within ``tol``."""
     if A.shape != B.shape:
         return False
-    return all(num_eq(a, b, tol) for a, b in zip(A.flat, B.flat))
+    if is_exact_matrix(A) and is_exact_matrix(B):
+        return bool((A == B).all())
+    return bool(np.all(np.abs(A - B) <= tol))
 
 
 def solve_unit_upper(S: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ Conventions used everywhere in the package:
 * Exact-or-tolerance decisions go through :func:`num_eq` for scalars and
   :func:`angle_eq` for circle angles: exact equality when both sides are
   exact, a tolerance otherwise.  Multisets compare through
-  :func:`multiset_eq` with one of them as its test: ``spectra.Spp``, the
-  type lists of ``seifert`` and the entries of ``matrices.mat_eq`` all go
-  through these helpers, and no ``float()`` orders or compares an exact
-  value.  Whether a root of unity is a root of an exact polynomial, and
-  how often, is decided by :func:`cyclotomic_power` alone.
+  :func:`multiset_eq` with one of them as its test: ``spectra.Spp`` and
+  the type lists of ``seifert`` go through these helpers, and no
+  ``float()`` orders or compares an exact value; ``matrices.mat_eq`` reads
+  the mode once per matrix, from the dtypes.  Whether a root of unity is
+  a root of an exact polynomial, and how often, is decided by
+  :func:`cyclotomic_power` alone.
 * Every monodromy goes through ``matrices.monodromy_matrix`` (exact or
   float, one matrix or a float stack) or, for an exact Gram matrix,
   through the exact solve core that ``seifert.SeifertPair`` runs once.

@@ -7,11 +7,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_stokes import chain, hor, matrices as mx, seifert as sf
+from spectral_stokes import chain, hor, matrices as mx, polycore, seifert as sf
 from spectral_stokes.errors import NotInFamily
 from spectral_stokes.polycore import (RealPoly, angle_eq, angle_to_point, mod1,
-                                      point_to_angle, poly_from_float_angles,
-                                      unit_circle_angles, _lift_angles)
+                                      point_to_angle, poly_from_cyclotomic_mults,
+                                      poly_from_float_angles, unit_circle_angles,
+                                      _lift_angles)
 from spectral_stokes.spectra import Spp, SppLadder
 
 F = Fraction
@@ -228,6 +229,64 @@ class TestRealizable:
                 assert ok
                 srt = sorted(sp)
                 assert all(srt[i + 1] - srt[i] <= 1 for i in range(n - 1))
+
+
+def _factored_member(mults, k):
+    """The member by the polynomial route: expand the multiplicities, then
+    factor the polynomial back to check membership and find the angles."""
+    M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
+    return M, hor.poly_to_scal(M.p, k)
+
+
+def _typed(xs):
+    return [(x, type(x)) for x in xs]
+
+
+class TestCyclotomicMember:
+    def test_equals_the_factored_member(self):
+        for n in range(1, 11):
+            for k in (1, 2):
+                for mults in hor.enumerate_cyclotomic_mults(n, k):
+                    want, want_scal = _factored_member(mults, k)
+                    got = hor.cyclotomic_member(mults, k)
+                    assert (got.k, got.n) == (want.k, want.n) == (k, n)
+                    assert _typed(got.S.flat) == _typed(want.S.flat)
+                    assert _typed(got.p.coeffs) == _typed(want.p.coeffs)
+                    assert got.scal == hor.matrix_to_scal(got)
+                    assert _typed(got.scal.beta) == _typed(want_scal.beta), mults
+
+    @pytest.mark.parametrize("mults,k", [({1: 2}, 2), ({1: 1}, 1), ({1: 1, 3: 1}, 1),
+                                         ({2: 1}, 2), ({4: 1}, 2), ({1: 3, 6: 1}, 1)])
+    def test_wrong_parity_at_one_rejected(self, mults, k):
+        with pytest.raises(NotInFamily, match="multiplicity of the root 1"):
+            hor.cyclotomic_member(mults, k)
+
+    def test_pool_is_the_labelled_enumeration(self):
+        want = []
+        for n in range(2, 7):
+            for k in (1, 2):
+                for mults in hor.enumerate_cyclotomic_mults(n, k):
+                    M, _ = _factored_member(mults, k)
+                    want.append((f"n={n} k={k} {sorted(mults.items())}", M))
+        got = hor.cyclotomic_pool(6)
+        assert [lab for lab, _ in got] == [lab for lab, _ in want]
+        assert all(M.S.tolist() == W.S.tolist() and M.p == W.p
+                   for (_, M), (_, W) in zip(got, want))
+
+    def test_members_are_built_without_factoring(self, monkeypatch):
+        calls = []
+        factor = polycore.factor_cyclotomic
+        monkeypatch.setattr(polycore, "factor_cyclotomic",
+                            lambda p: calls.append(p) or factor(p))
+        rng = random.Random(0)
+        members = [M for _, M in hor.cyclotomic_pool(8)]
+        members += [hor.sample_cyclotomic_member(n, k, rng)
+                    for n in range(1, 13) for k in (1, 2)]
+        for M in members:
+            hor.recipe_spectral_pairs(hor.matrix_to_scal(M))
+        assert calls == []
+        _factored_member({1: 2, 3: 1}, 1)     # the polynomial route does factor
+        assert len(calls) == 2
 
 
 class TestNegateTransform:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from spectral_stokes import hor, orbit, seifert
 from spectral_stokes import matrices as mx
 from spectral_stokes.errors import LeftT, Singular
-from spectral_stokes.polycore import RealPoly, companion_matrix
+from spectral_stokes.polycore import RealPoly, companion_matrix, num_eq
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -321,3 +321,55 @@ class TestMonodromyHelper:
         M = mx.monodromy_matrix(S)
         assert M.dtype == object
         assert M.tolist() == mx.solve_unit_upper(S, S.T.copy()).tolist()
+
+
+def _entrywise_num_eq(A, B, tol):
+    """The reference: ``num_eq`` on every pair of entries."""
+    return A.shape == B.shape and all(num_eq(a, b, tol) for a, b in zip(A.flat, B.flat))
+
+
+#: float entries near the exact ones, plus NaN
+FLOATS = st.one_of(st.floats(-6, 6), st.just(float("nan")))
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """(A, B): each exact (object, int/Fraction entries) or float; B is A
+    nudged entrywise (equal, off by about the tolerance, or redrawn), or a
+    matrix of another shape."""
+    shape = (draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    exact_a, exact_b = draw(st.booleans()), draw(st.booleans())
+    a = [draw(RATIONALS) if exact_a else draw(FLOATS) for _ in range(shape[0] * shape[1])]
+    b = []
+    for x in a:
+        how = draw(st.sampled_from(("same", "near", "other")))
+        if how == "other":
+            b.append(draw(RATIONALS) if exact_b else draw(FLOATS))
+        elif exact_b:
+            b.append(x if exact_a else draw(RATIONALS))
+        else:
+            b.append(float(x) + (draw(st.sampled_from((0.0, 5e-10, -2e-9))) if how == "near" else 0.0))
+    A = np.array(a, dtype=object if exact_a else float).reshape(shape)
+    B = np.array(b, dtype=object if exact_b else float).reshape(shape)
+    if draw(st.integers(0, 9)) == 0:
+        B = B.reshape(shape[::-1]) if shape[0] != shape[1] else B[:, :-1]
+    return A, B
+
+
+class TestMatEq:
+    # a NaN in an exact/float difference sits in an object array, where
+    # numpy warns on comparing it; the answer is False, as num_eq's
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_pairs(), st.sampled_from((0.0, 1e-9)))
+    def test_is_entrywise_num_eq(self, pair, tol):
+        A, B = pair
+        assert mx.mat_eq(A, B, tol) is _entrywise_num_eq(A, B, tol)
+        assert mx.mat_eq(B, A, tol) is _entrywise_num_eq(B, A, tol)
+
+    def test_exact_pair_is_exact(self):
+        A = mx.to_matrix([[1, Fraction(1, 3)], [0, 1]])
+        B = mx.to_matrix([[1, Fraction(1, 3) + Fraction(1, 10 ** 12)], [0, 1]])
+        assert not mx.mat_eq(A, B, 1e-9)
+        assert mx.mat_eq(A, np.array([[1.0, 1 / 3], [0.0, 1.0]]))
+        assert not mx.mat_eq(A.astype(float), np.array([[1.0, float("nan")], [0.0, 1.0]]), 1.0)

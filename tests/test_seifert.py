@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spectral_stokes import hor, lowdim, matrices as mx, seifert as sf
 from spectral_stokes.errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
-from spectral_stokes.polycore import RealPoly, angle_to_point, poly_from_cyclotomic_mults
+from spectral_stokes.polycore import RealPoly, angle_to_point
 from spectral_stokes.spectra import Spp
 
 F = Fraction
@@ -104,7 +104,7 @@ class TestClassify:
         (8, 1, {1: 2, 3: 2, 6: 1}, {F(1, 6): [2, 1]}),  # blocks (2, 1) at the 1/6 pair
     ])
     def test_several_blocks_match_ladder_class(self, n, k, mults, sizes):
-        M = hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k)
+        M = hor.cyclotomic_member(mults, k)
         assert M.n == n
         groups = sf._exact_eigdata(*mx.int_form(mx.monodromy_matrix(M.S)))
         assert all(g.sizes == sizes[g.lam] for g in groups if g.lam in sizes)
@@ -183,7 +183,7 @@ def test_jordan_block_sizes_match_sympy():
     # the primitive forms trust these sizes; sympy's Jordan form is the oracle
     members = [(k, mults) for n in range(2, 6) for k in (1, 2)
                for mults in hor.enumerate_cyclotomic_mults(n, k)]
-    cases = [hor.poly_to_matrix(poly_from_cyclotomic_mults(mults), k).S
+    cases = [hor.cyclotomic_member(mults, k).S
              for k, mults in random.Random(41).sample(members, 15)]
     # rational monodromies M = B/d with d > 1: size-3 grid points in
     # quarter steps, two with the remainder x^2 - c x + 1 at a non-integer c
