@@ -161,7 +161,7 @@ class HorMatrix:
     n: int
     S: np.ndarray
     p: RealPoly
-    # the angle coordinates the member was built from, if any
+    # the angle coordinates the member was built from or checked with, if any
     scal: HorScal | None = field(default=None, compare=False, repr=False)
 
 
@@ -208,12 +208,21 @@ def poly_to_scal(p: RealPoly, k: int) -> HorScal:
 
 def poly_to_matrix(p: RealPoly, k: int, tol: float = CIRCLE_TOL,
                    check: bool = True) -> HorMatrix:
+    """The member of polynomial ``p`` in family ``k``; ``check`` verifies
+    membership from the roots of p.  For an exact p whose root angles all
+    come out exact (a product of cyclotomic polynomials), the member
+    keeps them as its ``scal``, so :func:`matrix_to_scal` does not factor
+    p again.  Float angles are not kept: ``scal_from_angles`` rejects
+    clustered float roots that this check accepts."""
+    scal = None
     if check:
-        kk, _ = palindrome_class(p, tol)
+        kk, angles = palindrome_class(p, tol)
         if kk != k:
             raise NotInFamily(f"polynomial has symmetry class {kk}, not {k}")
+        if p.is_exact and all(is_exact(b) for b, _ in angles):
+            scal = scal_from_angles(angles, k)
     S = mx.identity(p.degree, p.is_exact)
-    return HorMatrix(k, p.degree, _fill_band(S, np.array(p.coeffs, dtype=S.dtype)), p)
+    return HorMatrix(k, p.degree, _fill_band(S, np.array(p.coeffs, dtype=S.dtype)), p, scal)
 
 
 def _fill_band(S: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -407,7 +416,15 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
     interval (-1/2, 1/2); numbers congruent to 1/2 mod 1 belong to the
     eigenvalue -1 and are excluded; s_- fills up dim H_{!=-1}; s_0 = 0.
     Computed: signature of S + S^t restricted to the sum of generalized
-    eigenspaces of S^{-1} S^t away from -1 (ordered real Schur form).
+    eigenspaces of S^{-1} S^t away from -1.  That sum is the image of
+    (S^{-1} S^t + E)^m, m the multiplicity of -1.
+
+    An exact member is decided exactly, with m the count of -1 in the
+    recipe: with S^{-1} S^t = B / den on integer rows, P = (B + den E)^m
+    has that image and kernel the eigenspace at -1, so the exact
+    signature (p, z, q) of P^t (S + S^t) P gives (p, (n - m) - p - q, q)
+    and ``tol`` is not read.  A float member takes the eigenvalues of
+    :func:`restricted_form_eigenvalues` against ``tol``.
 
     ``scal`` short-circuits the angle recovery when the member was built
     from angle coordinates in the first place.
@@ -424,6 +441,12 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
     dim = M.n - minus_one
     predicted = (s_plus, 0, dim - s_plus)
 
+    if mx.is_exact_matrix(M.S):
+        B, den = mx.int_form(mx.monodromy_matrix(M.S))
+        P = mx.mat_pow(B + den * mx.identity(M.n), minus_one)
+        G, _ = mx.int_form(M.S + M.S.T)
+        plus, _, minus = mx._signature_rows(P.T.dot(G).dot(P).tolist())
+        return predicted, (plus, dim - plus - minus, minus)
     w = restricted_form_eigenvalues(M)
     plus = int(np.sum(w > tol))
     minus = int(np.sum(w < -tol))
@@ -433,18 +456,19 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
 
 def restricted_form_eigenvalues(M: HorMatrix) -> np.ndarray:
     """Eigenvalues of S + S^t restricted to the generalized eigenspaces of
-    S^{-1} S^t away from -1 (ordered real Schur basis).  It imports
-    ``scipy.linalg`` on its first call, so exact work never loads scipy."""
-    import scipy.linalg
+    S^{-1} S^t away from -1, in floats.
 
+    The monodromy's eigenvalues within 1e-7 of -1 are counted as its
+    multiplicity m there, and the first n - m left singular vectors of
+    (S^{-1} S^t + E)^m are an orthonormal basis Q1 of the image, which is
+    that sum of eigenspaces.  The result is the eigenvalues of
+    Q1^t (S + S^t) Q1."""
     Sf = np.asarray(M.S, dtype=float)
     Mono = mx.monodromy_matrix(Sf)
-    _, Z, sdim = scipy.linalg.schur(
-        Mono, output="real",
-        sort=lambda re, im: (re + 1.0) ** 2 + im ** 2 > 1e-7 ** 2)
-    if sdim == 0:
-        return np.zeros(0)
-    Q1 = Z[:, :sdim]
+    ev = np.linalg.eigvals(Mono)
+    m = int(np.sum((ev.real + 1.0) ** 2 + ev.imag ** 2 <= 1e-7 ** 2))
+    n = Sf.shape[0]
+    Q1 = np.linalg.svd(np.linalg.matrix_power(Mono + np.eye(n), m))[0][:, :n - m]
     return np.linalg.eigvalsh(Q1.T @ (Sf + Sf.T) @ Q1)
 
 

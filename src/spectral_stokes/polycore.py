@@ -189,17 +189,83 @@ def _lift_angles(prev: np.ndarray, current: np.ndarray, ang: np.ndarray) -> np.n
 
     This is the one rule for matching strands.  :func:`_lift_path`, the
     lifting pass of ``orbit.generic_path_track``, hands it every step
-    whose matching it cannot certify.  It imports ``scipy.optimize`` on
-    its first call, so exact work never loads scipy.
+    whose matching it cannot certify.  The assignment is Crouse's
+    shortest augmenting path (IEEE TAES 52(4), 2016), in
+    :func:`_min_cost_assignment`.  Its tie rule fixes the strand labels on
+    the first step out of the identity, where every row of the cost
+    matrix is the same: of the columns at equal least path cost it takes
+    the first it scans (from n - 1 down), unless a later one is still
+    unassigned, as ``scipy.optimize.linear_sum_assignment`` does.
     """
-    import scipy.optimize
-
     guess = 2.0 * current - prev
     cost = np.abs(guess[:, None] % 1.0 - ang[None, :])
     cost = np.minimum(cost, 1.0 - cost)
-    # for a square cost matrix the rows come back as 0 .. n-1 in order
-    _, cols = scipy.optimize.linear_sum_assignment(cost)
+    cols = _min_cost_assignment(cost.tolist())
     return guess + ((ang[cols] - guess + 0.5) % 1.0 - 0.5)
+
+
+def _min_cost_assignment(cost: list) -> list:
+    """The column of each row in an assignment of least total cost for the
+    square float matrix ``cost`` (a list of rows).
+
+    Crouse's shortest augmenting path (D. F. Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE Trans. Aerospace and
+    Electronic Systems 52(4), 2016), step for step as in the
+    ``rectangular_lsap`` solver behind ``scipy.optimize.linear_sum_assignment``,
+    so that ties resolve the same way and the floats of every reduced cost
+    are the same.  Row ``cur`` grows a shortest path tree over the
+    remaining columns, listed from n - 1 down to 0 and removed by swapping
+    in the last one; the column taken next is the first of least path
+    cost, or a later one of equal cost that is still unassigned.  So a
+    constant matrix gives the identity.  The duals ``u``, ``v`` then
+    move by the tree's path costs, and the path is augmented.
+    """
+    n = len(cost)
+    inf = math.inf
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        spc = [inf] * n
+        rows_seen, cols_seen = [False] * n, [False] * n
+        remaining = list(range(n - 1, -1, -1))
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            rows_seen[i] = True
+            row, ui = cost[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(n):
+            if rows_seen[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(n):
+            if cols_seen[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 # lifts of this size or more end the certified runs of _lift_path: a run

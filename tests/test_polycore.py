@@ -123,6 +123,38 @@ def test_lift_angles_passes_through_a_crossing():
     assert pc._lift_angles(current, current, ang) == pytest.approx([0.44, 0.56])
 
 
+@st.composite
+def _cost_matrices(draw):
+    """Square cost matrices of the kinds that decide ties: random floats,
+    small integers, identical rows, a constant, and circle distances from
+    guesses that repeat, as on the first step out of the identity."""
+    n = draw(st.integers(1, 12))
+    unit = st.floats(0, 1, allow_nan=False)
+    kind = draw(st.sampled_from(["random", "integer", "rows", "constant", "circle"]))
+    if kind == "random":
+        return np.array(draw(st.lists(st.lists(unit, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)))
+    if kind == "integer":
+        return np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                                      min_size=n, max_size=n)), dtype=float)
+    if kind == "rows":
+        return np.tile(draw(st.lists(unit, min_size=n, max_size=n)), (n, 1))
+    if kind == "constant":
+        return np.full((n, n), draw(st.sampled_from([0.0, 1.0, 0.25])))
+    pool = draw(st.lists(unit, min_size=1, max_size=3))
+    guess = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    ang = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    cost = np.abs(guess[:, None] % 1.0 - ang[None, :])
+    return np.minimum(cost, 1.0 - cost)
+
+
+@given(_cost_matrices())
+@settings(max_examples=400, deadline=None)
+def test_min_cost_assignment_is_scipys(cost):
+    _, want = scipy.optimize.linear_sum_assignment(cost)
+    assert np.array_equal(pc._min_cost_assignment(cost.tolist()), want)
+
+
 def _lift_loop(ang):
     """The lifting pass of generic_path_track, one _lift_angles call per step."""
     lifts = np.zeros((len(ang) + 1, ang.shape[1]))
