@@ -350,24 +350,20 @@ def _git_sha():
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _installed_version(dist: str):
-    """The installed version of distribution ``dist``, None without it;
-    read from its metadata, so the package is not imported."""
-    import importlib.metadata  # 20 ms of imports only the selftest report needs
-
-    try:
-        return importlib.metadata.version(dist)
-    except importlib.metadata.PackageNotFoundError:
-        return None
-
-
 def _cmd_selftest(args, cfg):
     results = acceptance.run_all(verbose=not args.json)
     ok = all(r.passed and r.in_time for r in results)
     if args.json:
+        # scipy's version from its metadata, so scipy is not imported
+        import importlib.metadata  # 20 ms of imports only this report needs
+
+        try:
+            scipy_version = importlib.metadata.version("scipy")
+        except importlib.metadata.PackageNotFoundError:
+            scipy_version = None
         report = {"criteria": [asdict(r) for r in results],
                   "python": platform.python_version(), "numpy": np.__version__,
-                  "scipy": _installed_version("scipy"), "git_sha": _git_sha()}
+                  "scipy": scipy_version, "git_sha": _git_sha()}
         # criterion details may hold Fractions and tuples of numpy scalars
         print(json.dumps(report, default=str, sort_keys=True))
     return 0 if ok else 1

@@ -161,7 +161,7 @@ class HorMatrix:
     n: int
     S: np.ndarray
     p: RealPoly
-    # the angle coordinates the member was built from or checked with, if any
+    # the angle coordinates the member was built from, if any
     scal: HorScal | None = field(default=None, compare=False, repr=False)
 
 
@@ -208,21 +208,12 @@ def poly_to_scal(p: RealPoly, k: int) -> HorScal:
 
 def poly_to_matrix(p: RealPoly, k: int, tol: float = CIRCLE_TOL,
                    check: bool = True) -> HorMatrix:
-    """The member of polynomial ``p`` in family ``k``; ``check`` verifies
-    membership from the roots of p.  For an exact p whose root angles all
-    come out exact (a product of cyclotomic polynomials), the member
-    keeps them as its ``scal``, so :func:`matrix_to_scal` does not factor
-    p again.  Float angles are not kept: ``scal_from_angles`` rejects
-    clustered float roots that this check accepts."""
-    scal = None
     if check:
-        kk, angles = palindrome_class(p, tol)
+        kk, _ = palindrome_class(p, tol)
         if kk != k:
             raise NotInFamily(f"polynomial has symmetry class {kk}, not {k}")
-        if p.is_exact and all(is_exact(b) for b, _ in angles):
-            scal = scal_from_angles(angles, k)
     S = mx.identity(p.degree, p.is_exact)
-    return HorMatrix(k, p.degree, _fill_band(S, np.array(p.coeffs, dtype=S.dtype)), p, scal)
+    return HorMatrix(k, p.degree, _fill_band(S, np.array(p.coeffs, dtype=S.dtype)), p)
 
 
 def _fill_band(S: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -421,10 +412,10 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
 
     An exact member is decided exactly, with m the count of -1 in the
     recipe: with S^{-1} S^t = B / den on integer rows, P = (B + den E)^m
-    has that image and kernel the eigenspace at -1, so the exact
-    signature (p, z, q) of P^t (S + S^t) P gives (p, (n - m) - p - q, q)
-    and ``tol`` is not read.  A float member takes the eigenvalues of
-    :func:`restricted_form_eigenvalues` against ``tol``.
+    has that image and kernel the generalized eigenspace at -1, so the
+    exact signature (p, z, q) of P^t (S + S^t) P gives
+    (p, (n - m) - p - q, q) and ``tol`` is not read.  A float member takes
+    the eigenvalues of :func:`restricted_form_eigenvalues` against ``tol``.
 
     ``scal`` short-circuits the angle recovery when the member was built
     from angle coordinates in the first place.

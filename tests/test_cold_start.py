@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spectral_stokes"
 
 SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, importlib.metadata, io, json, sys
 from fractions import Fraction
 import numpy as np
 from spectral_stokes import chain, cli, hor, lowdim, matrices as mx, orbit, seifert
@@ -41,7 +41,7 @@ assert hor.recipe_spectrum(hor.gamma_base(4, 1))
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["--mode", "exact", "seifert", "classify",
                      "--matrix", "tests/golden/m3.json"]) == 0
-assert cli._installed_version("scipy")
+assert importlib.metadata.version("scipy")
 after["exact"] = scipy_loaded()
 
 hor.is_signature(hor.poly_to_matrix(RealPoly([1, 1, 1]), 1))

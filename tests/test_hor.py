@@ -70,26 +70,6 @@ class TestMatrix:
         assert R.tolist() == [[0, 1], [1, 0]]
         assert mx.mat_pow(R, 2).tolist() == [[1, 0], [0, 1]]
 
-    def test_exact_polynomial_keeps_its_verified_angles(self, monkeypatch):
-        calls = []
-        factor = polycore.factor_cyclotomic
-        monkeypatch.setattr(polycore, "factor_cyclotomic",
-                            lambda p: calls.append(p) or factor(p))
-        for n in range(1, 9):
-            for k in (1, 2):
-                for mults in hor.enumerate_cyclotomic_mults(n, k):
-                    p = poly_from_cyclotomic_mults(mults)
-                    del calls[:]
-                    M = hor.poly_to_matrix(p, k)
-                    got = hor.matrix_to_scal(M)
-                    assert len(calls) == 1
-                    want = hor.poly_to_scal(p, k)
-                    assert got == want and _typed(got.beta) == _typed(want.beta), mults
-
-    def test_float_polynomial_keeps_no_angles(self):
-        M = hor.poly_to_matrix(RealPoly([1.0, 1.0, 1.0]), 1)
-        assert M.scal is None
-
     def test_member_keeps_its_angles(self):
         # three roots within 0.05 of 1: np.roots puts one of them 3.7e-9 off
         # the circle, so the angles cannot be recovered from the polynomial
