@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +298,10 @@ class _EigGroup:
     lam: object        # +-1 (int) | angle | float (real, |.|>1) | complex
     mult: int          # per-eigenvalue algebraic multiplicity
     sizes: list        # Jordan block sizes per eigenvalue
+    # exact groups: the rational orbit polynomial q and the integer rows of
+    # a positive multiple of q(M)
+    q: RealPoly | None = None
+    q_rows: list | None = field(default=None, repr=False)
 
 
 def _exact_eigdata(B: list, den: int):
@@ -313,67 +317,68 @@ def _exact_eigdata(B: list, den: int):
     rem = RealPoly([c * den ** k for k, c in enumerate(mx._char_poly_rows(B))])
     groups: list[_EigGroup] = []
 
-    def kernel_dims(q: RealPoly, per: int, mult: int):
-        dims = []
+    def orbit_group(kind: str, lam, q: RealPoly, per: int, mult: int) -> _EigGroup:
+        """The group of lam, one of the ``per`` roots of q, each of
+        multiplicity mult; its Jordan sizes from dim ker q(M)^j."""
         qm = _poly_of_matrix(q, B, den)
-        power = qm
-        j = 0
+        dims, power = [], qm
         while True:
-            j += 1
             total = n - mx._rank_rows(power, n)
             if total % per:
                 raise VerificationFailed("kernel must split evenly over the orbit")
             dims.append(total // per)
-            if dims[-1] >= mult or j >= mult:
-                break
+            if dims[-1] >= mult or len(dims) >= mult:
+                return _EigGroup(kind, lam, mult, _block_sizes(dims), q, qm)
             power = mx._matmul_rows(power, qm)
-        return dims
 
     for lam, d in ((1, 1), (-1, 2)):
         mult, rem = cyclotomic_power(rem, d)
         if mult:
-            dims = kernel_dims(cyclotomic_polynomial(d), 1, mult)
-            groups.append(_EigGroup("real", lam, mult, _block_sizes(dims)))
+            groups.append(orbit_group("real", lam, cyclotomic_polynomial(d), 1, mult))
     if rem.degree == 0:
         return groups
     # a remainder of degree > 2 goes through the cyclotomic split, a
     # quadratic one (Phi_3, Phi_4 and Phi_6 among them) to the closed form
     if rem.degree > 2:
         mults, rem = factor_cyclotomic(rem)
-        if rem.degree not in (0, 2):
-            return None
         for d, m in sorted(mults.items()):
             phi = cyclotomic_angles(d)
-            dims = kernel_dims(cyclotomic_polynomial(d), len(phi), m)
-            sizes = _block_sizes(dims)
-            for b in phi:
-                if b < 0.5:
-                    groups.append(_EigGroup("pair", b, m, sizes))
+            g = orbit_group("pair", None, cyclotomic_polynomial(d), len(phi), m)
+            groups.extend(replace(g, lam=b) for b in phi if b < 0.5)
         if rem.degree == 0:
             return groups
-    if rem.degree == 2:
-        c2, c1, c0 = rem.coeffs[2], rem.coeffs[1], rem.coeffs[0]
-        if c2 == lead and c0 == lead:
-            c = _tidy(Fraction(-c1, lead))
-            q = RealPoly([1, -c, 1])
-            if abs(c) < 2:
-                theta = beta_from_cos(c * Fraction(1, 2))
-                dims = kernel_dims(q, 2, 1)
-                groups.append(_EigGroup("pair", theta, 1, _block_sizes(dims)))
-                return groups
-            lam = (float(c) + math.sqrt(float(c) ** 2 - 4)) / 2.0
-            if abs(lam) < 1:
-                lam = float(c) - lam
-            dims = kernel_dims(q, 2, 1)
-            groups.append(_EigGroup("hyper_real", lam, 1, _block_sizes(dims)))
-            return groups
-    return None
+    # what is left resolves when it is lead (x^2 - c x + 1)^m for a rational c
+    m, odd = divmod(rem.degree, 2)
+    if odd:
+        return None
+    c = _tidy(Fraction(-rem.coeffs[-2], m * lead))
+    q = RealPoly([1, -c, 1])
+    power = RealPoly([lead])
+    for _ in range(m):
+        power = power * q
+    if rem != power:
+        return None
+    if abs(c) < 2:
+        groups.append(orbit_group("pair", beta_from_cos(c * Fraction(1, 2)), q, 2, m))
+        return groups
+    lam = (float(c) + math.sqrt(float(c) ** 2 - 4)) / 2.0
+    if abs(lam) < 1:
+        lam = float(c) - lam
+    groups.append(orbit_group("hyper_real", lam, q, 2, m))
+    return groups
 
 
-# a monodromy with overflowing entries makes numpy divide by zero here; the
-# outcome is the same without the RuntimeWarnings, which would otherwise
-# precede the CLI's one JSON document on stderr
-@np.errstate(divide="ignore", invalid="ignore")
+#: float eigenvalues closer than SPLIT_RADIUS may be one eigenvalue split;
+#: they are one when M at their midpoint is within SPLIT_ROUNDOFF units of
+#: roundoff (times |M|) of singular
+SPLIT_RADIUS = 0.1
+SPLIT_ROUNDOFF = 32
+
+
+# a monodromy with overflowing entries makes numpy divide by zero or
+# overflow here; the outcome is the same without the RuntimeWarnings, which
+# would otherwise precede the CLI's one JSON document on stderr
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _numeric_eigdata(M_f: np.ndarray, tol: float):
     n = M_f.shape[0]
     eig = np.linalg.eigvals(M_f)
@@ -387,6 +392,20 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
         else:
             clusters.append([z])
     reps = [(np.mean(cl), len(cl)) for cl in clusters]
+    # floats return a Jordan block of size s as s eigenvalues about
+    # (u |M|)^(1/s) apart, beyond any clustering tolerance.  Split ones share
+    # a component of the pseudospectrum, so M is singular to roundoff at
+    # their midpoint; in units of u |M| it measured below 0.5 on every split
+    # pair of the size-3 grid and the family members of size <= 8, and above
+    # 2900 between the close distinct eigenvalues of random float members.
+    pts = [complex(z) for z, _ in reps]
+    floor = SPLIT_ROUNDOFF * np.finfo(float).eps * np.linalg.norm(M_f)
+    for i, z in enumerate(pts):
+        for w in pts[i + 1:]:
+            if abs(z - w) < SPLIT_RADIUS and \
+                    np.linalg.svd(M_f - (z + w) / 2 * np.eye(n), compute_uv=False)[-1] <= floor:
+                raise Unclassified("float eigenvalues too close to tell from a Jordan block",
+                                   pattern=(z, w))
 
     def kdims(lam, mult):
         dims = []
@@ -471,16 +490,42 @@ def _form_is_symmetric(g: _EigGroup, s: int) -> bool:
     return g.kind == "pair" or (s % 2 == 1) == (g.lam == 1)
 
 
-def _exact_form_signs(g: _EigGroup, B: list, den: int, G: list) -> dict:
-    """{s: (p, m)}, the signs of the symmetric primitive forms of a group at
-    +-1, from the integer rows of the monodromy B/den and of G, a positive
-    multiple of the Gram matrix.
+def _has_exact_signs(g: _EigGroup) -> bool:
+    """Whether ``_exact_form_signs`` reads the signs of an exact group: at
+    +-1 always, at a conjugate pair when its orbit polynomial is a
+    quadratic (so the pair is the whole orbit) and its blocks all have
+    size 1.  Off-circle groups carry no signs."""
+    return g.kind != "pair" or (g.q.degree == 2 and max(g.sizes) == 1)
 
-    K = lam B - den E, the basis vectors of ker K^s and so F are positive
-    integer multiples of their rational counterparts, which scales F and
-    congruences it by a positive diagonal, keeping its symmetry, rank and
-    signature."""
+
+def _exact_form_signs(g: _EigGroup, B: list, den: int, G: list) -> dict:
+    """{s: (p, m)}, the signs of the symmetric primitive forms of an exact
+    group that ``_has_exact_signs``, from the integer rows of the monodromy
+    B/den and of G, a positive multiple of the Gram matrix.
+
+    At a conjugate pair with orbit polynomial q = x^2 - c x + 1 and k
+    blocks of size 1: ker q(M) is the L-orthogonal summand of its k
+    F2complex types, so the signature of Sym = G + G^t on it is the sum of
+    their type_signature, (0, 0, 2) for eps = +1 and (2, 0, 0) for
+    eps = -1.  A kernel basis of integer rows keeps that signature, as it
+    is a rational basis scaled.
+
+    At +-1: K = lam B - den E, the basis vectors of ker K^s and so F are
+    positive integer multiples of their rational counterparts, which
+    scales F and congruences it by a positive diagonal, keeping its
+    symmetry, rank and signature."""
     n = len(B)
+    if g.kind == "pair":
+        V = [v for _, v in mx._nullspace_rows(g.q_rows, n)]
+        GV = [[sum(map(operator.mul, row, v)) for row in G] for v in V]
+        F = [[sum(map(operator.mul, v, gv)) for gv in GV] for v in V]
+        p, z, m = mx._signature_rows([[x + y for x, y in zip(row, col)]
+                                      for row, col in zip(F, zip(*F))])
+        k = len(g.sizes)
+        if z or p % 2 or m % 2 or p + m != 2 * k:
+            raise VerificationFailed(f"Sym on the pair at {g.lam} has signature "
+                                     f"({p}, {z}, {m}), not that of {k} F2complex types")
+        return {1: (m // 2, p // 2)}
     K = [[g.lam * x - (den if i == j else 0) for j, x in enumerate(row)]
          for i, row in enumerate(B)]
     powers = [K]                                  # powers[e - 1] = K^e
@@ -548,8 +593,11 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
     ker K^{s-1} + K ker K^{s+1} and rank c.  When F is antisymmetric
     (``_form_is_symmetric``) the blocks pair into F2real; otherwise
     ``signs[s]`` holds its p positive and m negative signs, the eps (or
-    zeta0 versus zeta0 + 1/2) of the blocks.  ``_exact_form_signs`` and
-    ``_numeric_form_signs`` compute them.
+    zeta0 versus zeta0 + 1/2) of the blocks.  ``_exact_form_signs``
+    computes them exactly for the groups that ``_has_exact_signs`` (every
+    group at +-1, and a conjugate pair with a rational quadratic orbit
+    polynomial and blocks of size 1, through Sym on ker q(M));
+    ``_numeric_form_signs`` computes them in floats for the rest.
     """
     pair = g.kind == "pair"
     lam_angle = None if pair else Fraction(0) if g.lam == 1 else Fraction(1, 2)
@@ -575,23 +623,27 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
 
     Off-circle eigenvalues give descriptors without sign data.  Each
     on-circle eigenvalue, with any Jordan pattern, is classified by its
-    primitive forms (``_primitive_types``): exactly at +-1 when the input
-    is exact and its characteristic polynomial resolves exactly, in floats
-    otherwise and at conjugate pairs.  Unclassified remains for float
-    eigen-data that does not pair up: an unpaired unit eigenvalue, an
-    off-circle cluster without its inverse partners, or a primitive form
-    that is not numerically Hermitian; exact input reaches it when a
-    non-cyclotomic remainder of degree > 2 sends it to the float path.
+    primitive forms (``_primitive_types``).  On exact input whose
+    characteristic polynomial resolves exactly (cyclotomic factors times a
+    power of one rational quadratic), the signs are exact at +-1 and at
+    every conjugate pair whose orbit polynomial is quadratic and whose
+    blocks have size 1; they are read in floats at a pair with a block of
+    size > 1 or in an orbit of phi(d) > 2 roots of unity, and everywhere
+    when the input is float or its characteristic polynomial does not
+    resolve.  Unclassified remains for float eigen-data that does not pair
+    up: an unpaired unit eigenvalue, an off-circle cluster without its
+    inverse partners, eigenvalues too close to tell from a Jordan block that
+    floats split, or a primitive form that is not numerically Hermitian.
 
     Exact or float was decided when the pair was built: the exact
     eigen-data and primitive forms run on the integer rows ``P.B``,
     ``P.den`` and ``P.G_int`` with the matrix layer's integer cores.  The
-    float monodromy (``mx.monodromy_matrix``) is computed only when a
+    float monodromy (``mx.monodromy_matrix``) is computed only when some
     group takes the float path.
     """
     groups = None if P.B is None else _exact_eigdata(P.B, P.den)
-    exact_real = groups is not None
-    if not exact_real or any(g.kind == "pair" for g in groups):
+    exact = groups is not None
+    if not exact or not all(map(_has_exact_signs, groups)):
         Gf = np.asarray(P.G, dtype=float)
         M_f = mx.monodromy_matrix(Gf.T)
     if groups is None:
@@ -599,10 +651,10 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
 
     out: list[IrrType] = []
     for g in groups:
-        if g.kind == "real" and exact_real:
-            out.extend(_primitive_types(g, _exact_form_signs(g, P.B, P.den, P.G_int)))
-        elif g.kind in ("real", "pair"):
-            out.extend(_primitive_types(g, _numeric_form_signs(g, M_f, Gf)))
+        if g.kind in ("real", "pair"):
+            signs = (_exact_form_signs(g, P.B, P.den, P.G_int) if exact and _has_exact_signs(g)
+                     else _numeric_form_signs(g, M_f, Gf))
+            out.extend(_primitive_types(g, signs))
         elif g.kind == "hyper_real":
             for s in g.sizes:
                 out.append(IrrType("F2hyper", float(g.lam), s))

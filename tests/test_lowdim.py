@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_stokes import hor, lowdim as ld, matrices as mx, seifert as sf
-from spectral_stokes.errors import OutOfFamily, OutOfT, Unclassified
+from spectral_stokes.errors import OutOfFamily, OutOfT
 from spectral_stokes.polycore import RealPoly
 from spectral_stokes.spectra import Spp
 
@@ -112,12 +112,12 @@ class TestJustInsideTheBoundary:
         assert [t.family for t in ld.classify3((self.a, 0, 0)).types] == ["F1", "F2complex"]
 
     def test_classify_gives_no_off_circle_type(self):
-        for S in (mx.to_matrix([[1, self.a], [0, 1]]), ld.s3_matrix((self.a, 0, 0))):
-            try:
-                types = sf.classify(sf.SeifertPair.from_triangular(S))
-            except Unclassified:
-                continue
+        # the pair's sign is exact, so classify gives the closed-form types
+        for S, want in ((mx.to_matrix([[1, self.a], [0, 1]]), ld.solve2(self.a)[3]),
+                        (ld.s3_matrix((self.a, 0, 0)), ld.classify3((self.a, 0, 0)).types)):
+            types = sf.classify(sf.SeifertPair.from_triangular(S))
             assert not any(t.family in ("F2hyper", "F4hyper") for t in types)
+            assert sf.types_multiset_equal(types, want)
 
     def test_line3_band_just_outside(self):
         with pytest.raises(OutOfFamily):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_stokes import hor, lowdim, matrices as mx, seifert as sf
-from spectral_stokes.errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
+from spectral_stokes.errors import (NotLadderComposed, Singular, SpectralStokesError, Unclassified,
+                                    VerificationFailed)
 from spectral_stokes.polycore import RealPoly, angle_to_point
 from spectral_stokes.spectra import Spp
 
@@ -376,35 +378,50 @@ def _unit_upper(draw):
 
 
 def _sympy_cyclotomic_split(M):
-    """({d: multiplicity of Phi_d}, degree of the rest) of the characteristic
+    """({d: multiplicity of Phi_d}, the monic rest) of the characteristic
     polynomial of a rational matrix, from sympy's factorization."""
     x = sympy.Symbol("x")
-    mults, rest = {}, 0
+    mults, rest = {}, sympy.Integer(1)
     for f, e in sympy.factor_list(sympy.Matrix(M.tolist()).charpoly(x).as_expr(), x)[1]:
         f = sympy.Poly(f, x).monic()
         d = next((d for d in range(1, 2 * f.degree() ** 2 + 3)
                   if sympy.expand(f.as_expr() - sympy.cyclotomic_poly(d, x)) == 0), None)
         if d is None:
-            rest += e * f.degree()
+            rest *= f.as_expr() ** e
         else:
             mults[d] = mults.get(d, 0) + e
-    return mults, rest
+    return mults, sympy.Poly(rest, x)
+
+
+def _is_quadratic_power(p):
+    """Whether a monic rational polynomial is (x^2 - c x + 1)^m, m >= 0."""
+    m, odd = divmod(p.degree(), 2)
+    if odd or m == 0:
+        return not odd
+    x = p.gens[0]
+    c = -p.nth(2 * m - 1) / m
+    return sympy.expand(p.as_expr() - (x ** 2 - c * x + 1) ** m) == 0
 
 
 @given(st.lists(_ENTRIES, min_size=6, max_size=6))
 @example([-1, -1, 0, F(-1, 2), F(-1, 2), 1])
+@example([1, 2, F(-1, 2), F(3, 2), 2, 0])
+@example([0, F(1, 2), 0, 0, F(1, 2), 0])
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_rational_char_poly_splits_its_cyclotomic_factors_exactly(upper):
-    # the example has det(x - M) = (x^2 + x + 1)(x^2 - 5/4 x + 1): the
+    # the first example has det(x - M) = (x^2 + x + 1)(x^2 - 5/4 x + 1): the
     # cyclotomic split runs on the integer cofactor of degree 4, whose
-    # leading coefficient den^4 it keeps
+    # leading coefficient den^4 it keeps; the other two have
+    # (x^2 + 11/4 x + 1)^2 (a real hyperbolic pair with one Jordan block of
+    # size 2 at each root) and (x^2 - 7/4 x + 1)^2 (a semisimple pair)
     it = iter(upper)
     S = mx.to_matrix([[int(i == j) if j <= i else next(it) for j in range(4)] for i in range(4)])
     M = mx.monodromy_matrix(S)
     groups = sf._exact_eigdata(*mx.int_form(M))
     mults, rest = _sympy_cyclotomic_split(M)
-    # only a non-cyclotomic rest of degree > 2 stays unresolved
-    assert (groups is None) == (rest > 2)
+    # what stays unresolved is a non-cyclotomic rest that is no power of
+    # one rational quadratic
+    assert (groups is None) == (not _is_quadratic_power(rest))
     if groups is None:
         return
     got = {}
@@ -453,7 +470,7 @@ def test_integer_eigdata_and_types_match_sympy(S):
     # sympy's Jordan form and the Descartes signature of S + S^t
     B, den = mx.int_form(mx.monodromy_matrix(S))
     groups = sf._exact_eigdata(B.tolist(), den)
-    if groups is None:        # a non-cyclotomic remainder of degree > 2: the float path
+    if groups is None:        # no power of one rational quadratic: the float path
         return
     M = mx.monodromy_matrix(S)
     want = _sympy_jordan_blocks(M)
@@ -504,6 +521,14 @@ class TestKeptChecks:
         with pytest.raises(VerificationFailed, match="cannot pair"):
             sf._primitive_types(sf._EigGroup("real", -1, 1, [1]), {})
 
+    def test_pair_signature(self, monkeypatch):
+        # S = [[1, 1], [0, 1]] has the one pair Phi_6; Sym on ker Phi_6(M)
+        # read as (1, 0, 1) is no sum of F2complex signatures
+        P = pair_from_triangular([[1, 1], [0, 1]])
+        monkeypatch.setattr(mx, "_signature_rows", lambda rows: (1, 0, 1))
+        with pytest.raises(VerificationFailed, match=r"signature \(1, 0, 1\)"):
+            sf.classify(P)
+
 
 def test_cyclotomic_factors_beside_a_quadratic_remainder():
     # char poly Phi_6 (x^2 + 14 x + 1): the cyclotomic factor leaves a
@@ -549,3 +574,99 @@ class TestTypeEquality:
         # equal as floats, so a float sort key would keep the input order
         x, y = self.pair(F(1, 3)), self.pair(F(1, 3) + F(1, 10 ** 20))
         assert sorted([y, x], key=sf.IrrType.sort_key) == [x, y]
+
+
+# ---------------------------------------------------------------------------
+# exact signs at quadratic conjugate pairs
+# ---------------------------------------------------------------------------
+
+#: char poly (x^2 + 11x/4 + 1)^2: a real hyperbolic pair of multiplicity 2
+QUADRATIC_SQUARE = [[1, 1, 2, F(-1, 2)], [0, 1, F(3, 2), 2], [0, 0, 1, 0], [0, 0, 0, 1]]
+#: the size-3 grid point of ``benchmarks/test_kernels.py``
+GRID3_POINT = (F(-7, 4), F(-7, 4), F(5, 4))
+
+
+def _grid3_points():
+    """The 3,665 members of the size-3 grid of step 1/4 over [-4, 4]^3."""
+    vals = [F(-4) + F(i, 4) for i in range(33)]
+    return [a for a in itertools.product(vals, repeat=3) if lowdim.member3(a)]
+
+
+def _no_float_linalg(monkeypatch):
+    """Make every numpy.linalg routine that seifert and the matrix layer
+    reach raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+    for name in ("svd", "eigvalsh", "eigvals", "eig", "solve", "det", "norm", "inv"):
+        monkeypatch.setattr(sf.np.linalg, name, refuse)
+
+
+def test_exact_and_float_classify_agree_or_float_refuses():
+    # float classify of the same S gives the exact types or a typed error
+    cases = [lowdim.s3_matrix(a) for a in _grid3_points()]
+    cases += [M.S for _, M in hor.cyclotomic_pool(8)]
+    assert len(cases) == 3665 + 498
+    for S in cases:
+        exact = sf.classify(sf.SeifertPair.from_triangular(S))
+        try:
+            numeric = sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float)))
+        except SpectralStokesError:
+            continue
+        assert sf.types_multiset_equal(exact, numeric), S
+
+
+def test_float_classify_refuses_split_jordan_blocks():
+    # a Jordan block of size 2 at -1 (the grid) and of size 4 at -1 (the
+    # member): floats split them into eigenvalues 3e-7 and 1.4e-3 apart
+    for S in (lowdim.s3_matrix((F(2), F(4), F(4))), hor.cyclotomic_member({1: 4}, 1).S):
+        exact = sf.classify(sf.SeifertPair.from_triangular(S))
+        assert [t.n for t in exact if t.family == "F1" and t.lam == F(1, 2)] in ([2], [4])
+        with pytest.raises(Unclassified, match="Jordan block"):
+            sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float)))
+
+
+def test_exact_classify_makes_no_float_linalg_call(monkeypatch):
+    interior = [a for a in _grid3_points() if 0 < lowdim.f3(a) < 4]
+    assert len(interior) == 3442 and GRID3_POINT in interior
+    # members with semisimple pairs: (x + 1)^2 Phi_4^2 and Phi_1 Phi_3 Phi_4 Phi_6
+    members = [hor.cyclotomic_member(mults, 1) for mults in ({3: 1, 8: 1}, {2: 1, 3: 1, 4: 1, 6: 1})]
+    want = [sf.class_from_spp(hor.recipe_spectral_pairs(hor.matrix_to_scal(M)), 1) for M in members]
+    _no_float_linalg(monkeypatch)
+    for a in interior:
+        got = sf.classify(sf.SeifertPair.from_triangular(lowdim.s3_matrix(a)))
+        assert sf.types_multiset_equal(got, lowdim.classify3(a).types), a
+    for M, types in zip(members, want):
+        assert sf.types_multiset_equal(sf.classify(sf.SeifertPair.from_triangular(M.S)), types)
+    got = sf.classify(pair_from_triangular(QUADRATIC_SQUARE))
+    assert sf.type_label_multiset(got) == "Seif(-2.31873,2,2)"
+
+
+def test_a_power_of_one_rational_quadratic_resolves_exactly():
+    S = mx.to_matrix(QUADRATIC_SQUARE)
+    M = mx.monodromy_matrix(S)
+    q = RealPoly([1, F(11, 4), 1])
+    assert mx.char_poly_exact(M) == q * q
+    groups = sf._exact_eigdata(*mx.int_form(M))
+    assert [(g.kind, g.mult, g.sizes, g.q) for g in groups] == [("hyper_real", 2, [2], q)]
+    assert _eigdata_blocks(groups) == _sympy_jordan_blocks(M)
+    with pytest.raises(Unclassified, match="Jordan block"):
+        sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float)))
+
+
+def test_pair_of_multiplicity_two_with_both_signs():
+    # an InteriorInd point (f = 15/16) beside [[1, 7/4], [0, 1]]: one pair
+    # x^2 + 17x/16 + 1 of multiplicity 2, with one sign from each summand
+    a, b = (F(-4), F(-3), F(9, 4)), F(7, 4)
+    assert lowdim.classify3(a).stratum == lowdim.Stratum3.INTERIOR_IND
+    S = np.block([[lowdim.s3_matrix(a), np.zeros((3, 2), dtype=object)],
+                  [np.zeros((2, 3), dtype=object), mx.to_matrix([[1, b], [0, 1]])]])
+    P = sf.SeifertPair.from_triangular(S)
+    [pair] = [g for g in sf._exact_eigdata(P.B, P.den) if g.kind == "pair"]
+    assert (pair.mult, pair.sizes, pair.q) == (2, [1, 1], RealPoly([1, F(17, 16), 1]))
+    assert sf._exact_form_signs(pair, P.B, P.den, P.G_int) == {1: (1, 1)}
+    got = sf.classify(P)
+    assert sf.types_multiset_equal(got, lowdim.classify3(a).types + lowdim.solve2(b)[3])
+    assert sf.types_multiset_equal(got, sf.classify(sf.SeifertPair.from_triangular(
+        np.asarray(S, dtype=float))))
+    total = tuple(map(sum, zip(*(sf.type_signature(t) for t in got))))
+    assert total == mx.signature_exact(S + S.T)
