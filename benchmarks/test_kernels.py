@@ -9,7 +9,8 @@ so a faster wrong kernel fails instead of reporting a time.
 
 Cases: ``seifert.classify`` on one size-3 grid point and on one n = 8
 family member, ``lowdim.classify3`` on one point, ``lowdim.member3`` over
-the step-1/4 grid of [-4, 4]^3, ``chain.ChainSing`` on one chain tuple,
+the step-1/4 grid of [-4, 4]^3, ``chain.ChainSing``, ``chain.qh_spectrum``
+and ``chain.verify_spectrum_shift`` on the largest tuple of the chain grid,
 and ``matrices.char_poly_exact`` and ``matrices.rank_exact`` on the
 monodromy of the family member.
 """
@@ -71,6 +72,22 @@ def test_member3_grid(benchmark):
 def test_chain_sing(benchmark):
     got = benchmark(chain.ChainSing, (6, 4, 4, 4, 4))
     assert got.mu == 6 * 4 ** 4 - got.mu_seq[-2]
+
+
+#: the largest tuple of the chain grid (6, 4, 4): mu = 1229, weights over 1536
+CHAIN_TUPLE = (6, 4, 4, 4, 4)
+
+
+def test_qh_spectrum(benchmark):
+    c = chain.ChainSing(CHAIN_TUPLE)
+    got = benchmark(chain.qh_spectrum, c.w)
+    # the matrix side, which expands nothing, shifted by (m - 1) / 2 = 3/2
+    assert len(got) == c.mu and all(type(x) is F for x in got)
+    assert sorted(chain.stokes_spectrum(CHAIN_TUPLE)) == [x - F(3, 2) for x in got]
+
+
+def test_verify_spectrum_shift(benchmark):
+    assert benchmark(chain.verify_spectrum_shift, CHAIN_TUPLE) is True
 
 
 def test_char_poly_exact(benchmark, family_member):

@@ -7,6 +7,7 @@ back the test suite and the command-line ``selftest``.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import Counter
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import chain, hor, lowdim, matrices as mx, orbit, seifert as sf
 from .errors import NotReducible, Unclassified
+from .polycore import _common_numerators
 from .spectra import Spp, SppLadder, decompose_into_ladders
 
 
@@ -109,6 +111,16 @@ def criterion_power_identity():
 
 # -- 4: the chain grid -------------------------------------------------------
 
+def _qh_numerators(c: chain.ChainSing, den: int, shift) -> Counter:
+    """The spectrum of c's weights moved by ``shift``, alpha = e / D - 1 +
+    shift, as a Counter of integer numerators over ``den`` (a multiple of
+    D and of shift's denominator)."""
+    Ns, D = _common_numerators(c.w)
+    e, mult = chain._qh_exponents(Ns, D)
+    nums = (den // D) * e + int((shift - 1) * den)
+    return Counter(dict(zip(nums.tolist(), mult.tolist())))
+
+
 def criterion_chain_grid():
     def run():
         failures = []
@@ -130,10 +142,9 @@ def criterion_chain_grid():
             reduced_count += 1
             ca = chain.ChainSing(a)
             cr = chain.ChainSing(red)
-            # exact multisets: no float decides the comparison
-            lhs = Counter(chain.qh_spectrum(cr.w))
-            rhs = Counter(x + shift for x in chain.qh_spectrum(ca.w))
-            if lhs != rhs:
+            # exact multisets of integer numerators: no float decides the comparison
+            den = math.lcm(ca.r[-1], cr.r[-1], shift.denominator)
+            if _qh_numerators(cr, den, 0) != _qh_numerators(ca, den, shift):
                 failures.append(("reduction-spectrum", a))
             if not chain.verify_spectrum_shift(a):
                 failures.append(("shift-original", a))
@@ -253,7 +264,7 @@ def criterion_properties():
         for n in range(1, 9):
             for k in (1, 2):
                 M = hor.sample_cyclotomic_member(n, k, rng)
-                q, k2 = hor.negate_poly_transform(M.p, k)
+                q, k2 = hor.negate_poly_transform(M)
                 s1 = hor.recipe_spectral_pairs(hor.matrix_to_scal(M))
                 s2 = hor.recipe_spectral_pairs(hor.poly_to_scal(q, k2))
                 if not s1.equals(s2):

@@ -9,16 +9,19 @@ Laurent-monomial steps.  The headline check compares the two spectra
 after the dimension shift (m - 1)/2 as exact multisets: both sides are
 integer numerators over 2 r_m (root angles delta / r_m, weights over a
 divisor D of r_m), run through the family checks and the recipe of
-:mod:`hor` on integers, and compared as sorted int lists.  The public
+:mod:`hor` on integers, and compared as sorted int lists.  The matrix
+side expands no polynomial; the generating function is expanded by
+:func:`polycore.signed_product_coeffs` only up to its degree.  The public
 spectra are Fraction views of the same integers.
 
 Two conventions are pinned down here rather than guessed:
 
-* The symmetry class of the matrix polynomial is always read off its
+* The symmetry class of the matrix polynomial is the one of its
   constant coefficient, which direct evaluation shows to be (-1)^m
   (each of the m + 2 signed factors contributes -1 at x = 0), so
-  k = 1 for even m and k = 2 for odd m.  Only this choice reproduces
-  the weighted-homogeneous spectra.
+  k = 1 for even m and k = 2 for odd m; :func:`stokes_poly` checks the
+  expanded coefficient against it.  Only this choice reproduces the
+  weighted-homogeneous spectra.
 * The count of basis monomials follows the recursion mu_k = r_k -
   mu_{k-1}, the one consistent with mu = prod(1/w_k - 1).  The literal
   alternating sum a_0...a_{k-1} - a_1...a_{k-1} + ... +- a_{k-1} -+ 1
@@ -39,7 +42,7 @@ from .errors import (BadExponents, ChainBroken, NotPolynomial, NotReducible,
                      ReductionRequired, VerificationFailed)
 from .hor import (recipe_spectral_pairs, scal_from_angles, _check_family_numerators,
                   _recipe_numerators, _split_root_one)
-from .polycore import expand_signed_product, _common_numerators
+from .polycore import expand_signed_product, signed_product_coeffs, _common_numerators
 from .spectra import Spp
 
 
@@ -99,24 +102,24 @@ class ChainSing:
         return self.mu_seq[-1]
 
 
+def _stokes_factors(c: ChainSing) -> list:
+    """The (r, e) pairs of prod_{k=-1..m} (x^{r_k} - 1)^{(-1)^{m-k}}, r_{-1} = 1."""
+    m = c.m
+    return [(1, (-1) ** (m + 1))] + [(c.r[kk], (-1) ** (m - kk)) for kk in range(m + 1)]
+
+
 def _stokes_roots(c: ChainSing):
-    """The matrix polynomial, its symmetry class and the numerators delta
-    (ascending) of its root angles delta / r_m.
+    """The symmetry class of the matrix polynomial and the numerators
+    delta (ascending) of its root angles delta / r_m, without expanding it.
 
     The multiplicity of a residue delta modulo r_m is found by
     inclusion-exclusion: each factor (x^r - 1)^e (r divides r_m) adds e at
-    every (r_m / r)-th residue."""
-    m = c.m
-    factors = [(1, (-1) ** (m + 1))]
-    for kk in range(m + 1):
-        factors.append((c.r[kk], (-1) ** (m - kk)))
-    p = expand_signed_product(factors)
-    if p.degree != c.mu:
-        raise VerificationFailed("degree of the matrix polynomial must be mu")
-    k = 1 if p.coeffs[0] == 1 else 2
+    every (r_m / r)-th residue.  Multiplicities 0 or 1, mu of them 1, prove
+    that the product is a polynomial of degree mu with simple roots; its
+    class is k = 1 for even m and k = 2 for odd m (module docstring)."""
     rm = c.r[-1]
     mult = np.zeros(rm, dtype=np.int64)
-    for r, e in factors:
+    for r, e in _stokes_factors(c):
         mult[::rm // r] += e
     bad = np.flatnonzero((mult != 0) & (mult != 1))
     if bad.size:
@@ -125,7 +128,7 @@ def _stokes_roots(c: ChainSing):
     deltas = np.flatnonzero(mult).tolist()
     if len(deltas) != c.mu:
         raise VerificationFailed("number of roots must be mu")
-    return p, k, deltas
+    return 1 if c.m % 2 == 0 else 2, deltas
 
 
 def stokes_poly(a):
@@ -133,11 +136,16 @@ def stokes_poly(a):
     together with its symmetry class and exact root angles.
 
     Returns (poly, k, angles) with angles a sorted list of (Fraction, 1);
-    all roots are simple, the degree is mu, and k is read off the
-    constant coefficient p_0 = (-1)^{k-1}.
+    all roots are simple, the degree is mu, and the constant coefficient
+    is p_0 = (-1)^{k-1} = (-1)^m.  The expansion is checked against both.
     """
     c = ChainSing(tuple(a))
-    p, k, deltas = _stokes_roots(c)
+    k, deltas = _stokes_roots(c)
+    p = expand_signed_product(_stokes_factors(c))
+    if p.degree != c.mu:
+        raise VerificationFailed("degree of the matrix polynomial must be mu")
+    if p.coeffs[0] != (-1) ** (k - 1):
+        raise VerificationFailed("constant coefficient of the matrix polynomial must be (-1)^m")
     rm = c.r[-1]
     return p, k, [(Fraction(d, rm), 1) for d in deltas]
 
@@ -146,7 +154,7 @@ def _stokes_numerators(c: ChainSing) -> list:
     """Spectral numbers of the matrix side as numerators over 2 r_m, in
     family order: the family point of the roots, checked for membership,
     through the recipe, all on integers."""
-    _, k, deltas = _stokes_roots(c)
+    k, deltas = _stokes_roots(c)
     rm = c.r[-1]
     ones = 1 if deltas[0] == 0 else 0
     beta = _split_root_one(ones, deltas[ones:], k, 0, rm)
@@ -176,20 +184,21 @@ def stokes_spectral_pairs(a) -> Spp:
 # weighted-homogeneous spectra
 # ---------------------------------------------------------------------------
 
-def _qh_exponents(Ns: list, D: int) -> list:
-    """(e, multiplicity) pairs, e ascending, of the generating function
-    prod_k (t - t^{w_k}) / (t^{w_k} - 1) = sum_e mult t^{e / D}, given the
-    weight numerators N_k = w_k D.
+def _qh_exponents(Ns: list, D: int):
+    """The exponents e (ascending) and their multiplicities, as two integer
+    arrays, of the generating function prod_k (t - t^{w_k}) / (t^{w_k} - 1)
+    = sum_e mult t^{e / D}, given the weight numerators N_k = w_k D.
 
     With s = t^(1/D) each factor is s^{N_k} (s^{D - N_k} - 1) / (s^{N_k} - 1),
     so the generating function is s^{sum N_k} times a signed product."""
     try:
-        quot = expand_signed_product([(D - N, 1) for N in Ns] + [(N, -1) for N in Ns])
+        quot = signed_product_coeffs([(D - N, 1) for N in Ns] + [(N, -1) for N in Ns])
     except NotPolynomial:
         raise VerificationFailed("generating function is not a polynomial") from None
-    if any(c < 0 for c in quot.coeffs):
+    if quot.min() < 0:
         raise VerificationFailed("negative multiplicity in the spectrum expansion")
-    return [(e, c) for e, c in enumerate(quot.coeffs, start=sum(Ns)) if c]
+    e = quot.nonzero()[0]
+    return e + sum(Ns), quot[e]
 
 
 def qh_spectrum(weights) -> list:
@@ -202,9 +211,10 @@ def qh_spectrum(weights) -> list:
     if any(not (0 < w < 1) for w in ws):
         raise ValueError("weights must lie strictly between 0 and 1")
     Ns, D = _common_numerators(ws)
+    e, mult = _qh_exponents(Ns, D)
     out = []
-    for e, c in _qh_exponents(Ns, D):
-        out.extend([Fraction(e - D, D)] * c)
+    for x, c in zip(e.tolist(), mult.tolist()):
+        out.extend([Fraction(x - D, D)] * c)
     return out
 
 
@@ -476,10 +486,8 @@ def verify_spectrum_shift(a) -> bool:
     lhs = sorted(_stokes_numerators(c))
     Ns, D = _common_numerators(c.w)
     scale, offset = 2 * rm // D, (c.m + 1) * rm
-    rhs = []
-    for e, mult in _qh_exponents(Ns, D):
-        rhs.extend([scale * e - offset] * mult)
-    return lhs == rhs
+    e, mult = _qh_exponents(Ns, D)
+    return lhs == np.repeat(scale * e - offset, mult.astype(np.int64)).tolist()
 
 
 def grid_tuples(a0_max: int = 6, aj_max: int = 4, m_max: int = 4,

@@ -354,14 +354,15 @@ def is_realizable_spectrum(candidate, n: int, k: int):
     return False, None
 
 
-def negate_poly_transform(p: RealPoly, k: int):
-    """(-1)^n p(-x) lands in the family with k~ = k + n mod 2 (in {1, 2})
-    and has the same spectral pairs."""
-    kk, _ = palindrome_class(p)
-    if kk != k:
-        raise NotInFamily(f"polynomial has symmetry class {kk}, not {k}")
-    n = p.degree
-    q = p.of_minus_x()
+def negate_poly_transform(M: HorMatrix):
+    """(-1)^n p(-x) of the member's polynomial p lands in the family with
+    k~ = k + n mod 2 (in {1, 2}) and has the same spectral pairs.  The
+    class k is confirmed through the member's angle coordinates
+    (:func:`matrix_to_scal`), so a member built from angles is not factored."""
+    if matrix_to_scal(M).k != M.k:
+        raise NotInFamily(f"member's angle coordinates are not of class {M.k}")
+    n, k = M.n, M.k
+    q = M.p.of_minus_x()
     if n % 2 == 1:
         q = -q
     k2 = 2 - (k + n) % 2

@@ -731,55 +731,54 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
 # signed products  prod (x^r - 1)^e
 # ---------------------------------------------------------------------------
 
-def _mul_xr_minus_1(coeffs: list, r: int) -> list:
-    n = len(coeffs)
-    out = [0] * (n + r)
-    for i, c in enumerate(coeffs):
-        out[i + r] += c
-        out[i] -= c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def signed_product_coeffs(factors) -> np.ndarray:
+    """Coefficients, constant term first, of the polynomial
+    ``prod (x^r - 1)^e`` over the pairs (r, e), r >= 1 and e in {+1, -1}.
 
-
-def _div_xr_minus_1(coeffs: list, r: int) -> list:
-    """Exact division by (x^r - 1); raises NotPolynomial on a remainder."""
-    n = len(coeffs) - 1
-    if n < r:
-        raise NotPolynomial("quotient would have negative degree")
-    q = [0] * (n - r + 1)
-    rem = list(coeffs)
-    for i in range(n, r - 1, -1):
-        c = rem[i]
-        if c != 0:
-            q[i - r] = c
-            rem[i] = 0
-            rem[i - r] += c
-    if any(rem):
-        raise NotPolynomial("(x^r - 1) does not divide the product")
-    return q
+    x^r - 1 is the product of the cyclotomic Phi_d over d | r, so the
+    product is a polynomial exactly when, for every d, the e of the
+    factors with d | r add up to at least 0; NotPolynomial is raised
+    before anything is expanded otherwise.  The polynomial has degree
+    L - 1 = sum e r and is the power series (-1)^(number of factors)
+    prod (1 - x^r)^e cut off at x^L: a factor 1 - x^r is one shifted
+    subtraction, its inverse 1 + x^r + x^2r + ... one running sum down the
+    columns of the series reshaped to rows of length r, and a factor with
+    r >= L is 1 below x^L.  No coefficient below x^L ever exceeds
+    2^(number of +1 factors) prod_{e = -1} ceil(L / r) in absolute value,
+    so the series runs in int64 when that bound is below 2^62 and on
+    Python ints (dtype object) otherwise.  Entries from x^L on are
+    scratch: both steps only carry values upwards.
+    """
+    for r, e in factors:
+        if r < 1:
+            raise ValueError("factor exponents r must be positive")
+        if e not in (1, -1):
+            raise ValueError("exponent e must be +1 or -1")
+    for d in {d for r, e in factors if e == -1 for d in _divisors(r)}:
+        if sum(e for r, e in factors if r % d == 0) < 0:
+            raise NotPolynomial(f"Phi_{d} divides the denominator more often than the numerator")
+    L = sum(r * e for r, e in factors) + 1
+    live = [(r, e) for r, e in factors if r < L]
+    bound = 2 ** sum(e == 1 for _, e in live) * math.prod(-(-L // r) for r, e in live if e == -1)
+    s = np.zeros(L + max((r for r, _ in live), default=0),
+                 dtype=np.int64 if bound < 2 ** 62 else object)
+    s[0] = (-1) ** len(factors)
+    for r, e in live:
+        if e == 1:
+            s[r:] = s[r:] - s[:-r]
+        else:
+            rows = s[:-(-L // r) * r].reshape(-1, r)
+            np.add.accumulate(rows, out=rows)
+    return s[:L]
 
 
 def expand_signed_product(factors) -> RealPoly:
-    """Expand ``prod (x^r - 1)^e`` with e in {+1, -1} into a monic integer
-    polynomial.
+    """``prod (x^r - 1)^e`` with e in {+1, -1} as a monic integer
+    polynomial (:func:`signed_product_coeffs`).
 
     Raises NotPolynomial if the formal product is not a polynomial.
     """
-    coeffs = [1]
-    for r, e in sorted(factors, key=lambda t: (t[1] != 1, t[0])):
-        if r < 1:
-            raise ValueError("factor exponents r must be positive")
-        if e == 1:
-            coeffs = _mul_xr_minus_1(coeffs, r)
-        elif e == -1:
-            coeffs = _div_xr_minus_1(coeffs, r)
-        else:
-            raise ValueError("exponent e must be +1 or -1")
-    p = RealPoly(coeffs)
-    if not p.is_monic:
-        raise NotPolynomial("signed product did not produce a monic polynomial")
-    return p
+    return RealPoly(signed_product_coeffs(factors).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,11 @@ SPLIT_ROUNDOFF = 32
 def _numeric_eigdata(M_f: np.ndarray, tol: float):
     n = M_f.shape[0]
     eig = np.linalg.eigvals(M_f)
+    # det M = 1: an eigenvalue 0, or one whose inverse is not finite, shows
+    # that the float monodromy overflowed
+    if not np.isfinite(1 / eig).all():
+        raise Unclassified("the float monodromy overflowed: an eigenvalue has no finite inverse",
+                           pattern=[complex(z) for z in eig])
     eig = eig[np.lexsort((eig.imag, eig.real))]
     clusters: list[list[complex]] = []
     for z in eig:
@@ -639,13 +644,16 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     eigen-data and primitive forms run on the integer rows ``P.B``,
     ``P.den`` and ``P.G_int`` with the matrix layer's integer cores.  The
     float monodromy (``mx.monodromy_matrix``) is computed only when some
-    group takes the float path.
+    group takes the float path; if it overflowed (an entry or an inverse
+    eigenvalue not finite), Unclassified is raised before any SVD runs.
     """
     groups = None if P.B is None else _exact_eigdata(P.B, P.den)
     exact = groups is not None
     if not exact or not all(map(_has_exact_signs, groups)):
         Gf = np.asarray(P.G, dtype=float)
         M_f = mx.monodromy_matrix(Gf.T)
+        if not np.isfinite(M_f).all():
+            raise Unclassified("the float monodromy is not finite")
     if groups is None:
         groups = _numeric_eigdata(M_f, tol)
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import lcm, prod
 
+import numpy as np
 import pytest
 import sympy
 
@@ -79,8 +80,20 @@ class TestStokesPoly:
             assert rem.degree == 0
             assert sorted((b, m) for d, m in mults.items() for b in cyclotomic_angles(d)) == angles
 
+    def test_spectrum_expands_nothing(self, monkeypatch):
+        # the inclusion-exclusion roots alone give the matrix-side spectrum
+        want = chain.stokes_spectrum((4, 3, 2))
+        for name in ("expand_signed_product", "signed_product_coeffs"):
+            monkeypatch.setattr(chain, name, lambda factors: pytest.fail("expanded"))
+        assert chain.stokes_spectrum((4, 3, 2)) == want
+
 
 class TestQhSpectrum:
+    def test_nonpolynomial_generating_function_refused(self):
+        # weight 2/5: (s^3 - 1) / (s^2 - 1) is no polynomial
+        with pytest.raises(VerificationFailed, match="not a polynomial"):
+            chain.qh_spectrum((F(2, 5),))
+
     def test_quarter_weight_oracle(self):
         # (t - t^{1/4})/(t^{1/4} - 1) expanded independently
         s = sympy.Symbol("s")
@@ -306,9 +319,8 @@ class TestIntegerComparison:
         real = chain._qh_exponents
 
         def shifted(Ns, D):
-            pairs = real(Ns, D)
-            e, mult = pairs[-1]
-            return pairs[:-1] + [(e + 1, mult)]
+            e, mult = real(Ns, D)
+            return np.append(e[:-1], e[-1] + 1), mult
 
         monkeypatch.setattr(chain, "_qh_exponents", shifted)
         assert chain.verify_spectrum_shift(a) is False
@@ -326,9 +338,8 @@ class TestIntegerComparison:
             chain.verify_spectrum_shift((3, 2))
 
     def test_root_one_parity_checked(self, monkeypatch):
-        # x^2 - 1 in place of x^2 + x + 1: k = 2, but the root 1 is missing
-        monkeypatch.setattr(chain, "expand_signed_product",
-                            lambda factors: RealPoly([-1, 0, 1]))
+        # the roots of x^2 + x + 1 with the class k = 2, which needs the root 1
+        monkeypatch.setattr(chain, "_stokes_roots", lambda c: (2, [1, 2]))
         with pytest.raises(NotInFamily, match="k=2 needs odd multiplicity"):
             chain.verify_spectrum_shift((3,))
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_stokes import cli, hor, lowdim
+from spectral_stokes import cli, errors, hor, lowdim
 
 
 def run_cli(capsys, *argv):
@@ -254,7 +254,8 @@ def test_float_kernel_warnings_stay_off_stderr(tmp_path):
         [sys.executable, "-m", "spectral_stokes.cli", "seifert", "classify", "--matrix", str(f)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "error" in json.loads(proc.stderr)
+    # the overflow is refused as a domain error, not as numpy's LinAlgError
+    assert issubclass(getattr(errors, json.loads(proc.stderr)["error"]), errors.SpectralStokesError)
 
 
 def test_hor_track_near_double_root_ends_at_recipe(capsys):

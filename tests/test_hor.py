@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -292,28 +293,45 @@ class TestCyclotomicMember:
 
 class TestNegateTransform:
     def test_k1_n2(self):
-        q, k2 = hor.negate_poly_transform(RealPoly([1, 1, 1]), 1)
+        q, k2 = hor.negate_poly_transform(hor.poly_to_matrix(RealPoly([1, 1, 1]), 1))
         assert q == RealPoly([1, -1, 1]) and k2 == 1
         s1 = hor.recipe_spectrum(hor.poly_to_scal(RealPoly([1, 1, 1]), 1))
         s2 = hor.recipe_spectrum(hor.poly_to_scal(q, 1))
         assert sorted(s1) == sorted(s2) == [F(-1, 6), F(1, 6)]
 
     def test_k2_n4(self):
-        q, k2 = hor.negate_poly_transform(RealPoly([-1, 1, 0, -1, 1]), 2)
+        q, k2 = hor.negate_poly_transform(hor.poly_to_matrix(RealPoly([-1, 1, 0, -1, 1]), 2))
         assert q == RealPoly([-1, -1, 0, 1, 1]) and k2 == 2
 
     def test_n1(self):
-        q, k2 = hor.negate_poly_transform(RealPoly([-1, 1]), 2)
+        q, k2 = hor.negate_poly_transform(hor.poly_to_matrix(RealPoly([-1, 1]), 2))
         assert q == RealPoly([1, 1]) and k2 == 1
 
     def test_spp_preserved(self):
         rng = random.Random(21)
         for n in range(1, 13):
             M = hor.sample_cyclotomic_member(n, rng.choice((1, 2)), rng)
-            q, k2 = hor.negate_poly_transform(M.p, M.k)
+            q, k2 = hor.negate_poly_transform(M)
             s1 = hor.recipe_spectral_pairs(hor.poly_to_scal(M.p, M.k))
             s2 = hor.recipe_spectral_pairs(hor.poly_to_scal(q, k2))
             assert s1 == s2
+
+    def test_member_with_angles_is_not_factored(self, monkeypatch):
+        M = hor.cyclotomic_member({1: 2, 3: 1, 4: 1}, 1)
+        monkeypatch.setattr(hor, "palindrome_class", lambda *a: pytest.fail("factored"))
+        q, k2 = hor.negate_poly_transform(M)
+        assert (q, k2) == (M.p.of_minus_x(), 1)
+
+    def test_class_confirmed(self):
+        # a member of the other class: on the polynomial route poly_to_scal
+        # refuses it, on the angle route the coordinates' class disagrees
+        M = hor.poly_to_matrix(RealPoly([1, 1, 1]), 1, check=False)
+        with pytest.raises(NotInFamily, match="symmetry class 1, not 2"):
+            hor.negate_poly_transform(replace(M, k=2))
+        b = hor.poly_to_scal(RealPoly([-1, 1]), 2)
+        with pytest.raises(NotInFamily, match="not of class 1"):
+            hor.negate_poly_transform(replace(hor.poly_to_matrix(RealPoly([-1, 1]), 1, check=False),
+                                              scal=b))
 
 
 class TestPowerIdentity:

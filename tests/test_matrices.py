@@ -168,6 +168,7 @@ _OPTIMISED_SCRIPT = """
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+import numpy as np
 from spectral_stokes import chain, hor, matrices as mx, orbit, polycore, seifert
 from spectral_stokes.errors import NotInFamily, VerificationFailed
 from spectral_stokes.polycore import RealPoly
@@ -211,6 +212,9 @@ real_chain_sing, real_expand = chain.ChainSing, chain.expand_signed_product
 chain.expand_signed_product = lambda factors: RealPoly([1, 1])
 expect(VerificationFailed, "stokes_poly passed a degree other than mu", chain.stokes_poly, (3, 2),
        match="degree")
+chain.expand_signed_product = lambda factors: RealPoly([1, 0, 0, 0, 1])   # (3, 2): m = 1, p_0 = -1
+expect(VerificationFailed, "stokes_poly passed a constant coefficient other than (-1)^m",
+       chain.stokes_poly, (3, 2), match="constant coefficient")
 chain.ChainSing = lambda a: SimpleNamespace(m=0, r=(3,), mu=1)        # two roots, not one
 expect(VerificationFailed, "stokes_poly passed a root count other than mu", chain.stokes_poly, (3,),
        match="number of roots")
@@ -222,10 +226,11 @@ chain.ChainSing = lambda a: SimpleNamespace(a=(3,), m=0, mu=5)
 expect(VerificationFailed, "jacobi_basis passed a basis count other than mu",
        chain.jacobi_basis, (3,))
 chain.ChainSing = real_chain_sing
-chain.expand_signed_product = lambda factors: RealPoly([-1, 1])
+real_coeffs = chain.signed_product_coeffs
+chain.signed_product_coeffs = lambda factors: np.array([-1, 1])
 expect(VerificationFailed, "qh_spectrum passed a negative multiplicity",
        chain.qh_spectrum, (Fraction(1, 3),), match="negative multiplicity")
-chain.expand_signed_product = real_expand
+chain.signed_product_coeffs = real_coeffs
 expect(NotInFamily, "the integer membership check passed an asymmetric point",
        hor.HorScal, 1, (Fraction(1, 4), Fraction(1, 2)), match="beta_1 + beta_2 != 1")
 real_split = chain._split_root_one

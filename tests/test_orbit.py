@@ -28,10 +28,11 @@ class TestSignAction:
         # conjugation by (1,-1,1) carries the symmetric band to the
         # antisymmetric band in size 3
         p1 = F(3, 2)
-        S1 = hor.poly_to_matrix(RealPoly([1, p1, p1, 1]), 1).S
-        S2 = orbit.sign_act((1, -1, 1), S1)
+        M1 = hor.poly_to_matrix(RealPoly([1, p1, p1, 1]), 1)
+        S2 = orbit.sign_act((1, -1, 1), M1.S)
         assert S2.tolist() == [[1, -p1, p1], [0, 1, -p1], [0, 0, 1]]
-        q, k2 = hor.negate_poly_transform(RealPoly([1, p1, p1, 1]), 1)
+        q, k2 = hor.negate_poly_transform(M1)
+        assert hor.poly_to_matrix(q, k2).S.tolist() == S2.tolist()
 
     def test_size2_negation(self):
         S = mx.to_matrix([[1, F(3, 4)], [0, 1]])
@@ -115,7 +116,7 @@ class TestOrbitExplore:
 class TestConjectureExperiment:
     def test_sign_related_members_grouped(self):
         M1 = hor.poly_to_matrix(RealPoly([1, F(3, 2), F(3, 2), 1]), 1)
-        q, k2 = hor.negate_poly_transform(M1.p, 1)
+        q, k2 = hor.negate_poly_transform(M1)
         M2 = hor.poly_to_matrix(q, k2)
         rep = orbit.conjecture16_check([("a", M1), ("b", M2)])
         assert len(rep.violations) == 0

@@ -51,6 +51,82 @@ class TestExpandSignedProduct:
             assert p.coeffs[0] == (-1) ** (k - 1)
 
 
+def _sympy_signed_product(factors):
+    """Coefficients (constant first) of prod (x^r - 1)^e by sympy's exact
+    division, or None when the division leaves a remainder."""
+    num, den = sympy.Poly(1, x), sympy.Poly(1, x)
+    for r, e in factors:
+        if e == 1:
+            num *= sympy.Poly(x**r - 1, x)
+        else:
+            den *= sympy.Poly(x**r - 1, x)
+    q, rem = num.div(den)
+    if not rem.is_zero:
+        return None
+    return [int(c) for c in reversed(q.all_coeffs())]
+
+
+@st.composite
+def _divisible_factor_lists(draw):
+    """Each (x^d - 1) of the denominator is paired with an (x^r - 1), d | r,
+    of the numerator, so the product is a polynomial."""
+    tops = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    out = [(r, 1) for r in tops]
+    for r in tops:
+        if draw(st.booleans()):
+            out.append((draw(st.sampled_from([d for d in range(1, r + 1) if r % d == 0])), -1))
+    return draw(st.permutations(out))
+
+
+_any_factor_lists = st.lists(st.tuples(st.integers(1, 40), st.sampled_from((1, -1))),
+                             max_size=6)
+
+
+class TestSignedProductKernel:
+    """signed_product_coeffs against sympy's exact division: the same
+    polynomial, or NotPolynomial exactly when sympy leaves a remainder."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_divisible_factor_lists(), _any_factor_lists))
+    def test_agrees_with_sympy_division(self, factors):
+        want = _sympy_signed_product(factors)
+        if want is None:
+            with pytest.raises(NotPolynomial):
+                pc.signed_product_coeffs(factors)
+        else:
+            got = pc.signed_product_coeffs(factors)
+            assert got.tolist() == want
+
+    def test_both_verdicts_reached(self):
+        assert _sympy_signed_product([(6, 1), (2, -1), (3, -1)]) is None
+        with pytest.raises(NotPolynomial):
+            pc.signed_product_coeffs([(6, 1), (2, -1), (3, -1)])
+        assert pc.signed_product_coeffs([(6, 1), (1, 1), (2, -1), (3, -1)]).tolist() == \
+            _sympy_signed_product([(6, 1), (1, 1), (2, -1), (3, -1)]) == [1, -1, 1]
+
+    @pytest.mark.parametrize("r, power, fits", [(2000, 5, True), (1000, 8, False)])
+    def test_object_path_stays_exact(self, r, power, fits):
+        # ((x^r - 1) / (x - 1))^power: the int64 bound 2^power ceil(L)^power
+        # fails for both; the true coefficients fit in int64 for the first
+        # and pass 2^63 for the second
+        got = pc.signed_product_coeffs([(r, 1)] * power + [(1, -1)] * power)
+        assert got.dtype == object
+        want = [int(c) for c in reversed((sympy.Poly([1] * r, x) ** power).all_coeffs())]
+        assert (max(want) < 2 ** 63) is fits
+        assert got.tolist() == want and all(type(c) is int for c in got.tolist())
+
+    def test_int64_path_when_the_bound_holds(self):
+        got = pc.signed_product_coeffs([(40, 1)] * 3 + [(1, -1)] * 3)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(c) for c in reversed((sympy.Poly([1] * 40, x) ** 3).all_coeffs())]
+
+    def test_factors_validated(self):
+        with pytest.raises(ValueError):
+            pc.signed_product_coeffs([(0, 1)])
+        with pytest.raises(ValueError):
+            pc.signed_product_coeffs([(3, 2)])
+
+
 class TestUnitCircleAngles:
     def test_quadratic_oracle(self):
         # roots of x^2 + x + 1 by the quadratic formula: exp(+-2 pi i/3)

@@ -670,3 +670,16 @@ def test_pair_of_multiplicity_two_with_both_signs():
         np.asarray(S, dtype=float))))
     total = tuple(map(sum, zip(*(sf.type_signature(t) for t in got))))
     assert total == mx.signature_exact(S + S.T)
+
+
+@pytest.mark.parametrize("G, match", [
+    # M = [[1, a], [-a, 1 - a^2]]: a^2 overflows
+    ([[1.0, 0.0], [1e200, 1.0]], "not finite"),
+    # M is finite, but its eigenvalues are 1e300 and -0 where det M = 1
+    ([[2.0, 1.0], [1e300, 1.0]], "no finite inverse")])
+def test_overflowing_float_monodromy_is_refused_before_any_svd(monkeypatch, G, match):
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd ran on an overflowed monodromy")
+    monkeypatch.setattr(sf.np.linalg, "svd", refuse)
+    with pytest.raises(Unclassified, match=match):
+        sf.classify(sf.SeifertPair(np.array(G)))
