@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ import numpy as np
 
 from . import chain, hor, lowdim, matrices as mx, orbit, seifert as sf
 from .errors import NotReducible, Unclassified
-from .polycore import _common_numerators
 from .spectra import Spp, SppLadder, decompose_into_ladders
 
 
@@ -111,16 +109,6 @@ def criterion_power_identity():
 
 # -- 4: the chain grid -------------------------------------------------------
 
-def _qh_numerators(c: chain.ChainSing, den: int, shift) -> Counter:
-    """The spectrum of c's weights moved by ``shift``, alpha = e / D - 1 +
-    shift, as a Counter of integer numerators over ``den`` (a multiple of
-    D and of shift's denominator)."""
-    Ns, D = _common_numerators(c.w)
-    e, mult = chain._qh_exponents(Ns, D)
-    nums = (den // D) * e + int((shift - 1) * den)
-    return Counter(dict(zip(nums.tolist(), mult.tolist())))
-
-
 def criterion_chain_grid():
     def run():
         failures = []
@@ -128,11 +116,9 @@ def criterion_chain_grid():
         for a in tuples:
             if not chain.verify_spectrum_shift(a):
                 failures.append(a)
-        # the quadratic and the reducible small-exponent tuples
-        extras = [(2,)]
-        for a in chain.grid_tuples(6, 4, 4, a0_min=2, aj_min=1):
-            if a[0] == 2 or any(x == 1 for x in a[1:]):
-                extras.append(a)
+        # the reducible small-exponent tuples, the quadratic (2,) among them
+        extras = [a for a in chain.grid_tuples(6, 4, 4, a0_min=2, aj_min=1)
+                  if a[0] == 2 or any(x == 1 for x in a[1:])]
         reduced_count = 0
         for a in extras:
             try:
@@ -142,9 +128,11 @@ def criterion_chain_grid():
             reduced_count += 1
             ca = chain.ChainSing(a)
             cr = chain.ChainSing(red)
-            # exact multisets of integer numerators: no float decides the comparison
+            # ascending integer numerators and their multiplicities: no
+            # float decides the comparison
             den = math.lcm(ca.r[-1], cr.r[-1], shift.denominator)
-            if _qh_numerators(cr, den, 0) != _qh_numerators(ca, den, shift):
+            if [x.tolist() for x in chain._qh_numerators(cr, den)] != \
+                    [x.tolist() for x in chain._qh_numerators(ca, den, shift)]:
                 failures.append(("reduction-spectrum", a))
             if not chain.verify_spectrum_shift(a):
                 failures.append(("shift-original", a))

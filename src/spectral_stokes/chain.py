@@ -218,6 +218,16 @@ def qh_spectrum(weights) -> list:
     return out
 
 
+def _qh_numerators(c: ChainSing, den: int, shift=0):
+    """The spectrum of c's weights moved by ``shift``, alpha = e / D - 1 +
+    shift, as integer numerators over ``den`` (a multiple of D and of
+    shift's denominator): two arrays, the ascending numerators and their
+    multiplicities."""
+    Ns, D = _common_numerators(c.w)
+    e, mult = _qh_exponents(Ns, D)
+    return (den // D) * e + (shift.numerator * (den // shift.denominator) - den), mult
+
+
 def qh_ts_spectrum(w1, w2) -> list:
     """Spectrum of a sum of two weighted-homogeneous singularities in
     disjoint variables: all pairwise sums alpha + alpha' + 1."""
@@ -477,17 +487,12 @@ def verify_spectrum_shift(a) -> bool:
     """Exact multiset equality of the matrix-side spectrum and the
     weighted-homogeneous spectrum shifted down by (m - 1)/2.
 
-    Both sides are compared as sorted integer numerators over 2 r_m: the
-    weight denominator D divides r_m, so the shifted exponent
-    e / D - 1 - (m - 1)/2 has the numerator (2 r_m / D) e - (m + 1) r_m.
-    No Fraction is built past the invariants of the tuple."""
+    Both sides are compared as sorted integer numerators over 2 r_m, which
+    the weight denominator D and the shift's denominator 2 divide."""
     c = ChainSing(tuple(a))
-    rm = c.r[-1]
     lhs = sorted(_stokes_numerators(c))
-    Ns, D = _common_numerators(c.w)
-    scale, offset = 2 * rm // D, (c.m + 1) * rm
-    e, mult = _qh_exponents(Ns, D)
-    return lhs == np.repeat(scale * e - offset, mult.astype(np.int64)).tolist()
+    nums, mult = _qh_numerators(c, 2 * c.r[-1], Fraction(1 - c.m, 2))
+    return lhs == np.repeat(nums, mult.astype(np.int64)).tolist()
 
 
 def grid_tuples(a0_max: int = 6, aj_max: int = 4, m_max: int = 4,

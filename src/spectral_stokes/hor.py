@@ -143,10 +143,11 @@ def sample_scal(n: int, k: int, rng, denominator: int | None = None,
     d = free_dimension(n, k)
     us = sorted(rng.random() for _ in range(d))
     if denominator:
-        free = sorted(Fraction(round(u * denominator), 2 * denominator) for u in us)
-    else:
-        free = [margin + u * (0.5 - 2 * margin) for u in us]
-    return scal_from_free(n, k, free)
+        return scal_from_free(n, k, sorted(Fraction(round(u * denominator), 2 * denominator)
+                                           for u in us))
+    scal = scal_from_free(n, k, [margin + u * (0.5 - 2 * margin) for u in us])
+    # with no free coordinate, scal_from_free keeps the fixed angles exact
+    return scal if d else HorScal(k, tuple(map(float, scal.beta)))
 
 
 # ---------------------------------------------------------------------------

@@ -294,14 +294,21 @@ def _poly_of_matrix(p: RealPoly, B: list, d: int) -> list:
 
 @dataclass
 class _EigGroup:
+    """One eigenvalue of the monodromy M with the partners that close its
+    orbit, their multiplicity and Jordan block sizes.
+
+    An exact group also keeps its rational orbit polynomial q and its
+    chain: ``chain[j]`` holds the integer rows of a positive multiple of
+    q(M)^(j+1), for j < max(sizes).  These are the powers whose kernels
+    sized the blocks, and ``_exact_form_signs`` reads the primitive forms
+    on them; a float group leaves both at None."""
+
     kind: str          # 'real' | 'pair' | 'hyper_real' | 'hyper_quad'
     lam: object        # +-1 (int) | angle | float (real, |.|>1) | complex
     mult: int          # per-eigenvalue algebraic multiplicity
     sizes: list        # Jordan block sizes per eigenvalue
-    # exact groups: the rational orbit polynomial q and the integer rows of
-    # a positive multiple of q(M)
     q: RealPoly | None = None
-    q_rows: list | None = field(default=None, repr=False)
+    chain: list | None = field(default=None, repr=False)
 
 
 def _exact_eigdata(B: list, den: int):
@@ -319,17 +326,18 @@ def _exact_eigdata(B: list, den: int):
 
     def orbit_group(kind: str, lam, q: RealPoly, per: int, mult: int) -> _EigGroup:
         """The group of lam, one of the ``per`` roots of q, each of
-        multiplicity mult; its Jordan sizes from dim ker q(M)^j."""
+        multiplicity mult; its Jordan sizes from dim ker q(M)^j, and the
+        powers q(M)^j that gave them as its chain."""
         qm = _poly_of_matrix(q, B, den)
-        dims, power = [], qm
+        dims, chain = [], [qm]
         while True:
-            total = n - mx._rank_rows(power, n)
+            total = n - mx._rank_rows(chain[-1], n)
             if total % per:
                 raise VerificationFailed("kernel must split evenly over the orbit")
             dims.append(total // per)
             if dims[-1] >= mult or len(dims) >= mult:
-                return _EigGroup(kind, lam, mult, _block_sizes(dims), q, qm)
-            power = mx._matmul_rows(power, qm)
+                return _EigGroup(kind, lam, mult, _block_sizes(dims), q, chain)
+            chain.append(mx._matmul_rows(chain[-1], qm))
 
     for lam, d in ((1, 1), (-1, 2)):
         mult, rem = cyclotomic_power(rem, d)
@@ -430,55 +438,35 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
         if used[i]:
             continue
         used[i] = True
-        if abs(lam - 1) <= 1e-7:
-            groups.append(_EigGroup("real", 1, mult, _block_sizes(kdims(1.0, mult))))
+        one = 1 if lam.real > 0 else -1
+        if abs(lam - one) <= 1e-7:
+            groups.append(_EigGroup("real", one, mult, _block_sizes(kdims(float(one), mult))))
             continue
-        if abs(lam + 1) <= 1e-7:
-            groups.append(_EigGroup("real", -1, mult, _block_sizes(kdims(-1.0, mult))))
-            continue
-        # find the conjugate cluster
-        conj_idx = next((j for j, (mu, m2) in enumerate(reps)
-                         if not used[j] and m2 == mult and abs(mu - np.conj(lam)) <= 1e-6), None)
+        # the partners that close lam's orbit under conjugation and inversion
         if abs(abs(lam) - 1) <= 1e-6:
-            if conj_idx is None:
-                raise Unclassified("unpaired complex unit eigenvalue", pattern=complex(lam))
-            used[conj_idx] = True
+            kind, partners, what = "pair", [np.conj(lam)], "unpaired complex unit eigenvalue"
+        elif abs(lam.imag) <= 1e-7:
+            kind, partners, what = ("hyper_real", [1 / lam],
+                                    "unpaired real eigenvalue off the circle")
+        else:
+            kind, partners, what = ("hyper_quad", [np.conj(lam), 1 / lam, 1 / np.conj(lam)],
+                                    "unpaired complex eigenvalue off the circle")
+        for target in partners:
+            near = 1e-6 * max(1, abs(target))
+            j = next((j for j, (mu, m2) in enumerate(reps)
+                      if not used[j] and m2 == mult and abs(mu - target) <= near), None)
+            if j is None:
+                raise Unclassified(what, pattern=complex(lam))
+            used[j] = True
+        if kind == "pair":
             rep = lam if lam.imag < 0 else np.conj(lam)
-            theta = point_to_angle(complex(rep))
-            groups.append(_EigGroup("pair", snap_angle(theta), mult,
-                                    _block_sizes(kdims(complex(rep), mult))))
-            continue
-        if abs(lam.imag) <= 1e-7:
-            # real hyperbolic: pair with 1/lam
-            inv_idx = next((j for j, (mu, m2) in enumerate(reps)
-                            if not used[j] and m2 == mult and abs(mu - 1 / lam) <= 1e-6 * max(1, abs(1 / lam))), None)
-            if inv_idx is None:
-                raise Unclassified("unpaired real eigenvalue off the circle", pattern=complex(lam))
-            used[inv_idx] = True
-            rep = lam.real if abs(lam) > 1 else 1 / lam.real
-            groups.append(_EigGroup("hyper_real", float(rep), mult,
-                                    _block_sizes(kdims(complex(rep), mult))))
-            continue
-        # complex off circle: quadruple (lam, conj, 1/lam, 1/conj)
-        quad = [np.conj(lam), 1 / lam, 1 / np.conj(lam)]
-        idxs = []
-        for target in quad:
-            jj = next((j for j, (mu, m2) in enumerate(reps)
-                       if not used[j] and j not in idxs and m2 == mult
-                       and abs(mu - target) <= 1e-6 * max(1, abs(target))), None)
-            if jj is None:
-                raise Unclassified("unpaired complex eigenvalue off the circle",
-                                   pattern=complex(lam))
-            idxs.append(jj)
-        for jj in idxs:
-            used[jj] = True
-        rep = lam
-        if abs(rep) < 1:
-            rep = 1 / rep
-        if rep.imag < 0:
-            rep = np.conj(rep)
-        groups.append(_EigGroup("hyper_quad", complex(rep), mult,
-                                _block_sizes(kdims(complex(rep), mult))))
+            key = snap_angle(point_to_angle(complex(rep)))
+        elif kind == "hyper_real":
+            rep = key = float(lam.real if abs(lam) > 1 else 1 / lam.real)
+        else:
+            rep = lam if abs(lam) >= 1 else 1 / lam
+            rep = key = complex(rep if rep.imag >= 0 else np.conj(rep))
+        groups.append(_EigGroup(kind, key, mult, _block_sizes(kdims(complex(rep), mult))))
     return groups
 
 
@@ -503,56 +491,53 @@ def _has_exact_signs(g: _EigGroup) -> bool:
     return g.kind != "pair" or (g.q.degree == 2 and max(g.sizes) == 1)
 
 
-def _exact_form_signs(g: _EigGroup, B: list, den: int, G: list) -> dict:
+def _exact_form_signs(g: _EigGroup, G: list) -> dict:
     """{s: (p, m)}, the signs of the symmetric primitive forms of an exact
-    group that ``_has_exact_signs``, from the integer rows of the monodromy
-    B/den and of G, a positive multiple of the Gram matrix.
+    group that ``_has_exact_signs``, from its chain and the integer rows of
+    G, a positive multiple of the Gram matrix.
 
-    At a conjugate pair with orbit polynomial q = x^2 - c x + 1 and k
-    blocks of size 1: ker q(M) is the L-orthogonal summand of its k
-    F2complex types, so the signature of Sym = G + G^t on it is the sum of
-    their type_signature, (0, 0, 2) for eps = +1 and (2, 0, 0) for
-    eps = -1.  A kernel basis of integer rows keeps that signature, as it
-    is a rational basis scaled.
+    For each symmetric size s, V is a basis of ker q(M)^s (from
+    ``g.chain[s-1]``), W = q(M)^(s-1) V (from ``g.chain[s-2]``) and
+    F = V^t G W.  The basis vectors are positive integer multiples of
+    rational ones, and the chain holds positive multiples of the powers,
+    so F is a positive multiple of the rational form congruenced by a
+    positive diagonal: its symmetry, rank and signature are the rational
+    form's.
 
-    At +-1: K = lam B - den E, the basis vectors of ker K^s and so F are
-    positive integer multiples of their rational counterparts, which
-    scales F and congruences it by a positive diagonal, keeping its
-    symmetry, rank and signature."""
-    n = len(B)
-    if g.kind == "pair":
-        V = [v for _, v in mx._nullspace_rows(g.q_rows, n)]
-        GV = [[sum(map(operator.mul, row, v)) for row in G] for v in V]
-        F = [[sum(map(operator.mul, v, gv)) for gv in GV] for v in V]
-        p, z, m = mx._signature_rows([[x + y for x, y in zip(row, col)]
-                                      for row, col in zip(F, zip(*F))])
-        k = len(g.sizes)
-        if z or p % 2 or m % 2 or p + m != 2 * k:
-            raise VerificationFailed(f"Sym on the pair at {g.lam} has signature "
-                                     f"({p}, {z}, {m}), not that of {k} F2complex types")
-        return {1: (m // 2, p // 2)}
-    K = [[g.lam * x - (den if i == j else 0) for j, x in enumerate(row)]
-         for i, row in enumerate(B)]
-    powers = [K]                                  # powers[e - 1] = K^e
+    At +-1, q(M) = lam K with K = lam M - 1, so F is lam^(s-1) times the
+    primitive form L(x, K^(s-1) y) on ker K^s.  At +1 its signs are the
+    eps of the blocks.  At -1 the symmetric forms have even s, so F is the
+    negated form and p and m trade places.
+
+    At a conjugate pair with orbit polynomial q = x^2 - c x + 1, s = 1 and
+    ker q(M) is the L-orthogonal summand of its c F2complex types, so the
+    signature of F + F^t on it is the sum of their type_signature,
+    (0, 0, 2) for eps = +1 and (2, 0, 0) for eps = -1: p and m trade
+    places and halve."""
+    n = len(G)
+    pair = g.kind == "pair"
+    per = 2 if pair else 1
     signs = {}
     for s in sorted(set(g.sizes)):
         if not _form_is_symmetric(g, s):
             continue
-        while len(powers) < s:
-            powers.append(mx._matmul_rows(powers[-1], K))
-        # F[i][j] = v_i^t G w_j over kernel vectors v_i of K^s, w_j = K^(s-1) v_j
-        V = [v for _, v in mx._nullspace_rows(powers[s - 1], n)]
-        W = V if s == 1 else [[sum(map(operator.mul, row, v)) for row in powers[s - 2]] for v in V]
+        V = [v for _, v in mx._nullspace_rows(g.chain[s - 1], n)]
+        W = V if s == 1 else [[sum(map(operator.mul, row, v)) for row in g.chain[s - 2]] for v in V]
         GW = [[sum(map(operator.mul, row, w)) for row in G] for w in W]
         F = [[sum(map(operator.mul, v, gw)) for gw in GW] for v in V]
-        if any(F[i][j] != F[j][i] for i in range(len(F)) for j in range(i)):
+        if pair:
+            F = [[x + y for x, y in zip(row, col)] for row, col in zip(F, zip(*F))]
+        elif any(F[i][j] != F[j][i] for i in range(len(F)) for j in range(i)):
             raise VerificationFailed(f"primitive form at {g.lam}, size {s} is not symmetric")
-        p, _, m = mx._signature_rows(F)
+        p, z, m = mx._signature_rows(F)
         c = g.sizes.count(s)
-        if p + m != c:
-            raise VerificationFailed(f"primitive form at {g.lam}, size {s} has rank "
-                                     f"{p + m}, not {c}")
-        signs[s] = (p, m)
+        if p % per or m % per or p + m != per * c:
+            raise VerificationFailed(
+                f"Sym on the pair at {g.lam} has signature ({p}, {z}, {m}), not that of {c} "
+                "F2complex types" if pair else
+                f"primitive form at {g.lam}, size {s} has rank {p + m}, not {c}")
+        # F is the primitive form at +1, and its negative at -1 and at a pair
+        signs[s] = (p, m) if g.lam == 1 and not pair else (m // per, p // per)
     return signs
 
 
@@ -601,8 +586,9 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
     zeta0 versus zeta0 + 1/2) of the blocks.  ``_exact_form_signs``
     computes them exactly for the groups that ``_has_exact_signs`` (every
     group at +-1, and a conjugate pair with a rational quadratic orbit
-    polynomial and blocks of size 1, through Sym on ker q(M));
-    ``_numeric_form_signs`` computes them in floats for the rest.
+    polynomial and blocks of size 1), from the powers of q(M) on the
+    group's chain, where q(M) = lam K at +-1; ``_numeric_form_signs``
+    computes them in floats for the rest.
     """
     pair = g.kind == "pair"
     lam_angle = None if pair else Fraction(0) if g.lam == 1 else Fraction(1, 2)
@@ -641,8 +627,10 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     floats split, or a primitive form that is not numerically Hermitian.
 
     Exact or float was decided when the pair was built: the exact
-    eigen-data and primitive forms run on the integer rows ``P.B``,
-    ``P.den`` and ``P.G_int`` with the matrix layer's integer cores.  The
+    eigen-data run on the integer rows ``P.B`` and ``P.den`` with the
+    matrix layer's integer cores, and keep each group's powers of q(M);
+    the exact primitive forms read those powers and ``P.G_int`` and
+    multiply no further matrices.  The
     float monodromy (``mx.monodromy_matrix``) is computed only when some
     group takes the float path; if it overflowed (an entry or an inverse
     eigenvalue not finite), Unclassified is raised before any SVD runs.
@@ -660,7 +648,7 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     out: list[IrrType] = []
     for g in groups:
         if g.kind in ("real", "pair"):
-            signs = (_exact_form_signs(g, P.B, P.den, P.G_int) if exact and _has_exact_signs(g)
+            signs = (_exact_form_signs(g, P.G_int) if exact and _has_exact_signs(g)
                      else _numeric_form_signs(g, M_f, Gf))
             out.extend(_primitive_types(g, signs))
         elif g.kind == "hyper_real":

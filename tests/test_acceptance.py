@@ -5,7 +5,10 @@ prints the one-line verdict; the suite fails if any criterion fails or
 overruns its limit.
 """
 
-from spectral_stokes import acceptance
+import itertools
+
+from spectral_stokes import acceptance, chain
+from spectral_stokes.errors import NotReducible
 
 
 def _check(result):
@@ -29,6 +32,20 @@ def test_criterion_3_power_identity():
 
 def test_criterion_4_chain_grid():
     _check(acceptance.criterion_chain_grid())
+
+
+def test_criterion_4_checks_each_reducible_extra_once():
+    # a_0 in 2..6 and up to four more exponents in 1..4, with a head 2 or an inner 1
+    extras = {(a0,) + rest for a0 in range(2, 7) for m in range(5)
+              for rest in itertools.product(range(1, 5), repeat=m) if a0 == 2 or 1 in rest}
+    reducible = 0
+    for a in extras:
+        try:
+            chain.reduce_chain(a)
+        except NotReducible:
+            continue
+        reducible += 1
+    assert acceptance.criterion_chain_grid().details["reducible"] == reducible
 
 
 def test_criterion_5_e12():

@@ -53,6 +53,13 @@ class TestScalPoly:
         with pytest.raises(NotInFamily):
             hor.poly_to_scal(RealPoly([1, 1, 1]), 2)
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 2)])
+    def test_sample_without_free_coordinate_keeps_its_mode(self, n, k):
+        assert hor.free_dimension(n, k) == 0
+        b = hor.sample_scal(n, k, random.Random(0))
+        assert not b.is_exact and all(type(x) is float for x in b.beta)
+        assert hor.sample_scal(n, k, random.Random(0), denominator=8).is_exact
+
 
 class TestMatrix:
     def test_n2(self):

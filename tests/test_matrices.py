@@ -251,11 +251,11 @@ expect(VerificationFailed, "unit_circle_angles passed a lost root",
 polycore.factor_cyclotomic = real_factor
 
 B, den = mx.int_form(M)
-B, G = B.tolist(), P.G.tolist()
+B = B.tolist()
 expect(VerificationFailed, "an odd number of blocks passed as two-block types",
        seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), {})
 expect(VerificationFailed, "a primitive form of rank 2 passed for one block",
-       seifert._exact_form_signs, seifert._EigGroup("real", 1, 1, [1]), [[1, 0], [0, 1]], 1,
+       seifert._exact_form_signs, seifert._EigGroup("real", 1, 1, [1], chain=[[[0, 0], [0, 0]]]),
        [[1, 0], [0, 1]])
 
 mx.mat_eq = lambda A, B, tol=0.0: False
@@ -266,7 +266,7 @@ real_nullspace = mx._nullspace_rows
 mx._nullspace_rows = lambda rows, ncols: [(c, [int(i == c) for i in range(ncols)])
                                           for c in range(ncols)]   # not the kernel
 expect(VerificationFailed, "the primitive form passed a broken symmetry check",
-       seifert._exact_form_signs, seifert._EigGroup("real", 1, 1, [1]), B, den, G,
+       seifert._exact_form_signs, seifert._exact_eigdata(B, den)[0], P.G_int,
        match="not symmetric")
 mx._nullspace_rows = real_nullspace
 

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,10 +514,10 @@ class TestKeptChecks:
             sf.classify(P)
 
     def test_primitive_form_rank_of_a_wrong_group(self):
-        # M = E read as one block at 1: ker K is the plane, F has rank 2
+        # M = E read as one block at 1: ker q(M) is the plane, F has rank 2
+        wrong = sf._EigGroup("real", 1, 1, [1], chain=[[[0, 0], [0, 0]]])
         with pytest.raises(VerificationFailed, match="has rank 2, not 1"):
-            sf._exact_form_signs(sf._EigGroup("real", 1, 1, [1]), [[1, 0], [0, 1]], 1,
-                                 [[1, 0], [0, 1]])
+            sf._exact_form_signs(wrong, [[1, 0], [0, 1]])
 
     def test_odd_block_count(self):
         with pytest.raises(VerificationFailed, match="cannot pair"):
@@ -663,13 +665,57 @@ def test_pair_of_multiplicity_two_with_both_signs():
     P = sf.SeifertPair.from_triangular(S)
     [pair] = [g for g in sf._exact_eigdata(P.B, P.den) if g.kind == "pair"]
     assert (pair.mult, pair.sizes, pair.q) == (2, [1, 1], RealPoly([1, F(17, 16), 1]))
-    assert sf._exact_form_signs(pair, P.B, P.den, P.G_int) == {1: (1, 1)}
+    assert sf._exact_form_signs(pair, P.G_int) == {1: (1, 1)}
     got = sf.classify(P)
     assert sf.types_multiset_equal(got, lowdim.classify3(a).types + lowdim.solve2(b)[3])
     assert sf.types_multiset_equal(got, sf.classify(sf.SeifertPair.from_triangular(
         np.asarray(S, dtype=float))))
     total = tuple(map(sum, zip(*(sf.type_signature(t) for t in got))))
     assert total == mx.signature_exact(S + S.T)
+
+
+def test_groups_keep_the_powers_of_q_that_sized_their_blocks():
+    cases = [M.S for _, M in hor.cyclotomic_pool(8)]
+    cases += [lowdim.s3_matrix(a) for a in _grid3_points()]
+    longest = 0
+    for S in cases:
+        P = sf.SeifertPair.from_triangular(S)
+        for g in sf._exact_eigdata(P.B, P.den):
+            assert len(g.chain) == max(g.sizes)
+            q = np.array(g.chain[0], dtype=object)
+            power = q
+            for rows in g.chain[1:]:
+                power = power.dot(q)
+                assert rows == power.tolist()
+            longest = max(longest, len(g.chain))
+    assert longest == 8
+
+
+def test_exact_form_signs_multiply_no_matrices(monkeypatch):
+    # blocks of size >= 2 at -1 and +1: m4jordan, which is congruent to the
+    # member with monodromy (x + 1)^4 under diag(1, -1, 1, -1), and the
+    # size-3 grid points with f = 0 or 4, against the closed form
+    golden = json.loads((Path(__file__).parent / "golden" / "m4jordan.json").read_text())
+    member = hor.cyclotomic_member({1: 4}, 1)
+    cases = [(mx.to_matrix([[F(x) for x in row] for row in golden["entries"]]),
+              sf.class_from_spp(hor.recipe_spectral_pairs(hor.matrix_to_scal(member)), 1))]
+    cases += [(lowdim.s3_matrix(a), lowdim.classify3(a).types)
+              for a in _grid3_points() if lowdim.f3(a) in (0, 4)]
+    work = []
+    for S, want in cases:
+        P = sf.SeifertPair.from_triangular(S)
+        groups = sf._exact_eigdata(P.B, P.den)
+        assert all(g.kind == "real" for g in groups)
+        if max(max(g.sizes) for g in groups) >= 2:
+            work.append((P, groups, want))
+    assert len(work) == 1 + 214 + 4
+
+    def refuse(*args):
+        raise AssertionError("_exact_form_signs multiplied two matrices")
+    monkeypatch.setattr(mx, "_matmul_rows", refuse)
+    for P, groups, want in work:
+        got = [t for g in groups for t in sf._primitive_types(g, sf._exact_form_signs(g, P.G_int))]
+        assert sf.types_multiset_equal(got, want)
 
 
 @pytest.mark.parametrize("G, match", [
