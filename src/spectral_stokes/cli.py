@@ -112,7 +112,10 @@ class Config:
 def _num(cfg, s):
     v = parse_rational(s)
     if cfg.mode == "numeric":
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError("a numeric-mode value is past float range") from None
     return v
 
 
@@ -156,7 +159,10 @@ def _load_pair(path: str, gram: str, cfg, exact: bool = False) -> sf.SeifertPair
     if exact and not mx.is_exact_matrix(S):
         raise SpectralStokesError("matrix file contains floats; cannot force exact mode")
     if not exact and cfg.mode == "numeric":
-        S = np.asarray(S, dtype=float)
+        try:
+            S = np.asarray(S, dtype=float)
+        except OverflowError:
+            raise ValueError("a matrix entry is past float range") from None
     return sf.SeifertPair(S.T.copy() if gram == "triangular" else S)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .errors import NotArithmeticGroup, NotInFamily
 from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, companion_matrix, cyclotomic_angles,
                        galois_closed_mults, is_exact, mod1, num_eq, palindrome_class,
                        poly_from_cyclotomic_mults, poly_from_float_angles, totient,
-                       unit_circle_angles, _common_numerators, _expand_float_angles)
+                       unit_circle_angles, _common_numerators, _cyclotomic_degree_candidates,
+                       _expand_float_angles)
 from .spectra import Spp, SppLadder
 
 
@@ -514,12 +514,6 @@ def path_matrices(betas: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact members from root-of-unity data
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _cyclotomic_degree_candidates(n: int) -> tuple:
-    # phi(d) >= sqrt(d/2) for every d, so phi(d) <= n implies d <= 2 n^2
-    return tuple(d for d in range(1, 2 * n * n + 3) if totient(d) <= n)
-
 
 def _fix_parity(mults: dict[int, int], k: int) -> dict[int, int] | None:
     """Adjust the degree-1 factors so the root 1 occurs an even number of

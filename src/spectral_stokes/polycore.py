@@ -18,7 +18,8 @@ Conventions used everywhere in the package:
   ``float()`` orders or compares an exact value; ``matrices.mat_eq`` reads
   the mode once per matrix, from the dtypes.  Whether a root of unity is
   a root of an exact polynomial, and how often, is decided by
-  :func:`cyclotomic_power` alone.
+  :func:`cyclotomic_power` alone, by division in integers that no float
+  screens (:func:`_divmod_monic`, :func:`factor_cyclotomic`).
 * Every monodromy goes through ``matrices.monodromy_matrix`` (exact or
   float, one matrix or a float stack) or, for an exact Gram matrix,
   through the exact solve core that ``seifert.SeifertPair`` runs once.
@@ -419,25 +420,7 @@ class RealPoly:
     def __repr__(self):
         return f"RealPoly({list(self.coeffs)!r})"
 
-    def __call__(self, x):
-        acc = 0 * x if not isinstance(x, (int, float, complex, Fraction)) else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- ring operations ----------------------------------------------------
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return RealPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return RealPoly([-c for c in self.coeffs])
 
@@ -455,32 +438,6 @@ class RealPoly:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "RealPoly"):
-        """Polynomial division; exact when both operands are exact."""
-        if other.coeffs == (0,):
-            raise ZeroDivisionError("division by the zero polynomial")
-        d = list(other.coeffs)
-        dn = d[-1]
-        monic = dn == 1 and other.is_integer and self.is_exact    # no division, no Fractions
-        rem = [Fraction(c) if is_exact(c) and not monic else c for c in self.coeffs]
-        qd = len(rem) - len(d)
-        if qd < 0:
-            return RealPoly([0]), RealPoly(rem)
-        quot = [0] * (qd + 1)
-        for i in range(qd, -1, -1):
-            f = rem[i + len(d) - 1] if monic else rem[i + len(d) - 1] / dn
-            quot[i] = f
-            if f != 0:
-                for j, dc in enumerate(d):
-                    rem[i + j] -= f * dc
-        return RealPoly(quot), RealPoly(rem)
-
-    def exact_div(self, other: "RealPoly") -> "RealPoly":
-        q, r = self.divmod(other)
-        if any(c != 0 for c in r.coeffs):
-            raise NotPolynomial(f"{other!r} does not divide {self!r}")
-        return q
-
     def of_minus_x(self) -> "RealPoly":
         """p(-x)."""
         return RealPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
@@ -488,10 +445,6 @@ class RealPoly:
     # -- serialization -------------------------------------------------------
     def to_json(self):
         return [format_number(c) for c in self.coeffs]
-
-    @classmethod
-    def x_power_minus_1(cls, r: int) -> "RealPoly":
-        return cls([-1] + [0] * (r - 1) + [1])
 
 
 def poly_from_float_angles(angles) -> RealPoly:
@@ -553,13 +506,39 @@ def _divisors(d: int):
 
 
 @lru_cache(maxsize=None)
+def _cyclotomic_degree_candidates(n: int) -> tuple:
+    # the d with phi(d) <= n: over the k primes of d, phi(d) >= 2^(k-1), so
+    # k <= n.bit_length(), and d/phi(d) = prod p/(p-1) <= k + 1 (prime j > j)
+    return tuple(d for d in range(1, n * (n.bit_length() + 1) + 1) if totient(d) <= n)
+
+
+def _divmod_monic(cs, q):
+    """Quotient and remainder coefficient lists (constant term first) of
+    exact ``cs`` by the monic integer ``q``: no division, so integer input
+    stays integer, and rational input keeps its denominators."""
+    n = len(q) - 1
+    rem, quot = list(cs), [0] * max(len(cs) - n, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        f = quot[i] = rem[i + n]
+        if f:
+            for j in range(n):
+                rem[i + j] -= f * q[j]
+    return quot, rem[:n]
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> RealPoly:
     """The d-th cyclotomic polynomial, exact integer coefficients."""
-    p = RealPoly.x_power_minus_1(d)
-    for e in _divisors(d):
-        if e != d:
-            p = p.exact_div(cyclotomic_polynomial(e))
-    return p
+    cs = [-1] + [0] * (d - 1) + [1]
+    for e in _divisors(d)[:-1]:
+        cs, _ = _divmod_monic(cs, cyclotomic_polynomial(e).coeffs)
+    return RealPoly(cs)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_at_2(d: int) -> int:
+    """Phi_d(2), from 2^d - 1 = prod_{e | d} Phi_e(2)."""
+    return ((1 << d) - 1) // math.prod(_cyclotomic_at_2(e) for e in _divisors(d)[:-1])
 
 
 def cyclotomic_angles(d: int):
@@ -578,14 +557,14 @@ def cyclotomic_power(p: RealPoly, d: int):
     every primitive d-th root of unity as a root of p.  An integer p keeps
     an integer cofactor, since Phi_d is monic.
     """
-    phi = cyclotomic_polynomial(d)
-    m = 0
-    while p.degree >= phi.degree:
-        q, r = p.divmod(phi)
-        if any(r.coeffs):
+    phi = cyclotomic_polynomial(d).coeffs
+    cs, m = p.coeffs, 0
+    while len(cs) >= len(phi):
+        q, r = _divmod_monic(cs, phi)
+        if any(r):
             break
-        m, p = m + 1, q
-    return m, p
+        cs, m = q, m + 1
+    return m, (RealPoly(cs) if m else p)
 
 
 def factor_cyclotomic(p: RealPoly):
@@ -594,27 +573,23 @@ def factor_cyclotomic(p: RealPoly):
     Returns ``(mults, remainder)`` where ``mults`` maps d to the
     multiplicity of the d-th cyclotomic polynomial and ``remainder`` has no
     root-of-unity roots; it is an integer polynomial with the leading
-    coefficient of p, since every Phi_d is monic.  Candidates with
-    phi(d) <= deg are screened by a cheap float evaluation at a primitive
-    d-th root before :func:`cyclotomic_power` divides, which keeps degrees
-    in the thousands tractable.
+    coefficient of p, since every Phi_d is monic.  A candidate d, with
+    phi(d) at most the degree left, goes to :func:`cyclotomic_power` only
+    when Phi_d(2) divides the value at 2 of what is left: an exact screen,
+    as Phi_d | p in Z[x] implies Phi_d(2) | p(2).  At p(2) = 0 all pass.
     """
     if not p.is_integer:
         raise ValueError("cyclotomic factorization needs an integer polynomial")
     mults: dict[int, int] = {}
-    rem = p
-    d = 1
-    # phi(d) >= sqrt(d/2) for every d, so phi(d) <= D implies d <= 2 D^2
-    bound = 2 * p.degree * p.degree + 2
-    while d <= bound and rem.degree > 0:
-        if totient(d) <= rem.degree:
-            z = cmath.exp(-2j * math.pi / d)
-            scale = max(abs(float(c)) for c in rem.coeffs)
-            if abs(rem(z)) <= 1e-6 * max(scale, 1.0) * (rem.degree + 1):
-                m, rem = cyclotomic_power(rem, d)
-                if m:
-                    mults[d] = m
-        d += 1
+    rem, at_2 = p, sum(c << k for k, c in enumerate(p.coeffs))
+    for d in _cyclotomic_degree_candidates(p.degree):
+        if rem.degree == 0:
+            break
+        if totient(d) <= rem.degree and at_2 % _cyclotomic_at_2(d) == 0:
+            m, rem = cyclotomic_power(rem, d)
+            if m:
+                mults[d] = m
+                at_2 //= _cyclotomic_at_2(d) ** m
     return mults, rem
 
 
@@ -691,7 +666,8 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
     non-cyclotomic part and all inexact inputs go through numeric root
     finding with every root checked against the unit circle.
 
-    Raises RootOffCircle if a root is farther than ``tol`` from the circle.
+    Raises RootOffCircle if a root is farther than ``tol`` from the circle,
+    and, before any float, if an exact coefficient c_k exceeds C(n, k).
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
@@ -709,6 +685,15 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
         numeric_target = p
     numeric_part: list = []
     if numeric_target is not None:
+        if numeric_target.is_exact:
+            # roots on the circle give |c_k| <= C(n, k); past it, the distance
+            # reported is a lower bound, from |c_k| <= C(n, k) max|z|^n
+            n = numeric_target.degree
+            for k, c in enumerate(numeric_target.coeffs):
+                b = math.comb(n, k)
+                if abs(c) > b:
+                    r = (math.log(abs(c.numerator)) - math.log(c.denominator * b)) / n
+                    raise RootOffCircle(f"(|c_{k}| > C({n}, {k}))", math.expm1(min(r, 700.0)))
         roots = np.roots(np.array([float(c) for c in reversed(numeric_target.coeffs)]))
         raw = []
         for z in roots:

@@ -369,9 +369,16 @@ def _exact_eigdata(B: list, den: int):
     if abs(c) < 2:
         groups.append(orbit_group("pair", beta_from_cos(c * Fraction(1, 2)), q, 2, m))
         return groups
-    lam = (float(c) + math.sqrt(float(c) ** 2 - 4)) / 2.0
-    if abs(lam) < 1:
-        lam = float(c) - lam
+    try:
+        lam = cf = float(c)
+    except OverflowError:
+        raise Unclassified("the hyperbolic eigenvalue is past float range") from None
+    # from |c| = 10^9 on the root formula gives float(c) bit for bit, and
+    # squaring c would overflow from about 10^154
+    if abs(c) < 10 ** 9:
+        lam = (cf + math.sqrt(cf ** 2 - 4)) / 2.0
+        if abs(lam) < 1:
+            lam = cf - lam
     groups.append(orbit_group("hyper_real", lam, q, 2, m))
     return groups
 
@@ -624,7 +631,9 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     resolve.  Unclassified remains for float eigen-data that does not pair
     up: an unpaired unit eigenvalue, an off-circle cluster without its
     inverse partners, eigenvalues too close to tell from a Jordan block that
-    floats split, or a primitive form that is not numerically Hermitian.
+    floats split, or a primitive form that is not numerically Hermitian;
+    and for an exact value past float range that a float must hold (a Gram
+    entry on the float path, a hyperbolic eigenvalue).
 
     Exact or float was decided when the pair was built: the exact
     eigen-data run on the integer rows ``P.B`` and ``P.den`` with the
@@ -638,7 +647,10 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     groups = None if P.B is None else _exact_eigdata(P.B, P.den)
     exact = groups is not None
     if not exact or not all(map(_has_exact_signs, groups)):
-        Gf = np.asarray(P.G, dtype=float)
+        try:
+            Gf = np.asarray(P.G, dtype=float)
+        except OverflowError:
+            raise Unclassified("a Gram matrix entry is past float range") from None
         M_f = mx.monodromy_matrix(Gf.T)
         if not np.isfinite(M_f).all():
             raise Unclassified("the float monodromy is not finite")

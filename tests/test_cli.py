@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -226,6 +227,52 @@ def test_bad_input_exits_one_without_traceback(tmp_path, argv, file_data, error)
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == error
+
+
+N = 10**400
+#: a 4x4 Gram matrix with an entry past float range, and its twin at 10^200
+BIG = [[1, N, 1, 2], [0, 1, 3, 1], [0, 0, 1, 5], [0, 0, 0, 1]]
+BIG_TWIN = [[1, 10**200, 1, 2], [0, 1, 3, 1], [0, 0, 1, 5], [0, 0, 0, 1]]
+
+
+def _k6_matrix():
+    """The 8x8 unit upper-triangular matrix with entries k/10^6, k drawn
+    row by row from [-999, 999] by Random(1)."""
+    rng = random.Random(1)
+    return [[(1 if i == j else 0) if j <= i else f"{rng.randint(-999, 999)}/1000000"
+             for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize("argv, files, error", [
+    (["seifert", "classify", "--exact", "--matrix", "@0"], [_k6_matrix()], None),
+    (["hor", "matrix", "--poly", f"1,{N},{N},1"], [], "SpectralStokesError"),
+    (["--mode", "numeric", "hor", "matrix", "--poly", f"1,{N},{N},1"], [], "ValueError"),
+    (["seifert", "classify", "--exact", "--matrix", "@0"], [[[1, 10**155], [0, 1]]],
+     "Unclassified"),
+    (["seifert", "classify", "--matrix", "@0"], [BIG], "Unclassified"),
+    (["--mode", "numeric", "seifert", "classify", "--matrix", "@0"], [BIG], "ValueError"),
+    (["seifert", "iso", "@0", "@1"], [BIG, BIG_TWIN], "Unclassified"),
+], ids=["k6-classifies", "hor-matrix-huge", "hor-matrix-huge-numeric", "hyperbolic-past-float",
+        "gram-past-float", "gram-past-float-numeric", "iso-past-float"])
+def test_huge_exact_input_keeps_the_contract(capsys, tmp_path, argv, files, error):
+    # exit 0 with data or exit 1 with {"error": ...}, never an OverflowError
+    for i, entries in enumerate(files):
+        (tmp_path / f"{i}.json").write_text(json.dumps({"n": len(entries), "entries": entries}))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    if error is None:
+        assert code == 0 and err == "" and json.loads(out)["n"] == 8
+    else:
+        assert code == 1 and out == "" and json.loads(err)["error"] == error
+
+
+def test_huge_hyperbolic_eigenvalue_is_its_trace(capsys, tmp_path):
+    # c = 2 - 10^156: the root formula would square c past float range
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"n": 2, "entries": [[1, 10**78], [0, 1]]}))
+    code, out, _ = run_cli(capsys, "seifert", "classify", "--matrix", str(f))
+    assert code == 0
+    assert json.loads(out)["types"] == [{"family": "F2hyper", "lambda": [-1e156, 0.0], "n": 1}]
 
 
 @pytest.mark.parametrize("mode, dtype", [("exact", object), ("numeric", float)])

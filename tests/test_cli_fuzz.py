@@ -23,7 +23,8 @@ from spectral_stokes import cli
 
 INTS = st.sampled_from(["0", "1", "2", "3", "-1", "x", "", "1/2", "2.5", "1e400", "nan"])
 RATS = st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "1/3", "2/3", "-1/4", "0.5", "-0.3",
-                        "1/0", "1/-2", "x", "", "nan", "inf", "1e400", "1e-300", "-0.0"])
+                        "1/0", "1/-2", "x", "", "nan", "inf", "1e400", "1e-300", "-0.0",
+                        str(10**78), str(10**400)])
 SMALL = st.sampled_from(["-1", "0", "1", "x", ""])
 LISTS = st.lists(RATS, max_size=4).map(",".join)
 EXPONENTS = st.lists(st.sampled_from(["1", "2", "3", "0", "-2", "x", ""]), max_size=3).map(",".join)

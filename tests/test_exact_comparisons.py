@@ -7,6 +7,11 @@ an exact value just inside a bound rounds onto it.  An AST walk over the
 package finds every comparison with an operand that names ``float`` and
 every ``key=`` argument that names it; only the float-only sites below
 may have them, each with the count it has.
+
+No float decides a cyclotomic factor either: a second walk finds every
+``float``, ``complex`` and ``cmath`` name, every float or complex
+literal and every ``roots`` attribute (``np.roots``) in the exact
+kernels of ``polycore``, and there must be none.
 """
 
 import ast
@@ -69,3 +74,40 @@ def test_the_walk_finds_float_in_comparisons_and_sort_keys():
            "    def g(self, b):\n"
            "        return abs(float(b)) < 2 < 3\n")
     assert float_comparisons(ast.parse(src)) == ["f", "f", "C.g"]
+
+
+#: polycore's exact cyclotomic kernels: integer division, the two values at 2
+#: of the screen, and the split itself
+EXACT_KERNELS = ("_divmod_monic", "cyclotomic_polynomial", "_cyclotomic_at_2",
+                 "cyclotomic_power", "factor_cyclotomic")
+
+
+def float_uses(tree: ast.AST):
+    """The float names, literals and root finders in a tree, as text."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ("float", "complex", "cmath"):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "roots":
+            out.append("roots")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append(repr(node.value))
+    return out
+
+
+def test_exact_kernels_use_no_float():
+    tree = ast.parse((PACKAGE / "polycore.py").read_text())
+    kernels = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in EXACT_KERNELS}
+    assert sorted(kernels) == sorted(EXACT_KERNELS)
+    assert {name: float_uses(fn) for name, fn in kernels.items()} == dict.fromkeys(kernels, [])
+
+
+def test_the_walk_finds_floats_in_a_kernel():
+    src = ("def screen(p, d):\n"
+           "    z = cmath.exp(-2j * math.pi / d)\n"
+           "    if abs(p(z)) <= 1e-6 * max(abs(float(c)) for c in p.coeffs):\n"
+           "        return np.roots(p.coeffs), complex(z)\n"
+           "    return 2 * d, 1 // d\n")
+    assert sorted(float_uses(ast.parse(src))) == sorted(
+        ["cmath", "2j", "1e-06", "float", "roots", "complex"])

@@ -148,6 +148,15 @@ class TestUnitCircleAngles:
         with pytest.raises(RootOffCircle):
             pc.unit_circle_angles(pc.RealPoly([1, -3, 1]))
 
+    def test_exact_coefficient_past_the_binomial_bound_is_refused_before_floats(self, monkeypatch):
+        # |c_k| > C(n, k) shows a root off the circle; no float is made of
+        # the coefficients, which for 10^400 would overflow
+        monkeypatch.setattr(pc.np, "roots", lambda c: pytest.fail("float roots"))
+        N = 10**400
+        for p in ([1, N, N, 1], [1, Fraction(N, 3), 1], [1, -3, 1], [Fraction(-3, 2), 0, 1]):
+            with pytest.raises(RootOffCircle):
+                pc.unit_circle_angles(pc.RealPoly(p))
+
     def test_numeric_mode_snaps(self):
         p = pc.RealPoly([1.0, 1.0, 1.0])
         got = pc.unit_circle_angles(p, tol=1e-9)
@@ -384,23 +393,43 @@ class TestSerialization:
         assert pc.parse_rational("-1/2") == Fraction(-1, 2)
 
 
+def from_sympy(poly: sympy.Poly) -> pc.RealPoly:
+    return pc.RealPoly([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+def sympy_cyclotomic_split(p: pc.RealPoly):
+    """The cyclotomic multiplicities and the rest of p, from sympy's
+    factorization."""
+    mults, rest = {}, sympy.Integer(1)
+    for f, e in sympy.factor_list(sympy_poly(p).as_expr(), x)[1]:
+        f = sympy.Poly(f, x)
+        if f.is_cyclotomic:
+            d = next(d for d in range(1, 2 * f.degree() ** 2 + 3)
+                     if sympy.totient(d) == f.degree()
+                     and sympy.Poly(sympy.cyclotomic_poly(d, x), x) == f)
+            mults[d] = mults.get(d, 0) + e
+        else:
+            rest *= f.as_expr() ** e
+    return mults, from_sympy(sympy.Poly(rest, x))
+
+
+#: coefficients from the small ones of family members to far past float range
+COEFFS = st.one_of(st.integers(-50, 50), st.integers(-10**400, 10**400))
+
+
 class TestDivmod:
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=9),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=4), st.integers(1, 3))
+    @given(st.lists(COEFFS, min_size=1, max_size=9),
+           st.lists(COEFFS, min_size=1, max_size=4), st.integers(1, 3))
     def test_monic_integer_divisor_matches_sympy(self, dividend, low, den):
         # an exact dividend (integer when den is 1) over a monic integer divisor
         p = pc.RealPoly([Fraction(c, den) for c in dividend])
         d = pc.RealPoly(low + [1])
-        q, r = p.divmod(d)
-        assert q * d + r == p
-        assert r.degree < d.degree
+        q, r = pc._divmod_monic(p.coeffs, d.coeffs)
         want_q, want_r = sympy.div(sympy_poly(p), sympy_poly(d))
-        assert sympy_poly(q).as_expr() == want_q.as_expr()
-        assert sympy_poly(r).as_expr() == want_r.as_expr()
-        for c in q.coeffs + r.coeffs:
-            assert type(c) is int if den == 1 else \
-                type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert pc.RealPoly(q) == from_sympy(want_q)
+        assert pc.RealPoly(r) == from_sympy(want_r)
+        assert den > 1 or all(type(c) is int for c in q + r)
 
 
 class TestCyclotomic:
@@ -409,6 +438,15 @@ class TestCyclotomic:
         assert list(pc.cyclotomic_polynomial(2).coeffs) == [1, 1]
         assert list(pc.cyclotomic_polynomial(6).coeffs) == [1, -1, 1]
         assert list(pc.cyclotomic_polynomial(12).coeffs) == [1, 0, -1, 0, 1]
+
+    def test_degree_candidates_are_every_d_with_phi_at_most_n(self):
+        for n in range(120):
+            want = tuple(d for d in range(1, 2 * n * n + 3) if pc.totient(d) <= n)
+            assert pc._cyclotomic_degree_candidates(n) == want
+
+    def test_value_at_two(self):
+        for d in range(1, 60):
+            assert pc._cyclotomic_at_2(d) == sympy.cyclotomic_poly(d, 2)
 
     def test_factorization(self):
         p = pc.poly_from_cyclotomic_mults({1: 2, 4: 1, 6: 2})
@@ -425,19 +463,32 @@ class TestCyclotomic:
         p = pc.poly_from_cyclotomic_mults(mults)
         if low is not None:
             p = p * pc.RealPoly(low + [1])
-        got_mults, got_rem = pc.factor_cyclotomic(p)
-        want_mults, want_rem = {}, sympy.Integer(1)
-        for f, e in sympy.factor_list(sympy_poly(p).as_expr(), x)[1]:
-            f = sympy.Poly(f, x)
-            if f.is_cyclotomic:
-                d = next(d for d in range(1, 2 * f.degree() ** 2 + 3)
-                         if sympy.totient(d) == f.degree()
-                         and sympy.Poly(sympy.cyclotomic_poly(d, x), x) == f)
-                want_mults[d] = want_mults.get(d, 0) + e
-            else:
-                want_rem *= f.as_expr() ** e
-        assert got_mults == want_mults
-        assert sympy_poly(got_rem) == sympy.Poly(want_rem, x)
+        assert pc.factor_cyclotomic(p) == sympy_cyclotomic_split(p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.integers(1, 12), st.integers(1, 2), max_size=3),
+           st.lists(COEFFS, min_size=1, max_size=4), st.booleans())
+    def test_huge_coefficients_match_sympy(self, mults, low, root_two):
+        # a monic factor with coefficients past float range, and with
+        # root_two a root 2, where p(2) = 0 passes every candidate's screen
+        p = pc.poly_from_cyclotomic_mults(mults) * pc.RealPoly(low + [1])
+        if root_two:
+            p = p * pc.RealPoly([-2, 1])
+        assert pc.factor_cyclotomic(p) == sympy_cyclotomic_split(p)
+
+    def test_root_two_passes_every_candidate(self, monkeypatch):
+        tried = []
+        power = pc.cyclotomic_power
+        monkeypatch.setattr(pc, "cyclotomic_power", lambda p, d: tried.append(d) or power(p, d))
+        N = 10**400
+        for rest, want in [(pc.RealPoly([1, N, 1]), [1, 3, 4, 5]),
+                           # (x - 2)(x^2 + N x + 1): p(2) = 0, so the screen
+                           # passes every d with phi(d) <= the degree left
+                           (pc.RealPoly([-2, 1 - 2 * N, N - 2, 1]), [1, 2, 3, 4, 5, 6])]:
+            tried.clear()
+            p = pc.poly_from_cyclotomic_mults({3: 1, 5: 2}) * rest
+            assert pc.factor_cyclotomic(p) == ({3: 1, 5: 2}, rest)
+            assert tried == want
 
 
 class TestCyclotomicPower:
