@@ -7,8 +7,11 @@ the numbers).  They sit outside the test suite's ``testpaths``, so a plain
 ``pytest`` does not collect them.  Each benchmark first checks its answer,
 so a faster wrong kernel fails instead of reporting a time.
 
-Cases: ``seifert.classify`` on one size-3 grid point and on one n = 8
-family member, ``lowdim.classify3`` on one point, ``lowdim.member3`` over
+Cases: ``seifert.classify`` on one size-3 grid point, on one n = 8
+family member and on two 4 x 4 monodromies whose characteristic
+polynomial is the square of a rational quadratic (one real hyperbolic
+pair with a block of size 2, one semisimple conjugate pair),
+``lowdim.classify3`` on one point, ``lowdim.member3`` over
 the step-1/4 grid of [-4, 4]^3, ``chain.ChainSing``, ``chain.qh_spectrum``
 and ``chain.verify_spectrum_shift`` on the largest tuple of the chain grid,
 and ``matrices.char_poly_exact`` and ``matrices.rank_exact`` on the
@@ -53,6 +56,24 @@ def test_classify_family8(benchmark, family_member):
     want = sf.class_from_spp(hor.recipe_spectral_pairs(hor.matrix_to_scal(family_member)), 1)
     got = benchmark(sf.classify, P)
     assert sf.types_multiset_equal(got, want)
+
+
+#: char poly (x^2 + 11x/4 + 1)^2: one block of size 2 at each real root
+QUADRATIC_POWER = [[1, 1, 2, F(-1, 2)], [0, 1, F(3, 2), 2], [0, 0, 1, 0], [0, 0, 0, 1]]
+#: char poly (x^2 - 7x/4 + 1)^2: a semisimple conjugate pair of multiplicity 2
+SEMISIMPLE_PAIR = [[1, 0, F(1, 2), 0], [0, 1, 0, F(1, 2)], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_classify_quadratic_power(benchmark):
+    P = sf.SeifertPair.from_triangular(mx.to_matrix(QUADRATIC_POWER))
+    got = benchmark(sf.classify, P)
+    assert got == [sf.IrrType("F2hyper", -2.3187293044088437, 2)]
+
+
+def test_classify_semisimple_pair(benchmark):
+    P = sf.SeifertPair.from_triangular(mx.to_matrix(SEMISIMPLE_PAIR))
+    got = benchmark(sf.classify, P)
+    assert got == [sf.IrrType("F2complex", 0.08043062325516624, 1, zeta=0.9597846883724169)] * 2
 
 
 def test_classify3(benchmark):

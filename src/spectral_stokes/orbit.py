@@ -229,7 +229,8 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     One singular sample makes the batched ``solve`` fail; only then is
     ``det`` taken over the stack, to find the first sample whose ``det``
     is 0 (``det`` and ``solve`` factor a sample alike), and the samples
-    before it are solved again.  LeftT names the first failing sample: one
+    before it are solved again.  An exact entry past float range is
+    refused with ValueError.  LeftT names the first failing sample: one
     that is not unit upper-triangular, has a non-finite entry, is
     singular, has a non-finite S^{-1} S^t, or has an eigenvalue off the
     circle, checked in that order within a sample.
@@ -248,7 +249,10 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    mats = np.asarray(path, dtype=float)
+    try:
+        mats = np.asarray(path, dtype=float)
+    except OverflowError:
+        raise ValueError("a path entry is past float range") from None
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("path must be a non-empty list of square matrices of one size")
     n = mats.shape[1]

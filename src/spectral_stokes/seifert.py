@@ -27,10 +27,10 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
-from .polycore import (CIRCLE_TOL, RealPoly, _common_numerators, angle_eq, angle_to_point,
-                       beta_from_cos, cyclotomic_angles, cyclotomic_polynomial,
-                       cyclotomic_power, factor_cyclotomic, format_number, mod1, multiset_eq,
-                       num_eq, point_to_angle, snap_angle, _tidy)
+from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point, beta_from_cos,
+                       cyclotomic_angles, cyclotomic_polynomial, cyclotomic_power,
+                       factor_cyclotomic, format_number, mod1, multiset_eq, num_eq,
+                       point_to_angle, snap_angle)
 from .spectra import Spp, decompose_into_ladders
 
 
@@ -263,28 +263,21 @@ def _numeric_rank(A: np.ndarray, tol: float) -> int:
 
 
 def _block_sizes(kernel_dims: list[int]) -> list[int]:
-    """Jordan block sizes from dim ker N^j, j = 1..; standard staircase."""
-    sizes = []
-    prev = 0
-    counts = []
-    for d in kernel_dims:
-        counts.append(d - prev)
-        prev = d
-    # counts[j] = number of blocks of size > j
-    for j, c in enumerate(counts):
-        for _ in range(c - (counts[j + 1] if j + 1 < len(counts) else 0)):
-            sizes.append(j + 1)
-    return sorted(sizes, reverse=True)
+    """Jordan block sizes from dim ker N^j, j = 1.., largest first; standard
+    staircase: dim ker N^(j+1) - dim ker N^j blocks have size > j."""
+    over = [d - e for d, e in zip(kernel_dims, [0] + kernel_dims)] + [0]
+    return [j + 1 for j in reversed(range(len(kernel_dims))) for _ in range(over[j] - over[j + 1])]
 
 
-def _poly_of_matrix(p: RealPoly, B: list, d: int) -> list:
-    """The integer rows L d^deg p(B/d), a positive multiple of p(B/d), for
-    integer rows B, d > 0 and L the common denominator of p, by Horner."""
-    cs, _ = _common_numerators(p.coeffs)
-    n = len(B)
-    out = [[cs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    scale = 1
-    for c in reversed(cs[:-1]):
+def _poly_of_matrix(cs: tuple, B: list, d: int) -> list:
+    """The integer rows d^deg p(B/d) of the integer polynomial p with
+    coefficients cs (constant first), for integer rows B and d > 0, by
+    Horner from cs[-1] B + cs[-2] d E: deg p - 1 row products."""
+    n, scale = len(B), d
+    out = [[cs[-1] * x for x in row] for row in B]
+    for i in range(n):
+        out[i][i] += cs[-2] * d
+    for c in reversed(cs[:-2]):
         scale *= d
         out = mx._matmul_rows(out, B)
         for i in range(n):
@@ -297,18 +290,20 @@ class _EigGroup:
     """One eigenvalue of the monodromy M with the partners that close its
     orbit, their multiplicity and Jordan block sizes.
 
-    An exact group also keeps its rational orbit polynomial q and its
-    chain: ``chain[j]`` holds the integer rows of a positive multiple of
-    q(M)^(j+1), for j < max(sizes).  These are the powers whose kernels
-    sized the blocks, and ``_exact_form_signs`` reads the primitive forms
-    on them; a float group leaves both at None."""
+    An exact group also keeps its orbit polynomial q, the primitive integer
+    coefficients (constant first) of a positive multiple, and for j <
+    max(sizes) ``chain[j]``, the integer rows of a positive multiple of
+    q(M)^(j+1), and ``kernels[j]``, the basis of its kernel whose length
+    sized the blocks; ``_exact_form_signs`` reads both.  A float group
+    leaves the three at None."""
 
     kind: str          # 'real' | 'pair' | 'hyper_real' | 'hyper_quad'
     lam: object        # +-1 (int) | angle | float (real, |.|>1) | complex
     mult: int          # per-eigenvalue algebraic multiplicity
     sizes: list        # Jordan block sizes per eigenvalue
-    q: RealPoly | None = None
+    q: tuple | None = None
     chain: list | None = field(default=None, repr=False)
+    kernels: list | None = field(default=None, repr=False)
 
 
 def _exact_eigdata(B: list, den: int):
@@ -318,31 +313,32 @@ def _exact_eigdata(B: list, den: int):
     The roots are read off the integer polynomial
     den^n det(x - B/den) = sum_k C_k den^k x^k, C_k the coefficients of
     det(x - B): dividing it by the monic Phi_d keeps integers, and every
-    cofactor keeps the leading coefficient den^n."""
+    cofactor keeps the leading coefficient den^n.  Each group's orbit
+    polynomial is a primitive integer one, Phi_d or a x^2 - b x + a."""
     n = len(B)
     lead = den ** n
     rem = RealPoly([c * den ** k for k, c in enumerate(mx._char_poly_rows(B))])
     groups: list[_EigGroup] = []
 
-    def orbit_group(kind: str, lam, q: RealPoly, per: int, mult: int) -> _EigGroup:
+    def orbit_group(kind: str, lam, q: tuple, per: int, mult: int) -> _EigGroup:
         """The group of lam, one of the ``per`` roots of q, each of
-        multiplicity mult; its Jordan sizes from dim ker q(M)^j, and the
-        powers q(M)^j that gave them as its chain."""
+        multiplicity mult; its Jordan sizes from dim ker q(M)^j, one
+        elimination per power, with the powers and kernel bases kept."""
         qm = _poly_of_matrix(q, B, den)
-        dims, chain = [], [qm]
+        dims, chain, kernels = [], [qm], []
         while True:
-            total = n - mx._rank_rows(chain[-1], n)
-            if total % per:
+            kernels.append([v for _, v in mx._nullspace_rows(chain[-1], n)])
+            if len(kernels[-1]) % per:
                 raise VerificationFailed("kernel must split evenly over the orbit")
-            dims.append(total // per)
+            dims.append(len(kernels[-1]) // per)
             if dims[-1] >= mult or len(dims) >= mult:
-                return _EigGroup(kind, lam, mult, _block_sizes(dims), q, chain)
+                return _EigGroup(kind, lam, mult, _block_sizes(dims), q, chain, kernels)
             chain.append(mx._matmul_rows(chain[-1], qm))
 
     for lam, d in ((1, 1), (-1, 2)):
         mult, rem = cyclotomic_power(rem, d)
         if mult:
-            groups.append(orbit_group("real", lam, cyclotomic_polynomial(d), 1, mult))
+            groups.append(orbit_group("real", lam, cyclotomic_polynomial(d).coeffs, 1, mult))
     if rem.degree == 0:
         return groups
     # a remainder of degree > 2 goes through the cyclotomic split, a
@@ -351,31 +347,30 @@ def _exact_eigdata(B: list, den: int):
         mults, rem = factor_cyclotomic(rem)
         for d, m in sorted(mults.items()):
             phi = cyclotomic_angles(d)
-            g = orbit_group("pair", None, cyclotomic_polynomial(d), len(phi), m)
+            g = orbit_group("pair", None, cyclotomic_polynomial(d).coeffs, len(phi), m)
             groups.extend(replace(g, lam=b) for b in phi if b < 0.5)
         if rem.degree == 0:
             return groups
-    # what is left resolves when it is lead (x^2 - c x + 1)^m for a rational c
+    # what is left resolves when it is lead (x^2 - c x + 1)^m for c = b/a in
+    # lowest terms, a > 0: when a^m rem = lead (a x^2 - b x + a)^m
     m, odd = divmod(rem.degree, 2)
     if odd:
         return None
-    c = _tidy(Fraction(-rem.coeffs[-2], m * lead))
-    q = RealPoly([1, -c, 1])
-    power = RealPoly([lead])
-    for _ in range(m):
-        power = power * q
-    if rem != power:
+    common = math.gcd(rem.coeffs[-2], m * lead)
+    a, b = m * lead // common, -rem.coeffs[-2] // common
+    q = (a, -b, a)
+    if rem * a ** m != math.prod([RealPoly(q)] * m, start=RealPoly([lead])):
         return None
-    if abs(c) < 2:
-        groups.append(orbit_group("pair", beta_from_cos(c * Fraction(1, 2)), q, 2, m))
+    if abs(b) < 2 * a:
+        groups.append(orbit_group("pair", beta_from_cos(Fraction(b, 2 * a)), q, 2, m))
         return groups
     try:
-        lam = cf = float(c)
+        lam = cf = b / a
     except OverflowError:
         raise Unclassified("the hyperbolic eigenvalue is past float range") from None
     # from |c| = 10^9 on the root formula gives float(c) bit for bit, and
     # squaring c would overflow from about 10^154
-    if abs(c) < 10 ** 9:
+    if abs(b) < 10 ** 9 * a:
         lam = (cf + math.sqrt(cf ** 2 - 4)) / 2.0
         if abs(lam) < 1:
             lam = cf - lam
@@ -495,17 +490,18 @@ def _has_exact_signs(g: _EigGroup) -> bool:
     +-1 always, at a conjugate pair when its orbit polynomial is a
     quadratic (so the pair is the whole orbit) and its blocks all have
     size 1.  Off-circle groups carry no signs."""
-    return g.kind != "pair" or (g.q.degree == 2 and max(g.sizes) == 1)
+    return g.kind != "pair" or (len(g.q) == 3 and max(g.sizes) == 1)
 
 
 def _exact_form_signs(g: _EigGroup, G: list) -> dict:
     """{s: (p, m)}, the signs of the symmetric primitive forms of an exact
-    group that ``_has_exact_signs``, from its chain and the integer rows of
-    G, a positive multiple of the Gram matrix.
+    group that ``_has_exact_signs``, from its kernels and chain and the
+    integer rows of G, a positive multiple of the Gram matrix.  It computes
+    no kernel and multiplies no matrices.
 
-    For each symmetric size s, V is a basis of ker q(M)^s (from
-    ``g.chain[s-1]``), W = q(M)^(s-1) V (from ``g.chain[s-2]``) and
-    F = V^t G W.  The basis vectors are positive integer multiples of
+    For each symmetric size s, V is the basis of ker q(M)^s that sized the
+    blocks (``g.kernels[s-1]``), W = q(M)^(s-1) V (from ``g.chain[s-2]``)
+    and F = V^t G W.  The basis vectors are positive integer multiples of
     rational ones, and the chain holds positive multiples of the powers,
     so F is a positive multiple of the rational form congruenced by a
     positive diagonal: its symmetry, rank and signature are the rational
@@ -516,19 +512,18 @@ def _exact_form_signs(g: _EigGroup, G: list) -> dict:
     eps of the blocks.  At -1 the symmetric forms have even s, so F is the
     negated form and p and m trade places.
 
-    At a conjugate pair with orbit polynomial q = x^2 - c x + 1, s = 1 and
+    At a conjugate pair with a quadratic orbit polynomial q, s = 1 and
     ker q(M) is the L-orthogonal summand of its c F2complex types, so the
     signature of F + F^t on it is the sum of their type_signature,
     (0, 0, 2) for eps = +1 and (2, 0, 0) for eps = -1: p and m trade
     places and halve."""
-    n = len(G)
     pair = g.kind == "pair"
     per = 2 if pair else 1
     signs = {}
     for s in sorted(set(g.sizes)):
         if not _form_is_symmetric(g, s):
             continue
-        V = [v for _, v in mx._nullspace_rows(g.chain[s - 1], n)]
+        V = g.kernels[s - 1]
         W = V if s == 1 else [[sum(map(operator.mul, row, v)) for row in g.chain[s - 2]] for v in V]
         GW = [[sum(map(operator.mul, row, w)) for row in G] for w in W]
         F = [[sum(map(operator.mul, v, gw)) for gw in GW] for v in V]
@@ -593,8 +588,8 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
     zeta0 versus zeta0 + 1/2) of the blocks.  ``_exact_form_signs``
     computes them exactly for the groups that ``_has_exact_signs`` (every
     group at +-1, and a conjugate pair with a rational quadratic orbit
-    polynomial and blocks of size 1), from the powers of q(M) on the
-    group's chain, where q(M) = lam K at +-1; ``_numeric_form_signs``
+    polynomial and blocks of size 1), from the kernels and powers of q(M)
+    the group keeps, where q(M) = lam K at +-1; ``_numeric_form_signs``
     computes them in floats for the rest.
     """
     pair = g.kind == "pair"
@@ -637,12 +632,13 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
 
     Exact or float was decided when the pair was built: the exact
     eigen-data run on the integer rows ``P.B`` and ``P.den`` with the
-    matrix layer's integer cores, and keep each group's powers of q(M);
-    the exact primitive forms read those powers and ``P.G_int`` and
-    multiply no further matrices.  The
-    float monodromy (``mx.monodromy_matrix``) is computed only when some
-    group takes the float path; if it overflowed (an entry or an inverse
-    eigenvalue not finite), Unclassified is raised before any SVD runs.
+    matrix layer's integer cores, eliminate each power of q(M) once and
+    keep the powers and their kernel bases; the exact primitive forms read
+    those and ``P.G_int``, and eliminate or multiply no further matrices.
+    The float monodromy (``mx.monodromy_matrix``) is computed only when
+    some group takes the float path; if it overflowed (an entry or an
+    inverse eigenvalue not finite), Unclassified is raised before any SVD
+    runs.
     """
     groups = None if P.B is None else _exact_eigdata(P.B, P.den)
     exact = groups is not None

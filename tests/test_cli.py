@@ -233,6 +233,8 @@ N = 10**400
 #: a 4x4 Gram matrix with an entry past float range, and its twin at 10^200
 BIG = [[1, N, 1, 2], [0, 1, 3, 1], [0, 0, 1, 5], [0, 0, 0, 1]]
 BIG_TWIN = [[1, 10**200, 1, 2], [0, 1, 3, 1], [0, 0, 1, 5], [0, 0, 0, 1]]
+#: a track path file from the identity to a matrix with an entry past float range
+HUGE_PATH = {"path": [{"n": 2, "entries": [[1, 0], [0, 1]]}, {"n": 2, "entries": [[1, N], [0, 1]]}]}
 
 
 def _k6_matrix():
@@ -252,12 +254,16 @@ def _k6_matrix():
     (["seifert", "classify", "--matrix", "@0"], [BIG], "Unclassified"),
     (["--mode", "numeric", "seifert", "classify", "--matrix", "@0"], [BIG], "ValueError"),
     (["seifert", "iso", "@0", "@1"], [BIG, BIG_TWIN], "Unclassified"),
+    (["track", "--path-file", "@0"], [HUGE_PATH], "ValueError"),
+    (["--mode", "numeric", "track", "--path-file", "@0"], [HUGE_PATH], "ValueError"),
 ], ids=["k6-classifies", "hor-matrix-huge", "hor-matrix-huge-numeric", "hyperbolic-past-float",
-        "gram-past-float", "gram-past-float-numeric", "iso-past-float"])
+        "gram-past-float", "gram-past-float-numeric", "iso-past-float", "track-past-float",
+        "track-past-float-numeric"])
 def test_huge_exact_input_keeps_the_contract(capsys, tmp_path, argv, files, error):
     # exit 0 with data or exit 1 with {"error": ...}, never an OverflowError
     for i, entries in enumerate(files):
-        (tmp_path / f"{i}.json").write_text(json.dumps({"n": len(entries), "entries": entries}))
+        data = entries if isinstance(entries, dict) else {"n": len(entries), "entries": entries}
+        (tmp_path / f"{i}.json").write_text(json.dumps(data))
     argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     if error is None:

@@ -7,8 +7,11 @@ Every case must end in one of three ways: exit 0 with data on stdout
 ``{"error": ...}`` as the whole of stderr and nothing on stdout, or
 argparse's ``SystemExit(2)``.  No other exception may escape.  Values stay small so
 that a valid case runs in milliseconds; the examples are derandomized so
-that the suite sees the same cases on every run.  Contract breaks the
-fuzz found are pinned in ``FIXED``.
+that the suite sees the same cases on every run.  A second fuzz hands
+``seifert classify`` and ``seifert iso`` exact unit upper-triangular
+matrix files of size up to 5, which reach the exact classification's
+cyclotomic split, quadratic orbit polynomials and Jordan chains.
+Contract breaks the fuzz found are pinned in ``FIXED``.
 """
 
 import contextlib
@@ -45,6 +48,21 @@ def matrix_doc(draw, n=None):
     n = n or draw(st.integers(1, 3))
     rows = [[("1" if i == j else "0") if kind != "any" and j <= i else draw(ENTRIES)
              for j in range(n)] for i in range(n)]
+    return json.dumps({"n": n, "entries": rows})
+
+
+#: small exact entries: rational monodromies whose characteristic
+#: polynomials mix cyclotomic factors, rational quadratics and the rest
+EXACT_ENTRIES = st.sampled_from(["0", "0", "1", "-1", "2", "-2", "3", "1/2", "-1/2", "3/2",
+                                 "-1/3", "2/3", "-5/4"])
+
+
+@st.composite
+def exact_matrix_doc(draw):
+    """An exact unit upper-triangular matrix document of size 1 to 5."""
+    n = draw(st.integers(1, 5))
+    rows = [[("1" if i == j else "0") if j <= i else draw(EXACT_ENTRIES) for j in range(n)]
+            for i in range(n)]
     return json.dumps({"n": n, "entries": rows})
 
 
@@ -104,6 +122,13 @@ COMMANDS = st.one_of(
          _opt("--steps", st.sampled_from(["1", "2", "16", "0", "x"]))),
 )
 
+EXACT_COMMANDS = st.one_of(
+    _cmd("seifert", "classify", st.just([f"--matrix={MATRIX}"]),
+         st.sampled_from([[], ["--exact"]]), _opt("--gram", st.sampled_from(["gram", "triangular"]))),
+    _cmd("seifert", "iso", st.just([MATRIX, OTHER]),
+         _opt("--gram", st.sampled_from(["gram", "triangular"]))),
+)
+
 GLOBALS = _cmd(_opt("--mode", st.sampled_from(["exact", "numeric", "x"])),
                _opt("--output", st.sampled_from(["json", "csv", "table"])),
                _opt("--precision", INTS), _opt("--tol", RATS), _opt("--seed", INTS))
@@ -155,6 +180,13 @@ def _materialise(files, argv, docs):
 @given(prefix=GLOBALS, command=COMMANDS, docs=st.tuples(matrix_doc(), matrix_doc(), path_doc()))
 def test_cli_contract(files, prefix, command, docs):
     check_contract(_materialise(files, prefix + command, docs))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mode=_opt("--mode", st.sampled_from(["exact", "numeric"])), command=EXACT_COMMANDS,
+       docs=st.tuples(exact_matrix_doc(), exact_matrix_doc()))
+def test_exact_classify_contract(files, mode, command, docs):
+    check_contract(_materialise(files, mode + command, docs))
 
 
 # contract breaks the fuzz found, each mended in the package:

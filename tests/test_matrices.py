@@ -149,8 +149,8 @@ def test_exact_arrays_hold_python_scalars():
     K = -B - d * mx.identity(2)
     BM, dM = mx.int_form(M)
     # the integer row cores return lists of rows; as object arrays they join the check
-    rows = [seifert._poly_of_matrix(RealPoly([1, Fraction(1, 2), 1]), B.tolist(), d),
-            seifert._poly_of_matrix(RealPoly([1, 1, 1]), BM.tolist(), dM),
+    rows = [seifert._poly_of_matrix((2, 1, 2), B.tolist(), d),
+            seifert._poly_of_matrix((1, 1, 1), BM.tolist(), dM),
             mx._matmul_rows(K.tolist(), K.tolist()),
             mx._solve_rows(BM.tolist(), mx.identity(4).tolist())[0],
             [v for _, v in mx._nullspace_rows((BM - dM * mx.identity(4)).tolist(), 4)]]
@@ -166,6 +166,7 @@ def test_exact_arrays_hold_python_scalars():
 # Each check must raise its error with assertions stripped.
 _OPTIMISED_SCRIPT = """
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 import numpy as np
@@ -255,24 +256,24 @@ B = B.tolist()
 expect(VerificationFailed, "an odd number of blocks passed as two-block types",
        seifert._primitive_types, seifert._EigGroup("real", -1, 1, [1]), {})
 expect(VerificationFailed, "a primitive form of rank 2 passed for one block",
-       seifert._exact_form_signs, seifert._EigGroup("real", 1, 1, [1], chain=[[[0, 0], [0, 0]]]),
+       seifert._exact_form_signs, seifert._EigGroup("real", 1, 1, [1], chain=[[[0, 0], [0, 0]]],
+                                                    kernels=[[[1, 0], [0, 1]]]),
        [[1, 0], [0, 1]])
 
 mx.mat_eq = lambda A, B, tol=0.0: False
 expect(VerificationFailed, "thom_sebastiani passed a broken monodromy check",
        chain.thom_sebastiani, S, S)
 
-real_nullspace = mx._nullspace_rows
-mx._nullspace_rows = lambda rows, ncols: [(c, [int(i == c) for i in range(ncols)])
-                                          for c in range(ncols)]   # not the kernel
+standard = [[int(i == c) for i in range(3)] for c in range(3)]     # not the kernel
 expect(VerificationFailed, "the primitive form passed a broken symmetry check",
-       seifert._exact_form_signs, seifert._exact_eigdata(B, den)[0], P.G_int,
-       match="not symmetric")
-mx._nullspace_rows = real_nullspace
+       seifert._exact_form_signs, replace(seifert._exact_eigdata(B, den)[0], kernels=[standard]),
+       P.G_int, match="not symmetric")
 
-mx._rank_rows = lambda rows, ncols: 0         # kernel of dimension 3 over the pair +-i
+real_nullspace = mx._nullspace_rows
+mx._nullspace_rows = lambda rows, ncols: list(enumerate(standard))  # dimension 3 over +-i
 expect(VerificationFailed, "kernel_dims passed an uneven orbit split",
        seifert._exact_eigdata, B, den)
+mx._nullspace_rows = real_nullspace
 
 calls = iter(range(1000))
 mx.char_poly_exact = lambda A: next(calls)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,17 +494,21 @@ class TestKeptChecks:
     S = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]       # char poly (x - 1)(x^2 + 1)
 
     def test_kernel_split(self, monkeypatch):
-        # rank 0 makes ker Phi_4(M) three-dimensional, odd over the pair +-i
+        # the standard basis as every kernel makes ker Phi_4(M)
+        # three-dimensional, odd over the pair +-i
         P = pair_from_triangular(self.S)
-        monkeypatch.setattr(mx, "_rank_rows", lambda rows, ncols: 0)
+        monkeypatch.setattr(mx, "_nullspace_rows", lambda rows, ncols: [
+            (c, [int(i == c) for i in range(ncols)]) for c in range(ncols)])
         with pytest.raises(VerificationFailed, match="split evenly"):
             sf.classify(P)
 
     def test_primitive_form_symmetry(self, monkeypatch):
         # the standard basis in place of ker(M - 1): F is the whole Gram matrix
         P = pair_from_triangular(self.S)
-        monkeypatch.setattr(mx, "_nullspace_rows", lambda rows, ncols: [
-            (c, [int(i == c) for i in range(ncols)]) for c in range(ncols)])
+        real = sf._exact_eigdata
+        standard = [[int(i == c) for i in range(3)] for c in range(3)]
+        monkeypatch.setattr(sf, "_exact_eigdata", lambda B, den: [
+            replace(g, kernels=[standard]) if g.lam == 1 else g for g in real(B, den)])
         with pytest.raises(VerificationFailed, match="not symmetric"):
             sf.classify(P)
 
@@ -515,7 +520,8 @@ class TestKeptChecks:
 
     def test_primitive_form_rank_of_a_wrong_group(self):
         # M = E read as one block at 1: ker q(M) is the plane, F has rank 2
-        wrong = sf._EigGroup("real", 1, 1, [1], chain=[[[0, 0], [0, 0]]])
+        wrong = sf._EigGroup("real", 1, 1, [1], chain=[[[0, 0], [0, 0]]],
+                             kernels=[[[1, 0], [0, 1]]])
         with pytest.raises(VerificationFailed, match="has rank 2, not 1"):
             sf._exact_form_signs(wrong, [[1, 0], [0, 1]])
 
@@ -649,7 +655,8 @@ def test_a_power_of_one_rational_quadratic_resolves_exactly():
     q = RealPoly([1, F(11, 4), 1])
     assert mx.char_poly_exact(M) == q * q
     groups = sf._exact_eigdata(*mx.int_form(M))
-    assert [(g.kind, g.mult, g.sizes, g.q) for g in groups] == [("hyper_real", 2, [2], q)]
+    # the orbit polynomial is the primitive integer multiple 4 x^2 + 11 x + 4 of q
+    assert [(g.kind, g.mult, g.sizes, g.q) for g in groups] == [("hyper_real", 2, [2], (4, 11, 4))]
     assert _eigdata_blocks(groups) == _sympy_jordan_blocks(M)
     with pytest.raises(Unclassified, match="Jordan block"):
         sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float)))
@@ -664,7 +671,7 @@ def test_pair_of_multiplicity_two_with_both_signs():
                   [np.zeros((2, 3), dtype=object), mx.to_matrix([[1, b], [0, 1]])]])
     P = sf.SeifertPair.from_triangular(S)
     [pair] = [g for g in sf._exact_eigdata(P.B, P.den) if g.kind == "pair"]
-    assert (pair.mult, pair.sizes, pair.q) == (2, [1, 1], RealPoly([1, F(17, 16), 1]))
+    assert (pair.mult, pair.sizes, pair.q) == (2, [1, 1], (16, 17, 16))
     assert sf._exact_form_signs(pair, P.G_int) == {1: (1, 1)}
     got = sf.classify(P)
     assert sf.types_multiset_equal(got, lowdim.classify3(a).types + lowdim.solve2(b)[3])
@@ -689,6 +696,52 @@ def test_groups_keep_the_powers_of_q_that_sized_their_blocks():
                 assert rows == power.tolist()
             longest = max(longest, len(g.chain))
     assert longest == 8
+
+
+def test_each_power_of_q_is_reduced_once(monkeypatch):
+    # exact classify eliminates each power q(M)^j of a group's chain once
+    # (in _exact_eigdata) and never takes a rank; the primitive forms read
+    # the kept bases, and Horner starts at cs[-1] B + cs[-2] d E
+    cases = [M.S for _, M in hor.cyclotomic_pool(8)]
+    cases += [lowdim.s3_matrix(a) for a in _grid3_points()]
+    calls = {"nullspace": 0, "matmul": 0}
+    real_nullspace, real_matmul = mx._nullspace_rows, mx._matmul_rows
+    real_poly, real_signs = sf._poly_of_matrix, sf._exact_form_signs
+
+    def nullspace(rows, ncols):
+        calls["nullspace"] += 1
+        return real_nullspace(rows, ncols)
+
+    def matmul(A, B):
+        calls["matmul"] += 1
+        return real_matmul(A, B)
+
+    def poly(cs, B, d):
+        before = calls["matmul"]
+        out = real_poly(cs, B, d)
+        assert calls["matmul"] - before == len(cs) - 2
+        return out
+
+    def signs(g, G):
+        before = dict(calls)
+        out = real_signs(g, G)
+        assert calls == before
+        return out
+
+    def rank(rows, ncols):
+        raise AssertionError("exact classify took a rank")
+
+    for name, fn in (("_nullspace_rows", nullspace), ("_matmul_rows", matmul),
+                     ("_rank_rows", rank)):
+        monkeypatch.setattr(mx, name, fn)
+    monkeypatch.setattr(sf, "_poly_of_matrix", poly)
+    monkeypatch.setattr(sf, "_exact_form_signs", signs)
+    for S in cases:
+        P = sf.SeifertPair.from_triangular(S)
+        chains = {id(g.chain): len(g.chain) for g in sf._exact_eigdata(P.B, P.den)}
+        calls["nullspace"] = 0
+        sf.classify(P)
+        assert calls["nullspace"] == sum(chains.values()), S
 
 
 def test_exact_form_signs_multiply_no_matrices(monkeypatch):
