@@ -251,10 +251,10 @@ def signature_exact(A: np.ndarray):
     return _signature_rows(int_form(A)[0].tolist())
 
 
-def signature_numeric(A: np.ndarray, tol: float = 1e-6):
+def signature_numeric(A: np.ndarray):
     w = np.linalg.eigvalsh(np.asarray(A, dtype=float))
-    plus = int(np.sum(w > tol))
-    minus = int(np.sum(w < -tol))
+    plus = int(np.sum(w > 1e-6))
+    minus = int(np.sum(w < -1e-6))
     return plus, len(w) - plus - minus, minus
 
 

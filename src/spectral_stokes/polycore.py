@@ -16,10 +16,11 @@ Conventions used everywhere in the package:
   :func:`multiset_eq` with one of them as its test: ``spectra.Spp`` and
   the type lists of ``seifert`` go through these helpers, and no
   ``float()`` orders or compares an exact value; ``matrices.mat_eq`` reads
-  the mode once per matrix, from the dtypes.  Whether a root of unity is
-  a root of an exact polynomial, and how often, is decided by
-  :func:`cyclotomic_power` alone, by division in integers that no float
-  screens (:func:`_divmod_monic`, :func:`factor_cyclotomic`).
+  the mode once per matrix, from the dtypes.  Every exact polynomial,
+  rational too, finds its roots of unity, and how often, through
+  :func:`factor_cyclotomic` alone: on the integer multiple with its
+  denominators cleared, by division in integers that no float screens
+  (:func:`cyclotomic_power`, :func:`_divmod_monic`).
 * Every monodromy goes through ``matrices.monodromy_matrix`` (exact or
   float, one matrix or a float stack) or, for an exact Gram matrix,
   through the exact solve core that ``seifert.SeifertPair`` runs once.
@@ -652,60 +653,55 @@ def _cluster_angles(angles: list[float], tol: float):
     if len(groups) > 1 and (1.0 - groups[-1][-1]) + groups[0][0] <= tol:
         head = groups.pop()
         groups[0] = [a - 1.0 for a in head] + groups[0]
-    out = []
-    for g in groups:
-        rep = mod1(math.fsum(g) / len(g))
-        out.append((snap_angle(rep), len(g)))
-    return sorted(out, key=lambda t: t[0])
+    return [(mod1(math.fsum(g) / len(g)), len(g)) for g in groups]
 
 
 def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
     """All roots of a monic real polynomial as (angle, multiplicity) pairs.
 
-    Integer polynomials are factored exactly into cyclotomic factors; any
-    non-cyclotomic part and all inexact inputs go through numeric root
-    finding with every root checked against the unit circle.
+    An exact polynomial, integer or rational, clears its denominators once,
+    and :func:`factor_cyclotomic` splits every root of unity off the
+    integer multiple exactly.  The rest of an exact input, and all of an
+    inexact one, goes through numeric root finding on the monic cofactor,
+    with every root checked against the unit circle.  Only for inexact
+    input is a float angle within 1e-12 of a rational one snapped to it
+    (:func:`snap_angle`): the exact cofactor has no root of unity, so none
+    of its roots has a rational angle.
 
     Raises RootOffCircle if a root is farther than ``tol`` from the circle,
-    and, before any float, if an exact coefficient c_k exceeds C(n, k).
+    and, before any float, if a coefficient c_k of the exact cofactor with
+    leading coefficient ``lead`` exceeds C(n, k) lead.
     """
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
     if p.degree == 0:
         return []
-    exact_part: list = []
-    numeric_target = None
-    if p.is_integer:
-        mults, rem = factor_cyclotomic(p)
-        for d, m in sorted(mults.items()):
+    merged: dict = {}
+    rest, lead = p, 1
+    if p.is_exact:
+        nums, lead = _common_numerators(p.coeffs)
+        mults, rest = factor_cyclotomic(RealPoly(nums))
+        for d, m in mults.items():
             for b in cyclotomic_angles(d):
-                exact_part.append((b, m))
-        numeric_target = rem if rem.degree > 0 else None
-    else:
-        numeric_target = p
-    numeric_part: list = []
-    if numeric_target is not None:
-        if numeric_target.is_exact:
-            # roots on the circle give |c_k| <= C(n, k); past it, the distance
-            # reported is a lower bound, from |c_k| <= C(n, k) max|z|^n
-            n = numeric_target.degree
-            for k, c in enumerate(numeric_target.coeffs):
-                b = math.comb(n, k)
-                if abs(c) > b:
-                    r = (math.log(abs(c.numerator)) - math.log(c.denominator * b)) / n
-                    raise RootOffCircle(f"(|c_{k}| > C({n}, {k}))", math.expm1(min(r, 700.0)))
-        roots = np.roots(np.array([float(c) for c in reversed(numeric_target.coeffs)]))
+                merged[b] = m
+        # roots on the circle give |c_k| <= C(n, k) lead; past it, the
+        # distance reported is a lower bound, from |c_k| <= C(n, k) lead max|z|^n
+        n = rest.degree
+        for k, c in enumerate(rest.coeffs):
+            b = math.comb(n, k) * lead
+            if abs(c) > b:
+                r = (math.log(abs(c)) - math.log(b)) / n
+                raise RootOffCircle(f"(|c_{k}| > C({n}, {k}))", math.expm1(min(r, 700.0)))
+    if rest.degree > 0:
         raw = []
-        for z in roots:
+        for z in np.roots(np.array([c / lead for c in reversed(rest.coeffs)])):
             dist = abs(abs(z) - 1.0)
             if dist > tol:
                 raise RootOffCircle(complex(z), dist)
             raw.append(point_to_angle(complex(z)))
-        numeric_part = _cluster_angles(raw, CLUSTER_TOL)
-    merged: dict = {}
-    for b, m in exact_part + numeric_part:
-        key = mod1(b)
-        merged[key] = merged.get(key, 0) + m
+        for b, m in _cluster_angles(raw, CLUSTER_TOL):
+            key = b if p.is_exact else snap_angle(b)
+            merged[key] = merged.get(key, 0) + m
     out = sorted(merged.items(), key=lambda t: t[0])
     if sum(m for _, m in out) != p.degree:
         raise VerificationFailed("root multiplicities must add up to the degree")

@@ -28,9 +28,8 @@ import numpy as np
 from . import matrices as mx
 from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
 from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point, beta_from_cos,
-                       cyclotomic_angles, cyclotomic_polynomial, cyclotomic_power,
-                       factor_cyclotomic, format_number, mod1, multiset_eq, num_eq,
-                       point_to_angle, snap_angle)
+                       cyclotomic_angles, cyclotomic_polynomial, factor_cyclotomic,
+                       format_number, mod1, multiset_eq, num_eq, point_to_angle, snap_angle)
 from .spectra import Spp, decompose_into_ladders
 
 
@@ -312,9 +311,12 @@ def _exact_eigdata(B: list, den: int):
 
     The roots are read off the integer polynomial
     den^n det(x - B/den) = sum_k C_k den^k x^k, C_k the coefficients of
-    det(x - B): dividing it by the monic Phi_d keeps integers, and every
-    cofactor keeps the leading coefficient den^n.  Each group's orbit
-    polynomial is a primitive integer one, Phi_d or a x^2 - b x + a."""
+    det(x - B).  One ``factor_cyclotomic`` splits off every Phi_d: Phi_1
+    and Phi_2 give the real groups at +1 and -1, every other d the pairs of
+    its primitive roots.  Only the rest, which keeps the leading
+    coefficient den^n and has no root of unity, reaches the closed form of
+    a power of one quadratic.  Each group's orbit polynomial is a
+    primitive integer one, Phi_d or a x^2 - b x + a."""
     n = len(B)
     lead = den ** n
     rem = RealPoly([c * den ** k for k, c in enumerate(mx._char_poly_rows(B))])
@@ -335,22 +337,17 @@ def _exact_eigdata(B: list, den: int):
                 return _EigGroup(kind, lam, mult, _block_sizes(dims), q, chain, kernels)
             chain.append(mx._matmul_rows(chain[-1], qm))
 
-    for lam, d in ((1, 1), (-1, 2)):
-        mult, rem = cyclotomic_power(rem, d)
-        if mult:
-            groups.append(orbit_group("real", lam, cyclotomic_polynomial(d).coeffs, 1, mult))
+    mults, rem = factor_cyclotomic(rem)
+    for d, m in sorted(mults.items()):
+        q = cyclotomic_polynomial(d).coeffs
+        if d <= 2:
+            groups.append(orbit_group("real", 1 if d == 1 else -1, q, 1, m))
+        else:
+            phi = cyclotomic_angles(d)
+            g = orbit_group("pair", None, q, len(phi), m)
+            groups.extend(replace(g, lam=b) for b in phi if b < 0.5)
     if rem.degree == 0:
         return groups
-    # a remainder of degree > 2 goes through the cyclotomic split, a
-    # quadratic one (Phi_3, Phi_4 and Phi_6 among them) to the closed form
-    if rem.degree > 2:
-        mults, rem = factor_cyclotomic(rem)
-        for d, m in sorted(mults.items()):
-            phi = cyclotomic_angles(d)
-            g = orbit_group("pair", None, cyclotomic_polynomial(d).coeffs, len(phi), m)
-            groups.extend(replace(g, lam=b) for b in phi if b < 0.5)
-        if rem.degree == 0:
-            return groups
     # what is left resolves when it is lead (x^2 - c x + 1)^m for c = b/a in
     # lowest terms, a > 0: when a^m rem = lead (a x^2 - b x + a)^m
     m, odd = divmod(rem.degree, 2)

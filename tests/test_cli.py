@@ -47,6 +47,14 @@ class TestDispatch:
         assert data["S"]["entries"] == [["1", "1"], ["0", "1"]]
         assert data["R"]["entries"] == [["-1", "-1"], ["1", "0"]]
 
+    def test_hor_matrix_rational_double_root(self, capsys):
+        # (x + 1)^2 (x^2 + x/2 + 1): the double root -1 is split off
+        # exactly, where float roots put it 1.2e-8 off the circle
+        code, out, err = run_cli(capsys, "--mode", "exact", "hor", "matrix",
+                                 "--poly", "1,5/2,3,5/2,1")
+        assert code == 0, err
+        assert json.loads(out)["k"] == 1
+
     def test_strata3_scan_row(self, capsys):
         code, out, _ = run_cli(capsys, "strata3", "scan", "--step", "1",
                                "--lo", "-2", "--hi", "2")

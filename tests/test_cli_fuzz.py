@@ -10,13 +10,17 @@ that a valid case runs in milliseconds; the examples are derandomized so
 that the suite sees the same cases on every run.  A second fuzz hands
 ``seifert classify`` and ``seifert iso`` exact unit upper-triangular
 matrix files of size up to 5, which reach the exact classification's
-cyclotomic split, quadratic orbit polynomials and Jordan chains.
+cyclotomic split, quadratic orbit polynomials and Jordan chains.  A third
+hands ``hor matrix`` and ``hor track`` monic palindromic and
+antipalindromic exact coefficient lists of degree up to 6, whose rational
+roots of unity the exact cyclotomic split must find.
 Contract breaks the fuzz found are pinned in ``FIXED``.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +68,28 @@ def exact_matrix_doc(draw):
     rows = [[("1" if i == j else "0") if j <= i else draw(EXACT_ENTRIES) for j in range(n)]
             for i in range(n)]
     return json.dumps({"n": n, "entries": rows})
+
+
+@st.composite
+def symmetric_poly_argv(draw):
+    """``hor matrix`` or ``hor track`` on a monic palindromic (k = 1) or
+    antipalindromic (k = 2) exact coefficient list of degree 1 to 6: its
+    roots of unity go through the exact cyclotomic split, the rest through
+    float roots, and its --k is its class or, less often, the other."""
+    n, k = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2]))
+    sign = 1 if k == 1 else -1
+    cs = [sign] + [0] * (n - 1) + [1]
+    for j in range(1, n // 2 + 1):
+        # c_j = sign c_(n-j); an antipalindromic middle coefficient is 0
+        if j < n - j or k == 1:
+            cs[j] = Fraction(draw(EXACT_ENTRIES))
+            cs[n - j] = sign * cs[j]
+    poly = ",".join(map(str, cs))
+    kk = draw(st.sampled_from([k, k, 3 - k]))
+    if draw(st.booleans()):
+        return ["hor", "matrix", f"--poly={poly}"] + draw(st.sampled_from([[], [f"--k={kk}"]]))
+    steps = draw(st.sampled_from(["1", "2", "16"]))
+    return ["hor", "track", f"--k={kk}", f"--target-poly={poly}", f"--steps={steps}"]
 
 
 @st.composite
@@ -187,6 +213,12 @@ def test_cli_contract(files, prefix, command, docs):
        docs=st.tuples(exact_matrix_doc(), exact_matrix_doc()))
 def test_exact_classify_contract(files, mode, command, docs):
     check_contract(_materialise(files, mode + command, docs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mode=_opt("--mode", st.sampled_from(["exact", "numeric"])), argv=symmetric_poly_argv())
+def test_symmetric_poly_contract(mode, argv):
+    check_contract(mode + argv)
 
 
 # contract breaks the fuzz found, each mended in the package:

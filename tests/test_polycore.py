@@ -181,6 +181,49 @@ class TestUnitCircleAngles:
             for x, y in zip(sorted(got, key=float), sorted(angles)):
                 assert pc.circle_dist(x, y) <= 1e-7
 
+    def test_rational_multiple_root_is_exact(self):
+        # (x + 1)^4 (x^2 + x/2 + 1): float roots put the fourfold root -1
+        # 2e-4 off the circle; the cyclotomic split finds it exactly
+        p = pc.poly_from_cyclotomic_mults({2: 4}) * pc.RealPoly([1, Fraction(1, 2), 1])
+        got = pc.unit_circle_angles(p)
+        assert (Fraction(1, 2), 4) in got
+        assert sum(m for _, m in got) == 6
+
+    def test_rational_input_splits_once(self, monkeypatch):
+        # one cyclotomic split on the integer multiple, and np.roots of the
+        # monic cofactor only
+        split, roots = [], []
+        factor, np_roots = pc.factor_cyclotomic, pc.np.roots
+        monkeypatch.setattr(pc, "factor_cyclotomic", lambda p: split.append(p) or factor(p))
+        monkeypatch.setattr(pc.np, "roots", lambda c: roots.append(list(c)) or np_roots(c))
+        p = pc.poly_from_cyclotomic_mults({1: 2, 3: 1, 5: 1}) * pc.RealPoly([1, Fraction(-3, 7), 1])
+        got = pc.unit_circle_angles(p)
+        assert split == [pc.RealPoly([7 * c for c in p.coeffs])]
+        assert roots == [[1.0, -3 / 7, 1.0]]
+        assert [b for b, _ in got if isinstance(b, Fraction)] == [
+            Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(2, 5), Fraction(3, 5),
+            Fraction(2, 3), Fraction(4, 5)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), st.integers(1, 3),
+                           max_size=3),
+           st.fractions(-2, 2, max_denominator=12).filter(lambda c: abs(c) < 2 and c not in (0, 1, -1)))
+    def test_rational_split_matches_sympy(self, mults, c):
+        # Phi_d powers (phi(d) <= 4) times x^2 - c x + 1, which is not
+        # cyclotomic: the roots of unity are exact and come from sympy's
+        # factor_list of the polynomial with its denominators cleared
+        p = pc.poly_from_cyclotomic_mults(mults) * pc.RealPoly([1, -c, 1])
+        want, rest = sympy_cyclotomic_split(pc.RealPoly(pc._common_numerators(p.coeffs)[0]))
+        assert rest.degree == 2
+        got = pc.unit_circle_angles(p)
+        exact = {b: m for d, m in want.items() for b in pc.cyclotomic_angles(d)}
+        assert [t for t in got if t[0] in exact] == sorted(exact.items())
+        beta = float(sympy.acos(sympy.Rational(c.numerator, 2 * c.denominator)) / (2 * sympy.pi))
+        other = [t for t in got if t[0] not in exact]
+        assert [m for _, m in other] == [1, 1]
+        assert pc.circle_dist(other[0][0], beta) <= 1e-9
+        assert pc.circle_dist(other[1][0], -beta) <= 1e-9
+
 
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-0.1, 0.1),
                           st.floats(0, 1, exclude_max=True)),
@@ -515,3 +558,6 @@ class TestCyclotomicPower:
         p = pc.RealPoly([1, 1, 1]) * pc.RealPoly([1, 1 - Fraction(1, 10**12), 1])
         assert pc.cyclotomic_power(p, 3)[0] == 1
         assert pc.cyclotomic_power(p, 1)[0] == 0
+        # nor may a float root of the cofactor be snapped onto 1/3
+        got = pc.unit_circle_angles(p)
+        assert (Fraction(1, 3), 1) in got and len(got) == 4

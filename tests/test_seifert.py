@@ -11,7 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectral_stokes import hor, lowdim, matrices as mx, seifert as sf
+from spectral_stokes import hor, lowdim, matrices as mx, polycore as pc, seifert as sf
 from spectral_stokes.errors import (NotLadderComposed, Singular, SpectralStokesError, Unclassified,
                                     VerificationFailed)
 from spectral_stokes.polycore import RealPoly, angle_to_point
@@ -266,7 +266,7 @@ class TestTypeSignature:
                 continue
             checked += 1
             total = tuple(map(sum, zip(*(sf.type_signature(t) for t in types))))
-            assert total == mx.signature_numeric(Sf + Sf.T, 1e-6)
+            assert total == mx.signature_numeric(Sf + Sf.T)
         assert checked >= 30
 
     def test_sum_matches_on_general_rational_matrices(self):
@@ -370,7 +370,8 @@ class TestEnhancements:
 
 # entries of the drawn unit upper-triangular matrices: many zeros and small
 # values, so eigenvalues +-1 with Jordan blocks come up often
-_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -2, F(1, 2), F(-1, 2), F(3, 2), F(-1, 3), F(2, 3)])
+_ENTRY_VALUES = [0, 0, 0, 1, -1, 2, -2, F(1, 2), F(-1, 2), F(3, 2), F(-1, 3), F(2, 3)]
+_ENTRIES = st.sampled_from(_ENTRY_VALUES)
 
 
 @st.composite
@@ -609,18 +610,31 @@ def _no_float_linalg(monkeypatch):
         monkeypatch.setattr(sf.np.linalg, name, refuse)
 
 
+def _random_unit_upper4(count):
+    """``count`` unit upper-triangular 4x4 matrices over ``_ENTRY_VALUES``."""
+    rng = random.Random(5)
+    return [mx.to_matrix([[int(i == j) if j <= i else rng.choice(_ENTRY_VALUES) for j in range(4)]
+                          for i in range(4)]) for _ in range(count)]
+
+
 def test_exact_and_float_classify_agree_or_float_refuses():
-    # float classify of the same S gives the exact types or a typed error
+    # float classify of the same S gives the exact types or a typed error,
+    # and the types of either answer sum to the signature of S + S^t
     cases = [lowdim.s3_matrix(a) for a in _grid3_points()]
     cases += [M.S for _, M in hor.cyclotomic_pool(8)]
-    assert len(cases) == 3665 + 498
+    cases += _random_unit_upper4(600)
+    assert len(cases) == 3665 + 498 + 600
     for S in cases:
         exact = sf.classify(sf.SeifertPair.from_triangular(S))
+        answers = [exact]
         try:
-            numeric = sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float)))
+            answers.append(sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float))))
         except SpectralStokesError:
-            continue
-        assert sf.types_multiset_equal(exact, numeric), S
+            pass
+        sig = mx.signature_exact(S + S.T)
+        for types in answers:
+            assert tuple(map(sum, zip(*map(sf.type_signature, types)))) == sig, S
+        assert sf.types_multiset_equal(exact, answers[-1]), S
 
 
 def test_float_classify_refuses_split_jordan_blocks():
@@ -696,6 +710,36 @@ def test_groups_keep_the_powers_of_q_that_sized_their_blocks():
                 assert rows == power.tolist()
             longest = max(longest, len(g.chain))
     assert longest == 8
+
+
+def test_one_cyclotomic_split_per_char_poly(monkeypatch):
+    # _exact_eigdata finds the roots of unity, +-1 among them, in one
+    # factor_cyclotomic call, and tries a Phi_d only inside it
+    cases = [M.S for _, M in hor.cyclotomic_pool(8)]
+    cases += [lowdim.s3_matrix(a) for a in _grid3_points()]
+    splits, inside = [], []
+    factor, power = pc.factor_cyclotomic, pc.cyclotomic_power
+
+    def split(p):
+        splits.append(p)
+        inside.append(True)
+        try:
+            return factor(p)
+        finally:
+            inside.pop()
+
+    def divide(p, d):
+        assert inside, "cyclotomic_power called outside factor_cyclotomic"
+        return power(p, d)
+
+    monkeypatch.setattr(sf, "factor_cyclotomic", split)
+    monkeypatch.setattr(pc, "cyclotomic_power", divide)
+    assert not hasattr(sf, "cyclotomic_power")
+    for S in cases:
+        P = sf.SeifertPair.from_triangular(S)
+        splits.clear()
+        sf._exact_eigdata(P.B, P.den)
+        assert len(splits) == 1, S
 
 
 def test_each_power_of_q_is_reduced_once(monkeypatch):
