@@ -118,8 +118,10 @@ def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
     for col in range(ncols):
         if r >= n:
             break
-        piv = next((i for i in range(r, n) if rows[i][col]), None)
-        if piv is None:
+        for piv in range(r, n):
+            if rows[piv][col]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
@@ -148,16 +150,22 @@ def _char_poly_rows(B: list) -> list:
     # coefficients from x^r down to x^0 of the leading r x r block
     cs = [1]
     for r in range(n):
-        lead = [B[i][:r] for i in range(r)]
+        lead = B[:r]
         # first column of the Toeplitz step: 1, -a_rr, -R C, -R A_r C, ...
+        # (map stops at the r entries of v, so rows need no slicing)
         t = [1, -B[r][r]]
-        v = [B[i][r] for i in range(r)]
+        v = [row[r] for row in lead]
         for k in range(r):
-            t.append(-sum(a * b for a, b in zip(B[r], v)))
+            t.append(-sum(map(operator.mul, B[r], v)))
             if k < r - 1:
-                v = [sum(a * b for a, b in zip(row, v)) for row in lead]
-        cs = [sum(t[i - j] * cs[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
-              for i in range(r + 2)]
+                v = [sum(map(operator.mul, row, v)) for row in lead]
+        # the Toeplitz matrix times cs: the first r + 2 terms of t * cs
+        out = [0] * (r + 2)
+        for j, c in enumerate(cs):
+            if c:
+                for i, x in enumerate(t[:r + 2 - j], j):
+                    out[i] += x * c
+        cs = out
     return cs[::-1]
 
 
@@ -216,8 +224,10 @@ def _signature_rows(M: list):
     plus = minus = zero = 0
     while M:
         k = len(M)
-        p = next((i for i in range(k) if M[i][i]), None)
-        if p is None:
+        for p in range(k):
+            if M[p][p]:
+                break
+        else:
             od = next(((i, j) for i in range(k) for j in range(i + 1, k) if M[i][j]), None)
             if od is None:
                 zero += k
@@ -237,7 +247,7 @@ def _signature_rows(M: list):
         s, ad = (1 if d > 0 else -1), abs(d)
         keep = [i for i in range(k) if i != p]
         M = [[ad * M[i][j] - s * M[i][p] * M[p][j] for j in keep] for i in keep]
-        g = math.gcd(*(x for row in M for x in row))
+        g = math.gcd(*[x for row in M for x in row])
         if g > 1:
             M = [[x // g for x in row] for row in M]
     return plus, zero, minus

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import LeftT, VerificationFailed
-from .polycore import multiset_eq, num_eq, point_to_angle, _lift_path
+from .polycore import multiset_eq, num_eq, _lift_path, _point_angles
 
 
 def sign_act(eps, S: np.ndarray) -> np.ndarray:
@@ -234,8 +234,10 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
     that is not unit upper-triangular, has a non-finite entry, is
     singular, has a non-finite S^{-1} S^t, or has an eigenvalue off the
     circle, checked in that order within a sample.
-    Angles are read with ``cmath.phase`` (``point_to_angle``), whose last
-    bits ``np.angle`` does not always reproduce.  The matching is
+    Angles are read with ``cmath.phase``, whose last bits ``np.angle`` does
+    not always reproduce, mapped over the eigenvalues and reduced in one
+    array expression (``polycore._point_angles``), bit for bit
+    ``point_to_angle`` of each.  The matching is
     ``polycore._lift_path``: one array pass certifies a step in place
     when each sorted angle's guess from the two sorted rows before lies
     nearer to the angle at the same sorted index than half the smallest
@@ -298,7 +300,7 @@ def generic_path_track(path, steps: int = 256) -> GenericTrack:
                     else "sample is not unit upper triangular" if not shaped[inside]
                     else "sample has a non-finite entry" if not finite[inside]
                     else "sample is singular")
-    ang = np.array([point_to_angle(z) for z in eig.ravel().tolist()]).reshape(eig.shape)
+    ang = _point_angles(eig)
     lifts = _lift_path(ang)
     # a collision is a genuine meeting: strands that start together (all
     # angles vanish at the identity) are not ambiguous until they separate

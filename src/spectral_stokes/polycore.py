@@ -67,8 +67,9 @@ def is_exact(x) -> bool:
 
 def _common_numerators(xs) -> tuple[list, int]:
     """Numerators of exact scalars over their common denominator."""
-    den = math.lcm(*[x.denominator for x in xs])
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    dens = [x.denominator for x in xs]
+    den = math.lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def mod1(x):
@@ -93,7 +94,7 @@ def angle_eq(a, b, tol: float = CIRCLE_TOL) -> bool:
     """Equality of circle angles (so 0 and 1 agree): exact when both sides
     are exact, else within ``tol`` in circle distance."""
     if is_exact(a) and is_exact(b):
-        return mod1(a) == mod1(b)
+        return (a - b).denominator == 1
     return circle_dist(a, b) <= tol
 
 
@@ -122,6 +123,15 @@ def angle_to_point(b) -> complex:
 def point_to_angle(z: complex):
     """Angle in ``[0, 1)`` of a (nearly) unit-modulus complex number."""
     return (-cmath.phase(z) / TWO_PI) % 1.0
+
+
+def _point_angles(zs: np.ndarray) -> np.ndarray:
+    """:func:`point_to_angle` of every entry of a complex array, bit for
+    bit: ``cmath.phase`` per entry, then one array expression, whose IEEE
+    division and float ``%`` (fmod, adjusted to the sign of 1) are those
+    of the scalar one."""
+    ph = np.array(list(map(cmath.phase, zs.ravel().tolist())))
+    return ((-ph / TWO_PI) % 1.0).reshape(zs.shape)
 
 
 def parse_rational(s):
@@ -510,7 +520,14 @@ def _divisors(d: int):
 def _cyclotomic_degree_candidates(n: int) -> tuple:
     # the d with phi(d) <= n: over the k primes of d, phi(d) >= 2^(k-1), so
     # k <= n.bit_length(), and d/phi(d) = prod p/(p-1) <= k + 1 (prime j > j)
-    return tuple(d for d in range(1, n * (n.bit_length() + 1) + 1) if totient(d) <= n)
+    top = n * (n.bit_length() + 1)
+    # phi(d) for every d <= top at once, by sieving out each prime's share
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return tuple(d for d in range(1, top + 1) if phi[d] <= n)
 
 
 def _divmod_monic(cs, q):
@@ -540,6 +557,12 @@ def cyclotomic_polynomial(d: int) -> RealPoly:
 def _cyclotomic_at_2(d: int) -> int:
     """Phi_d(2), from 2^d - 1 = prod_{e | d} Phi_e(2)."""
     return ((1 << d) - 1) // math.prod(_cyclotomic_at_2(e) for e in _divisors(d)[:-1])
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_screen(n: int) -> tuple:
+    """(d, phi(d), Phi_d(2)) for each d with phi(d) <= n, in order of d."""
+    return tuple((d, totient(d), _cyclotomic_at_2(d)) for d in _cyclotomic_degree_candidates(n))
 
 
 def cyclotomic_angles(d: int):
@@ -578,19 +601,23 @@ def factor_cyclotomic(p: RealPoly):
     phi(d) at most the degree left, goes to :func:`cyclotomic_power` only
     when Phi_d(2) divides the value at 2 of what is left: an exact screen,
     as Phi_d | p in Z[x] implies Phi_d(2) | p(2).  At p(2) = 0 all pass.
+    The candidates, with phi(d) and Phi_d(2), come from one cached screen
+    per degree of p.
     """
     if not p.is_integer:
         raise ValueError("cyclotomic factorization needs an integer polynomial")
     mults: dict[int, int] = {}
-    rem, at_2 = p, sum(c << k for k, c in enumerate(p.coeffs))
-    for d in _cyclotomic_degree_candidates(p.degree):
-        if rem.degree == 0:
+    rem, left = p, len(p.coeffs) - 1
+    at_2 = sum(c << k for k, c in enumerate(p.coeffs))
+    for d, phi, phi_2 in _cyclotomic_screen(left):
+        if left == 0:
             break
-        if totient(d) <= rem.degree and at_2 % _cyclotomic_at_2(d) == 0:
+        if phi <= left and at_2 % phi_2 == 0:
             m, rem = cyclotomic_power(rem, d)
             if m:
                 mults[d] = m
-                at_2 //= _cyclotomic_at_2(d) ** m
+                left -= m * phi
+                at_2 //= phi_2 ** m
     return mults, rem
 
 

@@ -20,17 +20,21 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import matrices as mx
 from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
-from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, angle_to_point, beta_from_cos,
+from .polycore import (CIRCLE_TOL, TWO_PI, RealPoly, angle_eq, angle_to_point,
                        cyclotomic_angles, cyclotomic_polynomial, factor_cyclotomic,
-                       format_number, mod1, multiset_eq, num_eq, point_to_angle, snap_angle)
+                       format_number, mod1, multiset_eq, num_eq, point_to_angle, snap_angle,
+                       totient)
 from .spectra import Spp, decompose_into_ladders
+
+_ZERO, _QUARTER, _HALF = Fraction(0), Fraction(1, 4), Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +59,7 @@ class IrrType:
     def __post_init__(self):
         if self.family in ("F1", "F2real"):
             on_one = angle_eq(self.lam, 0)
-            if not (on_one or angle_eq(self.lam, Fraction(1, 2))):
+            if not (on_one or angle_eq(self.lam, _HALF)):
                 raise ValueError(f"{self.family} eigenvalue must be +-1")
             if self.family == "F1" and self.eps not in (1, -1):
                 raise ValueError("F1 needs a sign eps in {1, -1}")
@@ -109,7 +113,7 @@ class IrrType:
         def ang(a):
             if angle_eq(a, 0):
                 return "1"
-            if angle_eq(a, Fraction(1, 2)):
+            if angle_eq(a, _HALF):
                 return "-1"
             return f"e(-2pi i {format_number(a, 6)})"
         if self.family == "F1":
@@ -163,16 +167,16 @@ def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False) -> IrrType
     if num_eq(d, round(d)):
         d_int = round(d)
         # the eigenvalue is +-1: its angle is exactly 0 or 1/2
-        lam_angle = Fraction(0) if angle_eq(lam_angle, 0) else Fraction(1, 2)
+        lam_angle = _ZERO if angle_eq(lam_angle, 0) else _HALF
         if d_int % 2 == 0:
             eps = (-1) ** ((d_int // 2) % 2)
             if signed and l % 2 == 1:
                 eps = -eps
             return IrrType("F1", lam_angle, n_b, eps=eps)
         return IrrType("F2real", lam_angle, n_b)
-    zeta_angle = mod1(-d * Fraction(1, 4))
+    zeta_angle = mod1(-d * _QUARTER)
     if signed and l % 2 == 1:
-        zeta_angle = mod1(zeta_angle + Fraction(1, 2))
+        zeta_angle = mod1(zeta_angle + _HALF)
     return IrrType("F2complex", lam_angle, n_b, zeta=zeta_angle).normalized()
 
 
@@ -305,6 +309,13 @@ class _EigGroup:
     kernels: list | None = field(default=None, repr=False)
 
 
+@lru_cache(maxsize=None)
+def _pair_angles(d: int) -> tuple:
+    """The angles in (0, 1/2) of the primitive d-th roots of unity, one
+    per conjugate pair."""
+    return tuple(b for b in cyclotomic_angles(d) if 2 * b < 1)
+
+
 def _exact_eigdata(B: list, den: int):
     """Eigenvalue groups of the exact monodromy B/den (its integer rows), or
     None when the characteristic polynomial cannot be resolved exactly.
@@ -315,16 +326,16 @@ def _exact_eigdata(B: list, den: int):
     and Phi_2 give the real groups at +1 and -1, every other d the pairs of
     its primitive roots.  Only the rest, which keeps the leading
     coefficient den^n and has no root of unity, reaches the closed form of
-    a power of one quadratic.  Each group's orbit polynomial is a
-    primitive integer one, Phi_d or a x^2 - b x + a."""
+    a power of one quadratic, on its integer coefficients.  Each group's
+    orbit polynomial is a primitive integer one, Phi_d or a x^2 - b x + a."""
     n = len(B)
     lead = den ** n
-    rem = RealPoly([c * den ** k for k, c in enumerate(mx._char_poly_rows(B))])
+    cs = [c * den ** k for k, c in enumerate(mx._char_poly_rows(B))]
     groups: list[_EigGroup] = []
 
-    def orbit_group(kind: str, lam, q: tuple, per: int, mult: int) -> _EigGroup:
-        """The group of lam, one of the ``per`` roots of q, each of
-        multiplicity mult; its Jordan sizes from dim ker q(M)^j, one
+    def orbit_groups(kind: str, lams, q: tuple, per: int, mult: int) -> list:
+        """The groups of lams, roots of q among ``per`` roots, each of
+        multiplicity mult; their Jordan sizes from dim ker q(M)^j, one
         elimination per power, with the powers and kernel bases kept."""
         qm = _poly_of_matrix(q, B, den)
         dims, chain, kernels = [], [qm], []
@@ -334,32 +345,39 @@ def _exact_eigdata(B: list, den: int):
                 raise VerificationFailed("kernel must split evenly over the orbit")
             dims.append(len(kernels[-1]) // per)
             if dims[-1] >= mult or len(dims) >= mult:
-                return _EigGroup(kind, lam, mult, _block_sizes(dims), q, chain, kernels)
+                sizes = _block_sizes(dims)
+                return [_EigGroup(kind, lam, mult, sizes, q, chain, kernels) for lam in lams]
             chain.append(mx._matmul_rows(chain[-1], qm))
 
-    mults, rem = factor_cyclotomic(rem)
+    mults, rem = factor_cyclotomic(RealPoly(cs))
     for d, m in sorted(mults.items()):
         q = cyclotomic_polynomial(d).coeffs
         if d <= 2:
-            groups.append(orbit_group("real", 1 if d == 1 else -1, q, 1, m))
+            groups += orbit_groups("real", (1 if d == 1 else -1,), q, 1, m)
         else:
-            phi = cyclotomic_angles(d)
-            g = orbit_group("pair", None, q, len(phi), m)
-            groups.extend(replace(g, lam=b) for b in phi if b < 0.5)
-    if rem.degree == 0:
+            groups += orbit_groups("pair", _pair_angles(d), q, totient(d), m)
+    cs = rem.coeffs
+    if len(cs) == 1:
         return groups
     # what is left resolves when it is lead (x^2 - c x + 1)^m for c = b/a in
     # lowest terms, a > 0: when a^m rem = lead (a x^2 - b x + a)^m
-    m, odd = divmod(rem.degree, 2)
+    m, odd = divmod(len(cs) - 1, 2)
     if odd:
         return None
-    common = math.gcd(rem.coeffs[-2], m * lead)
-    a, b = m * lead // common, -rem.coeffs[-2] // common
+    common = math.gcd(cs[-2], m * lead)
+    a, b = m * lead // common, -cs[-2] // common
     q = (a, -b, a)
-    if rem * a ** m != math.prod([RealPoly(q)] * m, start=RealPoly([lead])):
+    power = [lead]
+    for _ in range(m):
+        power = [a * (x + z) - b * y
+                 for x, y, z in zip(power + [0, 0], [0] + power + [0], [0, 0] + power)]
+    am = a ** m
+    if any(c * am != p for c, p in zip(cs, power)):
         return None
     if abs(b) < 2 * a:
-        groups.append(orbit_group("pair", beta_from_cos(Fraction(b, 2 * a)), q, 2, m))
+        # Phi_3, Phi_4 and Phi_6 are split off, so b / 2a is no rational
+        # cosine of a rational angle (Niven): the angle is irrational
+        groups += orbit_groups("pair", (math.acos(b / (2 * a)) / TWO_PI,), q, 2, m)
         return groups
     try:
         lam = cf = b / a
@@ -371,7 +389,7 @@ def _exact_eigdata(B: list, den: int):
         lam = (cf + math.sqrt(cf ** 2 - 4)) / 2.0
         if abs(lam) < 1:
             lam = cf - lam
-    groups.append(orbit_group("hyper_real", lam, q, 2, m))
+    groups += orbit_groups("hyper_real", (lam,), q, 2, m)
     return groups
 
 
@@ -472,7 +490,7 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
 def _canonical_zeta_sqrt(theta, n_b: int):
     """Angle z with exp(-2 pi i z)^2 = conj(lam) * (-1)^(n_b+1) where
     lam = exp(-2 pi i theta): z = -theta/2 - (n_b + 1)/4 mod 1."""
-    return mod1(-theta * Fraction(1, 2) - Fraction(n_b + 1, 4))
+    return mod1(-theta * _HALF - Fraction(n_b + 1, 4))
 
 
 def _form_is_symmetric(g: _EigGroup, s: int) -> bool:
@@ -590,7 +608,7 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
     computes them in floats for the rest.
     """
     pair = g.kind == "pair"
-    lam_angle = None if pair else Fraction(0) if g.lam == 1 else Fraction(1, 2)
+    lam_angle = None if pair else _ZERO if g.lam == 1 else _HALF
     out: list[IrrType] = []
     for s in sorted(set(g.sizes)):
         c = g.sizes.count(s)
@@ -602,9 +620,12 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
             continue
         p, m = signs[s]
         z0 = _canonical_zeta_sqrt(g.lam, s) if pair else None
-        for eps in [1] * p + [-1] * m:
-            out.append(IrrType("F2complex", g.lam, s, zeta=mod1(z0 + Fraction(1 - eps, 4))).normalized()
-                       if pair else IrrType("F1", lam_angle, s, eps=eps))
+        # the blocks of one sign share one type
+        for eps, k, shift in ((1, p, _ZERO), (-1, m, _HALF)):
+            if k:
+                t = (IrrType("F2complex", g.lam, s, zeta=mod1(z0 + shift)).normalized()
+                     if pair else IrrType("F1", lam_angle, s, eps=eps))
+                out += [t] * k
     return out
 
 
@@ -701,7 +722,7 @@ def type_signature(t: IrrType):
         zc = _canonical_zeta_sqrt(t.lam, n)
         if angle_eq(t.zeta, zc, tol=1e-7):
             return (n - 1, 0, n + 1)
-        if angle_eq(t.zeta, mod1(zc + Fraction(1, 2)), tol=1e-7):
+        if angle_eq(t.zeta, mod1(zc + _HALF), tol=1e-7):
             return (n + 1, 0, n - 1)
         raise ValueError(f"zeta {t.zeta} is not an admissible invariant for {t.label()}")
     if t.family == "F2hyper":

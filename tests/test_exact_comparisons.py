@@ -76,10 +76,10 @@ def test_the_walk_finds_float_in_comparisons_and_sort_keys():
     assert float_comparisons(ast.parse(src)) == ["f", "f", "C.g"]
 
 
-#: polycore's exact cyclotomic kernels: integer division, the two values at 2
-#: of the screen, and the split itself
+#: polycore's exact cyclotomic kernels: integer division, the values at 2 of
+#: the screen, the screen itself, and the split
 EXACT_KERNELS = ("_divmod_monic", "cyclotomic_polynomial", "_cyclotomic_at_2",
-                 "cyclotomic_power", "factor_cyclotomic")
+                 "_cyclotomic_screen", "cyclotomic_power", "factor_cyclotomic")
 
 
 def float_uses(tree: ast.AST):

@@ -359,6 +359,21 @@ def test_lift_path_keeps_the_point_one_as_two_values():
     assert lifts[-1].tolist() == [0.0, ulp, 0.3]
 
 
+def test_point_angles_are_point_to_angle_bit_for_bit():
+    # +-0 imaginary parts at +-1 give the angles 1/2 and 0 from phases of
+    # both signs; the rest are points near the circle, exact roots of unity
+    # and random points
+    rng = np.random.default_rng(7)
+    special = [-1 + 0j, complex(-1, -0.0), 1 + 0j, complex(1, -0.0), 1j, -1j,
+               complex(-1, 1e-300), complex(-1, -1e-300), complex(1, -5e-324)]
+    roots = np.exp(2j * np.pi * np.arange(60) / 60)
+    z = rng.normal(size=(501, 2)) @ np.array([1, 1j])
+    zs = np.concatenate([special, roots, z / np.abs(z), z]).reshape(-1, 3)
+    want = np.array([pc.point_to_angle(w) for w in zs.ravel().tolist()]).reshape(zs.shape)
+    assert pc._point_angles(zs).tobytes() == want.tobytes()
+    assert pc._point_angles(np.array([-1 + 0j, complex(-1, -0.0)])).tolist() == [0.5, 0.5]
+
+
 class TestExactOrToleranceComparisons:
     def test_exact_never_uses_the_tolerance(self):
         assert not pc.num_eq(Fraction(1, 10**12), 0)
@@ -490,6 +505,12 @@ class TestCyclotomic:
     def test_value_at_two(self):
         for d in range(1, 60):
             assert pc._cyclotomic_at_2(d) == sympy.cyclotomic_poly(d, 2)
+
+    def test_screen_is_every_d_with_phi_at_most_n_and_its_values(self):
+        for n in range(60):
+            want = [(d, pc.totient(d), sympy.cyclotomic_poly(d, 2))
+                    for d in range(1, 2 * n * n + 3) if pc.totient(d) <= n]
+            assert list(pc._cyclotomic_screen(n)) == want
 
     def test_factorization(self):
         p = pc.poly_from_cyclotomic_mults({1: 2, 4: 1, 6: 2})

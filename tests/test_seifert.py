@@ -647,6 +647,21 @@ def test_float_classify_refuses_split_jordan_blocks():
             sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float)))
 
 
+def test_irrational_pair_angles_are_classify3s_bit_for_bit():
+    # the exact pair angle acos(b / 2a) / 2 pi of the quadratic orbit
+    # polynomial is the float of classify3's closed form on every grid point
+    # with an irrational pair; zeta, rounded in another order, may differ
+    irrational = 0
+    for a in _grid3_points():
+        got = [t.lam for t in sf.classify(sf.SeifertPair.from_triangular(lowdim.s3_matrix(a)))
+               if t.family == "F2complex" and type(t.lam) is float]
+        if got:
+            irrational += 1
+            want = [t.lam for t in lowdim.classify3(a).types if t.family == "F2complex"]
+            assert [x.hex() for x in got] == [x.hex() for x in want], a
+    assert irrational == 3384
+
+
 def test_exact_classify_makes_no_float_linalg_call(monkeypatch):
     interior = [a for a in _grid3_points() if 0 < lowdim.f3(a) < 4]
     assert len(interior) == 3442 and GRID3_POINT in interior
