@@ -11,11 +11,7 @@ Cases: ``seifert.classify`` on one size-3 grid point, on one n = 8
 family member and on two 4 x 4 monodromies whose characteristic
 polynomial is the square of a rational quadratic (one real hyperbolic
 pair with a block of size 2, one semisimple conjugate pair),
-``lowdim.classify3`` on one point, one item of the size-3 grid
-(``classify3``, ``s3_matrix``, ``SeifertPair.from_triangular``,
-``classify`` and ``signature_exact`` of S + S^t on one point, the loop body
-of acceptance criterion 7 and of the benchmark's grid items, so the
-in-process stand-in for the end-to-end ``exact`` median), ``lowdim.member3`` over
+``lowdim.classify3`` on one point, ``lowdim.member3`` over
 the step-1/4 grid of [-4, 4]^3, ``chain.ChainSing``, ``chain.qh_spectrum``
 and ``chain.verify_spectrum_shift`` on the largest tuple of the chain grid,
 and ``matrices.char_poly_exact`` and ``matrices.rank_exact`` on the
@@ -33,7 +29,7 @@ pytest.importorskip("pytest_benchmark")
 
 F = Fraction
 
-#: an InteriorPos point of the step-1/4 grid, with denominators
+#: an InteriorInd point of the step-1/4 grid, with denominators
 GRID3_POINT = (F(-7, 4), F(-7, 4), F(5, 4))
 #: an n = 8 family member (k = 1) whose monodromy has char poly
 #: (x + 1)^2 Phi_6^3, with one Jordan block of size 2 at -1
@@ -83,19 +79,6 @@ def test_classify_semisimple_pair(benchmark):
 def test_classify3(benchmark):
     got = benchmark(lowdim.classify3, GRID3_POINT)
     assert got.stratum == lowdim.Stratum3.INTERIOR_POS and got.f == F(9, 64)
-
-
-def test_grid3_item(benchmark):
-    def item():
-        closed = lowdim.classify3(GRID3_POINT)
-        S = lowdim.s3_matrix(GRID3_POINT)
-        direct = sf.classify(sf.SeifertPair.from_triangular(S))
-        return closed, direct, mx.signature_exact(S + S.T)
-
-    closed, direct, sig = benchmark(item)
-    assert closed.stratum == lowdim.Stratum3.INTERIOR_POS
-    assert sf.types_multiset_equal(direct, closed.types)
-    assert sig == tuple(map(sum, zip(*map(sf.type_signature, closed.types)))) == (3, 0, 0)
 
 
 def test_member3_grid(benchmark):

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Singular
-from .polycore import (RealPoly, _common_numerators, format_number, is_exact,
+from .polycore import (RealPoly, _common_numerators, _mul_coeffs, format_number, is_exact,
                        parse_rational, _tidy)
 
 
@@ -159,13 +159,8 @@ def _char_poly_rows(B: list) -> list:
             t.append(-sum(map(operator.mul, B[r], v)))
             if k < r - 1:
                 v = [sum(map(operator.mul, row, v)) for row in lead]
-        # the Toeplitz matrix times cs: the first r + 2 terms of t * cs
-        out = [0] * (r + 2)
-        for j, c in enumerate(cs):
-            if c:
-                for i, x in enumerate(t[:r + 2 - j], j):
-                    out[i] += x * c
-        cs = out
+        # the Toeplitz matrix times cs: the first r + 2 terms of cs * t
+        cs = _mul_coeffs(cs, t, r + 2)
     return cs[::-1]
 
 

@@ -72,6 +72,19 @@ def _common_numerators(xs) -> tuple[list, int]:
     return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
+def _mul_coeffs(a, b, size: int | None = None) -> list:
+    """The first ``size`` coefficients (all by default), constant term
+    first, of the product of the coefficient lists a and b."""
+    if size is None:
+        size = len(a) + len(b) - 1
+    out = [0] * size
+    for i, ca in enumerate(a):
+        if ca:
+            for k, cb in zip(range(i, size), b):
+                out[k] += ca * cb
+    return out
+
+
 def mod1(x):
     """Reduce an angle into ``[0, 1)``, preserving exactness."""
     return x % 1
@@ -437,14 +450,7 @@ class RealPoly:
 
     def __mul__(self, other):
         if isinstance(other, RealPoly):
-            a, b = self.coeffs, other.coeffs
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca == 0:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return RealPoly(out)
+            return RealPoly(_mul_coeffs(self.coeffs, other.coeffs))
         return RealPoly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -518,16 +524,15 @@ def _divisors(d: int):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_degree_candidates(n: int) -> tuple:
-    # the d with phi(d) <= n: over the k primes of d, phi(d) >= 2^(k-1), so
-    # k <= n.bit_length(), and d/phi(d) = prod p/(p-1) <= k + 1 (prime j > j)
-    top = n * (n.bit_length() + 1)
-    # phi(d) for every d <= top at once, by sieving out each prime's share
-    phi = list(range(top + 1))
-    for p in range(2, top + 1):
-        if phi[p] == p:
-            for k in range(p, top + 1, p):
-                phi[k] -= phi[k] // p
-    return tuple(d for d in range(1, top + 1) if phi[d] <= n)
+    # the d with phi(d) <= n: over the k primes of d, phi(d) is at least the
+    # product of p - 1 over the first k primes p, and d/phi(d), the product of
+    # p/(p - 1) over the primes of d, is at most that over the first k
+    num, den, p = 1, 1, 2
+    while den * (p - 1) <= n:
+        num, den, p = num * p, den * (p - 1), p + 1
+        while totient(p) != p - 1:
+            p += 1
+    return tuple(d for d in range(1, n * num // den + 1) if totient(d) <= n)
 
 
 def _divmod_monic(cs, q):
@@ -561,8 +566,8 @@ def _cyclotomic_at_2(d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_screen(n: int) -> tuple:
-    """(d, phi(d), Phi_d(2)) for each d with phi(d) <= n, in order of d."""
-    return tuple((d, totient(d), _cyclotomic_at_2(d)) for d in _cyclotomic_degree_candidates(n))
+    """(d, Phi_d(2)) for each d with phi(d) <= n, in order of d."""
+    return tuple((d, _cyclotomic_at_2(d)) for d in _cyclotomic_degree_candidates(n))
 
 
 def cyclotomic_angles(d: int):
@@ -601,18 +606,18 @@ def factor_cyclotomic(p: RealPoly):
     phi(d) at most the degree left, goes to :func:`cyclotomic_power` only
     when Phi_d(2) divides the value at 2 of what is left: an exact screen,
     as Phi_d | p in Z[x] implies Phi_d(2) | p(2).  At p(2) = 0 all pass.
-    The candidates, with phi(d) and Phi_d(2), come from one cached screen
-    per degree of p.
+    The candidates, with Phi_d(2), come from one cached screen per degree
+    of p; phi(d) is read only for a candidate that passes at 2.
     """
     if not p.is_integer:
         raise ValueError("cyclotomic factorization needs an integer polynomial")
     mults: dict[int, int] = {}
     rem, left = p, len(p.coeffs) - 1
     at_2 = sum(c << k for k, c in enumerate(p.coeffs))
-    for d, phi, phi_2 in _cyclotomic_screen(left):
+    for d, phi_2 in _cyclotomic_screen(left):
         if left == 0:
             break
-        if phi <= left and at_2 % phi_2 == 0:
+        if at_2 % phi_2 == 0 and (phi := totient(d)) <= left:
             m, rem = cyclotomic_power(rem, d)
             if m:
                 mults[d] = m

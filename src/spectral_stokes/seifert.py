@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
-from .polycore import (CIRCLE_TOL, TWO_PI, RealPoly, angle_eq, angle_to_point,
+from .polycore import (CIRCLE_TOL, TWO_PI, RealPoly, _mul_coeffs, angle_eq, angle_to_point,
                        cyclotomic_angles, cyclotomic_polynomial, factor_cyclotomic,
                        format_number, mod1, multiset_eq, num_eq, point_to_angle, snap_angle,
                        totient)
@@ -369,8 +369,7 @@ def _exact_eigdata(B: list, den: int):
     q = (a, -b, a)
     power = [lead]
     for _ in range(m):
-        power = [a * (x + z) - b * y
-                 for x, y, z in zip(power + [0, 0], [0] + power + [0], [0, 0] + power)]
+        power = _mul_coeffs(power, q)
     am = a ** m
     if any(c * am != p for c, p in zip(cs, power)):
         return None
