@@ -29,7 +29,7 @@ pytest.importorskip("pytest_benchmark")
 
 F = Fraction
 
-#: an InteriorInd point of the step-1/4 grid, with denominators
+#: an InteriorPos point of the step-1/4 grid, with denominators
 GRID3_POINT = (F(-7, 4), F(-7, 4), F(5, 4))
 #: an n = 8 family member (k = 1) whose monodromy has char poly
 #: (x + 1)^2 Phi_6^3, with one Jordan block of size 2 at -1

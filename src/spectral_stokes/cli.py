@@ -191,7 +191,8 @@ def _cmd_hor_matrix(args, cfg):
         k, _ = palindrome_class(p, max(cfg.tol, 1e-9))
         if k is None:
             raise SpectralStokesError("polynomial is not in either banded family")
-    M = hor.poly_to_matrix(p, k, tol=max(cfg.tol, 1e-9))
+    # palindrome_class has just found k: poly_to_matrix need not split p again
+    M = hor.poly_to_matrix(p, k, tol=max(cfg.tol, 1e-9), check=args.k is not None)
     return {"k": k, "poly": p.to_json(), "S": mx.matrix_to_json(M.S, cfg.precision),
             "R": mx.matrix_to_json(hor.r_matrix(M), cfg.precision)}
 

@@ -258,13 +258,6 @@ class SeifertPair:
 # classification
 # ---------------------------------------------------------------------------
 
-def _numeric_rank(A: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(A, compute_uv=False)
-    if len(sv) == 0:
-        return 0
-    return int(np.sum(sv > tol * max(1.0, sv[0])))
-
-
 def _block_sizes(kernel_dims: list[int]) -> list[int]:
     """Jordan block sizes from dim ker N^j, j = 1.., largest first; standard
     staircase: dim ker N^(j+1) - dim ker N^j blocks have size > j."""
@@ -293,12 +286,16 @@ class _EigGroup:
     """One eigenvalue of the monodromy M with the partners that close its
     orbit, their multiplicity and Jordan block sizes.
 
-    An exact group also keeps its orbit polynomial q, the primitive integer
-    coefficients (constant first) of a positive multiple, and for j <
-    max(sizes) ``chain[j]``, the integer rows of a positive multiple of
-    q(M)^(j+1), and ``kernels[j]``, the basis of its kernel whose length
-    sized the blocks; ``_exact_form_signs`` reads both.  A float group
-    leaves the three at None."""
+    Each group keeps the Jordan chain that sized its blocks: for j <
+    max(sizes), ``chain[j]`` is a power of one matrix A and ``kernels[j]``
+    what sized the blocks from it.  An exact group also keeps its orbit
+    polynomial q, the primitive integer coefficients (constant first) of a
+    positive multiple; ``chain[j]`` holds the integer rows of a positive
+    multiple of q(M)^(j+1) and ``kernels[j]`` the basis of its kernel, and
+    ``_exact_form_signs`` reads both.  A float group leaves q at None;
+    ``chain[j]`` is A^(j+1) for A = M - lam E and ``kernels[j]`` the right
+    singular vectors of A^(j+1), rows in order of falling singular value,
+    and ``_numeric_form_signs`` reads both."""
 
     kind: str          # 'real' | 'pair' | 'hyper_real' | 'hyper_quad'
     lam: object        # +-1 (int) | angle | float (real, |.|>1) | complex
@@ -436,17 +433,20 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
                 raise Unclassified("float eigenvalues too close to tell from a Jordan block",
                                    pattern=(z, w))
 
-    def kdims(lam, mult):
-        dims = []
-        A = M_f.astype(complex) - lam * np.eye(n)
-        power = np.eye(n, dtype=complex)
-        for j in range(1, mult + 1):
-            power = power @ A
+    def group_at(kind: str, key, lam: complex, mult: int) -> _EigGroup:
+        """The group at lam of multiplicity mult; its Jordan sizes from dim
+        ker A^j, A = M - lam E, counted on the singular values of A^j, with
+        the powers and their right singular vectors kept."""
+        A = M_f - lam * np.eye(n)
+        dims, chain, kernels = [], [A], []
+        while True:
+            _, sv, vh = np.linalg.svd(chain[-1])
+            kernels.append(vh)
             # a kernel never outgrows the algebraic multiplicity
-            dims.append(min(n - _numeric_rank(power, 1e-8), mult))
-            if dims[-1] == mult:
-                break
-        return dims
+            dims.append(min(n - int(np.sum(sv > 1e-8 * max(1.0, sv[0]))), mult))
+            if dims[-1] == mult or len(dims) == mult:
+                return _EigGroup(kind, key, mult, _block_sizes(dims), None, chain, kernels)
+            chain.append(chain[-1] @ A)
 
     groups: list[_EigGroup] = []
     used = [False] * len(reps)
@@ -456,7 +456,7 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
         used[i] = True
         one = 1 if lam.real > 0 else -1
         if abs(lam - one) <= 1e-7:
-            groups.append(_EigGroup("real", one, mult, _block_sizes(kdims(float(one), mult))))
+            groups.append(group_at("real", one, complex(one), mult))
             continue
         # the partners that close lam's orbit under conjugation and inversion
         if abs(abs(lam) - 1) <= 1e-6:
@@ -482,7 +482,7 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
         else:
             rep = lam if abs(lam) >= 1 else 1 / lam
             rep = key = complex(rep if rep.imag >= 0 else np.conj(rep))
-        groups.append(_EigGroup(kind, key, mult, _block_sizes(kdims(complex(rep), mult))))
+        groups.append(group_at(kind, key, complex(rep), mult))
     return groups
 
 
@@ -561,23 +561,31 @@ def _numeric_form_signs(g: _EigGroup, M: np.ndarray, G: np.ndarray) -> dict:
     """{s: (p, m)}, the signs of the symmetric (Hermitian) primitive forms of
     an on-circle group, from the float monodromy M and Gram matrix G.
 
-    ker K^s is taken as the dim ker K^s smallest right singular vectors of
-    K^s, the dimension coming from the block sizes, and the signs from the
-    c eigenvalues of largest modulus."""
+    For A = M - lam E, ker A^s is taken as the d = dim ker A^s smallest
+    right singular vectors V of A^s, d coming from the block sizes, and
+    W = A^(s-1) V.  A float group reads both from the powers and singular
+    vectors that sized its blocks, and computes no SVD and no power; an
+    exact group builds the float powers of A at its own angle and runs one
+    SVD per symmetric size.  K = A / lam at a pair and lam A at +-1, so the
+    primitive form L(x, K^(s-1) y) on ker K^s is lam^(s-1) V^t G conj(W);
+    its signs are the c eigenvalues of largest modulus."""
     n = M.shape[0]
     pair = g.kind == "pair"
-    K = M / angle_to_point(g.lam) - np.eye(n) if pair else g.lam * M - np.eye(n)
-    powers = [mx.identity(n, False), K]      # powers[e] = K^e
+    lam = angle_to_point(g.lam) if pair else g.lam
+    chain, kernels = g.chain, g.kernels
+    if g.q is not None:
+        chain, kernels = [M - lam * np.eye(n)], None
+        while len(chain) < max(g.sizes):
+            chain.append(chain[-1] @ chain[0])
     signs = {}
     for s in sorted(set(g.sizes)):
         if not _form_is_symmetric(g, s):
             continue
         c = g.sizes.count(s)
-        while len(powers) <= s:
-            powers.append(powers[-1].dot(K))
         d = sum(min(t, s) for t in g.sizes)
-        B = np.linalg.svd(powers[s])[2][n - d:].conj().T
-        F = B.T @ G @ np.conj(powers[s - 1] @ B)
+        V = (kernels[s - 1] if kernels else np.linalg.svd(chain[s - 1])[2])[n - d:].conj().T
+        W = V if s == 1 else chain[s - 2] @ V
+        F = lam ** (s - 1) * (V.T @ G @ W.conj())
         if pair:
             F = F / angle_to_point(_canonical_zeta_sqrt(g.lam, s))
         H = (F + F.conj().T) / 2
@@ -604,7 +612,9 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
     group at +-1, and a conjugate pair with a rational quadratic orbit
     polynomial and blocks of size 1), from the kernels and powers of q(M)
     the group keeps, where q(M) = lam K at +-1; ``_numeric_form_signs``
-    computes them in floats for the rest.
+    computes them in floats for the rest, a float group's from the powers
+    of A = M - lam E and their singular vectors that it keeps, where
+    K = A / lam at a pair and lam A at +-1.
     """
     pair = g.kind == "pair"
     lam_angle = None if pair else _ZERO if g.lam == 1 else _HALF
@@ -655,7 +665,9 @@ def classify(P: SeifertPair, tol: float = 1e-8) -> list[IrrType]:
     The float monodromy (``mx.monodromy_matrix``) is computed only when
     some group takes the float path; if it overflowed (an entry or an
     inverse eigenvalue not finite), Unclassified is raised before any SVD
-    runs.
+    runs.  The float eigen-data likewise keep each group's powers of
+    M - lam E and their singular vectors, one SVD per power, and the float
+    primitive forms of a float group read those and run no further SVD.
     """
     groups = None if P.B is None else _exact_eigdata(P.B, P.den)
     exact = groups is not None

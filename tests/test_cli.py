@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_stokes import cli, errors, hor, lowdim
+from spectral_stokes import cli, errors, hor, lowdim, polycore
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +54,17 @@ class TestDispatch:
                                  "--poly", "1,5/2,3,5/2,1")
         assert code == 0, err
         assert json.loads(out)["k"] == 1
+
+    @pytest.mark.parametrize("k_args", [[], ["--k", "1"]])
+    def test_hor_matrix_splits_its_polynomial_once(self, capsys, monkeypatch, k_args):
+        # without --k the symmetry class found for k is not checked again
+        calls = []
+        real = polycore.unit_circle_angles
+        monkeypatch.setattr(polycore, "unit_circle_angles",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        code, out, err = run_cli(capsys, "hor", "matrix", "--poly", "1,1,1", *k_args)
+        assert code == 0, err
+        assert json.loads(out)["k"] == 1 and len(calls) == 1
 
     def test_strata3_scan_row(self, capsys):
         code, out, _ = run_cli(capsys, "strata3", "scan", "--step", "1",

@@ -227,6 +227,78 @@ def test_float_kernel_dimensions_stay_within_multiplicity():
     assert sf.types_multiset_equal(got, sf.class_from_spp(hor.recipe_spectral_pairs(b), 1))
 
 
+def _sampled_members(count=240):
+    """``count`` float family members of size 2..8, both k, drawn as the
+    ``numeric`` benchmark draws them (margin 0.02), on a fixed seed."""
+    rng = random.Random(30)
+    out = []
+    for _ in range(count):
+        n, k = rng.randint(2, 8), rng.choice((1, 2))
+        out.append(hor.sample_scal(n, k, rng, margin=0.02))
+    return out
+
+
+def _float_images():
+    """Float S of the family pool of size <= 8, the size-3 grid and the
+    sampled members."""
+    cases = [M.S for _, M in hor.cyclotomic_pool(8)]
+    cases += [lowdim.s3_matrix(a) for a in _grid3_points()]
+    cases += [hor.scal_to_matrix(b).S for b in _sampled_members()]
+    return [np.asarray(S, dtype=float) for S in cases]
+
+
+def test_float_classify_of_sampled_members_is_their_ladder_class():
+    for b in _sampled_members():
+        S = np.asarray(hor.scal_to_matrix(b).S, dtype=float)
+        got = sf.classify(sf.SeifertPair.from_triangular(S))
+        want = sf.class_from_spp(hor.recipe_spectral_pairs(b), 1)
+        assert sf.types_multiset_equal(got, want, tol=1e-7), b
+
+
+def test_float_groups_keep_the_powers_and_singular_vectors_that_sized_their_blocks():
+    longest = 0
+    for S in _float_images():
+        try:
+            groups = sf._numeric_eigdata(mx.monodromy_matrix(S), 1e-8)
+        except Unclassified:
+            continue
+        for g in groups:
+            assert g.q is None and len(g.chain) == len(g.kernels) == max(g.sizes)
+            A, n = g.chain[0], len(S)
+            for s, (power, vh) in enumerate(zip(g.chain, g.kernels), 1):
+                scale = max(1.0, np.linalg.norm(A, 2)) ** s
+                assert np.linalg.norm(power - np.linalg.matrix_power(A, s), 2) <= 1e-12 * scale
+                # A^s annihilates its dim ker A^s smallest right singular vectors
+                d = sum(min(t, s) for t in g.sizes)
+                V = vh[n - d:].conj().T
+                assert np.linalg.norm(power @ V, 2) <= 2e-8 * max(1.0, np.linalg.norm(power, 2))
+            longest = max(longest, len(g.chain))
+    assert longest == 2
+
+
+def test_float_primitive_forms_run_no_svd(monkeypatch):
+    # once the float eigen-data are in, the signs of every float on-circle
+    # group come from the powers and singular vectors the groups keep; a
+    # symmetric size s >= 2 reads W = A^(s-1) V and the factor lam^(s-1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+    deep = 0
+    for S in _float_images():
+        P = sf.SeifertPair.from_triangular(S)
+        try:
+            want = sf.classify(P)
+        except Unclassified:
+            continue
+        groups = sf._numeric_eigdata(mx.monodromy_matrix(S), 1e-8)
+        deep += sum(g.kind in ("real", "pair") and
+                    any(s > 1 and sf._form_is_symmetric(g, s) for s in g.sizes) for g in groups)
+        with monkeypatch.context() as m:
+            m.setattr(sf, "_numeric_eigdata", lambda M, tol: groups)
+            m.setattr(sf.np.linalg, "svd", refuse)
+            assert sf.classify(P) == want
+    assert deep == 256
+
+
 class TestTypeSignature:
     def test_table_rows(self):
         assert sf.type_signature(sf.IrrType("F1", F(0), 1, eps=1)) == (1, 0, 0)
