@@ -25,8 +25,8 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import NotArithmeticGroup, NotInFamily
-from .polycore import (CIRCLE_TOL, RealPoly, angle_eq, companion_matrix, cyclotomic_angles,
-                       galois_closed_mults, is_exact, mod1, num_eq, palindrome_class,
+from .polycore import (CIRCLE_TOL, RealPoly, circle_dist, companion_matrix, cyclotomic_angles,
+                       galois_closed_mults, is_exact, mod1, palindrome_class,
                        poly_from_cyclotomic_mults, poly_from_float_angles, totient,
                        unit_circle_angles, _common_numerators, _cyclotomic_degree_candidates,
                        _expand_float_angles)
@@ -35,16 +35,19 @@ from .spectra import Spp, SppLadder
 
 @dataclass(frozen=True)
 class HorScal:
-    """A family point in angle coordinates: k in {1, 2} and sorted angles."""
+    """A family point in angle coordinates: k in {1, 2} and sorted angles.
+    ``is_exact`` is set once: a float point may hold snapped Fractions."""
 
     k: int
     beta: tuple
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k not in (1, 2):
             raise NotInFamily("k must be 1 or 2")
         if len(self.beta) < 1:
             raise NotInFamily("need at least one angle")
+        object.__setattr__(self, "is_exact", all(map(is_exact, self.beta)))
         if self.is_exact:
             _check_family_numerators(self.k, *_common_numerators(self.beta))
         else:
@@ -53,10 +56,6 @@ class HorScal:
     @property
     def n(self) -> int:
         return len(self.beta)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(x) for x in self.beta)
 
 
 # Exact family points run on integers: angle j is nums[j] / den, and the
@@ -170,11 +169,7 @@ def scal_to_poly(b: HorScal) -> RealPoly:
     """Expand prod (x - exp(-2 pi i beta_j)); exact (integer coefficients)
     whenever the angle multiset is a union of full primitive-root orbits."""
     if b.is_exact:
-        counts: dict = {}
-        for x in b.beta:
-            key = mod1(Fraction(x))
-            counts[key] = counts.get(key, 0) + 1
-        mults = galois_closed_mults(counts.items())
+        mults = galois_closed_mults((x, 1) for x in b.beta)
         if mults is not None:
             return poly_from_cyclotomic_mults(mults)
     return poly_from_float_angles(b.beta)
@@ -185,14 +180,14 @@ def scal_from_angles(angles, k: int) -> HorScal:
 
     The multiplicity of the root 1 splits between the representatives 0
     and 1 symmetrically (k = 1: evenly; k = 2: the extra copy leads)."""
+    exact = all(is_exact(beta) for beta, _ in angles)
     ones = 0
     rest = []
     for beta, m in angles:
-        if num_eq(beta, 0):
+        if beta == 0 if exact else abs(beta) <= CIRCLE_TOL:
             ones = m
         else:
             rest.extend([beta] * m)
-    exact = all(is_exact(x) for x in rest)
     rest.sort()
     zero, one = (0, 1) if exact else (0.0, 1.0)
     return HorScal(k, tuple(_split_root_one(ones, rest, k, zero, one)))
@@ -255,7 +250,7 @@ def recipe_spectrum(b: HorScal) -> list:
         nums, den = _common_numerators(b.beta)
         return [Fraction(a, 2 * den) for a in _recipe_numerators(k, nums, den)]
     beta = [float(x) for x in b.beta]
-    return [n * x - j + Fraction(k, 2) for j, x in enumerate(beta, start=1)]
+    return [n * x - j + k / 2 for j, x in enumerate(beta, start=1)]
 
 
 def recipe_ladder_groups(b: HorScal):
@@ -267,20 +262,24 @@ def recipe_ladder_groups(b: HorScal):
     point are adjacent and one pass reads them off as runs.  The one
     exception is the point 1, listed as 0 at the front and as 1 at the
     back, so the last run joins the first when their angles agree."""
+    exact = b.is_exact
+
+    def same(x, y):
+        return (x - y).denominator == 1 if exact else circle_dist(x, y) <= CIRCLE_TOL
     runs: list[tuple[object, list]] = []
     for beta, a in zip(b.beta, recipe_spectrum(b)):
-        if runs and angle_eq(runs[-1][0], beta):
+        if runs and same(runs[-1][0], beta):
             runs[-1][1].append(a)
         else:
             runs.append((mod1(beta), [a]))
-    if len(runs) > 1 and angle_eq(runs[0][0], runs[-1][0]):
+    if len(runs) > 1 and same(runs[0][0], runs[-1][0]):
         runs[0][1].extend(runs.pop()[1])
     out = []
     for key, vals in runs:
         vals.sort()
         l = len(vals) - 1
         for i in range(l):
-            if not num_eq(vals[i + 1] - vals[i], 1, 1e-7):
+            if abs(vals[i + 1] - vals[i] - 1) > (0 if exact else 1e-7):
                 raise NotArithmeticGroup(
                     f"alphas for circle point at angle {key} are not consecutive: {vals}")
         out.append((key, SppLadder(vals[0], 1, l)))
@@ -307,6 +306,7 @@ def is_realizable_spectrum(candidate, n: int, k: int):
     cand = sorted(candidate, reverse=True)
     if len(cand) != n:
         return False, None
+    tol, half = (0, Fraction(1, 2)) if all(map(is_exact, cand)) else (CIRCLE_TOL, 0.5)
     order: list = []
     used = [False] * n
 
@@ -315,18 +315,18 @@ def is_realizable_spectrum(candidate, n: int, k: int):
         return (n + 1 - j) if k == 1 else (n + 2 - j if j >= 2 else None)
 
     def below(x, y):
-        return x < y and not num_eq(x, y)
+        return x < y and abs(x - y) > tol
 
     def feasible(j, val):
         if j > 1 and below(val, order[-1] - 1):
             return False
-        if k == 1 and j == 1 and below(val, Fraction(-1, 2)):
+        if k == 1 and j == 1 and below(val, -half):
             return False
-        if k == 2 and j == 1 and not num_eq(val, 0):
+        if k == 2 and j == 1 and abs(val) > tol:
             return False
         pos = sym_partner_pos(j)
         if pos is not None and pos < j:
-            if not num_eq(order[pos - 1] + val, 0):
+            if abs(order[pos - 1] + val) > tol:
                 return False
         return True
 
@@ -423,13 +423,16 @@ def is_signature(M: HorMatrix, tol: float = 1e-6, scal: HorScal | None = None):
     from angle coordinates in the first place.
     """
     b = scal if scal is not None else matrix_to_scal(M)
-    alphas = recipe_spectrum(b)
-    s_plus = 0
-    minus_one = 0
+    if b.is_exact:  # in the integers a = 2 den alpha
+        nums, den = _common_numerators(b.beta)
+        alphas, half, slack = _recipe_numerators(b.k, nums, den), den, 0
+    else:
+        alphas, half, slack = recipe_spectrum(b), 0.5, CIRCLE_TOL
+    s_plus = minus_one = 0
     for a in alphas:
-        if num_eq(mod1(a), Fraction(1, 2)):
+        if abs(a % (2 * half) - half) <= slack:
             minus_one += 1
-        elif not Fraction(1, 2) <= a % 2 <= Fraction(3, 2):
+        elif not half <= a % (4 * half) <= 3 * half:
             s_plus += 1
     dim = M.n - minus_one
     predicted = (s_plus, 0, dim - s_plus)

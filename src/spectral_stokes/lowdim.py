@@ -115,7 +115,7 @@ def _interior_pair_type(f, sign_flip: bool) -> IrrType:
     2 cos(2 pi theta) = f - 2, invariant exp(pi i theta), negated on the
     indefinite components."""
     theta = beta_from_cos((f - 2) * Fraction(1, 2))
-    zeta = mod1(-theta / 2 + Fraction(1, 2)) if sign_flip else mod1(-theta / 2)
+    zeta = mod1((1 - theta) / 2) if sign_flip else mod1(-theta / 2)
     return IrrType("F2complex", theta, 1, zeta=zeta)
 
 

@@ -10,26 +10,23 @@ Conventions used everywhere in the package:
 * Polynomials are dense coefficient sequences, constant term first,
   with ``int``/``Fraction`` entries in exact mode and ``float`` in
   numeric mode.
-* Exact-or-tolerance decisions go through :func:`num_eq` for scalars and
-  :func:`angle_eq` for circle angles: exact equality when both sides are
-  exact, a tolerance otherwise.  Multisets compare through
-  :func:`multiset_eq` with one of them as its test: ``spectra.Spp`` and
-  the type lists of ``seifert`` go through these helpers, and no
-  ``float()`` orders or compares an exact value; ``matrices.mat_eq`` reads
-  the mode once per matrix, from the dtypes.  Every exact polynomial,
-  rational too, finds its roots of unity, and how often, through
-  :func:`factor_cyclotomic` alone: on the integer multiple with its
-  denominators cleared, by division in integers that no float screens
-  (:func:`cyclotomic_power`, :func:`_divmod_monic`).
+* Exact code compares with ``==``, float code within its tolerance, and
+  no ``float()`` orders or compares an exact value.  :func:`num_eq` and
+  :func:`angle_eq` decide per value, only where two answers of modes the
+  callee cannot know meet (type and spectrum multisets, ``spectra``).
+  Every exact polynomial, rational too, finds its roots of unity, and how
+  often, through :func:`factor_cyclotomic` alone: on the integer multiple
+  with its denominators cleared, by division in integers that no float
+  screens (:func:`cyclotomic_power`, :func:`_divmod_monic`).
 * Every monodromy goes through ``matrices.monodromy_matrix`` (exact or
   float, one matrix or a float stack) or, for an exact Gram matrix,
   through the exact solve core that ``seifert.SeifertPair`` runs once.
-* The mode is carried by the values: it is decided once where a value
-  enters (CLI parsing, ``matrices.to_matrix``, :class:`RealPoly`, the
-  matrix dtype), and formulas below that point are written once with
-  ``Fraction`` constants.  ``x + Fraction(1, 2)`` and ``x * Fraction(1, 4)``
-  are exact for exact ``x`` and bit-identical to ``x + 0.5`` and
-  ``x / 4.0`` for a float ``x``.
+* The mode is decided once where a value enters (CLI parsing,
+  ``matrices.to_matrix``, the matrix dtype) and once per value object
+  below it (:class:`RealPoly`, ``hor.HorScal``, ``seifert.IrrType``).
+  Float code adds no ``Fraction`` constant: ``(1 - x) / 2`` is exact for a
+  ``Fraction`` x and bit-identical for a float, but makes an int a float.
+  Float objects may hold Fractions that :func:`snap_angle` recovered.
 * Tolerances are literals at their use site (``1e-9`` is
   :data:`CIRCLE_TOL`).  A function takes a tolerance parameter only where
   its callers pass different values.
@@ -710,7 +707,8 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
         return []
     merged: dict = {}
     rest, lead = p, 1
-    if p.is_exact:
+    exact = p.is_exact
+    if exact:
         nums, lead = _common_numerators(p.coeffs)
         mults, rest = factor_cyclotomic(RealPoly(nums))
         for d, m in mults.items():
@@ -732,7 +730,7 @@ def unit_circle_angles(p: RealPoly, tol: float = CIRCLE_TOL):
                 raise RootOffCircle(complex(z), dist)
             raw.append(point_to_angle(complex(z)))
         for b, m in _cluster_angles(raw, CLUSTER_TOL):
-            key = b if p.is_exact else snap_angle(b)
+            key = b if exact else snap_angle(b)
             merged[key] = merged.get(key, 0) + m
     out = sorted(merged.items(), key=lambda t: t[0])
     if sum(m for _, m in out) != p.degree:
@@ -811,8 +809,9 @@ def palindrome_class(p: RealPoly, tol: float = CIRCLE_TOL):
         raise ValueError("polynomial must be monic")
     n = p.degree
     c = p.coeffs
-    sym = all(num_eq(c[j], c[n - j], tol) for j in range(n + 1))
-    asym = all(num_eq(c[j], -c[n - j], tol) for j in range(n + 1))
+    eq_tol = 0 if p.is_exact else tol
+    sym = all(abs(c[j] - c[n - j]) <= eq_tol for j in range(n + 1))
+    asym = all(abs(c[j] + c[n - j]) <= eq_tol for j in range(n + 1))
     if not (sym or asym):
         return None, None
     try:
@@ -839,30 +838,27 @@ def companion_matrix(p: RealPoly) -> np.ndarray:
     return A
 
 
-_COS_TABLE = {
-    Fraction(1): Fraction(0),
-    Fraction(1, 2): Fraction(1, 6),
-    Fraction(0): Fraction(1, 4),
-    Fraction(-1, 2): Fraction(1, 3),
-    Fraction(-1): Fraction(1, 2),
-}
+# the rational cosine (sine) values and their angles (Niven); an exact key
+# looks itself up, a float never does (0.5 would find 1/2)
+_COS_TABLE = {Fraction(1): Fraction(0), Fraction(1, 2): Fraction(1, 6),
+              Fraction(0): Fraction(1, 4), Fraction(-1, 2): Fraction(1, 3),
+              Fraction(-1): Fraction(1, 2)}
+_SIN_TABLE = {Fraction(0): Fraction(0), Fraction(1, 2): Fraction(1, 6),
+              Fraction(-1, 2): Fraction(-1, 6), Fraction(1): Fraction(1, 2),
+              Fraction(-1): Fraction(-1, 2)}
 
 
 def beta_from_cos(c):
     """Angle b in [0, 1/2] with cos(2*pi*b) = c; exact for the five rational
-    cosine values (Niven), float otherwise."""
-    if is_exact(c) and Fraction(c) in _COS_TABLE:
-        return _COS_TABLE[Fraction(c)]
+    cosine values, float otherwise."""
+    if is_exact(c) and c in _COS_TABLE:
+        return _COS_TABLE[c]
     return math.acos(float(c)) / TWO_PI
 
 
 def alpha_from_sin(s):
     """Value a in [-1/2, 1/2] with sin(pi*a) = s; exact for s in
     {0, +-1/2, +-1}, float otherwise."""
-    if is_exact(s):
-        table = {Fraction(0): Fraction(0), Fraction(1, 2): Fraction(1, 6),
-                 Fraction(-1, 2): Fraction(-1, 6), Fraction(1): Fraction(1, 2),
-                 Fraction(-1): Fraction(-1, 2)}
-        if Fraction(s) in table:
-            return table[Fraction(s)]
+    if is_exact(s) and s in _SIN_TABLE:
+        return _SIN_TABLE[s]
     return math.asin(float(s)) / math.pi

@@ -29,12 +29,12 @@ import numpy as np
 from . import matrices as mx
 from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
 from .polycore import (CIRCLE_TOL, TWO_PI, RealPoly, _mul_coeffs, angle_eq, angle_to_point,
-                       cyclotomic_angles, cyclotomic_polynomial, factor_cyclotomic,
-                       format_number, mod1, multiset_eq, num_eq, point_to_angle, snap_angle,
-                       totient)
+                       circle_dist, cyclotomic_angles, cyclotomic_polynomial, factor_cyclotomic,
+                       format_number, is_exact, mod1, multiset_eq, num_eq, point_to_angle,
+                       snap_angle, totient)
 from .spectra import Spp, decompose_into_ladders
 
-_ZERO, _QUARTER, _HALF = Fraction(0), Fraction(1, 4), Fraction(1, 2)
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,8 @@ class IrrType:
 
     ``lam`` is an angle for the on-circle families and the actual
     (real or complex) eigenvalue of modulus > 1 for the hyperbolic ones.
-    ``eps`` is set for F1, ``zeta`` (an angle) for F2complex.
+    ``eps`` is set for F1, ``zeta`` (an angle) for F2complex.  The angle of
+    +-1 is exact, ``Fraction`` 0 or 1/2, in both modes.
     """
 
     family: str
@@ -58,8 +59,8 @@ class IrrType:
 
     def __post_init__(self):
         if self.family in ("F1", "F2real"):
-            on_one = angle_eq(self.lam, 0)
-            if not (on_one or angle_eq(self.lam, _HALF)):
+            on_one = self.lam == 0
+            if not (on_one or self.lam == _HALF):
                 raise ValueError(f"{self.family} eigenvalue must be +-1")
             if self.family == "F1" and self.eps not in (1, -1):
                 raise ValueError("F1 needs a sign eps in {1, -1}")
@@ -71,8 +72,10 @@ class IrrType:
         elif self.family == "F2complex":
             if self.zeta is None:
                 raise ValueError("F2complex needs a unit invariant zeta")
-            # zeta^2 = conj(lam) * (-1)^(n+1), in angle form
-            if not angle_eq(2 * self.zeta, -self.lam + Fraction(self.n + 1, 2), 1e-7):
+            # zeta^2 = conj(lam) * (-1)^(n+1) in angle form, exact if lam and zeta are
+            if not ((4 * self.zeta + 2 * self.lam - self.n - 1) % 2 == 0
+                    if is_exact(self.lam) and is_exact(self.zeta) else
+                    circle_dist(2 * self.zeta, -self.lam + (self.n + 1) / 2) <= 1e-7):
                 raise ValueError("zeta^2 != conj(lam) * (-1)^(n+1)")
 
     @property
@@ -111,15 +114,12 @@ class IrrType:
 
     def label(self) -> str:
         def ang(a):
-            if angle_eq(a, 0):
-                return "1"
-            if angle_eq(a, _HALF):
-                return "-1"
             return f"e(-2pi i {format_number(a, 6)})"
+        pm = "1" if self.lam == 0 else "-1"
         if self.family == "F1":
-            return f"Seif({ang(self.lam)},1,{self.n},{self.eps})"
+            return f"Seif({pm},1,{self.n},{self.eps})"
         if self.family == "F2real":
-            return f"Seif({ang(self.lam)},2,{self.n})"
+            return f"Seif({pm},2,{self.n})"
         if self.family == "F2complex":
             return f"Seif({ang(self.lam)},2,{self.n},{ang(self.zeta)})"
         if self.family == "F2hyper":
@@ -159,25 +159,26 @@ def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False) -> IrrType
 
     The eigenvalue is (-1)^(m+1) exp(-2*pi*i*alpha); the distance
     d = 2*alpha + l + 1 - m decides the family; the sign data is
-    exp(pi*i*d/2), times (-1)^l in the signed convention.
+    exp(pi*i*d/2), times (-1)^l in the signed convention, in alpha's mode.
     """
+    exact = is_exact(alpha)
     d = 2 * alpha + l + 1 - m
-    lam_angle = mod1(alpha + Fraction(m + 1, 2))
-    n_b = l + 1
-    if num_eq(d, round(d)):
-        d_int = round(d)
-        # the eigenvalue is +-1: its angle is exactly 0 or 1/2
-        lam_angle = _ZERO if angle_eq(lam_angle, 0) else _HALF
+    d_int = round(d)
+    if d == d_int if exact else abs(d - d_int) <= CIRCLE_TOL:
+        # the eigenvalue is +-1: its angle (d - l)/2 mod 1 is exactly 0 or 1/2
+        lam_angle = _HALF if (d_int - l) % 2 else _ZERO
         if d_int % 2 == 0:
             eps = (-1) ** ((d_int // 2) % 2)
             if signed and l % 2 == 1:
                 eps = -eps
-            return IrrType("F1", lam_angle, n_b, eps=eps)
-        return IrrType("F2real", lam_angle, n_b)
-    zeta_angle = mod1(-d * _QUARTER)
+            return IrrType("F1", lam_angle, l + 1, eps=eps)
+        return IrrType("F2real", lam_angle, l + 1)
+    half = _HALF if exact else 0.5
+    lam_angle = mod1(alpha + (m + 1) * half)
+    zeta_angle = mod1(-d * half / 2)
     if signed and l % 2 == 1:
-        zeta_angle = mod1(zeta_angle + _HALF)
-    return IrrType("F2complex", lam_angle, n_b, zeta=zeta_angle).normalized()
+        zeta_angle = mod1(zeta_angle + half)
+    return IrrType("F2complex", lam_angle, l + 1, zeta=zeta_angle).normalized()
 
 
 def class_from_spp(spp: Spp, m: int, signed: bool = False) -> list[IrrType]:
@@ -488,8 +489,8 @@ def _numeric_eigdata(M_f: np.ndarray, tol: float):
 
 def _canonical_zeta_sqrt(theta, n_b: int):
     """Angle z with exp(-2 pi i z)^2 = conj(lam) * (-1)^(n_b+1) where
-    lam = exp(-2 pi i theta): z = -theta/2 - (n_b + 1)/4 mod 1."""
-    return mod1(-theta * _HALF - Fraction(n_b + 1, 4))
+    lam = exp(-2 pi i theta): z = -theta/2 - (n_b + 1)/4 mod 1, bit for bit."""
+    return mod1(-(2 * theta + (n_b + 1)) / 4)
 
 
 def _form_is_symmetric(g: _EigGroup, s: int) -> bool:
@@ -630,7 +631,7 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
         p, m = signs[s]
         z0 = _canonical_zeta_sqrt(g.lam, s) if pair else None
         # the blocks of one sign share one type
-        for eps, k, shift in ((1, p, _ZERO), (-1, m, _HALF)):
+        for eps, k, shift in ((1, p, 0), (-1, m, _HALF if is_exact(g.lam) else 0.5)):
             if k:
                 t = (IrrType("F2complex", g.lam, s, zeta=mod1(z0 + shift)).normalized()
                      if pair else IrrType("F1", lam_angle, s, eps=eps))
@@ -715,7 +716,7 @@ def type_signature(t: IrrType):
     summand (table lookup)."""
     n = t.n
     if t.family == "F1":
-        if angle_eq(t.lam, 0):
+        if t.lam == 0:
             if n % 4 == t.eps % 4:
                 return ((n + 1) // 2, 0, (n - 1) // 2)
             return ((n - 1) // 2, 0, (n + 1) // 2)
@@ -723,19 +724,18 @@ def type_signature(t: IrrType):
             return (n // 2, 1, (n - 2) // 2)
         return ((n - 2) // 2, 1, n // 2)
     if t.family == "F2real":
-        if angle_eq(t.lam, 0):
+        if t.lam == 0:
             return (n, 0, n)
         return (n - 1, 2, n - 1)
     if t.family == "F2complex":
         if n % 2 == 0:
             return (n, 0, n)
-        t = t.normalized()
+        # IrrType holds zeta at zc (eps = 1) or zc + 1/2 (eps = -1) mod 1,
+        # and so does its conjugate
         zc = _canonical_zeta_sqrt(t.lam, n)
-        if angle_eq(t.zeta, zc, tol=1e-7):
-            return (n - 1, 0, n + 1)
-        if angle_eq(t.zeta, mod1(zc + _HALF), tol=1e-7):
-            return (n + 1, 0, n - 1)
-        raise ValueError(f"zeta {t.zeta} is not an admissible invariant for {t.label()}")
+        exact = is_exact(t.lam) and is_exact(t.zeta)
+        eps = 1 if ((t.zeta - zc) % 1 == 0 if exact else circle_dist(t.zeta, zc) < 0.25) else -1
+        return (n - eps, 0, n + eps)
     if t.family == "F2hyper":
         return (n, 0, n)
     if t.family == "F4hyper":

@@ -12,6 +12,11 @@ No float decides a cyclotomic factor either: a second walk finds every
 ``float``, ``complex`` and ``cmath`` name, every float or complex
 literal and every ``roots`` attribute (``np.roots``) in the exact
 kernels of ``polycore``, and there must be none.
+
+Exact or float is decided once per value object, and the code below it
+compares in that mode directly.  ``num_eq`` and ``angle_eq`` decide per
+value; a third walk finds every use of either name, and only the
+mixed-mode sites below may have them, each with the count it has.
 """
 
 import ast
@@ -111,3 +116,60 @@ def test_the_walk_finds_floats_in_a_kernel():
            "    return 2 * d, 1 // d\n")
     assert sorted(float_uses(ast.parse(src))) == sorted(
         ["cmath", "2j", "1e-06", "float", "roots", "complex"])
+
+
+#: (module, function) -> number of uses of num_eq and angle_eq there; each
+#: site meets two answers whose modes it cannot know
+MIXED_MODE = {
+    ("seifert", "IrrType.matches"): 2,                # a type against one of any mode
+    ("seifert", "class_from_spp"): 1,                 # the partner search over ladders
+    ("orbit", "conjecture16_check"): 1,               # tracked spectra against the recipe's
+    ("spectra", "Spp.equals"): 1,                     # spectra keep their values' modes
+    ("spectra", "spp_mod2_equal"): 1,
+    ("spectra", "SppLadder.is_single"): 1,
+    ("spectra", "decompose_into_ladders.take"): 1,
+}
+
+
+def mode_dispatches(tree: ast.AST):
+    """The enclosing function (``Class.method`` inside a class, ``f.g``
+    inside a function) of every name ``num_eq`` or ``angle_eq`` that is
+    read: a call or a test passed on, not an import or a definition."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Name) and node.id in ("num_eq", "angle_eq"):
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def package_mode_dispatches() -> Counter:
+    found = Counter()
+    for module in sorted(PACKAGE.glob("*.py")):
+        for scope in mode_dispatches(ast.parse(module.read_text())):
+            found[(module.stem, scope)] += 1
+    return found
+
+
+def test_only_mixed_mode_sites_decide_the_mode_per_value():
+    assert dict(package_mode_dispatches()) == MIXED_MODE
+
+
+def test_the_walk_finds_per_value_mode_tests():
+    src = ("from .polycore import angle_eq, num_eq\n"
+           "def num_eq(a, b):\n"
+           "    return a == b\n"
+           "def f(xs, ys):\n"
+           "    def g(a):\n"
+           "        return angle_eq(a, 0)\n"
+           "    return multiset_eq(xs, ys, num_eq) and num_eq(xs[0], 1) and g(ys[0])\n"
+           "class C:\n"
+           "    def h(self, b):\n"
+           "        return angle_eq(b, self.lam, 1e-7)\n")
+    assert mode_dispatches(ast.parse(src)) == ["f.g", "f", "f", "C.h"]

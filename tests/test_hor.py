@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spectral_stokes import chain, hor, matrices as mx, polycore, seifert as sf
 from spectral_stokes.errors import NotInFamily
-from spectral_stokes.polycore import (RealPoly, angle_eq, angle_to_point, mod1,
+from spectral_stokes.polycore import (RealPoly, angle_eq, angle_to_point, circle_dist, mod1,
                                       point_to_angle, poly_from_cyclotomic_mults,
                                       poly_from_float_angles, unit_circle_angles,
                                       _lift_angles)
@@ -196,15 +196,40 @@ class TestLadderGroups:
             [(key, type(key), lad, type(lad.alpha)) for key, lad in want]
 
     def test_one_pass_over_the_angles(self, monkeypatch):
+        # an exact point compares its keys with ==; its float image makes
+        # one circle distance per angle, and one across the seam
         calls = []
 
-        def counted(a, b, *args):
+        def counted(a, b):
             calls.append(None)
-            return angle_eq(a, b, *args)
+            return circle_dist(a, b)
         b = chain.stokes_scal((6, 4, 4, 4))
-        monkeypatch.setattr(hor, "angle_eq", counted)
+        b = hor.HorScal(b.k, tuple(map(float, b.beta)))
+        monkeypatch.setattr(hor, "circle_dist", counted)
         hor.recipe_ladder_groups(b)
         assert b.n == 307 and len(calls) <= b.n + 1
+
+
+@given(_family_points())
+@settings(max_examples=200, deadline=None)
+def test_float_recipe_is_the_constant_expression_bit_for_bit(b):
+    # the recipe written with the Fraction constant k/2, on the float image
+    # of every drawn point
+    b = hor.HorScal(b.k, tuple(map(float, b.beta)))
+    want = [b.n * float(x) - j + Fraction(b.k, 2) for j, x in enumerate(b.beta, start=1)]
+    got = hor.recipe_spectrum(b)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_exact_and_float_signature_laws_predict_alike_on_the_pool():
+    # integers on the exact point, floats on its float image
+    for _, M in hor.cyclotomic_pool(8):
+        b = hor.matrix_to_scal(M)
+        bf = hor.HorScal(b.k, tuple(map(float, b.beta)))
+        assert b.is_exact and not bf.is_exact
+        predicted, computed = hor.is_signature(M, scal=b)
+        assert hor.is_signature(hor.scal_to_matrix(bf), scal=bf)[0] == predicted == computed
 
 
 class TestRealizable:

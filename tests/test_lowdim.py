@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_stokes import hor, lowdim as ld, matrices as mx, seifert as sf
+from spectral_stokes import hor, lowdim as ld, matrices as mx, polycore as pc, seifert as sf
 from spectral_stokes.errors import OutOfFamily, OutOfT
 from spectral_stokes.polycore import RealPoly
 from spectral_stokes.spectra import Spp
@@ -260,3 +260,16 @@ def test_f3_and_member3_match_the_direct_formula(a):
     got = ld.f3(a)
     assert got == want and type(got) is type(want)
     assert ld.member3(a) == (0 <= want <= 4)
+
+
+@given(st.floats(0, 4, allow_nan=False) | st.fractions(0, 4, max_denominator=10 ** 6)
+       | st.integers(0, 4), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_interior_pair_type_is_the_constant_expression_bit_for_bit(f, sign_flip):
+    # the expressions with Fraction constants: exact for an exact f and
+    # rounded once per operation for a float one
+    theta = pc.beta_from_cos((f - 2) * Fraction(1, 2))
+    zeta = pc.mod1(-theta / 2 + Fraction(1, 2)) if sign_flip else pc.mod1(-theta / 2)
+    got = ld._interior_pair_type(f, sign_flip)
+    assert [(type(x), repr(x)) for x in (got.lam, got.zeta)] == \
+        [(type(x), repr(x)) for x in (theta, zeta)]

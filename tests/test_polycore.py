@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -414,6 +415,47 @@ class TestPalindromeClass:
 
     def test_real_roots_off_circle(self):
         assert pc.palindrome_class(pc.RealPoly([1, -3, 1])) == (None, None)
+
+    def test_exact_coefficients_compare_exactly(self):
+        # p_0 misses p_2 by 1e-12: within a float tolerance, not exactly
+        e = Fraction(1, 10**12)
+        assert pc.palindrome_class(pc.RealPoly([1 + e, 1, 1])) == (None, None)
+        assert pc.palindrome_class(pc.RealPoly([1 + float(e), 1.0, 1.0]))[0] == 1
+
+
+def _beta_from_cos_reference(c):
+    """beta_from_cos as it read with its table keys built per call."""
+    table = {Fraction(1): Fraction(0), Fraction(1, 2): Fraction(1, 6),
+             Fraction(0): Fraction(1, 4), Fraction(-1, 2): Fraction(1, 3),
+             Fraction(-1): Fraction(1, 2)}
+    if pc.is_exact(c) and Fraction(c) in table:
+        return table[Fraction(c)]
+    return math.acos(float(c)) / (2.0 * math.pi)
+
+
+def _alpha_from_sin_reference(s):
+    """alpha_from_sin as it read with its table built per call."""
+    if pc.is_exact(s):
+        table = {Fraction(0): Fraction(0), Fraction(1, 2): Fraction(1, 6),
+                 Fraction(-1, 2): Fraction(-1, 6), Fraction(1): Fraction(1, 2),
+                 Fraction(-1): Fraction(-1, 2)}
+        if Fraction(s) in table:
+            return table[Fraction(s)]
+    return math.asin(float(s)) / math.pi
+
+
+#: ints, Fractions (in and out of the tables) and floats, among them the
+#: float images of table keys, which must not find the exact entries
+_TABLE_ARGUMENTS = [0, 1, -1, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                    Fraction(-1, 2), Fraction(2, 4), Fraction(1, 3), Fraction(-5, 7),
+                    0.5, -0.5, 1.0, -1.0, 0.0, -0.0, 0.3, True, False]
+
+
+@pytest.mark.parametrize("x", _TABLE_ARGUMENTS, ids=repr)
+def test_rational_cos_and_sin_tables_keep_values_and_types(x):
+    for got, want in ((pc.beta_from_cos(x), _beta_from_cos_reference(x)),
+                      (pc.alpha_from_sin(x), _alpha_from_sin_reference(x))):
+        assert type(got) is type(want) and repr(got) == repr(want)
 
 
 class TestCompanionMatrix:

@@ -913,3 +913,80 @@ def test_overflowing_float_monodromy_is_refused_before_any_svd(monkeypatch, G, m
     monkeypatch.setattr(sf.np.linalg, "svd", refuse)
     with pytest.raises(Unclassified, match=match):
         sf.classify(sf.SeifertPair(np.array(G)))
+
+
+# ---------------------------------------------------------------------------
+# one mode per type
+# ---------------------------------------------------------------------------
+
+def test_every_type_holds_its_angles_in_one_mode():
+    # exact and float classify of the pool, the grid and the random 4x4
+    # draws, the ladder class of the pool and of sampled float members, and
+    # classify3 on the grid: +-1 is an exact 0 or 1/2, and an F2complex
+    # holds lam and zeta in one mode
+    pool = [M for _, M in hor.cyclotomic_pool(8)]
+    cases = [M.S for M in pool] + [lowdim.s3_matrix(a) for a in _grid3_points()]
+    cases += _random_unit_upper4(600)
+    answers = []
+    for S in cases:
+        answers.append(sf.classify(sf.SeifertPair.from_triangular(S)))
+        try:
+            answers.append(sf.classify(sf.SeifertPair.from_triangular(np.asarray(S, dtype=float))))
+        except SpectralStokesError:
+            pass
+    for b in [hor.matrix_to_scal(M) for M in pool] + _sampled_members():
+        answers.append(sf.class_from_spp(hor.recipe_spectral_pairs(b), 1))
+    answers += [lowdim.classify3(a).types for a in _grid3_points()]
+    pair_modes = set()
+    for types in answers:
+        for t in types:
+            if t.family in ("F1", "F2real"):
+                assert type(t.lam) is Fraction and t.lam in (0, F(1, 2)), t
+            elif t.family == "F2complex":
+                assert pc.is_exact(t.lam) == pc.is_exact(t.zeta), t
+                pair_modes.add(type(t.lam))
+    assert pair_modes == {Fraction, float}
+
+
+#: float angles with every mantissa bit in play, other floats, and Fractions
+_ANGLES = (st.integers(0, 2 ** 62).map(lambda i: i * 2.0 ** -63) | st.floats(-2, 2, allow_nan=False)
+           | st.fractions(-2, 2, max_denominator=10 ** 6))
+
+
+@given(_ANGLES, st.integers(1, 12))
+@example(0.17235225865727463, 1)    # a pair angle of the size-3 grid
+@settings(max_examples=300, deadline=None)
+def test_canonical_zeta_sqrt_is_the_constant_expression_bit_for_bit(theta, n_b):
+    # the expression with Fraction constants, exact for a Fraction theta and
+    # rounded once per operation for a float one
+    want = pc.mod1(-theta * Fraction(1, 2) - Fraction(n_b + 1, 4))
+    got = sf._canonical_zeta_sqrt(theta, n_b)
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def _irr_type_from_ladder_reference(alpha, m, l, signed):
+    """irr_type_from_ladder with per-value tests and Fraction constants."""
+    d = 2 * alpha + l + 1 - m
+    lam_angle = pc.mod1(alpha + Fraction(m + 1, 2))
+    if pc.num_eq(d, round(d)):
+        d_int = round(d)
+        lam_angle = F(0) if pc.angle_eq(lam_angle, 0) else F(1, 2)
+        if d_int % 2 == 0:
+            eps = (-1) ** ((d_int // 2) % 2) * (-1 if signed and l % 2 == 1 else 1)
+            return sf.IrrType("F1", lam_angle, l + 1, eps=eps)
+        return sf.IrrType("F2real", lam_angle, l + 1)
+    zeta_angle = pc.mod1(-d * Fraction(1, 4))
+    if signed and l % 2 == 1:
+        zeta_angle = pc.mod1(zeta_angle + Fraction(1, 2))
+    return sf.IrrType("F2complex", lam_angle, l + 1, zeta=zeta_angle).normalized()
+
+
+@given(st.floats(-3, 3, allow_nan=False) | st.fractions(-3, 3, max_denominator=10 ** 6)
+       | st.builds(lambda j, e: j / 2 + e, st.integers(-6, 6), st.floats(-3e-9, 3e-9)),
+       st.integers(0, 3), st.integers(0, 5), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_ladder_types_are_the_per_value_formulas_bit_for_bit(alpha, m, l, signed):
+    got = sf.irr_type_from_ladder(alpha, m, l, signed)
+    want = _irr_type_from_ladder_reference(alpha, m, l, signed)
+    assert [(type(x), repr(x)) for x in (got.family, got.lam, got.n, got.eps, got.zeta)] == \
+        [(type(x), repr(x)) for x in (want.family, want.lam, want.n, want.eps, want.zeta)]
