@@ -11,7 +11,9 @@ Cases: ``seifert.classify`` on one size-3 grid point, on one n = 8
 family member and on two 4 x 4 monodromies whose characteristic
 polynomial is the square of a rational quadratic (one real hyperbolic
 pair with a block of size 2, one semisimple conjugate pair),
-``lowdim.classify3`` on one point, ``lowdim.member3`` over
+``seifert.class_from_spp`` on the recipe pairs of the family member,
+``lowdim.classify3`` on one point, one loop body of the size-3 grid
+criterion on that point, ``lowdim.member3`` over
 the step-1/4 grid of [-4, 4]^3, ``chain.ChainSing``, ``chain.qh_spectrum``
 and ``chain.verify_spectrum_shift`` on the largest tuple of the chain grid,
 and ``matrices.char_poly_exact`` and ``matrices.rank_exact`` on the
@@ -58,6 +60,14 @@ def test_classify_family8(benchmark, family_member):
     assert sf.types_multiset_equal(got, want)
 
 
+def test_class_from_spp_family8(benchmark, family_member):
+    spp = hor.recipe_spectral_pairs(hor.matrix_to_scal(family_member))
+    want = sf.classify(sf.SeifertPair.from_triangular(family_member.S))
+    assert sf.types_multiset_equal(sf.class_from_spp(spp, 1), want)
+    got = benchmark(sf.class_from_spp, spp, 1)
+    assert sf.types_multiset_equal(got, want)
+
+
 #: char poly (x^2 + 11x/4 + 1)^2: one block of size 2 at each real root
 QUADRATIC_POWER = [[1, 1, 2, F(-1, 2)], [0, 1, F(3, 2), 2], [0, 0, 1, 0], [0, 0, 0, 1]]
 #: char poly (x^2 - 7x/4 + 1)^2: a semisimple conjugate pair of multiplicity 2
@@ -79,6 +89,24 @@ def test_classify_semisimple_pair(benchmark):
 def test_classify3(benchmark):
     got = benchmark(lowdim.classify3, GRID3_POINT)
     assert got.stratum == lowdim.Stratum3.INTERIOR_POS and got.f == F(9, 64)
+
+
+def _grid3_item(a):
+    """One loop body of the size-3 grid criterion (``acceptance.criterion_grid3``)
+    on the point a: its closed-form types, the types ``classify`` reads off
+    S, their summed form signatures and the exact signature of S + S^t."""
+    types = lowdim.classify3(a).types
+    S = lowdim.s3_matrix(a)
+    got = sf.classify(sf.SeifertPair.from_triangular(S))
+    sig = tuple(map(sum, zip(*(sf.type_signature(t) for t in types))))
+    return types, got, sig, mx.signature_exact(S + S.T)
+
+
+def test_grid3_item(benchmark):
+    types, got, sig, want = _grid3_item(GRID3_POINT)
+    assert sf.types_multiset_equal(types, got) and sig == want == (3, 0, 0)
+    types, got, sig, want = benchmark(_grid3_item, GRID3_POINT)
+    assert sf.types_multiset_equal(types, got) and sig == want == (3, 0, 0)
 
 
 def test_member3_grid(benchmark):

@@ -253,37 +253,48 @@ def recipe_spectrum(b: HorScal) -> list:
     return [n * x - j + k / 2 for j, x in enumerate(beta, start=1)]
 
 
-def recipe_ladder_groups(b: HorScal):
-    """(circle point angle, ladder) pairs: the alphas attached to a common
-    circle point form a run alpha, alpha+1, ..., alpha+l and become the
-    ladder with first number alpha, center 1, length l + 1.
+def _recipe_runs(b: HorScal):
+    """The recipe's alphas by circle point, (angle, sorted alphas) runs, and
+    the step from one alpha of a run to the next: an exact point's alphas
+    are integer numerators over 2 den (step 2 den), a float point's floats.
 
     The angles are nondecreasing in [0, 1], so the angles of one circle
     point are adjacent and one pass reads them off as runs.  The one
     exception is the point 1, listed as 0 at the front and as 1 at the
     back, so the last run joins the first when their angles agree."""
     exact = b.is_exact
+    if exact:
+        xs, den = _common_numerators(b.beta)
+        alphas, step = _recipe_numerators(b.k, xs, den), 2 * den
+    else:
+        xs, alphas, step = b.beta, recipe_spectrum(b), 1
 
     def same(x, y):
-        return (x - y).denominator == 1 if exact else circle_dist(x, y) <= CIRCLE_TOL
-    runs: list[tuple[object, list]] = []
-    for beta, a in zip(b.beta, recipe_spectrum(b)):
-        if runs and same(runs[-1][0], beta):
-            runs[-1][1].append(a)
+        return (x - y) % den == 0 if exact else circle_dist(x, y) <= CIRCLE_TOL
+    runs: list[tuple[object, object, list]] = []  # (angle, what it compares as, alphas)
+    for beta, x, a in zip(b.beta, xs, alphas):
+        if runs and same(runs[-1][1], x):
+            runs[-1][2].append(a)
         else:
-            runs.append((mod1(beta), [a]))
-    if len(runs) > 1 and same(runs[0][0], runs[-1][0]):
-        runs[0][1].extend(runs.pop()[1])
-    out = []
-    for key, vals in runs:
+            key = beta if exact else mod1(beta)  # a run that starts at 1 joins the one at 0
+            runs.append((key, x if exact else key, [a]))
+    if len(runs) > 1 and same(runs[0][1], runs[-1][1]):
+        runs[0][2].extend(runs.pop()[2])
+    for key, _, vals in runs:
         vals.sort()
-        l = len(vals) - 1
-        for i in range(l):
-            if abs(vals[i + 1] - vals[i] - 1) > (0 if exact else 1e-7):
-                raise NotArithmeticGroup(
-                    f"alphas for circle point at angle {key} are not consecutive: {vals}")
-        out.append((key, SppLadder(vals[0], 1, l)))
-    return out
+        if any(abs(w - v - step) > (0 if exact else 1e-7) for v, w in zip(vals, vals[1:])):
+            shown = [Fraction(v, step) for v in vals] if exact else vals
+            raise NotArithmeticGroup(
+                f"alphas for circle point at angle {key} are not consecutive: {shown}")
+    return [(key, vals) for key, _, vals in runs], step
+
+
+def recipe_ladder_groups(b: HorScal):
+    """(circle point angle, ladder) pairs: the run alpha, alpha+1, ..., alpha+l
+    of a circle point is the ladder with first number alpha, center 1, length l + 1."""
+    runs, step = _recipe_runs(b)
+    return [(key, SppLadder(Fraction(vals[0], step) if b.is_exact else vals[0], 1, len(vals) - 1))
+            for key, vals in runs]
 
 
 def recipe_ladders(b: HorScal) -> list[SppLadder]:
@@ -291,8 +302,10 @@ def recipe_ladders(b: HorScal) -> list[SppLadder]:
 
 
 def recipe_spectral_pairs(b: HorScal) -> Spp:
-    # the ladders' pairs go into one Spp, which sorts them once
-    return Spp(pair for lad in recipe_ladders(b) for pair in lad._pairs())
+    # the ladders' pairs (alpha + j, l + 1 - 2j) in one Spp, which sorts them once
+    runs, step = _recipe_runs(b)
+    return Spp((Fraction(v, step) if b.is_exact else vals[0] + j, len(vals) - 2 * j)
+               for _, vals in runs for j, v in enumerate(vals))
 
 
 def is_realizable_spectrum(candidate, n: int, k: int):

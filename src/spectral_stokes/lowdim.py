@@ -13,6 +13,7 @@ denominator; a Fraction appears only as the value of f.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,8 +44,17 @@ _RATIONAL = frozenset((int, Fraction))
 
 
 def s3_matrix(a) -> np.ndarray:
+    """The unit upper-triangular S of a point, object dtype when its three
+    entries are exact."""
     a1, a2, a3 = a
-    return mx.to_matrix([[1, a1, a3], [0, 1, a2], [0, 0, 1]])
+    exact = is_exact(a1) and is_exact(a2) and is_exact(a3)
+    return np.array([[1, a1, a3], [0, 1, a2], [0, 0, 1]], dtype=object if exact else float)
+
+
+def _half(x):
+    """x / 2 in x's mode: a Fraction for a rational x, as x * Fraction(1, 2)
+    gives, and a float for a float x, bit for bit."""
+    return Fraction(x, 2) if isinstance(x, numbers.Rational) else float(x) / 2
 
 
 def _scaled_f3(a):
@@ -114,7 +124,7 @@ def _interior_pair_type(f, sign_flip: bool) -> IrrType:
     """F2complex summand with eigenvalue angle theta from
     2 cos(2 pi theta) = f - 2, invariant exp(pi i theta), negated on the
     indefinite components."""
-    theta = beta_from_cos((f - 2) * Fraction(1, 2))
+    theta = beta_from_cos(_half(f - 2))
     zeta = mod1((1 - theta) / 2) if sign_flip else mod1(-theta / 2)
     return IrrType("F2complex", theta, 1, zeta=zeta)
 
@@ -182,8 +192,8 @@ def solve2(a):
     """
     if abs(a) > 2:
         raise OutOfT(f"|{a}| > 2")
-    beta1 = beta_from_cos(-a * Fraction(1, 2))
-    alpha1 = alpha_from_sin(a * Fraction(1, 2))
+    beta1 = beta_from_cos(_half(-a))
+    alpha1 = alpha_from_sin(_half(a))
     if abs(a) == 2:
         # alpha1 = +-1/2: the ladder (-1/2, 2), (1/2, 0)
         spp = SppLadder(-abs(alpha1), 1, 1).members()
@@ -209,7 +219,7 @@ def hor1_line3(p1):
     from .hor import recipe_spectral_pairs, recipe_spectrum, scal_from_free
     if not -1 <= p1 <= 3:
         raise OutOfFamily(f"band value {p1} outside [-1, 3]")
-    b = scal_from_free(3, 1, [beta_from_cos((1 - p1) * Fraction(1, 2))])
+    b = scal_from_free(3, 1, [beta_from_cos(_half(1 - p1))])
     return b.beta, tuple(recipe_spectrum(b)), recipe_spectral_pairs(b)
 
 

@@ -69,6 +69,13 @@ def _common_numerators(xs) -> tuple[list, int]:
     return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
+def _numerators_or_floats(xs) -> tuple[list, int, float]:
+    """(keys, den, tol): exact scalars as numerators over one denominator, else floats."""
+    if all(map(is_exact, xs)):
+        return (*_common_numerators(xs), 0)
+    return list(map(float, xs)), 1, CIRCLE_TOL
+
+
 def _mul_coeffs(a, b, size: int | None = None) -> list:
     """The first ``size`` coefficients (all by default), constant term
     first, of the product of the coefficient lists a and b."""
@@ -400,12 +407,13 @@ def _lift_path(ang: np.ndarray) -> np.ndarray:
 class RealPoly:
     """Dense univariate polynomial, coefficients low degree first.
 
-    Exact when every coefficient is an ``int`` or ``Fraction``.  The zero
-    polynomial is ``RealPoly([0])`` with degree 0 by convention; all
-    paper-facing polynomials here are monic of degree >= 1.
+    Exact when every coefficient is an ``int`` or ``Fraction`` (integer when
+    all are ``int``), decided when it is built.  The zero polynomial is
+    ``RealPoly([0])`` with degree 0 by convention; all paper-facing
+    polynomials here are monic of degree >= 1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "is_exact", "is_integer")
 
     def __init__(self, coeffs):
         cs = [_tidy(c) for c in coeffs]
@@ -414,19 +422,14 @@ class RealPoly:
         if not cs:
             cs = [0]
         self.coeffs = tuple(cs)
+        kinds = set(map(type, cs))  # the common kinds decide at once, others per coefficient
+        self.is_integer = kinds == {int} or all(isinstance(c, int) for c in cs)
+        self.is_exact = kinds <= {int, Fraction} or all(map(is_exact, cs))
 
     # -- basic structure ----------------------------------------------------
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.coeffs)
-
-    @property
-    def is_integer(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
 
     @property
     def is_monic(self) -> bool:

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import NotLadderComposed, Singular, Unclassified, VerificationFailed
-from .polycore import (CIRCLE_TOL, TWO_PI, RealPoly, _mul_coeffs, angle_eq, angle_to_point,
-                       circle_dist, cyclotomic_angles, cyclotomic_polynomial, factor_cyclotomic,
-                       format_number, is_exact, mod1, multiset_eq, num_eq, point_to_angle,
-                       snap_angle, totient)
+from .polycore import (CIRCLE_TOL, TWO_PI, RealPoly, _mul_coeffs, _numerators_or_floats, angle_eq,
+                       angle_to_point, circle_dist, cyclotomic_angles, cyclotomic_polynomial,
+                       factor_cyclotomic, format_number, is_exact, mod1, multiset_eq,
+                       point_to_angle, snap_angle, totient)
 from .spectra import Spp, decompose_into_ladders
 
 _ZERO, _HALF = Fraction(0), Fraction(1, 2)
@@ -72,10 +72,15 @@ class IrrType:
         elif self.family == "F2complex":
             if self.zeta is None:
                 raise ValueError("F2complex needs a unit invariant zeta")
-            # zeta^2 = conj(lam) * (-1)^(n+1) in angle form, exact if lam and zeta are
-            if not ((4 * self.zeta + 2 * self.lam - self.n - 1) % 2 == 0
-                    if is_exact(self.lam) and is_exact(self.zeta) else
-                    circle_dist(2 * self.zeta, -self.lam + (self.n + 1) / 2) <= 1e-7):
+            # zeta^2 = conj(lam) * (-1)^(n+1) in angle form: 4 zeta + 2 lam - n - 1
+            # in 2Z, times pq on the numerators of lam = a/p and zeta = c/q
+            if is_exact(self.lam) and is_exact(self.zeta):
+                p, q = self.lam.denominator, self.zeta.denominator
+                ok = (4 * self.zeta.numerator * p + 2 * self.lam.numerator * q
+                      - (self.n + 1) * p * q) % (2 * p * q) == 0
+            else:
+                ok = circle_dist(2 * self.zeta, -self.lam + (self.n + 1) / 2) <= 1e-7
+            if not ok:
                 raise ValueError("zeta^2 != conj(lam) * (-1)^(n+1)")
 
     @property
@@ -87,10 +92,18 @@ class IrrType:
         """Conjugate-pair representative with eigenvalue angle in (0, 1/2)."""
         if self.family != "F2complex":
             return self
-        a = mod1(self.lam)
+        lam, zeta = self.lam, self.zeta
+        if is_exact(lam) and is_exact(zeta):
+            # on numerators: lam = a/p mod 1 past 1/2 goes to (p - a)/p, zeta = c/q to -c/q
+            a, p, q = lam.numerator % lam.denominator, lam.denominator, zeta.denominator
+            if 2 * a <= p:
+                return self
+            return IrrType(self.family, Fraction(p - a, p), self.n,
+                           zeta=Fraction(-zeta.numerator % q, q))
+        a = mod1(lam)
         if a <= 0.5:
             return self
-        return IrrType(self.family, mod1(-a), self.n, zeta=mod1(-self.zeta))
+        return IrrType(self.family, mod1(-a), self.n, zeta=mod1(-zeta))
 
     def sort_key(self):
         lam = self.lam
@@ -162,9 +175,15 @@ def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False) -> IrrType
     exp(pi*i*d/2), times (-1)^l in the signed convention, in alpha's mode.
     """
     exact = is_exact(alpha)
-    d = 2 * alpha + l + 1 - m
-    d_int = round(d)
-    if d == d_int if exact else abs(d - d_int) <= CIRCLE_TOL:
+    if exact:
+        a, q = alpha.numerator, alpha.denominator
+        e = 2 * a + (l + 1 - m) * q
+        d_int, real = e // q, e % q == 0
+    else:
+        d = 2 * alpha + l + 1 - m
+        d_int = round(d)
+        real = abs(d - d_int) <= CIRCLE_TOL
+    if real:
         # the eigenvalue is +-1: its angle (d - l)/2 mod 1 is exactly 0 or 1/2
         lam_angle = _HALF if (d_int - l) % 2 else _ZERO
         if d_int % 2 == 0:
@@ -173,11 +192,15 @@ def irr_type_from_ladder(alpha, m: int, l: int, signed: bool = False) -> IrrType
                 eps = -eps
             return IrrType("F1", lam_angle, l + 1, eps=eps)
         return IrrType("F2real", lam_angle, l + 1)
-    half = _HALF if exact else 0.5
-    lam_angle = mod1(alpha + (m + 1) * half)
-    zeta_angle = mod1(-d * half / 2)
+    if exact:  # lam = alpha + (m+1)/2 = u/2q and zeta = -d/4 = z/4q mod 1, normalized
+        u, z = (2 * a + (m + 1) * q) % (2 * q), -e + (2 * q if signed and l % 2 == 1 else 0)
+        if u > q:
+            u, z = 2 * q - u, -z
+        return IrrType("F2complex", Fraction(u, 2 * q), l + 1, zeta=Fraction(z % (4 * q), 4 * q))
+    lam_angle = mod1(alpha + (m + 1) * 0.5)
+    zeta_angle = mod1(-d * 0.5 / 2)
     if signed and l % 2 == 1:
-        zeta_angle = mod1(zeta_angle + half)
+        zeta_angle = mod1(zeta_angle + 0.5)
     return IrrType("F2complex", lam_angle, l + 1, zeta=zeta_angle).normalized()
 
 
@@ -188,25 +211,27 @@ def class_from_spp(spp: Spp, m: int, signed: bool = False) -> list[IrrType]:
     Partner pairs with integer distance produce real-eigenvalue types
     (two F1 copies for even distance, one two-block type for odd); pairs
     with non-integer distance produce one conjugate-pair type; single
-    ladders produce one F1 each.
+    ladders produce one F1 each.  Exact first numbers are matched as integer
+    numerators over one denominator, float ones within ``CIRCLE_TOL``.
     """
     ladders = decompose_into_ladders(spp, m)
+    xs, den, tol = _numerators_or_floats([lad.alpha for lad in ladders])
+    todo = list(zip(xs, ladders))
     out: list[IrrType] = []
-    while ladders:
-        lad = ladders.pop(0)
-        if lad.is_single:
-            out.append(irr_type_from_ladder(lad.alpha, m, lad.l, signed))
-            continue
-        # the partner has the same center and length
-        partner = lad.partner()
-        j = next((j for j, other in enumerate(ladders)
-                  if other.l == partner.l and num_eq(other.alpha, partner.alpha)), None)
-        if j is None:
-            raise NotLadderComposed(
-                f"ladder {lad} has no partner in the multiset", witness=lad)
-        del ladders[j]
+    while todo:
+        x, lad = todo.pop(0)
+        single = abs(2 * x + lad.l * den + den - m * den) <= tol  # at distance 0
+        if not single:
+            # the partner has the same center and length
+            px = (m - lad.l - 1) * den - x
+            j = next((j for j, (y, other) in enumerate(todo)
+                      if other.l == lad.l and abs(y - px) <= tol), None)
+            if j is None:
+                raise NotLadderComposed(
+                    f"ladder {lad} has no partner in the multiset", witness=lad)
+            del todo[j]
         t = irr_type_from_ladder(lad.alpha, m, lad.l, signed)
-        out.extend([t, t] if t.family == "F1" else [t])
+        out.extend([t] if single or t.family != "F1" else [t, t])
     return out
 
 
@@ -628,14 +653,18 @@ def _primitive_types(g: _EigGroup, signs: dict) -> list[IrrType]:
                                          "cannot pair into two-block types")
             out.extend([IrrType("F2real", lam_angle, s)] * (c // 2))
             continue
-        p, m = signs[s]
-        z0 = _canonical_zeta_sqrt(g.lam, s) if pair else None
-        # the blocks of one sign share one type
-        for eps, k, shift in ((1, p, 0), (-1, m, _HALF if is_exact(g.lam) else 0.5)):
-            if k:
-                t = (IrrType("F2complex", g.lam, s, zeta=mod1(z0 + shift)).normalized()
-                     if pair else IrrType("F1", lam_angle, s, eps=eps))
-                out += [t] * k
+        # the blocks of one sign share one type, at a pair with zeta = zeta0 + h/2
+        for eps, k, h in ((1, signs[s][0], 0), (-1, signs[s][1], 1)):
+            if not k:
+                continue
+            if pair and is_exact(g.lam):  # zeta0 = -(2a + (s+1)q)/4q at lam = a/q
+                a, q = g.lam.numerator, g.lam.denominator
+                zeta = Fraction((2 * h * q - 2 * a - (s + 1) * q) % (4 * q), 4 * q)
+            elif pair:
+                zeta = mod1(_canonical_zeta_sqrt(g.lam, s) + h / 2)
+            t = (IrrType("F2complex", g.lam, s, zeta=zeta).normalized() if pair
+                 else IrrType("F1", lam_angle, s, eps=eps))
+            out += [t] * k
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLadderComposed
-from .polycore import format_number, multiset_eq, num_eq
+from .polycore import _numerators_or_floats, format_number, multiset_eq, num_eq
 
 
 class Spp:
@@ -23,7 +23,11 @@ class Spp:
     __slots__ = ("pairs",)
 
     def __init__(self, pairs=()):
-        self.pairs = tuple(sorted((a, int(k)) for a, k in pairs))
+        pairs = [(a, int(k)) for a, k in pairs]
+        xs, _, tol = _numerators_or_floats([a for a, _ in pairs])
+        # exact pairs (tol 0) sort on integer numerators; equal pairs keep their input order
+        order = sorted(range(len(pairs)), key=lambda i: pairs[i] if tol else (xs[i], pairs[i][1]))
+        self.pairs = tuple(pairs[i] for i in order)
 
     def __len__(self):
         return len(self.pairs)
@@ -94,10 +98,6 @@ class SppLadder:
         """Distance to the partner ladder; zero exactly for single ladders."""
         return 2 * self.alpha + self.l + 1 - self.m
 
-    @property
-    def is_single(self) -> bool:
-        return num_eq(self.distance, 0)
-
     def partner(self) -> "SppLadder":
         return SppLadder(self.m - self.l - 1 - self.alpha, self.m, self.l)
 
@@ -114,36 +114,31 @@ def decompose_into_ladders(s: Spp, m: int) -> list[SppLadder]:
     ladders with their partners.
 
     Raises NotLadderComposed when the top-level pair cannot be extended to
-    a full ladder.
+    a full ladder.  Exact first numbers are matched as integer numerators
+    over one denominator, float ones within ``CIRCLE_TOL``.
     """
-    remaining = list(s.pairs)
+    xs, unit, tol = _numerators_or_floats([a for a, _ in s.pairs])
+    remaining = [(x, k, a) for x, (a, k) in zip(xs, s.pairs)]
 
-    def take(alpha, level):
-        for i, (a, k) in enumerate(remaining):
-            if k == level and num_eq(a, alpha):
+    def take(x, level):
+        for i, (y, k, _) in enumerate(remaining):
+            if k == level and abs(y - x) <= tol:
                 return remaining.pop(i)
         return None
 
     ladders: list[SppLadder] = []
     while remaining:
-        top = max(k for _, k in remaining)
+        top = max(k for _, k, _ in remaining)
         l = top - m
         if l < 0:
             raise NotLadderComposed(
                 f"pair with level {top} cannot belong to a ladder with center {m}",
-                witness=next(p for p in remaining if p[1] == top))
-        alpha = min(a for a, k in remaining if k == top)
-        got = [take(alpha, top)]
-        ok = True
-        for j in range(1, l + 1):
-            nxt = take(alpha + j, m + l - 2 * j)
-            if nxt is None:
-                ok = False
-                break
-            got.append(nxt)
-        if not ok:
+                witness=next((a, k) for _, k, a in remaining if k == top))
+        x = min(y for y, k, _ in remaining if k == top)
+        alpha = take(x, top)[2]
+        if any(take(x + j * unit, m + l - 2 * j) is None for j in range(1, l + 1)):
             raise NotLadderComposed(
                 f"ladder starting at ({format_number(alpha)}, {top}) is incomplete",
                 witness=(alpha, top))
-        ladders.append(SppLadder(got[0][0], m, l))
+        ladders.append(SppLadder(alpha, m, l))
     return ladders

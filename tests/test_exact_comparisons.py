@@ -122,12 +122,9 @@ def test_the_walk_finds_floats_in_a_kernel():
 #: site meets two answers whose modes it cannot know
 MIXED_MODE = {
     ("seifert", "IrrType.matches"): 2,                # a type against one of any mode
-    ("seifert", "class_from_spp"): 1,                 # the partner search over ladders
     ("orbit", "conjecture16_check"): 1,               # tracked spectra against the recipe's
-    ("spectra", "Spp.equals"): 1,                     # spectra keep their values' modes
+    ("spectra", "Spp.equals"): 1,                     # two spectra of any modes
     ("spectra", "spp_mod2_equal"): 1,
-    ("spectra", "SppLadder.is_single"): 1,
-    ("spectra", "decompose_into_ladders.take"): 1,
 }
 
 

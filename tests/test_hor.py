@@ -222,6 +222,47 @@ def test_float_recipe_is_the_constant_expression_bit_for_bit(b):
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+
+def _fraction_ladder_groups(b):
+    """recipe_ladder_groups with the exact alphas as Fractions: runs of angles
+    that differ by an integer, keyed by the first angle mod 1."""
+    exact = b.is_exact
+
+    def same(x, y):
+        return (x - y).denominator == 1 if exact else circle_dist(x, y) <= polycore.CIRCLE_TOL
+    runs = []
+    for beta, a in zip(b.beta, hor.recipe_spectrum(b)):
+        if runs and same(runs[-1][0], beta):
+            runs[-1][1].append(a)
+        else:
+            runs.append((mod1(beta), [a]))
+    if len(runs) > 1 and same(runs[0][0], runs[-1][0]):
+        runs[0][1].extend(runs.pop()[1])
+    out = []
+    for key, vals in runs:
+        vals.sort()
+        assert all(abs(vals[i + 1] - vals[i] - 1) <= (0 if exact else 1e-7)
+                   for i in range(len(vals) - 1))
+        out.append((key, SppLadder(vals[0], 1, len(vals) - 1)))
+    return out
+
+
+@given(_family_points())
+@settings(max_examples=300, deadline=None)
+def test_ladder_groups_and_pairs_are_the_fraction_expressions(b):
+    # keys, first numbers and pairs in value, type and order; the pairs
+    # (alpha + j, l + 1 - 2j) of each ladder in one Spp
+    want = _fraction_ladder_groups(b)
+    got = hor.recipe_ladder_groups(b)
+    assert [(type(key), repr(key), type(lad.alpha), repr(lad.alpha), lad.m, lad.l)
+            for key, lad in got] == \
+        [(type(key), repr(key), type(lad.alpha), repr(lad.alpha), lad.m, lad.l)
+         for key, lad in want]
+    pairs = Spp(pair for _, lad in want for pair in lad._pairs()).pairs
+    assert [(type(a), repr(a), k) for a, k in hor.recipe_spectral_pairs(b).pairs] == \
+        [(type(a), repr(a), k) for a, k in pairs]
+
+
 def test_exact_and_float_signature_laws_predict_alike_on_the_pool():
     # integers on the exact point, floats on its float image
     for _, M in hor.cyclotomic_pool(8):

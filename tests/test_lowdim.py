@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,3 +274,35 @@ def test_interior_pair_type_is_the_constant_expression_bit_for_bit(f, sign_flip)
     got = ld._interior_pair_type(f, sign_flip)
     assert [(type(x), repr(x)) for x in (got.lam, got.zeta)] == \
         [(type(x), repr(x)) for x in (theta, zeta)]
+
+
+#: entries of every mode: ints, bools, Fractions, floats (both zeros) and numpy scalars
+_HALVED = (st.integers(-2, 2) | st.booleans() | st.fractions(-2, 2, max_denominator=10 ** 6)
+           | st.floats(-2, 2, allow_nan=False) | st.sampled_from([0.0, -0.0, 2.0, -2.0])
+           | st.floats(-2, 2, allow_nan=False).map(np.float64) | st.integers(-2, 2).map(np.int64))
+
+
+@given(_HALVED)
+@settings(max_examples=400, deadline=None)
+def test_solve2_and_line3_halve_in_the_input_mode_bit_for_bit(a):
+    # the expressions with the Fraction constant 1/2: exact for rational
+    # input, rounded once for a float
+    half = Fraction(1, 2)
+    assert _typed(ld.solve2(a)[:2]) == _typed(
+        (pc.beta_from_cos(-a * half), pc.alpha_from_sin(a * half)))
+    p1 = a + 1
+    want = hor.scal_from_free(3, 1, [pc.beta_from_cos((1 - p1) * half)]).beta
+    assert _typed(ld.hor1_line3(p1)[0]) == _typed(want)
+
+
+def _typed(xs):
+    return [(type(x), repr(x)) for x in xs]
+
+
+@given(st.tuples(_HALVED, _HALVED, _HALVED))
+@settings(max_examples=300, deadline=None)
+def test_s3_matrix_takes_the_dtype_of_its_three_entries(a):
+    a1, a2, a3 = a
+    want = mx.to_matrix([[1, a1, a3], [0, 1, a2], [0, 0, 1]])
+    got = ld.s3_matrix(a)
+    assert got.dtype == want.dtype and _typed(got.ravel()) == _typed(want.ravel())

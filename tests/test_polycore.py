@@ -624,3 +624,15 @@ class TestCyclotomicPower:
         # nor may a float root of the cofactor be snapped onto 1/3
         got = pc.unit_circle_angles(p)
         assert (Fraction(1, 3), 1) in got and len(got) == 4
+
+
+@given(st.lists(st.integers(-3, 3) | st.booleans() | st.fractions(-3, 3, max_denominator=12)
+                | st.floats(-3, 3, allow_nan=False) | st.integers(-3, 3).map(np.int64),
+                max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_exact_and_integer_are_decided_once_and_read_the_coefficients(cs):
+    # a Fraction with denominator 1 is stored as an int, so it counts as one
+    p = pc.RealPoly(cs)
+    assert p.is_exact == all(pc.is_exact(c) for c in p.coeffs)
+    assert p.is_integer == all(isinstance(c, int) for c in p.coeffs)
+    assert "is_exact" in pc.RealPoly.__slots__ and "is_integer" in pc.RealPoly.__slots__

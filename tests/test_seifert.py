@@ -990,3 +990,99 @@ def test_ladder_types_are_the_per_value_formulas_bit_for_bit(alpha, m, l, signed
     want = _irr_type_from_ladder_reference(alpha, m, l, signed)
     assert [(type(x), repr(x)) for x in (got.family, got.lam, got.n, got.eps, got.zeta)] == \
         [(type(x), repr(x)) for x in (want.family, want.lam, want.n, want.eps, want.zeta)]
+
+
+# The exact ladder -> type path runs on integer numerators.  The references
+# below are the Fraction expressions it replaced, written out.
+
+def _fraction_normalized(family, lam, n, zeta):
+    """IrrType.normalized on Fraction arithmetic: (lam, zeta) turned so that
+    the eigenvalue angle lies in (0, 1/2]."""
+    a = pc.mod1(lam)
+    if family != "F2complex" or a <= 0.5:
+        return lam, zeta
+    return pc.mod1(-a), pc.mod1(-zeta)
+
+
+def _fraction_ladder_type(alpha, m, l, signed):
+    """(family, lam, n, eps, zeta) of irr_type_from_ladder on an exact alpha,
+    in Fraction arithmetic."""
+    half = Fraction(1, 2)
+    d = 2 * alpha + l + 1 - m
+    d_int = round(d)
+    if d == d_int:
+        lam = half if (d_int - l) % 2 else Fraction(0)
+        if d_int % 2 == 0:
+            eps = (-1) ** ((d_int // 2) % 2) * (-1 if signed and l % 2 == 1 else 1)
+            return "F1", lam, l + 1, eps, None
+        return "F2real", lam, l + 1, None, None
+    lam = pc.mod1(alpha + (m + 1) * half)
+    zeta = pc.mod1(-d * half / 2)
+    if signed and l % 2 == 1:
+        zeta = pc.mod1(zeta + half)
+    lam, zeta = _fraction_normalized("F2complex", lam, l + 1, zeta)
+    return "F2complex", lam, l + 1, None, zeta
+
+
+def _typed(xs):
+    return [(type(x), repr(x)) for x in xs]
+
+
+#: exact first numbers: ints and Fractions over denominators up to 60
+_EXACT_ALPHAS = st.integers(-4, 4) | st.builds(Fraction, st.integers(-240, 240), st.integers(1, 60))
+
+
+@given(_EXACT_ALPHAS, st.integers(0, 3), st.integers(0, 7), st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_exact_ladder_types_are_the_fraction_expressions(alpha, m, l, signed):
+    t = sf.irr_type_from_ladder(alpha, m, l, signed)
+    assert _typed((t.family, t.lam, t.n, t.eps, t.zeta)) == \
+        _typed(_fraction_ladder_type(alpha, m, l, signed))
+
+
+@given(st.integers(2, 60).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+       st.lists(st.integers(1, 4), min_size=1, max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_exact_pair_zetas_are_the_fraction_expressions(aq, sizes, rng):
+    # zeta0 = -theta/2 - (s + 1)/4 mod 1 and zeta0 + 1/2, per sign of the blocks
+    lam = Fraction(*aq)
+    if lam == Fraction(1, 2):
+        return
+    signs = {}
+    for s in set(sizes):
+        p = rng.randint(0, sizes.count(s))
+        signs[s] = (p, sizes.count(s) - p)
+    got = sf._primitive_types(sf._EigGroup("pair", lam, sum(sizes), sorted(sizes)), signs)
+    want = []
+    for s in sorted(set(sizes)):
+        z0 = pc.mod1(-(2 * lam + (s + 1)) / 4)
+        for k, shift in zip(signs[s], (0, Fraction(1, 2))):
+            want += [_fraction_normalized("F2complex", lam, s, pc.mod1(z0 + shift)) + (s,)] * k
+    assert [_typed((t.lam, t.zeta, t.n)) for t in got] == [_typed(w) for w in want]
+    assert all(t.family == "F2complex" for t in got)
+
+
+@given(st.integers(-2, 2) | st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60))
+       | st.floats(-2, 2, allow_nan=False), st.integers(1, 6), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_normalized_is_the_fraction_expression(lam, n, flip):
+    # zeta a square root of conj(lam) (-1)^(n+1), in lam's mode
+    half = Fraction(1, 2) if pc.is_exact(lam) else 0.5
+    zeta = pc.mod1(-(2 * lam + (n + 1)) * half / 2 + (half if flip else 0))
+    t = sf.IrrType("F2complex", lam, n, zeta=zeta)
+    got = t.normalized()
+    assert _typed((got.lam, got.zeta)) == _typed(_fraction_normalized("F2complex", lam, n, zeta))
+
+
+@given(st.integers(-2, 2) | st.builds(Fraction, st.integers(-120, 120), st.integers(1, 60)),
+       st.integers(1, 6), st.integers(0, 7))
+@settings(max_examples=400, deadline=None)
+def test_exact_zeta_check_is_the_fraction_expression(lam, n, quarters):
+    # zeta runs over the square roots of conj(lam) (-1)^(n+1) and the
+    # angles a quarter or three quarters of a turn from them
+    zeta = pc.mod1(-(2 * lam + (n + 1)) * Fraction(1, 4) + Fraction(quarters, 8))
+    if (4 * zeta + 2 * lam - n - 1) % 2 == 0:
+        assert sf.IrrType("F2complex", lam, n, zeta=zeta).zeta == zeta
+    else:
+        with pytest.raises(ValueError):
+            sf.IrrType("F2complex", lam, n, zeta=zeta)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_stokes.errors import NotLadderComposed
-from spectral_stokes.polycore import parse_rational
-from spectral_stokes.seifert import class_from_spp
+from spectral_stokes.polycore import num_eq, parse_rational
+from spectral_stokes.seifert import class_from_spp, irr_type_from_ladder
 from spectral_stokes.spectra import Spp, SppLadder, decompose_into_ladders, spp_mod2_equal
 
 F = Fraction
@@ -38,7 +38,7 @@ class TestPartner:
         m, l = 1, 1
         lad = SppLadder(F(m - l - 1, 2), m, l)
         partner, dist = lad.partner(), lad.distance
-        assert partner == lad and dist == 0 and lad.is_single
+        assert partner == lad and dist == 0
 
     def test_distance_value(self):
         lad = SppLadder(F(-1, 3), 1, 0)
@@ -65,14 +65,14 @@ class TestDecompose:
         got = decompose_into_ladders(s, 1)
         ladders = sorted(got, key=lambda l: (l.l, l.alpha))
         assert ladders == [SppLadder(F(0), 1, 0), SppLadder(F(-1, 2), 1, 1)]
-        assert all(lad.is_single for lad in got)
+        assert all(lad.distance == 0 for lad in got)
 
     def test_all_trivial(self):
         n = 5
         s = Spp([(F(0), 1)] * n)
         got = decompose_into_ladders(s, 1)
         assert len(got) == n
-        assert all(lad == SppLadder(F(0), 1, 0) and lad.is_single for lad in got)
+        assert all(lad == SppLadder(F(0), 1, 0) and lad.distance == 0 for lad in got)
 
     def test_missing_member(self):
         with pytest.raises(NotLadderComposed):
@@ -102,6 +102,74 @@ class TestDecompose:
         assert back == spp
         # every non-single ladder finds its partner
         class_from_spp(spp, m)
+
+
+
+def _num_eq_decompose(s, m):
+    """decompose_into_ladders on a ladder-composed multiset, matching first
+    numbers by ``num_eq`` value by value."""
+    remaining = list(s.pairs)
+
+    def take(alpha, level):
+        return remaining.pop(next(i for i, (a, k) in enumerate(remaining)
+                                  if k == level and num_eq(a, alpha)))
+    ladders = []
+    while remaining:
+        top = max(k for _, k in remaining)
+        l = top - m
+        alpha = min(a for a, k in remaining if k == top)
+        first = take(alpha, top)
+        for j in range(1, l + 1):
+            take(alpha + j, m + l - 2 * j)
+        ladders.append(SppLadder(first[0], m, l))
+    return ladders
+
+
+def _num_eq_class(s, m, signed):
+    """class_from_spp with the single test and the partner search by
+    ``num_eq`` on the ladders' Fraction or float first numbers."""
+    ladders, out = _num_eq_decompose(s, m), []
+    while ladders:
+        lad = ladders.pop(0)
+        t = irr_type_from_ladder(lad.alpha, m, lad.l, signed)
+        if num_eq(lad.distance, 0):
+            out.append(t)
+            continue
+        partner = lad.partner()
+        del ladders[next(j for j, other in enumerate(ladders)
+                         if other.l == partner.l and num_eq(other.alpha, partner.alpha))]
+        out.extend([t, t] if t.family == "F1" else [t])
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(-24, 24).map(lambda n: F(n, 12)), st.integers(0, 3),
+                          st.booleans()), min_size=1, max_size=8),
+       st.integers(-1, 2), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_numerator_matching_is_the_num_eq_matching(specs, m, signed, as_floats):
+    # ladders and their partners, some at distance zero, exact or as floats
+    pairs = []
+    for a, l, single in specs:
+        lad = SppLadder(F(m - l - 1, 2) + (0 if single else a), m, l)
+        pairs += lad._pairs() + ([] if single or lad.distance == 0 else lad.partner()._pairs())
+    s = Spp((float(a), k) if as_floats else (a, k) for a, k in pairs)
+    got, want = decompose_into_ladders(s, m), _num_eq_decompose(s, m)
+    assert [(type(lad.alpha), repr(lad.alpha), lad.l) for lad in got] == \
+        [(type(lad.alpha), repr(lad.alpha), lad.l) for lad in want]
+    assert class_from_spp(s, m, signed) == _num_eq_class(s, m, signed)
+
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=12)
+                          | st.floats(-3, 3, allow_nan=False), st.integers(-2, 2)), max_size=12),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_pairs_are_in_the_order_of_their_values(pairs, exact_only):
+    # exact pairs sort on integer numerators, ties (0 and F(0), say) in input order
+    if exact_only:
+        pairs = [(a, k) for a, k in pairs if not isinstance(a, float)]
+    want = sorted(pairs)
+    assert [(type(a), repr(a), k) for a, k in Spp(pairs)] == [(type(a), repr(a), k) for a, k in want]
 
 
 class TestShiftAndMod2:
