@@ -16,8 +16,7 @@ pair with a block of size 2, one semisimple conjugate pair),
 criterion on that point, ``lowdim.member3`` over
 the step-1/4 grid of [-4, 4]^3, ``chain.ChainSing``, ``chain.qh_spectrum``
 and ``chain.verify_spectrum_shift`` on the largest tuple of the chain grid,
-and ``matrices.char_poly_exact`` and ``matrices.rank_exact`` on the
-monodromy of the family member.
+and ``matrices.char_poly_exact`` on the monodromy of the family member.
 """
 
 from fractions import Fraction
@@ -143,8 +142,3 @@ def test_char_poly_exact(benchmark, family_member):
     M = mx.monodromy_matrix(family_member.S)
     got = benchmark(mx.char_poly_exact, M)
     assert got == poly_from_cyclotomic_mults(MONODROMY_MULTS)
-
-
-def test_rank_exact(benchmark, family_member):
-    K = mx.monodromy_matrix(family_member.S) + mx.identity(8)
-    assert benchmark(mx.rank_exact, K) == 7

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from . import matrices as mx
 from .errors import (BadExponents, ChainBroken, NotPolynomial, NotReducible,
                      ReductionRequired, VerificationFailed)
-from .hor import (recipe_spectral_pairs, scal_from_angles, _check_family_numerators,
+from .hor import (HorScal, recipe_spectral_pairs, _check_family_numerators,
                   _recipe_numerators, _split_root_one)
 from .polycore import expand_signed_product, signed_product_coeffs, _common_numerators
 from .spectra import Spp
@@ -150,23 +151,30 @@ def stokes_poly(a):
     return p, k, [(Fraction(d, rm), 1) for d in deltas]
 
 
+def _stokes_angles(c: ChainSing):
+    """(k, nums, r_m): the family point of the roots, its angles nums[j] / r_m
+    in family order, with the simple root 1 (odd m) at the lower end 0."""
+    k, deltas = _stokes_roots(c)
+    rm = c.r[-1]
+    ones = 1 if deltas[0] == 0 else 0
+    return k, _split_root_one(ones, deltas[ones:], k, 0, rm), rm
+
+
 def _stokes_numerators(c: ChainSing) -> list:
     """Spectral numbers of the matrix side as numerators over 2 r_m, in
     family order: the family point of the roots, checked for membership,
     through the recipe, all on integers."""
-    k, deltas = _stokes_roots(c)
-    rm = c.r[-1]
-    ones = 1 if deltas[0] == 0 else 0
-    beta = _split_root_one(ones, deltas[ones:], k, 0, rm)
+    k, beta, rm = _stokes_angles(c)
     _check_family_numerators(k, beta, rm)
     return _recipe_numerators(k, beta, rm)
 
 
 def stokes_scal(a):
-    """Family coordinates of the matrix side (exact angles, never rooted
-    numerically)."""
-    _, k, angles = stokes_poly(a)
-    return scal_from_angles(angles, k)
+    """Family coordinates of the matrix side: the angles of
+    :func:`_stokes_angles` as Fractions delta / r_m, with the ends 0 and 1
+    as ``int``; the polynomial is neither expanded nor rooted."""
+    k, beta, rm = _stokes_angles(ChainSing(tuple(a)))
+    return HorScal(k, tuple(Fraction(x, rm) if 0 < x < rm else x // rm for x in beta))
 
 
 def stokes_spectrum(a) -> list:
@@ -300,24 +308,10 @@ def jacobi_basis(a) -> list[Monomial]:
     out = []
     for i in range(m // 2 + 1):
         free_top = m - 2 * i
-        pinned = {}
-        for j in range(free_top + 2, m + 1, 2):
-            pinned[j] = c.a[j] - 1
-        for j in range(free_top + 1, m + 1, 2):
-            pinned[j] = 0
+        pinned = tuple(c.a[j] - 1 if (j - free_top) % 2 == 0 else 0
+                       for j in range(free_top + 1, m + 1))
         ranges = [range(c.a[j]) for j in range(free_top)] + [range(c.a[free_top] - 1)]
-
-        def emit(prefix, idx):
-            if idx > free_top:
-                exps = list(prefix)
-                for j in range(free_top + 1, m + 1):
-                    exps.append(pinned[j])
-                out.append(Monomial(tuple(exps)))
-                return
-            for e in ranges[idx]:
-                emit(prefix + [e], idx + 1)
-
-        emit([], 0)
+        out.extend(Monomial(free + pinned) for free in product(*ranges))
     if m % 2 == 1:
         exps = [0] * (m + 1)
         for j in range(1, m + 1, 2):

@@ -17,6 +17,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -234,11 +235,7 @@ def scan3(step=Fraction(1, 4), lo=-4, hi=4):
     while v <= hi:
         vals.append(v)
         v += Fraction(step)
-    for a1 in vals:
-        for a2 in vals:
-            for a3 in vals:
-                a = (a1, a2, a3)
-                if not member3(a):
-                    continue
-                c = classify3(a)
-                yield a, c.f, c.stratum, c.types
+    for a in product(vals, repeat=3):
+        if member3(a):
+            c = classify3(a)
+            yield a, c.f, c.stratum, c.types

@@ -8,16 +8,17 @@ the entries), and numpy's ``dot`` and elementwise arithmetic work for
 both.
 
 The exact kernels run on integer rows: lists of lists of Python ``int``.
-Their private cores (``_char_poly_rows``, ``_rank_rows``,
-``_nullspace_rows``, ``_signature_rows``, ``_solve_rows``,
-``_matmul_rows``) take such rows and never see a ``Fraction``:
-division-free Berkowitz for the characteristic polynomial, fraction-free
-elimination for the rest.  :func:`int_form`, the one step that clears
+Their private cores (``_char_poly_rows``, ``_nullspace_rows``,
+``_signature_rows``, ``_solve_rows``, ``_matmul_rows``) take such rows
+and never see a ``Fraction``: division-free Berkowitz for the
+characteristic polynomial, fraction-free Gauss-Jordan elimination
+(``_eliminate``) for the kernel and the solve, fraction-free congruence
+reduction for the signature.  :func:`int_form`, the one step that clears
 denominators, gives the integer form ``(B, d)`` of a matrix, A = B / d;
 each public exact kernel is one :func:`int_form` call followed by its
 core, and Fractions appear only in its result.  Code that runs several
 kernels on one matrix, such as ``seifert.SeifertPair``, calls
-:func:`int_form` once and hands the rows to the cores: rank, kernel and
+:func:`int_form` once and hands the rows to the cores: kernel and
 signature are kept by positive scaling, and the solve core returns its
 solution as integer rows over one denominator.  Every monodromy goes
 through :func:`monodromy_matrix` or, for an exact pair, through the solve
@@ -105,9 +106,9 @@ def int_form(A: np.ndarray):
     return np.array(nums, dtype=object).reshape(A.shape), d
 
 
-def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
-    """Fraction-free Gauss (``reduced``: Gauss-Jordan) elimination in place
-    on the first ``ncols`` columns of integer rows; returns the pivot columns.
+def _eliminate(rows: list, ncols: int) -> list:
+    """Fraction-free Gauss-Jordan elimination in place on the first
+    ``ncols`` columns of integer rows; returns the pivot columns.
 
     Each step is ``row_i <- p row_i - f row_p``, divided by the row's gcd,
     so every row stays an integer multiple of the rational echelon row.
@@ -126,7 +127,7 @@ def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         p = prow[col]
-        for i in range(0 if reduced else r + 1, n):
+        for i in range(n):
             f = rows[i][col]
             if i != r and f:
                 row = [p * a - f * b for a, b in zip(rows[i], prow)]
@@ -179,24 +180,13 @@ def char_poly_exact(A: np.ndarray) -> RealPoly:
     return RealPoly([_tidy(Fraction(c, d ** (n - k))) for k, c in enumerate(cs)])
 
 
-def _rank_rows(rows: list, ncols: int) -> int:
-    """Rank of integer rows with ``ncols`` columns."""
-    # _eliminate replaces rows and never changes one in place
-    return len(_eliminate(list(rows), ncols, reduced=False))
-
-
-def rank_exact(A: np.ndarray) -> int:
-    """Rank by fraction-free Gaussian elimination on integer rows."""
-    return _rank_rows(int_form(A)[0].tolist(), A.shape[1])
-
-
 def _nullspace_rows(rows: list, ncols: int) -> list:
     """Basis of the kernel of integer rows, one ``(c, v)`` per free column
     c of the reduced row echelon form: v is a primitive integer vector, a
     positive multiple of the kernel vector that is 1 at c and 0 at the
     other free columns."""
     rows = list(rows)
-    pivots = _eliminate(rows, ncols, reduced=True)
+    pivots = _eliminate(rows, ncols)
     scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -310,7 +300,7 @@ def _solve_rows(A: list, B: list):
     fraction-free Gauss-Jordan elimination of [A | B]."""
     n = len(A)
     rows = [a + b for a, b in zip(A, B)]
-    if len(_eliminate(rows, n, reduced=True)) < n:
+    if len(_eliminate(rows, n)) < n:
         raise Singular("matrix is singular")
     den = math.lcm(*(row[i] for i, row in enumerate(rows)))
     X = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(rows)]

@@ -12,6 +12,7 @@ levels equal, first numbers equal by ``num_eq``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import NotLadderComposed
 from .polycore import _numerators_or_floats, format_number, multiset_eq, num_eq
@@ -53,18 +54,9 @@ class Spp:
         return hash(len(self.pairs))
 
     def to_json(self):
-        out = []
-        counted: dict = {}
-        order = []
-        for a, k in self.pairs:
-            key = (a, k)
-            if key not in counted:
-                counted[key] = 0
-                order.append(key)
-            counted[key] += 1
-        for a, k in order:
-            out.append({"alpha": format_number(a), "level": k, "mult": counted[(a, k)]})
-        return out
+        # the sort puts equal pairs next to each other; each run is named by its first pair
+        return [{"alpha": format_number(a), "level": k, "mult": len(list(run))}
+                for (a, k), run in groupby(self.pairs)]
 
 
 

@@ -143,6 +143,35 @@ class TestJacobiBasis:
         for a in chain.grid_tuples(5, 3, 3):
             assert len(chain.jacobi_basis(a)) == chain.ChainSing(a).mu
 
+    def test_matches_the_recursive_enumeration(self):
+        # reference: the free exponents enumerated by recursion, last one fastest
+        def recursive_basis(a):
+            c = chain.ChainSing(a)
+            m, out = c.m, []
+            for i in range(m // 2 + 1):
+                free_top = m - 2 * i
+                pinned = {}
+                for j in range(free_top + 2, m + 1, 2):
+                    pinned[j] = c.a[j] - 1
+                for j in range(free_top + 1, m + 1, 2):
+                    pinned[j] = 0
+                ranges = [range(c.a[j]) for j in range(free_top)] + [range(c.a[free_top] - 1)]
+
+                def emit(prefix, idx):
+                    if idx > free_top:
+                        out.append(tuple(prefix) + tuple(pinned[j] for j in range(free_top + 1, m + 1)))
+                        return
+                    for e in ranges[idx]:
+                        emit(prefix + [e], idx + 1)
+
+                emit([], 0)
+            if m % 2 == 1:
+                out.append(tuple(c.a[j] - 1 if j % 2 else 0 for j in range(m + 1)))
+            return out
+
+        for a in chain.grid_tuples(6, 4, 4):
+            assert [mono.exps for mono in chain.jacobi_basis(a)] == recursive_basis(a), a
+
     def test_two_route_spectra_agree(self):
         for a in chain.grid_tuples(6, 4, 2):
             c = chain.ChainSing(a)
@@ -283,6 +312,15 @@ def _oracle_verify(a):
 
 def _typed(xs):
     return [(type(x), x) for x in xs]
+
+
+def test_stokes_scal_is_the_point_of_the_sorted_root_angles():
+    # the former route: expand the polynomial and sort its Fraction angles
+    for a in chain.grid_tuples(6, 4, 4, a0_min=2, aj_min=1):
+        _, k, angles = chain.stokes_poly(a)
+        want = hor.scal_from_angles(angles, k)
+        got = chain.stokes_scal(a)
+        assert (got.k, _typed(got.beta)) == (want.k, _typed(want.beta)), a
 
 
 def _differential_tuples():

@@ -427,6 +427,21 @@ class TestPowerIdentity:
         ok, _ = hor.verify_power_identity(M)
         assert ok
 
+    @pytest.mark.parametrize("p, k, q", [([1, 1, 1], 1, [1, -1, 1]),
+                                         ([-1, 1, 0, -1, 1], 2, [1, 0, 0, 0, 1])])
+    def test_wrong_polynomial_reports_both_residuals(self, p, k, q):
+        # a member with its polynomial swapped for another of the same degree
+        M = hor.poly_to_matrix(RealPoly(p), k)
+        W = replace(M, p=RealPoly(q))
+        ok, details = hor.verify_power_identity(W)
+        assert ok is False and sorted(details) == ["invariance_residual", "power_residual"]
+        R, St = polycore.companion_matrix(W.p), M.S.T.astype(float)
+        sign = -1 if M.k == 1 else 1
+        power = sign * mx.monodromy_matrix(M.S).astype(float) - mx.mat_pow(R, M.n).astype(float)
+        invariance = R.T.astype(float) @ St @ R.astype(float) - St
+        for got, want in ((details["power_residual"], power), (details["invariance_residual"], invariance)):
+            assert got.dtype == float and np.array_equal(got, want) and np.any(got)
+
     def test_exact_up_to_n12(self):
         rng = random.Random(4)
         for n in range(1, 13):

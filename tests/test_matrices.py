@@ -81,11 +81,6 @@ class TestSympyOracles:
 
     @given(rational_rows())
     @settings(max_examples=60, deadline=None)
-    def test_rank(self, rows):
-        assert mx.rank_exact(mx.to_matrix(rows)) == to_sympy(rows).rank()
-
-    @given(rational_rows())
-    @settings(max_examples=60, deadline=None)
     def test_nullspace(self, rows):
         A = to_sympy(rows)
         basis = mx._nullspace_rows(int_rows(rows), A.cols)

